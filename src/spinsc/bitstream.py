@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, FormatError, ShapeError
 from .rngtools import derive_philox
 
 __all__ = [
@@ -63,8 +63,15 @@ class BitStream:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "BitStream":
+        if len(blob) < 8:
+            raise FormatError("bitstream blob is shorter than its 8-byte header")
         length, flag = struct.unpack_from("<IB3x", blob)
-        encoding = {v: k for k, v in _MAGIC_FLAGS.items()}[flag]
+        encoding = {v: k for k, v in _MAGIC_FLAGS.items()}.get(flag)
+        if encoding is None:
+            raise FormatError(f"unknown bitstream encoding flag {flag}")
+        if len(blob) - 8 != (length + 7) // 8:
+            raise FormatError(f"bitstream payload is {len(blob) - 8} bytes; "
+                              f"{length} bits need {(length + 7) // 8}")
         bits = np.unpackbits(np.frombuffer(blob, dtype=np.uint8, offset=8))[:length]
         return cls(bits=bits, encoding=encoding)
 
@@ -72,26 +79,27 @@ class BitStream:
         return np.packbits(self.bits).tobytes().hex()
 
 
+def _bernoulli_bits(p: float, L: int, seed: int, tag: str) -> np.ndarray:
+    """L bits, each 1 with probability p, from the Philox substream `tag`."""
+    if L < 1:
+        raise DomainError("stream length must be >= 1")
+    return (derive_philox(seed, tag).random(L) < p).astype(np.uint8)
+
+
 def encode(p: float, L: int, seed: int) -> BitStream:
     """Unipolar stream: each bit independently 1 with probability p."""
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"probability {p} outside [0, 1]")
-    if L < 1:
-        raise DomainError("stream length must be >= 1")
-    rng = derive_philox(seed, "bitstream")
-    bits = (rng.random(L) < p).astype(np.uint8)
-    return BitStream(bits=bits, encoding=UNIPOLAR)
+    return BitStream(bits=_bernoulli_bits(p, L, seed, "bitstream"),
+                     encoding=UNIPOLAR)
 
 
 def encode_bipolar(v: float, L: int, seed: int) -> BitStream:
     """Bipolar stream for v in [-1, 1], one probability (v+1)/2."""
     if not -1.0 <= v <= 1.0:
         raise DomainError(f"bipolar value {v} outside [-1, 1]")
-    if L < 1:
-        raise DomainError("stream length must be >= 1")
-    rng = derive_philox(seed, "bitstream")
-    bits = (rng.random(L) < (v + 1.0) / 2.0).astype(np.uint8)
-    return BitStream(bits=bits, encoding=BIPOLAR)
+    return BitStream(bits=_bernoulli_bits((v + 1.0) / 2.0, L, seed, "bitstream"),
+                     encoding=BIPOLAR)
 
 
 def decode(stream: BitStream) -> float:
@@ -137,12 +145,6 @@ def scaled_add_mux(a: BitStream, b: BitStream, select: BitStream) -> BitStream:
 def mtj_rng_stream(fit, bias_current: float, L: int, seed: int) -> BitStream:
     """Behavioral MTJ RNG: bits are 1 with the fitted switching probability
     at the bias current; bias at the fit offset gives exactly p = 0.5."""
-    if L < 1:
-        raise DomainError("stream length must be >= 1")
-    if bias_current == fit.b:
-        p = 0.5
-    else:
-        p = float(fit.predict(bias_current))
-    rng = derive_philox(seed, "mtj-rng")
-    bits = (rng.random(L) < p).astype(np.uint8)
-    return BitStream(bits=bits, encoding=UNIPOLAR)
+    p = 0.5 if bias_current == fit.b else float(fit.predict(bias_current))
+    return BitStream(bits=_bernoulli_bits(p, L, seed, "mtj-rng"),
+                     encoding=UNIPOLAR)

@@ -55,7 +55,6 @@ def _write_manifest(out_dir, command, seed, workers, cfg, outputs, duration):
         with open(tmp, "w", newline="\n") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
-    return path
 
 
 def _device_from_config(v: ConfigView) -> DeviceParams:
@@ -103,28 +102,29 @@ def cmd_device_sweep(v, seed, workers, out_dir):
         v.get_float("sweep", "pulse_width_s"),
         v.get_int("sweep", "trials_per_point"),
         params, seed, workers=workers)
-    outputs = []
-    csv_path = os.path.join(out_dir, "switching_curve.csv")
-    with atomic_path(csv_path) as tmp:
-        curve.to_csv(tmp)
-    outputs.append("switching_curve.csv")
+    # fit before writing, so a fit that raises (exit 2) leaves no output
     try:
         fit = mtj.fit_stochastic_sigmoid(curve)
     except FitDomainError as exc:
         print(f"sigmoid fit failed: {exc}", file=sys.stderr)
         print(f"curve p_hat: {curve.p_hat.tolist()}", file=sys.stderr)
-        return outputs, False
-    fit_path = os.path.join(out_dir, "sigmoid_fit.json")
-    with atomic_path(fit_path) as tmp:
+        fit = None
+    with atomic_path(os.path.join(out_dir, "switching_curve.csv")) as tmp:
+        curve.to_csv(tmp)
+    if fit is None:
+        return ["switching_curve.csv"], False
+    with atomic_path(os.path.join(out_dir, "sigmoid_fit.json")) as tmp:
         fit.to_json(tmp)
-    outputs.append("sigmoid_fit.json")
-    return outputs, True
+    return ["switching_curve.csv", "sigmoid_fit.json"], True
 
 
 def cmd_sc_arith_bench(v, seed, workers, out_dir):
     L = v.get_int("scarith", "length", 4096)
     n_seeds = v.get_int("scarith", "seeds", 100)
     values = v.get_float_list("scarith", "values", [0.1, 0.5, 0.9])
+    if L < 1 or not all(0.0 <= p <= 1.0 for p in values):
+        raise ConfigError(f"[scarith] needs length >= 1 and values in [0, 1], "
+                          f"got length {L}, values {values}")
     rows = []
     for p in values:
         for q in values:
@@ -157,16 +157,12 @@ def cmd_sc_arith_bench(v, seed, workers, out_dir):
 
 
 def _build_decoder_dataset(spec, frames, snrs_db, seed):
-    dataset = []
-    for i in range(frames):
-        rng = derive_rng(seed, "dataset", i)
-        message = rng.integers(0, 2, size=spec.K).astype(np.uint8)
-        codeword = polar.encode(message, spec)
-        snr = snrs_db[i % len(snrs_db)]
-        llrs = polar._awgn_llrs(codeword, snr, spec.rate, rng)
-        dataset.append(training.Example(np.tanh(llrs / 2.0),
-                                        message.astype(float)))
-    return dataset
+    snrs = [snrs_db[i % len(snrs_db)] for i in range(frames)]
+    messages, llrs, _ = polar.generate_frames(spec, seed, ("dataset",),
+                                              range(frames), snrs)
+    # per-frame tanh, exactly as neural_sc_decode featurises a frame
+    return [training.Example(np.tanh(llr / 2.0), message.astype(float))
+            for message, llr in zip(messages, llrs)]
 
 
 def cmd_train_decoder(v, seed, workers, out_dir):
@@ -214,11 +210,13 @@ def cmd_ber(v, seed, workers, out_dir):
                 f"neural decoding needs a trained model; expected file at "
                 f"{model_path} (run train-decoder first)")
         model = load_model(model_path)
+    # every decoder runs before any file is written: an error writes nothing
+    results = {name: polar.ber_experiment(spec, name, snrs, min_frames, seed,
+                                          model=model, window=window,
+                                          workers=workers)
+               for name in which}
     outputs = []
-    for name in which:
-        rows = polar.ber_experiment(spec, name, snrs, min_frames, seed,
-                                    model=model, window=window,
-                                    workers=workers)
+    for name, rows in results.items():
         for fname, writer in ((f"ber_{name}.csv", polar.write_ber_csv),
                               (f"timing_{name}.csv", polar.write_timing_csv)):
             path = os.path.join(out_dir, fname)
@@ -271,7 +269,22 @@ _COMMANDS = {
 }
 
 
+def _load_manifest(path):
+    """(command, config, master seed, workers) recorded in a manifest."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        _COMMANDS[doc["command"]]       # KeyError for an unknown command
+        return doc["command"], doc["config"], doc["master_seed"], doc["workers"]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"manifest {path} is unreadable or lacks an "
+                          f"entry: {exc!r}") from None
+
+
 def _run(command, cfg_dict, seed, workers, out_dir):
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"master seed must be a non-negative integer, "
+                          f"got {seed!r}")
     os.makedirs(out_dir, exist_ok=True)
     view = ConfigView(cfg_dict)
     t0 = time.perf_counter()
@@ -301,12 +314,9 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "rerun":
-            with open(args.manifest) as fh:
-                doc = json.load(fh)
-            cfg = doc["config"]
-            command = doc["command"]
-            seed = doc["master_seed"]
-            workers = args.workers if args.workers is not None else doc["workers"]
+            command, cfg, seed, workers = _load_manifest(args.manifest)
+            if args.workers is not None:
+                workers = args.workers
         else:
             command = args.command
             cfg = load_config(args.config)

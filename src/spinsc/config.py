@@ -67,16 +67,6 @@ class ConfigView:
     def get_float(self, section, key, default=_MISSING) -> float:
         return self._typed(section, key, float, default)
 
-    def get_bool(self, section, key, default=_MISSING) -> bool:
-        def cast(s):
-            s = str(s).strip().lower()
-            if s in ("1", "true", "yes", "on"):
-                return True
-            if s in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(s)
-        return self._typed(section, key, cast, default)
-
     def get_float_list(self, section, key, default=_MISSING) -> list:
         def cast(s):
             return [float(tok) for tok in str(s).replace(",", " ").split()]

@@ -35,3 +35,7 @@ class DivergenceError(SpinscError, RuntimeError):
 
 class ConfigError(SpinscError, ValueError):
     """A run configuration is missing or malformed."""
+
+
+class FormatError(SpinscError, ValueError):
+    """A serialized artefact is truncated or malformed."""

@@ -87,13 +87,6 @@ class DeviceParams:
         """Number of spins in the free layer, Ms*V/muB."""
         return self.Ms * self.V / self.muB
 
-    @property
-    def thermal_stability(self) -> float:
-        """Energy barrier over kB*T at the device temperature (inf at T=0)."""
-        if self.T == 0:
-            return math.inf
-        return self.mu0 * self.Ms * self.Hk * self.V / (2.0 * self.kB * self.T)
-
 
 @dataclass(frozen=True)
 class SpinCurrentPulse:

@@ -141,7 +141,7 @@ def estimate_switching_probability(charge_current: float, pulse_width: float,
 def _sweep_point(args):
     idx, current, pulse_width, trials, params, seed = args
     point_seed = derive_rng(seed, "sweep-point", idx).integers(0, 2**63)
-    return idx, estimate_switching_probability(
+    return estimate_switching_probability(
         current, pulse_width, trials, params, int(point_seed))
 
 
@@ -156,15 +156,11 @@ def sweep_switching_curve(currents, pulse_width: float, trials_per_point: int,
         raise DomainError("sweep currents must be strictly increasing")
     jobs = [(i, c, pulse_width, trials_per_point, params, seed)
             for i, c in enumerate(currents)]
-    results = [None] * len(jobs)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for idx, res in pool.map(_sweep_point, jobs):
-                results[idx] = res
+            results = list(pool.map(_sweep_point, jobs))
     else:
-        for job in jobs:
-            idx, res = _sweep_point(job)
-            results[idx] = res
+        results = [_sweep_point(job) for job in jobs]
     p_hat = np.array([r[0] for r in results])
     ci = np.array([r[1] for r in results])
     return SwitchingCurve(currents=currents, p_hat=p_hat,
@@ -187,31 +183,33 @@ def fit_stochastic_sigmoid(curve: SwitchingCurve,
         logit = np.log(p[interior] / (1.0 - p[interior]))
         a0, c0 = np.polyfit(I[interior], logit, 1)
         if a0 <= 0:
-            a0 = 1.0 / max(I.ptp(), 1e-30)
+            a0 = 1.0 / max(np.ptp(I), 1e-30)
         b0 = -c0 / a0
     else:
         b0 = float(np.interp(0.5, p, I))
-        a0 = 4.0 / max(I.ptp() / len(I), 1e-30)
+        a0 = 4.0 / max(np.ptp(I) / len(I), 1e-30)
 
     a, b = float(a0), float(b0)
     lam = 1e-3
 
-    def residuals(a, b):
-        return 1.0 / (1.0 + np.exp(-a * (I - b))) - p
+    def model(a, b):
+        return 1.0 / (1.0 + np.exp(-a * (I - b)))
 
-    r = residuals(a, b)
+    def jacobian(a, b):         # of the model wrt (a, b)
+        s = model(a, b)
+        w = s * (1.0 - s)
+        return np.column_stack([w * (I - b), -a * w])
+
+    r = model(a, b) - p
     cost = float(r @ r)
     converged = False
     for _ in range(max_iter):
-        s = 1.0 / (1.0 + np.exp(-a * (I - b)))
-        w = s * (1.0 - s)
-        # Jacobian of the model wrt (a, b)
-        J = np.column_stack([w * (I - b), -a * w])
+        J = jacobian(a, b)
         g = J.T @ r
         H = J.T @ J
         step = np.linalg.solve(H + lam * np.diag(np.diag(H) + 1e-300), -g)
         a_new, b_new = a + step[0], b + step[1]
-        r_new = residuals(a_new, b_new)
+        r_new = model(a_new, b_new) - p
         cost_new = float(r_new @ r_new)
         if cost_new <= cost:
             rel = abs(cost - cost_new) / max(cost, 1e-300)
@@ -228,10 +226,7 @@ def fit_stochastic_sigmoid(curve: SwitchingCurve,
         converged = cost <= 1e-20 or float(np.abs(g).max()) < 1e-12
     if not converged and cost > 1e-20:
         # accept if the gradient is numerically flat, else report failure
-        s = 1.0 / (1.0 + np.exp(-a * (I - b)))
-        w = s * (1.0 - s)
-        J = np.column_stack([w * (I - b), -a * w])
-        if float(np.abs(J.T @ r).max()) > 1e-9:
+        if float(np.abs(jacobian(a, b).T @ r).max()) > 1e-9:
             raise ConvergenceError("logistic fit did not converge")
     if a <= 0:
         raise ConvergenceError("logistic fit produced a non-positive slope")

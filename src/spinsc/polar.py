@@ -18,6 +18,8 @@ from .errors import DomainError, ShapeError
 from .network import DETERMINISTIC, NetworkModel, forward, forward_rate
 from .rngtools import derive_rng
 
+FRAME_BLOCK = 512    # frames per ber_experiment block; bounds its memory
+
 __all__ = [
     "PolarCodeSpec",
     "ChannelOutput",
@@ -26,6 +28,7 @@ __all__ = [
     "polar_transform",
     "encode",
     "bpsk_awgn",
+    "generate_frames",
     "sc_decode",
     "neural_sc_decode",
     "ber_experiment",
@@ -55,10 +58,6 @@ class PolarCodeSpec:
     @property
     def rate(self) -> float:
         return self.K / self.N
-
-    @property
-    def info_indices(self) -> np.ndarray:
-        return np.nonzero(~self.frozen)[0]
 
     def to_json(self, path):
         with open(path, "w", newline="\n") as fh:
@@ -121,44 +120,68 @@ def construct_frozen_set(N: int, K: int, design_snr_db: float = 0.0) -> PolarCod
 
 
 def polar_transform(u) -> np.ndarray:
-    """x = u F^(x)n over GF(2) via in-place butterflies (natural order)."""
-    x = np.asarray(u, dtype=np.uint8).copy()
-    N = x.size
+    """x = u F^(x)n over GF(2) via in-place butterflies (natural order),
+    along the last axis of u: one word (N,) or a block of words (..., N)."""
+    x = np.array(u, dtype=np.uint8, order="C")
+    N = x.shape[-1] if x.ndim else 0
     if N < 1 or (N & (N - 1)) != 0:
         raise ShapeError("transform length must be a power of 2")
     h = 1
     while h < N:
-        for start in range(0, N, 2 * h):
-            x[start:start + h] ^= x[start + h:start + 2 * h]
+        pairs = x.reshape(x.shape[:-1] + (N // (2 * h), 2, h))
+        pairs[..., 0, :] ^= pairs[..., 1, :]
         h *= 2
     return x
 
 
 def encode(message, spec: PolarCodeSpec) -> np.ndarray:
-    """Place message at the non-frozen u positions and transform."""
+    """Place messages (..., K) at the non-frozen u positions and transform
+    to codewords (..., N)."""
     message = np.asarray(message, dtype=np.uint8)
-    if message.shape != (spec.K,):
+    if message.shape[-1:] != (spec.K,):
         raise ShapeError(f"message length must be {spec.K}")
-    u = np.zeros(spec.N, dtype=np.uint8)
-    u[~spec.frozen] = message
+    u = np.zeros(message.shape[:-1] + (spec.N,), dtype=np.uint8)
+    u[..., ~spec.frozen] = message
     return polar_transform(u)
 
 
-def _awgn_llrs(codeword, snr_db, rate, rng):
-    codeword = np.asarray(codeword, dtype=np.uint8)
-    sigma2 = 1.0 / (2.0 * rate * 10.0 ** (snr_db / 10.0))
-    s = 1.0 - 2.0 * codeword.astype(float)
-    y = s + math.sqrt(sigma2) * rng.standard_normal(codeword.size)
-    return 2.0 * y / sigma2
+def _bpsk_llrs(codewords, snrs_db, rate, noise):
+    """LLRs of BPSK codewords (..., N) plus unit-variance `noise` scaled for
+    the code rate and one Eb/N0 per codeword."""
+    if rate <= 0:
+        raise DomainError("code rate must be positive")
+    sigma2 = np.reshape([1.0 / (2.0 * rate * 10.0 ** (float(s) / 10.0))
+                         for s in snrs_db], codewords.shape[:-1] + (1,))
+    return 2.0 * (1.0 - 2.0 * codewords.astype(float)
+                  + np.sqrt(sigma2) * noise) / sigma2
 
 
 def bpsk_awgn(codeword, snr_db: float, seed: int, rate: float) -> ChannelOutput:
     """BPSK over AWGN at Eb/N0 = snr_db for the given code rate."""
-    if rate <= 0:
-        raise DomainError("code rate must be positive")
-    rng = derive_rng(seed, "channel")
-    return ChannelOutput(llrs=_awgn_llrs(codeword, snr_db, rate, rng),
+    codeword = np.asarray(codeword, dtype=np.uint8)
+    noise = derive_rng(seed, "channel").standard_normal(codeword.size)
+    return ChannelOutput(llrs=_bpsk_llrs(codeword, [snr_db], rate, noise),
                          snr_db=snr_db)
+
+
+def generate_frames(spec: PolarCodeSpec, seed: int, tags, frames, snrs_db):
+    """Messages (F, K), channel LLRs (F, N) and frame seeds (F,) for the F
+    frame indices in `frames`, frame i sent at Eb/N0 snrs_db[i].  Frame f
+    draws its message, then its noise, then the seed a stochastic decoder
+    uses for it from its own substream derive_rng(seed, *tags, f): its
+    values depend neither on its block nor on whether the seed is used."""
+    if len(snrs_db) != len(frames):
+        raise ShapeError("need one Eb/N0 per frame")
+    messages = np.empty((len(frames), spec.K), dtype=np.uint8)
+    noise = np.empty((len(frames), spec.N))
+    frame_seeds = np.empty(len(frames), dtype=np.int64)
+    for j, frame in enumerate(frames):
+        rng = derive_rng(seed, *tags, frame)
+        messages[j] = rng.integers(0, 2, size=spec.K)
+        noise[j] = rng.standard_normal(spec.N)
+        frame_seeds[j] = rng.integers(0, 2 ** 63)
+    llrs = _bpsk_llrs(encode(messages, spec), snrs_db, spec.rate, noise)
+    return messages, llrs, frame_seeds
 
 
 def _check_node(a, b, min_sum):
@@ -168,35 +191,38 @@ def _check_node(a, b, min_sum):
 
 
 def _sc_recurse(llr, frozen, min_sum):
-    n = llr.size
+    """SC over a (frames, n) LLR block; returns (u, x), both (frames, n)."""
+    n = llr.shape[1]
     if n == 1:
-        if frozen[0] or llr[0] >= 0.0:
-            u = np.zeros(1, dtype=np.uint8)
-        else:
-            u = np.ones(1, dtype=np.uint8)
+        u = np.logical_not(frozen[0] | (llr >= 0.0)).astype(np.uint8)
         return u, u.copy()
     h = n // 2
-    a, b = llr[:h], llr[h:]
+    a, b = llr[:, :h], llr[:, h:]
     u_left, x_left = _sc_recurse(_check_node(a, b, min_sum), frozen[:h], min_sum)
     g = b + (1.0 - 2.0 * x_left.astype(float)) * a
     u_right, x_right = _sc_recurse(g, frozen[h:], min_sum)
-    return (np.concatenate([u_left, u_right]),
-            np.concatenate([x_left ^ x_right, x_right]))
+    return (np.concatenate([u_left, u_right], axis=1),
+            np.concatenate([x_left ^ x_right, x_right], axis=1))
 
 
 def sc_decode(out: ChannelOutput, spec: PolarCodeSpec,
               min_sum: bool = False, truth=None) -> DecodeResult:
-    """Classical successive-cancellation decoding (llr >= 0 decodes to 0)."""
+    """Classical successive-cancellation decoding (llr >= 0 decodes to 0) of
+    one frame, LLRs (N,), or of a block of frames at once, LLRs (..., N);
+    u_hat is (..., N), message_hat (..., K), bit_errors sums the block."""
     llr = np.asarray(out.llrs, dtype=float)
-    if llr.shape != (spec.N,):
+    if llr.shape[-1:] != (spec.N,):
         raise ShapeError(f"LLR length must be {spec.N}")
     if not np.isfinite(llr).all():
         raise DomainError("LLRs must be finite")
-    u_hat, _ = _sc_recurse(llr, spec.frozen, min_sum)
-    message_hat = u_hat[~spec.frozen]
-    errors = None
-    if truth is not None:
-        errors = int(np.count_nonzero(message_hat != np.asarray(truth, np.uint8)))
+    u_hat, _ = _sc_recurse(llr.reshape(-1, spec.N), spec.frozen, min_sum)
+    return _decode_result(u_hat.reshape(llr.shape), spec, truth)
+
+
+def _decode_result(u_hat, spec, truth):
+    message_hat = u_hat[..., ~spec.frozen]
+    errors = (None if truth is None else
+              int(np.count_nonzero(message_hat != np.asarray(truth, np.uint8))))
     return DecodeResult(u_hat=u_hat, message_hat=message_hat, bit_errors=errors)
 
 
@@ -216,41 +242,35 @@ def neural_sc_decode(out: ChannelOutput, model: NetworkModel,
         y = forward(model, x)
     else:
         y = forward_rate(model, x, window, seed)
-    message_hat = (y > 0.5).astype(np.uint8)
     u_hat = np.zeros(spec.N, dtype=np.uint8)
-    u_hat[~spec.frozen] = message_hat
-    errors = None
-    if truth is not None:
-        errors = int(np.count_nonzero(message_hat != np.asarray(truth, np.uint8)))
-    return DecodeResult(u_hat=u_hat, message_hat=message_hat, bit_errors=errors)
+    u_hat[~spec.frozen] = y > 0.5
+    return _decode_result(u_hat, spec, truth)
 
 
 def _ber_point(args):
     (point_index, spec, decoder, snr_db, min_frames, seed,
      model, window) = args
-    bit_errors = 0
-    frame_errors = 0
+    bit_errors = frame_errors = 0
     decode_time = 0.0
-    for frame in range(min_frames):
-        rng = derive_rng(seed, "ber", point_index, frame)
-        message = rng.integers(0, 2, size=spec.K).astype(np.uint8)
-        codeword = encode(message, spec)
-        llrs = _awgn_llrs(codeword, snr_db, spec.rate, rng)
+    for start in range(0, min_frames, FRAME_BLOCK):
+        block = range(start, min(start + FRAME_BLOCK, min_frames))
+        messages, llrs, frame_seeds = generate_frames(
+            spec, seed, ("ber", point_index), block, [snr_db] * len(block))
         out = ChannelOutput(llrs=llrs, snr_db=snr_db)
         t0 = time.perf_counter()
         if decoder == "classical":
-            res = sc_decode(out, spec)
-        elif decoder == "neural":
-            frame_seed = int(rng.integers(0, 2 ** 63))
-            res = neural_sc_decode(out, model, spec, window=window,
-                                   seed=frame_seed)
+            message_hat = sc_decode(out, spec).message_hat
         else:
-            raise DomainError(f"unknown decoder {decoder!r}")
+            message_hat = np.array([
+                neural_sc_decode(ChannelOutput(llrs=row, snr_db=snr_db),
+                                 model, spec, window=window,
+                                 seed=int(frame_seed)).message_hat
+                for row, frame_seed in zip(out.llrs, frame_seeds)])
         decode_time += time.perf_counter() - t0
-        errs = int(np.count_nonzero(res.message_hat != message))
-        bit_errors += errs
-        frame_errors += errs > 0
-    return point_index, {
+        errs = np.count_nonzero(message_hat != messages, axis=1)
+        bit_errors += int(errs.sum())
+        frame_errors += int(np.count_nonzero(errs))
+    return {
         "snr_db": snr_db,
         "frames": min_frames,
         "bit_errors": bit_errors,
@@ -268,24 +288,21 @@ def ber_experiment(spec: PolarCodeSpec, decoder: str, snr_list, min_frames: int,
 
     Every frame draws its message and noise from a dedicated substream of
     (seed, point index, frame index), so results do not depend on worker
-    count or scheduling.
+    count, scheduling or block size.  Frames are generated, and decoded by
+    classical SC, in blocks of at most FRAME_BLOCK.
     """
     if min_frames < 1:
         raise DomainError("min_frames must be >= 1")
+    if decoder not in ("classical", "neural"):
+        raise DomainError(f"unknown decoder {decoder!r}")
     if decoder == "neural" and model is None:
         raise DomainError("neural decoding requires a trained model")
     jobs = [(i, spec, decoder, snr, min_frames, seed, model, window)
             for i, snr in enumerate(snr_list)]
-    rows = [None] * len(jobs)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for idx, row in pool.map(_ber_point, jobs):
-                rows[idx] = row
-    else:
-        for job in jobs:
-            idx, row = _ber_point(job)
-            rows[idx] = row
-    return rows
+            return list(pool.map(_ber_point, jobs))
+    return [_ber_point(job) for job in jobs]
 
 
 def write_ber_csv(rows, path):

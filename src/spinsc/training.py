@@ -13,8 +13,7 @@ import math
 import numpy as np
 
 from .errors import DivergenceError, DomainError, UnsupportedModeError
-from .network import (DETERMINISTIC, Layer, NetworkModel, forward_trace,
-                      sigmoid)
+from .network import DETERMINISTIC, Layer, NetworkModel, forward_trace
 from .rngtools import derive_rng
 
 __all__ = [
@@ -92,15 +91,8 @@ def init_model(layer_sizes, seed: int, bias_enabled: bool = True,
 
 
 def loss_value(model: NetworkModel, example: Example, loss: LossSpec) -> float:
-    _, pres = forward_trace(model, example.x)
-    y_hat = model_output(model, pres[-1])
-    return _loss_from_prediction(y_hat, example.y, loss)
-
-
-def model_output(model: NetworkModel, last_pre):
-    if model.output_activation == "identity":
-        return np.asarray(last_pre, dtype=float)
-    return sigmoid(last_pre)
+    activations, _ = forward_trace(model, example.x)
+    return _loss_from_prediction(activations[-1], example.y, loss)
 
 
 def _loss_from_prediction(y_hat, y, loss: LossSpec) -> float:
@@ -229,27 +221,24 @@ def train(model: NetworkModel, dataset, config: OptimizerConfig,
 def finite_difference_gradient(model: NetworkModel, example: Example,
                                loss: LossSpec, h: float = 1e-5) -> list:
     """Central-difference gradient, independent of backprop; for checking."""
+    def central(params, idx):
+        base = params[idx]
+        params[idx] = base + h
+        up = loss_value(model, example, loss)
+        params[idx] = base - h
+        down = loss_value(model, example, loss)
+        params[idx] = base
+        return (up - down) / (2.0 * h)
+
     grads = []
-    for li, layer in enumerate(model.layers):
+    for layer in model.layers:
         dW = np.zeros_like(layer.weights)
         db = np.zeros_like(layer.bias)
         for idx in np.ndindex(layer.weights.shape):
-            base = layer.weights[idx]
-            layer.weights[idx] = base + h
-            up = loss_value(model, example, loss)
-            layer.weights[idx] = base - h
-            down = loss_value(model, example, loss)
-            layer.weights[idx] = base
-            dW[idx] = (up - down) / (2.0 * h)
+            dW[idx] = central(layer.weights, idx)
         if model.bias_enabled:
             for j in range(layer.bias.size):
-                base = layer.bias[j]
-                layer.bias[j] = base + h
-                up = loss_value(model, example, loss)
-                layer.bias[j] = base - h
-                down = loss_value(model, example, loss)
-                layer.bias[j] = base
-                db[j] = (up - down) / (2.0 * h)
+                db[j] = central(layer.bias, j)
         grads.append((dW, db))
     return grads
 

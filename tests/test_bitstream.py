@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from spinsc.bitstream import (BitStream, decode, encode, encode_bipolar,
                               multiply_and, multiply_xnor, mtj_rng_stream,
                               scaled_add_mux)
-from spinsc.errors import DomainError, ShapeError
+from spinsc.errors import DomainError, FormatError, ShapeError, SpinscError
 from spinsc.mtj import SigmoidFit
 
 
@@ -157,3 +157,15 @@ class TestSerialization:
     def test_hex_dump(self):
         s = BitStream(np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=np.uint8))
         assert s.hex_dump() == "f0"
+
+    def test_truncated_payload_rejected(self):
+        blob = encode(0.5, 64, 0).to_bytes()
+        with pytest.raises(FormatError, match="64 bits need 8"):
+            BitStream.from_bytes(blob[:9])
+
+    def test_unknown_flag_rejected(self):
+        blob = bytearray(encode(0.5, 8, 0).to_bytes())
+        blob[4] = 7
+        with pytest.raises(FormatError, match="flag 7"):
+            BitStream.from_bytes(bytes(blob))
+        assert issubclass(FormatError, SpinscError)

@@ -3,8 +3,9 @@ import os
 
 import pytest
 
+from spinsc import mtj
 from spinsc.cli import main
-from spinsc.errors import ConfigError
+from spinsc.errors import ConfigError, ConvergenceError
 from spinsc.config import ConfigView, load_config
 
 
@@ -214,6 +215,20 @@ class TestBer:
                      "timing_classical.csv", "timing_neural.csv"):
             assert (out / name).exists()
 
+    def test_paired_neural_failure_writes_nothing(self, tmp_path, capsys):
+        # the model is trained for (4,2); decoding the (8,4) code with it
+        # fails after the classical decoder has already run
+        train_dir = tmp_path / "train"
+        assert run("train-decoder", write_cfg(tmp_path / "t.cfg", TRAIN_CFG),
+                   train_dir) == 0
+        cfg = write_cfg(tmp_path / "b.cfg", BER_CFG.replace(
+            "decoder = classical",
+            "decoder = paired\nmodel_path = %s" % (train_dir / "model.json")))
+        out = tmp_path / "out"
+        assert run("ber", cfg, out) == 2
+        assert "error: model dimensions" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
 
 class TestDeviceSweep:
     def test_subcritical_fit_failure_keeps_curve(self, tmp_path, capsys):
@@ -226,6 +241,17 @@ class TestDeviceSweep:
         assert not (tmp_path / "sigmoid_fit.json").exists()
         # the manifest is still written so the run can be repeated
         assert read_manifest(tmp_path)["outputs"] == ["switching_curve.csv"]
+
+    def test_fit_convergence_error_writes_nothing(self, tmp_path, capsys,
+                                                  monkeypatch):
+        def fail(curve):
+            raise ConvergenceError("logistic fit did not converge")
+        monkeypatch.setattr(mtj, "fit_stochastic_sigmoid", fail)
+        cfg = write_cfg(tmp_path / "d.cfg", SWEEP_SUBCRITICAL_CFG)
+        out = tmp_path / "out"
+        assert run("device-sweep", cfg, out) == 2
+        assert "error: logistic fit did not converge" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_thermal_sweep_rerun_byte_identical(self, tmp_path):
         cfg = write_cfg(tmp_path / "d.cfg", SWEEP_THERMAL_CFG)
@@ -251,6 +277,31 @@ class TestErrors:
         assert "[code] k" in err
         assert not (tmp_path / "manifest.json").exists()
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_negative_seed(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "g.cfg", GRADCHECK_CFG)
+        out = tmp_path / "out"
+        assert run("gradcheck", cfg, out, "--seed", "-1") == 2
+        assert "error: master seed must be a non-negative integer" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_scarith_length(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "s.cfg",
+                        SC_ARITH_CFG.replace("length = 4096", "length = 0"))
+        out = tmp_path / "out"
+        assert run("sc-arith-bench", cfg, out) == 2
+        assert "error: [scarith] needs length >= 1" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_rerun_manifest_without_config(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"command": "gradcheck",
+                                        "master_seed": 1, "workers": 1}))
+        out = tmp_path / "out"
+        assert main(["rerun", str(manifest), "--out-dir", str(out)]) == 2
+        assert "lacks an entry: KeyError('config')" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_value_reports_section_and_key(self, tmp_path):
         cfg = write_cfg(tmp_path / "g.cfg",

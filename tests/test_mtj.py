@@ -134,6 +134,16 @@ class TestSigmoidFit:
         with pytest.raises(FitDomainError):
             fit_stochastic_sigmoid(curve)
 
+    def test_step_curve_uses_fallback_guess(self):
+        # no interior points: the initial guess comes from the fallback
+        # branch, which must run on numpy 2 (no ndarray.ptp)
+        I = np.linspace(1.0e-3, 2.0e-3, 6)
+        curve = SwitchingCurve(I, np.array([0.0, 0, 0, 1, 1, 1]),
+                               np.full(6, 100), np.zeros(6))
+        fit = fit_stochastic_sigmoid(curve)
+        assert I[2] < fit.b < I[3]
+        assert fit.a > 0 and fit.r_squared > 0.999
+
     def test_fit_json_export(self, tmp_path):
         fit = fit_stochastic_sigmoid(self.make_exact_curve())
         path = tmp_path / "fit.json"

@@ -1,17 +1,25 @@
+import hashlib
 import itertools
+import json
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinsc.cli import main as cli_main
 from spinsc.errors import DomainError, ShapeError
 from spinsc.network import Layer, NetworkModel
 from spinsc.polar import (ChannelOutput, PolarCodeSpec, bpsk_awgn,
-                          construct_frozen_set, encode, neural_sc_decode,
-                          ber_experiment, polar_transform, sc_decode)
+                          construct_frozen_set, encode, generate_frames,
+                          neural_sc_decode, ber_experiment, polar_transform,
+                          sc_decode)
 from spinsc.rngtools import derive_rng
+from test_acceptance import REPRO_CONFIGS
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 
 def dense_generator(n):
@@ -24,7 +32,7 @@ def dense_generator(n):
 
 
 def oracle_transform(u):
-    G = dense_generator(int(math.log2(len(u))))
+    G = dense_generator(int(math.log2(np.shape(u)[-1])))
     return (np.asarray(u, dtype=np.uint8) @ G) % 2
 
 
@@ -98,9 +106,19 @@ class TestEncode:
         assert polar_transform([1, 1]).tolist() == [0, 1]
 
     def test_matches_dense_oracle_all_256(self):
-        for u in itertools.product([0, 1], repeat=8):
-            u = np.array(u, dtype=np.uint8)
+        block = np.array(list(itertools.product([0, 1], repeat=8)), np.uint8)
+        for u in block:
             assert np.array_equal(polar_transform(u), oracle_transform(u))
+        # the same words as one (256, 8) block and as a (2, 128, 8) block
+        assert np.array_equal(polar_transform(block), oracle_transform(block))
+        assert np.array_equal(polar_transform(block.reshape(2, 128, 8)),
+                              oracle_transform(block).reshape(2, 128, 8))
+
+    def test_block_encode_equals_row_by_row(self):
+        spec = construct_frozen_set(32, 12)
+        msgs = derive_rng(5, "enc").integers(0, 2, (7, 12)).astype(np.uint8)
+        assert np.array_equal(encode(msgs, spec),
+                              np.array([encode(m, spec) for m in msgs]))
 
     @given(st.integers(0, 2 ** 31))
     @settings(max_examples=30, deadline=None)
@@ -112,6 +130,10 @@ class TestEncode:
         spec = construct_frozen_set(8, 4)
         with pytest.raises(ShapeError):
             encode(np.zeros(5, np.uint8), spec)
+        with pytest.raises(ShapeError):
+            encode(np.zeros((3, 5), np.uint8), spec)
+        with pytest.raises(ShapeError):
+            polar_transform(np.zeros((3, 6), np.uint8))
 
 
 class TestChannel:
@@ -171,12 +193,42 @@ class TestScDecode:
     def test_matches_exhaustive_oracle(self):
         spec = construct_frozen_set(8, 4)
         rng = derive_rng(0, "oracle")
+        rows = [np.zeros(8)]                  # all ties: decodes to all 0
         for trial in range(8):
             msg = rng.integers(0, 2, 4).astype(np.uint8)
             out = bpsk_awgn(encode(msg, spec), 1.0, 100 + trial, spec.rate)
             res = sc_decode(out, spec)
             u_oracle = oracle_sc_decode(out.llrs, spec.frozen)
             assert np.array_equal(res.u_hat, u_oracle)
+            rows.append(out.llrs)
+        block = sc_decode(ChannelOutput(np.array(rows), 1.0), spec)
+        for llrs, u_hat in zip(rows, block.u_hat):
+            assert np.array_equal(u_hat, oracle_sc_decode(llrs, spec.frozen))
+
+    @pytest.mark.parametrize("N", [1, 2, 8, 128, 1024])
+    @pytest.mark.parametrize("K", ["none", "half", "all"])
+    @pytest.mark.parametrize("min_sum", [False, True])
+    def test_block_equals_row_by_row(self, N, K, min_sum):
+        k = {"none": 0, "half": N // 2, "all": N}[K]
+        spec = construct_frozen_set(N, k)
+        rng = derive_rng(N, "block", k)
+        llrs = 3.0 * rng.standard_normal((6, N))
+        llrs[1] = 0.0                                 # a row of exact ties
+        llrs[2, rng.integers(0, N, max(1, N // 4))] = 0.0
+        llrs[3] = np.round(llrs[3])                   # many zeros, equal magnitudes
+        msgs = rng.integers(0, 2, (6, k)).astype(np.uint8)
+        block = sc_decode(ChannelOutput(llrs, 2.0), spec, min_sum=min_sum,
+                          truth=msgs)
+        rows = [sc_decode(ChannelOutput(row, 2.0), spec, min_sum=min_sum,
+                          truth=m) for row, m in zip(llrs, msgs)]
+        assert block.u_hat.shape == (6, N)
+        assert block.message_hat.shape == (6, k)
+        assert np.array_equal(block.u_hat, np.array([r.u_hat for r in rows]))
+        assert np.array_equal(block.message_hat,
+                              np.array([r.message_hat for r in rows]).reshape(6, k))
+        assert block.bit_errors == sum(r.bit_errors for r in rows)
+        assert not block.u_hat[:, spec.frozen].any()
+        assert not block.u_hat[1].any()
 
     def test_min_sum_close_to_exact_at_high_snr(self):
         spec = construct_frozen_set(64, 32)
@@ -189,6 +241,42 @@ class TestScDecode:
         spec = construct_frozen_set(8, 4)
         with pytest.raises(ShapeError):
             sc_decode(ChannelOutput(np.zeros(4), 0.0), spec)
+        with pytest.raises(ShapeError):
+            sc_decode(ChannelOutput(np.zeros((3, 4)), 0.0), spec)
+
+
+class TestGenerateFrames:
+    def test_matches_per_frame_formulas(self):
+        spec = construct_frozen_set(16, 8)
+        snrs = [1.0, 2.5, 4.0]
+        messages, llrs, seeds = generate_frames(spec, 7, ("ber", 1),
+                                                range(5, 8), snrs)
+        for j, frame in enumerate(range(5, 8)):
+            rng = derive_rng(7, "ber", 1, frame)
+            msg = rng.integers(0, 2, size=spec.K).astype(np.uint8)
+            cw = encode(msg, spec)
+            sigma2 = 1.0 / (2.0 * spec.rate * 10.0 ** (snrs[j] / 10.0))
+            y = (1.0 - 2.0 * cw.astype(float)
+                 + math.sqrt(sigma2) * rng.standard_normal(spec.N))
+            assert np.array_equal(messages[j], msg)
+            assert np.array_equal(llrs[j], 2.0 * y / sigma2)
+            assert int(seeds[j]) == int(rng.integers(0, 2 ** 63))
+
+    def test_independent_of_blocking(self):
+        spec = construct_frozen_set(8, 4)
+        whole = generate_frames(spec, 3, ("x",), range(10), [2.0] * 10)
+        parts = [generate_frames(spec, 3, ("x",), r, [2.0] * len(r))
+                 for r in (range(0, 4), range(4, 10))]
+        for a, b in zip(whole, zip(*parts)):
+            assert np.array_equal(a, np.concatenate(b))
+
+    def test_rejects_bad_input(self):
+        spec = construct_frozen_set(8, 4)
+        with pytest.raises(ShapeError):
+            generate_frames(spec, 0, ("x",), range(3), [1.0, 2.0])
+        with pytest.raises(DomainError):
+            generate_frames(construct_frozen_set(8, 0), 0, ("x",), range(3),
+                            [1.0] * 3)
 
 
 class TestNeuralDecode:
@@ -234,3 +322,26 @@ class TestBerExperiment:
         spec = construct_frozen_set(8, 4)
         with pytest.raises(DomainError):
             ber_experiment(spec, "neural", [1.0], 5, 1)
+
+    def test_unknown_decoder_rejected(self):
+        with pytest.raises(DomainError):
+            ber_experiment(construct_frozen_set(8, 4), "magic", [1.0], 5, 1)
+
+
+with open(os.path.join(ROOT, "tests", "golden.json")) as _fh:
+    GOLDEN = json.load(_fh)
+
+
+@pytest.mark.parametrize("entry", GOLDEN, ids=lambda e: e["config"])
+def test_golden_output_hashes(entry, tmp_path):
+    """Seeded data files keep the bytes recorded in tests/golden.json."""
+    if entry["config"] == "REPRO_CONFIGS":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(REPRO_CONFIGS[entry["command"]])
+    else:
+        cfg = os.path.join(ROOT, entry["config"])
+    out = tmp_path / "out"
+    assert cli_main([entry["command"], "--config", str(cfg),
+                     "--out-dir", str(out)]) == 0
+    for name, digest in entry["sha256"].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
