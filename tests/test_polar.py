@@ -332,7 +332,14 @@ with open(os.path.join(ROOT, "tests", "golden.json")) as _fh:
     GOLDEN = json.load(_fh)
 
 
-@pytest.mark.parametrize("entry", GOLDEN, ids=lambda e: e["config"])
+def _golden_id(entry):
+    """The config for `ber` entries, command-prefixed for the others."""
+    if entry["command"] == "ber":
+        return entry["config"]
+    return f"{entry['command']}:{entry['config']}"
+
+
+@pytest.mark.parametrize("entry", GOLDEN, ids=_golden_id)
 def test_golden_output_hashes(entry, tmp_path):
     """Seeded data files keep the bytes recorded in tests/golden.json."""
     if entry["config"] == "REPRO_CONFIGS":
