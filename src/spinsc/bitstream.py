@@ -58,6 +58,9 @@ class BitStream:
 
     def to_bytes(self) -> bytes:
         """Packed binary: 8-byte header (u32 length, u8 flag, 3 pad) + bits."""
+        if self.bits.size > 0xFFFFFFFF:
+            raise FormatError(f"{self.bits.size} bits do not fit the u32 "
+                              f"length header")
         header = struct.pack("<IB3x", self.bits.size, _MAGIC_FLAGS[self.encoding])
         return header + np.packbits(self.bits).tobytes()
 

@@ -29,8 +29,9 @@ MANIFEST_NAME = "manifest.json"
 
 @contextmanager
 def atomic_path(final_path):
-    """Yield a temp path that is renamed onto final_path only on success."""
-    tmp = str(final_path) + ".tmp"
+    """Yield a temp path, unique to this writer and in final_path's
+    directory, that is renamed onto final_path only on success."""
+    tmp = f"{final_path}.{os.urandom(8).hex()}.tmp"
     try:
         yield tmp
         os.replace(tmp, final_path)
@@ -38,6 +39,13 @@ def atomic_path(final_path):
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def _write(out_dir, name, writer):
+    """Have writer(path) write out_dir/name atomically; returns name."""
+    with atomic_path(os.path.join(out_dir, name)) as tmp:
+        writer(tmp)
+    return name
 
 
 def _write_manifest(out_dir, command, seed, workers, cfg, outputs, duration):
@@ -109,13 +117,10 @@ def cmd_device_sweep(v, seed, workers, out_dir):
         print(f"sigmoid fit failed: {exc}", file=sys.stderr)
         print(f"curve p_hat: {curve.p_hat.tolist()}", file=sys.stderr)
         fit = None
-    with atomic_path(os.path.join(out_dir, "switching_curve.csv")) as tmp:
-        curve.to_csv(tmp)
+    outputs = [_write(out_dir, "switching_curve.csv", curve.to_csv)]
     if fit is None:
-        return ["switching_curve.csv"], False
-    with atomic_path(os.path.join(out_dir, "sigmoid_fit.json")) as tmp:
-        fit.to_json(tmp)
-    return ["switching_curve.csv", "sigmoid_fit.json"], True
+        return outputs, False
+    return outputs + [_write(out_dir, "sigmoid_fit.json", fit.to_json)], True
 
 
 def cmd_sc_arith_bench(v, seed, workers, out_dir):
@@ -183,16 +188,10 @@ def cmd_train_decoder(v, seed, workers, out_dir):
     loss = training.LossSpec(kind=v.get_str(
         "training", "loss", training.CROSS_ENTROPY))
     model, history = training.train(model, dataset, cfg, loss)
-    outputs = []
-    for name, writer in (
-            ("code_spec.json", spec.to_json),
-            ("model.json", lambda p: save_model(model, p)),
-            ("history.csv", lambda p: training.write_history_csv(history, p))):
-        path = os.path.join(out_dir, name)
-        with atomic_path(path) as tmp:
-            writer(tmp)
-        outputs.append(name)
-    return outputs, True
+    return [_write(out_dir, "code_spec.json", spec.to_json),
+            _write(out_dir, "model.json", lambda p: save_model(model, p)),
+            _write(out_dir, "history.csv",
+                   lambda p: training.write_history_csv(history, p))], True
 
 
 def cmd_ber(v, seed, workers, out_dir):
@@ -205,7 +204,7 @@ def cmd_ber(v, seed, workers, out_dir):
     model = None
     if "neural" in which:
         model_path = v.get_str("ber", "model_path")
-        if not os.path.exists(model_path):
+        if not os.path.isfile(model_path):
             raise ConfigError(
                 f"neural decoding needs a trained model; expected file at "
                 f"{model_path} (run train-decoder first)")
@@ -217,12 +216,10 @@ def cmd_ber(v, seed, workers, out_dir):
                for name in which}
     outputs = []
     for name, rows in results.items():
-        for fname, writer in ((f"ber_{name}.csv", polar.write_ber_csv),
-                              (f"timing_{name}.csv", polar.write_timing_csv)):
-            path = os.path.join(out_dir, fname)
-            with atomic_path(path) as tmp:
-                writer(rows, tmp)
-            outputs.append(fname)
+        outputs.append(_write(out_dir, f"ber_{name}.csv",
+                              lambda p: polar.write_ber_csv(rows, p)))
+        outputs.append(_write(out_dir, f"timing_{name}.csv",
+                              lambda p: polar.write_timing_csv(rows, p)))
     return outputs, True
 
 

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class SpinscError(Exception):
     """Base class for all package-specific errors."""
@@ -39,3 +41,14 @@ class ConfigError(SpinscError, ValueError):
 
 class FormatError(SpinscError, ValueError):
     """A serialized artefact is truncated or malformed."""
+
+
+@contextmanager
+def malformed_as_format_error(what):
+    """FormatError for a document that fails to parse or lacks an entry."""
+    try:
+        yield
+    except SpinscError:
+        raise
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise FormatError(f"{what} is malformed: {exc!r}") from None

@@ -1,19 +1,22 @@
 """Layered crossbar network with sigmoid or stochastic-firing neurons.
 
 Each layer is a weight matrix (rows = outputs) plus a bias vector; the
-weighted sum accumulates columns in ascending input index so repeated
-runs are bit-identical.  Deterministic mode applies the mathematical
-sigmoid; stochastic mode emits a 0/1 spike per neuron with the sigmoid
+weighted sum accumulates columns in ascending input index, so repeated
+runs are bit-identical and a batch of inputs gives each row the bits it
+gets alone.  Deterministic models run `forward` / `forward_trace` over
+(..., n_in) batches and apply the mathematical sigmoid.  Stochastic
+models run `forward_rate`: each neuron emits a 0/1 spike with the sigmoid
 as its firing probability (optionally routed through a fitted device
-curve via a current scale).
+curve via a current scale), and the spikes are averaged over a window of
+passes batched as rows.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import json
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, malformed_as_format_error
 from .mtj import SigmoidFit
 from .rngtools import derive_rng
 
@@ -24,7 +27,6 @@ __all__ = [
     "NetworkModel",
     "sigmoid",
     "weighted_sum",
-    "fire",
     "forward",
     "forward_trace",
     "forward_rate",
@@ -66,6 +68,8 @@ class NetworkModel:
     bias_enabled: bool = True
 
     def __post_init__(self):
+        if not self.layers:
+            raise ShapeError("a network needs at least one layer")
         if self.activation_mode not in (DETERMINISTIC, STOCHASTIC):
             raise DomainError(f"unknown activation mode {self.activation_mode!r}")
         if self.output_activation not in ("sigmoid", "identity"):
@@ -84,102 +88,76 @@ class NetworkModel:
 
 
 def weighted_sum(x, weights, bias) -> np.ndarray:
-    """Matrix-vector product plus bias, accumulated in ascending input index."""
+    """Weights times x plus bias over the last axis: (..., n_in) -> (..., n_out).
+
+    Each output starts from its bias and adds weight * input terms in
+    ascending input index, so every row of a batch gets the same bits as
+    that row on its own.
+    """
     x = np.asarray(x, dtype=float)
     weights = np.asarray(weights, dtype=float)
     bias = np.asarray(bias, dtype=float)
-    if x.shape != (weights.shape[1],) or bias.shape != (weights.shape[0],):
+    if (weights.ndim != 2 or x.shape[-1:] != weights.shape[1:]
+            or bias.shape != weights.shape[:1]):
         raise ShapeError(
             f"weighted_sum shapes: x{x.shape}, W{weights.shape}, b{bias.shape}")
-    out = bias.copy()
+    out = np.broadcast_to(bias, x.shape[:-1] + bias.shape).copy()
     for j in range(weights.shape[1]):
-        out += weights[:, j] * x[j]
+        out += x[..., j, None] * weights[:, j]
     return out
 
 
-def _firing_probability(pre, model: NetworkModel):
-    if model.neuron_fit is not None and model.unit_current > 0.0:
-        return model.neuron_fit.predict(np.asarray(pre) * model.unit_current)
-    return sigmoid(pre)
-
-
-def fire(pre_activation, mode: str, neuron_fit: SigmoidFit | None = None,
-         rng: np.random.Generator | None = None):
-    """Activation of one neuron: sigmoid value, or a sampled 0/1 spike."""
-    x = float(pre_activation)
-    p = float(sigmoid(x)) if neuron_fit is None else float(neuron_fit.predict(x))
-    if mode == DETERMINISTIC:
-        return p
-    if mode == STOCHASTIC:
-        if rng is None:
-            raise DomainError("stochastic firing requires an RNG stream")
-        return int(rng.random() < p)
-    raise DomainError(f"unknown activation mode {mode!r}")
-
-
-def _output(pre, model: NetworkModel):
-    if model.output_activation == "identity":
-        return np.asarray(pre, dtype=float)
-    return sigmoid(pre)
-
-
-def forward(model: NetworkModel, x, seed: int | None = None,
-            rng: np.random.Generator | None = None) -> np.ndarray:
-    """Forward pass; stochastic mode samples one spike per hidden neuron and
-    per output (outputs are spikes too in stochastic mode)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.input_dim,):
-        raise ShapeError(f"input shape {x.shape} != ({model.input_dim},)")
-    if model.activation_mode == DETERMINISTIC:
-        a = x
-        for layer in model.layers[:-1]:
-            a = sigmoid(weighted_sum(a, layer.weights, layer.bias))
-        last = model.layers[-1]
-        return _output(weighted_sum(a, last.weights, last.bias), model)
-    if rng is None:
-        if seed is None:
-            raise DomainError("stochastic forward requires a seed or RNG")
-        rng = derive_rng(seed, "forward")
-    a = x
-    for layer in model.layers:
-        pre = weighted_sum(a, layer.weights, layer.bias)
-        p = _firing_probability(pre, model)
-        a = (rng.random(p.shape) < p).astype(float)
-    return a
-
-
 def forward_trace(model: NetworkModel, x):
-    """Deterministic forward returning (activations, pre-activations) per
-    layer for backpropagation; activations[0] is the input."""
+    """Deterministic forward over inputs of shape (..., n_in), returning
+    (activations, pre-activations) per layer for backpropagation;
+    activations[0] is the input and every entry keeps the leading axes."""
     if model.activation_mode != DETERMINISTIC:
         raise DomainError("forward_trace supports deterministic mode only")
     x = np.asarray(x, dtype=float)
-    if x.shape != (model.input_dim,):
-        raise ShapeError(f"input shape {x.shape} != ({model.input_dim},)")
+    if x.shape[-1:] != (model.input_dim,):
+        raise ShapeError(f"input shape {x.shape} != (..., {model.input_dim})")
     activations = [x]
     pres = []
-    a = x
     for i, layer in enumerate(model.layers):
-        pre = weighted_sum(a, layer.weights, layer.bias)
+        pre = weighted_sum(activations[-1], layer.weights, layer.bias)
         pres.append(pre)
-        if i == len(model.layers) - 1:
-            a = _output(pre, model)
+        if i < len(model.layers) - 1 or model.output_activation == "sigmoid":
+            activations.append(sigmoid(pre))
         else:
-            a = sigmoid(pre)
-        activations.append(a)
+            activations.append(pre)
     return activations, pres
 
 
+def forward(model: NetworkModel, x) -> np.ndarray:
+    """Deterministic forward pass: (..., n_in) inputs -> (..., n_out) outputs.
+    Stochastic-firing models are run with forward_rate."""
+    return forward_trace(model, x)[0][-1]
+
+
 def forward_rate(model: NetworkModel, x, window: int, seed: int) -> np.ndarray:
-    """Rate-coded stochastic inference: mean spike output over `window`
-    independent forward passes."""
+    """Rate-coded stochastic inference on one input x of shape (n_in,): the
+    mean spike output over `window` forward passes, run as one
+    (window, n) batch.  Every neuron, outputs included, spikes with its
+    firing probability; row w of the uniform draws is pass w's, layer by
+    layer, so the passes consume the "rate-window" stream in order."""
+    if model.activation_mode != STOCHASTIC:
+        raise DomainError("forward_rate needs a stochastic-firing model")
     if window < 1:
         raise DomainError("window must be >= 1")
-    rng = derive_rng(seed, "rate-window")
-    acc = np.zeros(model.output_dim)
-    for _ in range(window):
-        acc += forward(model, x, rng=rng)
-    return acc / window
+    x = np.asarray(x, dtype=float)
+    if x.shape != (model.input_dim,):
+        raise ShapeError(f"input shape {x.shape} != ({model.input_dim},)")
+    sizes = [layer.weights.shape[0] for layer in model.layers]
+    draws = derive_rng(seed, "rate-window").random((window, sum(sizes)))
+    fit = model.neuron_fit if model.unit_current > 0.0 else None
+    a = np.broadcast_to(x, (window, x.size))
+    start = 0
+    for layer, n in zip(model.layers, sizes):
+        pre = weighted_sum(a, layer.weights, layer.bias)
+        p = sigmoid(pre) if fit is None else fit.predict(pre * model.unit_current)
+        a = (draws[:, start:start + n] < p).astype(float)
+        start += n
+    return a.sum(axis=0) / window
 
 
 def save_model(model: NetworkModel, path):
@@ -205,21 +183,23 @@ def save_model(model: NetworkModel, path):
 
 
 def load_model(path) -> NetworkModel:
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("version") != MODEL_FORMAT_VERSION:
-        raise DomainError(f"unsupported model format version {doc.get('version')}")
-    layers = [
-        Layer(np.asarray(l["weights"], dtype=float).reshape(l["n_out"], l["n_in"]),
-              np.asarray(l["bias"], dtype=float))
-        for l in doc["layers"]
-    ]
-    fit = doc.get("neuron_fit")
-    return NetworkModel(
-        layers=layers,
-        activation_mode=doc["activation_mode"],
-        neuron_fit=None if fit is None else SigmoidFit(**fit),
-        unit_current=doc.get("unit_current", 0.0),
-        output_activation=doc.get("output_activation", "sigmoid"),
-        bias_enabled=doc.get("bias_enabled", True),
-    )
+    """Read a save_model file; a malformed one raises FormatError."""
+    with malformed_as_format_error(f"model file {path}"):
+        with open(path) as fh:
+            doc = json.load(fh)
+        if doc.get("version") != MODEL_FORMAT_VERSION:
+            raise DomainError(f"unsupported model version {doc.get('version')}")
+        layers = [
+            Layer(np.asarray(l["weights"], dtype=float).reshape(l["n_out"], l["n_in"]),
+                  np.asarray(l["bias"], dtype=float))
+            for l in doc["layers"]
+        ]
+        fit = doc.get("neuron_fit")
+        return NetworkModel(
+            layers=layers,
+            activation_mode=doc["activation_mode"],
+            neuron_fit=None if fit is None else SigmoidFit(**fit),
+            unit_current=doc.get("unit_current", 0.0),
+            output_activation=doc.get("output_activation", "sigmoid"),
+            bias_enabled=doc.get("bias_enabled", True),
+        )

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, malformed_as_format_error
 from .network import DETERMINISTIC, NetworkModel, forward, forward_rate
 from .rngtools import derive_rng
 
@@ -69,11 +69,13 @@ class PolarCodeSpec:
 
     @classmethod
     def from_json(cls, path) -> "PolarCodeSpec":
-        with open(path) as fh:
-            doc = json.load(fh)
-        return cls(N=doc["N"], K=doc["K"],
-                   frozen=np.asarray(doc["frozen_mask"], dtype=bool),
-                   design_snr_db=doc.get("design_snr_db", 0.0))
+        """Read a to_json file; a malformed one raises FormatError."""
+        with malformed_as_format_error(f"code spec {path}"):
+            with open(path) as fh:
+                doc = json.load(fh)
+            return cls(N=doc["N"], K=doc["K"],
+                       frozen=np.asarray(doc["frozen_mask"], dtype=bool),
+                       design_snr_db=doc.get("design_snr_db", 0.0))
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,14 @@
 """Backpropagation and the three gradient-descent variants.
 
-All three optimizers share one batch update (mean gradient, accumulated
-in ascending example-index order), so minibatch(B=1) is bit-identical to
-SGD and minibatch(B=n) to full GD.  Only deterministic-sigmoid models
-are differentiated; stochastic-firing networks reuse weights trained in
-deterministic mode.
+All three optimizers share one batch update: the gradient of a block of
+examples, one per row, summed in ascending row order and averaged; so
+minibatch(B=1) is bit-identical to SGD and minibatch(B=n) to full GD.
+Losses are computed for a block at once too.  Only deterministic-sigmoid
+models are differentiated; stochastic-firing networks reuse weights
+trained in deterministic mode.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 import math
 
 import numpy as np
@@ -79,6 +80,8 @@ class OptimizerConfig:
 def init_model(layer_sizes, seed: int, bias_enabled: bool = True,
                output_activation: str = "sigmoid") -> NetworkModel:
     """Uniform(-r, r) weights with r = sqrt(6/(fan_in+fan_out)), zero biases."""
+    if min(layer_sizes) < 1:
+        raise DomainError(f"layer sizes must be >= 1, got {list(layer_sizes)}")
     rng = derive_rng(seed, "init")
     layers = []
     for n_in, n_out in zip(layer_sizes, layer_sizes[1:]):
@@ -90,58 +93,69 @@ def init_model(layer_sizes, seed: int, bias_enabled: bool = True,
                         output_activation=output_activation)
 
 
-def loss_value(model: NetworkModel, example: Example, loss: LossSpec) -> float:
-    activations, _ = forward_trace(model, example.x)
-    return _loss_from_prediction(activations[-1], example.y, loss)
+def _stack(examples):
+    """(inputs, targets) of a sequence of examples, one row each."""
+    return (np.stack([ex.x for ex in examples]),
+            np.stack([ex.y for ex in examples]))
 
 
-def _loss_from_prediction(y_hat, y, loss: LossSpec) -> float:
-    y_hat = np.asarray(y_hat, dtype=float)
-    y = np.asarray(y, dtype=float)
+def _row_losses(model: NetworkModel, X, Y, loss: LossSpec) -> np.ndarray:
+    """Loss of each row of (..., n_in) inputs X against (..., n_out) targets Y."""
+    y_hat = forward_trace(model, X)[0][-1]
     if loss.kind == SQUARED_ERROR:
-        d = y_hat - y
-        return 0.5 * float(d @ d)
+        d = y_hat - Y
+        return 0.5 * (d[..., None, :] @ d[..., :, None])[..., 0, 0]
     eps = 1e-12
     y_hat = np.clip(y_hat, eps, 1.0 - eps)
-    return -float(np.sum(y * np.log(y_hat) + (1.0 - y) * np.log(1.0 - y_hat)))
+    return -np.sum(Y * np.log(y_hat) + (1.0 - Y) * np.log(1.0 - y_hat), axis=-1)
+
+
+def loss_value(model: NetworkModel, example: Example, loss: LossSpec) -> float:
+    return float(_row_losses(model, example.x, example.y, loss))
 
 
 def mean_loss(model: NetworkModel, dataset, loss: LossSpec) -> float:
+    """Mean of the per-example losses, added in dataset order."""
     if not dataset:
         raise DomainError("dataset must be non-empty")
-    return sum(loss_value(model, ex, loss) for ex in dataset) / len(dataset)
+    X, Y = _stack(dataset)
+    return sum(_row_losses(model, X, Y, loss).tolist()) / len(dataset)
+
+
+def _gradient_sum(model: NetworkModel, X, Y, loss: LossSpec) -> list:
+    """Exact reverse-mode gradient summed over the rows of X (B, n_in) and
+    Y (B, n_out), added in ascending row order; one (dW, db) per layer."""
+    if model.activation_mode != DETERMINISTIC:
+        raise UnsupportedModeError("stochastic firing is not differentiated")
+    activations, _ = forward_trace(model, X)
+    y_hat = activations[-1]
+    if Y.shape != y_hat.shape:
+        raise DomainError("target dimension does not match network output")
+    sigmoid_output = model.output_activation == "sigmoid"
+    if loss.kind == CROSS_ENTROPY and not sigmoid_output:
+        raise DomainError("cross-entropy requires a sigmoid output")
+    delta = y_hat - Y
+    if sigmoid_output and loss.kind == SQUARED_ERROR:
+        delta = delta * y_hat * (1.0 - y_hat)
+    grads = [None] * len(model.layers)
+    for i in range(len(model.layers) - 1, -1, -1):
+        # cumsum adds rows one after another; .sum() may add pairwise
+        dW = np.cumsum(delta[:, :, None] * activations[i][:, None, :], axis=0)[-1]
+        db = (np.cumsum(delta, axis=0)[-1] if model.bias_enabled
+              else np.zeros(delta.shape[1]))
+        grads[i] = (dW, db)
+        if i > 0:
+            a = activations[i]
+            # one matrix-vector product per row, as for a single example
+            back = np.matmul(model.layers[i].weights.T, delta[:, :, None])[:, :, 0]
+            delta = back * a * (1.0 - a)
+    return grads
 
 
 def backprop_gradient(model: NetworkModel, example: Example,
                       loss: LossSpec) -> list:
     """Exact reverse-mode gradient; one (dW, db) pair per layer."""
-    if model.activation_mode != DETERMINISTIC:
-        raise UnsupportedModeError("stochastic firing is not differentiated")
-    activations, pres = forward_trace(model, example.x)
-    y_hat = activations[-1]
-    y = example.y
-    if y.shape != y_hat.shape:
-        raise DomainError("target dimension does not match network output")
-    if model.output_activation == "sigmoid":
-        if loss.kind == CROSS_ENTROPY:
-            delta = y_hat - y
-        else:
-            delta = (y_hat - y) * y_hat * (1.0 - y_hat)
-    else:
-        if loss.kind == CROSS_ENTROPY:
-            raise DomainError("cross-entropy requires a sigmoid output")
-        delta = y_hat - y
-    grads = [None] * len(model.layers)
-    for i in range(len(model.layers) - 1, -1, -1):
-        a_prev = activations[i]
-        dW = np.outer(delta, a_prev)
-        db = delta.copy() if model.bias_enabled else np.zeros_like(delta)
-        grads[i] = (dW, db)
-        if i > 0:
-            a = activations[i]
-            back = model.layers[i].weights.T @ delta
-            delta = back * a * (1.0 - a)
-    return grads
+    return _gradient_sum(model, example.x[None], example.y[None], loss)
 
 
 def _apply_update(model: NetworkModel, grad_sum, count: int,
@@ -158,23 +172,13 @@ def minibatch_step(model: NetworkModel, batch, rate: float,
     """One update with the mean gradient over the batch (ascending order)."""
     if not batch:
         raise DomainError("batch must be non-empty")
-    grad_sum = None
-    for example in batch:
-        g = backprop_gradient(model, example, loss)
-        if grad_sum is None:
-            grad_sum = [(dW.copy(), db.copy()) for dW, db in g]
-        else:
-            for (sW, sb), (dW, db) in zip(grad_sum, g):
-                sW += dW
-                sb += db
-    return _apply_update(model, grad_sum, len(batch), rate)
+    X, Y = _stack(batch)
+    return _apply_update(model, _gradient_sum(model, X, Y, loss), len(batch), rate)
 
 
 def gd_step(model: NetworkModel, dataset, rate: float,
             loss: LossSpec) -> NetworkModel:
     """Full-batch update over the whole dataset."""
-    if not dataset:
-        raise DomainError("dataset must be non-empty")
     return minibatch_step(model, dataset, rate, loss)
 
 
@@ -201,15 +205,14 @@ def train(model: NetworkModel, dataset, config: OptimizerConfig,
     step = 0
     for _ in range(config.epochs):
         if config.kind == "gd":
-            model = gd_step(model, dataset, config.rate_at(step), loss)
-            step += 1
+            order, batch_size = range(n), n
         else:
             order = shuffle_rng.permutation(n)
             batch_size = 1 if config.kind == "sgd" else config.batch_size
-            for start in range(0, n, batch_size):
-                batch = [dataset[i] for i in order[start:start + batch_size]]
-                model = minibatch_step(model, batch, config.rate_at(step), loss)
-                step += 1
+        for start in range(0, n, batch_size):
+            batch = [dataset[i] for i in order[start:start + batch_size]]
+            model = minibatch_step(model, batch, config.rate_at(step), loss)
+            step += 1
         epoch_loss = mean_loss(model, dataset, loss)
         history.append(epoch_loss)
         if not math.isfinite(epoch_loss) or epoch_loss > DIVERGENCE_GUARD:

@@ -168,4 +168,10 @@ class TestSerialization:
         blob[4] = 7
         with pytest.raises(FormatError, match="flag 7"):
             BitStream.from_bytes(bytes(blob))
+
+    def test_length_beyond_header_rejected(self):
+        # a zero-stride view: 2**32 bits without allocating them
+        s = BitStream(np.broadcast_to(np.zeros(1, np.uint8), (2 ** 32,)))
+        with pytest.raises(FormatError, match="u32"):
+            s.to_bytes()
         assert issubclass(FormatError, SpinscError)

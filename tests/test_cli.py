@@ -4,7 +4,7 @@ import os
 import pytest
 
 from spinsc import mtj
-from spinsc.cli import main
+from spinsc.cli import atomic_path, main
 from spinsc.errors import ConfigError, ConvergenceError
 from spinsc.config import ConfigView, load_config
 
@@ -229,6 +229,19 @@ class TestBer:
         assert "error: model dimensions" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("text", [
+        '{"version": 1, "activation_mode": "deterministic-sigmoid"}',
+        '{"version": 1, "layers": ['], ids=["no-layers", "truncated"])
+    def test_malformed_model_fails_cleanly(self, tmp_path, capsys, text):
+        model = tmp_path / "model.json"
+        model.write_text(text)
+        cfg = write_cfg(tmp_path / "b.cfg", BER_CFG.replace(
+            "decoder = classical", "decoder = neural\nmodel_path = %s" % model))
+        out = tmp_path / "out"
+        assert run("ber", cfg, out) == 2
+        assert "error: model file" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
 
 class TestDeviceSweep:
     def test_subcritical_fit_failure_keeps_curve(self, tmp_path, capsys):
@@ -265,6 +278,40 @@ class TestDeviceSweep:
                (b / "sigmoid_fit.json").read_bytes()
 
 
+class TestAtomicPath:
+    def test_nested_writers_get_own_temp_files(self, tmp_path):
+        final = tmp_path / "data.csv"
+        with atomic_path(final) as outer:
+            with atomic_path(final) as inner:
+                assert outer != inner
+                assert os.path.dirname(inner) == str(tmp_path)
+                for tmp, text in ((outer, "outer"), (inner, "inner")):
+                    with open(tmp, "w") as fh:
+                        fh.write(text)
+            assert final.read_text() == "inner"
+        assert final.read_text() == "outer"
+        assert [p.name for p in tmp_path.iterdir()] == ["data.csv"]
+
+    def test_failed_writers_clean_up(self, tmp_path):
+        final = tmp_path / "data.csv"
+        with pytest.raises(RuntimeError):
+            with atomic_path(final) as outer:
+                open(outer, "w").close()
+                with atomic_path(final) as inner:
+                    open(inner, "w").close()
+                    raise RuntimeError("writer failed")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_final_file_keeps_default_permissions(self, tmp_path):
+        plain = tmp_path / "plain.csv"
+        plain.write_text("x")
+        final = tmp_path / "data.csv"
+        with atomic_path(final) as tmp:
+            with open(tmp, "w") as fh:
+                fh.write("x")
+        assert final.stat().st_mode == plain.stat().st_mode
+
+
 class TestErrors:
     def test_missing_config_file(self, tmp_path, capsys):
         assert run("gradcheck", str(tmp_path / "nope.cfg"), tmp_path) == 2
@@ -285,6 +332,14 @@ class TestErrors:
         assert "error: master seed must be a non-negative integer" in \
             capsys.readouterr().err
         assert not out.exists()
+
+    def test_negative_hidden_width(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "t.cfg",
+                        TRAIN_CFG.replace("hidden = 4", "hidden = -1"))
+        out = tmp_path / "out"
+        assert run("train-decoder", cfg, out) == 2
+        assert "error: layer sizes must be >= 1" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_zero_scarith_length(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "s.cfg",

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from spinsc.errors import DomainError, ShapeError
+from spinsc.errors import DomainError, FormatError, ShapeError
 from spinsc.mtj import SigmoidFit
-from spinsc.network import (DETERMINISTIC, STOCHASTIC, Layer, NetworkModel,
-                            fire, forward, forward_rate, forward_trace,
-                            load_model, save_model, sigmoid, weighted_sum)
+from spinsc.network import (STOCHASTIC, Layer, NetworkModel, forward,
+                            forward_rate, forward_trace, load_model,
+                            save_model, sigmoid, weighted_sum)
 from spinsc.rngtools import derive_rng
 
 
@@ -36,27 +36,26 @@ class TestWeightedSum:
         assert np.allclose(out, [-1.0, 2.5])
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            weighted_sum(np.ones(3), np.ones((2, 2)), np.zeros(2))
+        for x, W, b in ((np.ones(3), np.ones((2, 2)), np.zeros(2)),
+                        (np.ones((4, 3)), np.ones((2, 2)), np.zeros(2)),
+                        (np.ones((4, 2)), np.ones((2, 2)), np.zeros(3)),
+                        (np.float64(1.0), np.ones((2, 1)), np.zeros(2))):
+            with pytest.raises(ShapeError):
+                weighted_sum(x, W, b)
 
-
-class TestFire:
-    def test_deterministic_midpoint(self):
-        assert fire(0.0, DETERMINISTIC) == 0.5
-
-    def test_stochastic_tail_always_fires(self):
-        rng = derive_rng(0, "f")
-        assert all(fire(40.0, STOCHASTIC, rng=rng) == 1 for _ in range(200))
-
-    def test_stochastic_rate_at_midpoint(self):
-        rng = derive_rng(1, "f")
-        n = 100_000
-        rate = sum(fire(0.0, STOCHASTIC, rng=rng) for _ in range(n)) / n
-        assert abs(rate - 0.5) <= 3 * math.sqrt(0.25 / n)
-
-    def test_stochastic_requires_rng(self):
-        with pytest.raises(DomainError):
-            fire(0.0, STOCHASTIC)
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 1), (1, 7), (33, 8)])
+    def test_block_equals_rows(self, shape):
+        rng = derive_rng(7, "ws-block", *shape)
+        n_out = 4
+        X = rng.standard_normal(shape) * 3
+        W = rng.standard_normal((n_out, shape[1]))
+        b = rng.standard_normal(n_out)
+        block = weighted_sum(X, W, b)
+        assert block.shape == (shape[0], n_out)
+        for row, x in zip(block, X):
+            assert np.array_equal(row, weighted_sum(x, W, b))
+        stacked = weighted_sum(X.reshape(1, *shape), W, b)
+        assert np.array_equal(stacked[0], block)
 
 
 class TestForward:
@@ -100,9 +99,65 @@ class TestForward:
     def test_stochastic_forward_deterministic_given_seed(self):
         model = NetworkModel(layers=two_layer_model().layers,
                              activation_mode=STOCHASTIC)
-        a = forward(model, np.array([0.1, 0.2]), seed=8)
-        b = forward(model, np.array([0.1, 0.2]), seed=8)
+        a = forward_rate(model, np.array([0.1, 0.2]), 16, seed=8)
+        b = forward_rate(model, np.array([0.1, 0.2]), 16, seed=8)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("sizes,device,window", [
+        ([2, 2, 1], None, 1), ([2, 2, 1], None, 7), ([1, 1, 1], None, 5),
+        ([5, 9, 3], None, 64), ([5, 9, 3], (2e4, 1e-3, 1e-3), 64),
+        ([3, 4], (2e4, 1e-3, 1e-3), 33), ([3, 4], (2e4, 1e-3, 0.0), 9)])
+    def test_rate_matches_per_pass_reference(self, sizes, device, window):
+        rng = derive_rng(4, "rate-ref", *sizes, window)
+        layers = [Layer(rng.standard_normal((m, n)) * 2, rng.standard_normal(m))
+                  for n, m in zip(sizes, sizes[1:])]
+        fit, unit = (None, 0.0) if device is None else (
+            SigmoidFit(a=device[0], b=device[1], r_squared=1.0), device[2])
+        model = NetworkModel(layers=layers, activation_mode=STOCHASTIC,
+                             neuron_fit=fit, unit_current=unit)
+        x = rng.standard_normal(sizes[0])
+        # per-pass oracle: one pass after another, one column at a time
+        draws = derive_rng(11, "rate-window")
+        acc = np.zeros(sizes[-1])
+        for _ in range(window):
+            a = x
+            for layer in layers:
+                pre = layer.bias.copy()
+                for j in range(layer.weights.shape[1]):
+                    pre += layer.weights[:, j] * a[j]
+                if unit > 0.0:
+                    p = 1.0 / (1.0 + np.exp(-fit.a * (pre * unit - fit.b)))
+                else:
+                    p = 1.0 / (1.0 + np.exp(-pre))
+                a = (draws.random(p.shape) < p).astype(float)
+            acc += a
+        assert np.array_equal(forward_rate(model, x, window, seed=11),
+                              acc / window)
+
+    @pytest.mark.parametrize("batch", [(1,), (6,), (2, 3)])
+    def test_trace_block_equals_rows(self, batch):
+        rng = derive_rng(5, "trace-block", *batch)
+        model = NetworkModel(
+            layers=[Layer(rng.standard_normal((4, 3)), rng.standard_normal(4)),
+                    Layer(rng.standard_normal((2, 4)), rng.standard_normal(2))],
+            output_activation="identity")
+        X = rng.standard_normal(batch + (3,))
+        acts, pres = forward_trace(model, X)
+        for idx in np.ndindex(batch):
+            row_acts, row_pres = forward_trace(model, X[idx])
+            for block, row in zip(acts + pres, row_acts + row_pres):
+                assert np.array_equal(block[idx], row)
+        assert np.array_equal(forward(model, X), acts[-1])
+
+    def test_modes_checked(self):
+        sto = NetworkModel(layers=two_layer_model().layers,
+                           activation_mode=STOCHASTIC)
+        with pytest.raises(DomainError):
+            forward(sto, np.zeros(2))
+        with pytest.raises(DomainError):
+            forward_rate(two_layer_model(), np.zeros(2), 4, seed=1)
+        with pytest.raises(ShapeError):
+            forward_rate(sto, np.zeros((3, 2)), 4, seed=1)
 
     def test_hidden_unit_permutation_invariance(self):
         model = two_layer_model()
@@ -126,6 +181,8 @@ class TestModelStructure:
         with pytest.raises(ShapeError):
             NetworkModel(layers=[Layer(np.ones((3, 2)), np.zeros(3)),
                                  Layer(np.ones((1, 4)), np.zeros(1))])
+        with pytest.raises(ShapeError):
+            NetworkModel(layers=[])
 
     def test_non_finite_weights_rejected(self):
         with pytest.raises(DomainError):
@@ -157,3 +214,15 @@ class TestSerialization:
         acts, pres = forward_trace(model, np.array([0.1, 0.2]))
         assert len(acts) == 3 and len(pres) == 2
         assert np.array_equal(acts[-1], forward(model, np.array([0.1, 0.2])))
+
+    @pytest.mark.parametrize("text", [
+        '{"version": 1, "activation_mode": "deterministic-sigmoid"}',
+        '{"version": 1, "activation_mode": "deterministic-sigmoid", "layers": [',
+        '{"version": 1, "activation_mode": "deterministic-sigmoid", "layers": '
+        '[{"n_out": 2, "n_in": 2, "weights": [1, 2, 3], "bias": [0, 0]}]}',
+        '[1, 2]'], ids=["no-layers", "truncated", "weight-count", "not-an-object"])
+    def test_malformed_model_rejected(self, tmp_path, text):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        with pytest.raises(FormatError):
+            load_model(path)

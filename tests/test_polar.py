@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinsc.cli import main as cli_main
-from spinsc.errors import DomainError, ShapeError
+from spinsc.errors import DomainError, FormatError, ShapeError
 from spinsc.network import Layer, NetworkModel
 from spinsc.polar import (ChannelOutput, PolarCodeSpec, bpsk_awgn,
                           construct_frozen_set, encode, generate_frames,
@@ -94,6 +94,16 @@ class TestConstruction:
         back = PolarCodeSpec.from_json(path)
         assert back.N == spec.N and back.K == spec.K
         assert np.array_equal(back.frozen, spec.frozen)
+
+    @pytest.mark.parametrize("text", [
+        '{"N": 2, "K": 1}', '{"N": 2, "K": 1, "frozen_mask": [1,',
+        '{"N": "two", "K": 1, "frozen_mask": [1, 0]}', '"spec"'],
+        ids=["no-mask", "truncated", "wrong-type", "not-an-object"])
+    def test_malformed_spec_json_rejected(self, tmp_path, text):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        with pytest.raises(FormatError):
+            PolarCodeSpec.from_json(path)
 
 
 class TestEncode:

@@ -50,6 +50,90 @@ def fd_gradient(model, example, loss, h=1e-6):
     return grads
 
 
+def reference_forward(model, x):
+    """Oracle forward pass of one example, one input column at a time;
+    returns the input and every layer's activation."""
+    acts = [x]
+    for i, layer in enumerate(model.layers):
+        pre = layer.bias.copy()
+        for j in range(layer.weights.shape[1]):
+            pre += layer.weights[:, j] * acts[-1][j]
+        identity = (i == len(model.layers) - 1
+                    and model.output_activation == "identity")
+        acts.append(pre if identity else 1.0 / (1.0 + np.exp(-pre)))
+    return acts
+
+
+def reference_loss(model, ex, loss):
+    y_hat = reference_forward(model, ex.x)[-1]
+    if loss.kind == SQUARED_ERROR:
+        d = y_hat - ex.y
+        return 0.5 * float(d @ d)
+    y_hat = np.clip(y_hat, 1e-12, 1.0 - 1e-12)
+    return -float(np.sum(ex.y * np.log(y_hat)
+                         + (1.0 - ex.y) * np.log(1.0 - y_hat)))
+
+
+def sequential_step(model, batch, rate, loss):
+    """Oracle: the update computed one example at a time, with
+    reference_forward, np.outer, += and W.T @ delta."""
+    grad_sum = None
+    for ex in batch:
+        acts = reference_forward(model, ex.x)
+        y_hat = acts[-1]
+        if model.output_activation == "identity" or loss.kind == CROSS_ENTROPY:
+            delta = y_hat - ex.y
+        else:
+            delta = (y_hat - ex.y) * y_hat * (1.0 - y_hat)
+        grads = []
+        for i in range(len(model.layers) - 1, -1, -1):
+            db = delta.copy() if model.bias_enabled else np.zeros_like(delta)
+            grads.insert(0, (np.outer(delta, acts[i]), db))
+            if i > 0:
+                back = model.layers[i].weights.T @ delta
+                delta = back * acts[i] * (1.0 - acts[i])
+        if grad_sum is None:
+            grad_sum = grads
+        else:
+            for (sW, sb), (dW, db) in zip(grad_sum, grads):
+                sW += dW
+                sb += db
+    return [(layer.weights - rate * (dW / len(batch)),
+             layer.bias - rate * (db / len(batch)))
+            for layer, (dW, db) in zip(model.layers, grad_sum)]
+
+
+# (layer sizes, bias enabled, output activation, loss kind)
+BATCH_CASES = [
+    ([3, 5, 2], True, "sigmoid", SQUARED_ERROR),
+    ([3, 5, 2], True, "sigmoid", CROSS_ENTROPY),
+    ([1, 1, 1], True, "sigmoid", SQUARED_ERROR),
+    ([1, 1, 1], True, "sigmoid", CROSS_ENTROPY),
+    ([4, 6, 3, 2], False, "sigmoid", SQUARED_ERROR),
+    ([2, 3, 2], True, "identity", SQUARED_ERROR),
+]
+
+
+def batch_case_id(case):
+    sizes, bias, output, kind = case
+    return (f"{'-'.join(map(str, sizes))}-{'bias' if bias else 'nobias'}-"
+            f"{output}-{kind}")
+
+
+def random_batch_case(case, size, tag):
+    sizes, bias, output, kind = case
+    rng = derive_rng(8, tag, *sizes, size)
+    model = init_model(sizes, int(rng.integers(0, 2 ** 62)),
+                       bias_enabled=bias, output_activation=output)
+    # non-zero biases, so a dropped bias term would show
+    model = NetworkModel(layers=[Layer(l.weights, rng.standard_normal(l.bias.size))
+                                 for l in model.layers],
+                         bias_enabled=bias, output_activation=output)
+    batch = [Example(rng.standard_normal(sizes[0]) * 2,
+                     rng.uniform(0, 1, sizes[-1])) for _ in range(size)]
+    return model, batch, LossSpec(kind)
+
+
 class TestBackprop:
     loss = LossSpec(SQUARED_ERROR)
 
@@ -140,6 +224,29 @@ class TestSteps:
             for lx, ly in zip(x.layers, y.layers):
                 assert np.array_equal(lx.weights, ly.weights)
                 assert np.array_equal(lx.bias, ly.bias)
+
+    @pytest.mark.parametrize("size", [1, 2, 33])
+    @pytest.mark.parametrize("case", BATCH_CASES, ids=batch_case_id)
+    def test_minibatch_matches_sequential_reference(self, case, size):
+        model, batch, loss = random_batch_case(case, size, "mb-seq")
+        # at rate 2**20 the update swamps the weights, so the last bits of
+        # the summed gradient show in the result
+        for rate in (0.7, 2.0 ** 20):
+            stepped = minibatch_step(model, batch, rate, loss)
+            reference = sequential_step(model, batch, rate, loss)
+            for layer, (w, b) in zip(stepped.layers, reference):
+                assert np.array_equal(layer.weights, w)
+                assert np.array_equal(layer.bias, b)
+
+    @pytest.mark.parametrize("case", BATCH_CASES, ids=batch_case_id)
+    def test_mean_loss_is_sequential_sum(self, case):
+        model, dataset, loss = random_batch_case(case, 33, "mean-loss")
+        total = 0.0
+        for ex in dataset:
+            value = loss_value(model, ex, loss)
+            assert value == reference_loss(model, ex, loss)
+            total += value
+        assert mean_loss(model, dataset, loss) == total / len(dataset)
 
     def test_minibatch_mean_of_two_gradients(self):
         rng = derive_rng(3, "mb2")
@@ -250,3 +357,8 @@ class TestInitModel:
         a = init_model([3, 3], 5)
         b = init_model([3, 3], 5)
         assert np.array_equal(a.layers[0].weights, b.layers[0].weights)
+
+    def test_non_positive_sizes_rejected(self):
+        for sizes in ([3, 0, 2], [3, -1, 2]):
+            with pytest.raises(DomainError):
+                init_model(sizes, 5)
