@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -157,6 +158,34 @@ class TestSimulatePulse:
         assert lines[0] == "time_s,mx,my,mz"
         assert len(lines) == len(tr.times) + 1
         assert np.all(np.diff(tr.times) > 0)
+
+
+class TestPinnedTrajectories:
+    """Recorded runs keep the bytes and drift values they had when pinned:
+    178 degrees from +z, 5e-4 A for 0.4 ns, then 0.1 ns of relaxation
+    (5,000 steps, so chunk and phase boundaries are crossed)."""
+
+    PINNED = {
+        300.0: "3189157aa17db480704319b4de4a6acd65d005e873c1494c918f89e0f38d45c4",
+        0.0: "8f49d925ba94db398a7004102c15c2593c61ef4521991e46a2c80ca54d21a493",
+    }
+
+    @staticmethod
+    def run(T):
+        return simulate_pulse(tilted(math.radians(178)), SpinCurrentPulse(5e-4, 4e-10),
+                              default_device_params(T=T), 1e-10, seed=7)
+
+    @pytest.mark.parametrize("T", [300.0, 0.0])
+    def test_csv_sha256(self, T, tmp_path):
+        path = tmp_path / "traj.csv"
+        self.run(T).to_csv(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.PINNED[T]
+
+    def test_thermal_drift_values(self):
+        tr = self.run(300.0)
+        assert tr.switched
+        assert tr.max_pre_renorm_drift == 3.206590548643362e-11
+        assert tr.max_post_renorm_drift == 4.440892098500626e-16
 
 
 class TestParamsValidation:
