@@ -152,13 +152,13 @@ def cmd_sc_arith_bench(v, seed, workers, out_dir):
                     mux_pass += 1
             rows.append(("and", p, q, and_pass, bound_and))
             rows.append(("mux", p, q, mux_pass, bound_mux))
-    path = os.path.join(out_dir, "sc_arith.csv")
-    with atomic_path(path) as tmp:
-        with open(tmp, "w", newline="\n") as fh:
+
+    def write_rows(path):
+        with open(path, "w", newline="\n") as fh:
             fh.write("op,p,q,length,seeds,passes,bound\n")
             for op, p, q, passes, bound in rows:
                 fh.write(f"{op},{p!r},{q!r},{L},{n_seeds},{passes},{bound!r}\n")
-    return ["sc_arith.csv"], True
+    return [_write(out_dir, "sc_arith.csv", write_rows)], True
 
 
 def _build_decoder_dataset(spec, frames, snrs_db, seed):
@@ -174,6 +174,8 @@ def cmd_train_decoder(v, seed, workers, out_dir):
     spec = _code_from_config(v)
     frames = v.get_int("dataset", "frames")
     snrs = v.get_float_list("dataset", "snrs_db")
+    if not snrs:
+        raise ConfigError("[dataset] snrs_db needs at least one SNR")
     dataset = _build_decoder_dataset(spec, frames, snrs, seed)
     hidden = v.get_int_list("network", "hidden", [16])
     model = training.init_model([spec.N] + hidden + [spec.K], seed)
@@ -226,6 +228,9 @@ def cmd_ber(v, seed, workers, out_dir):
 def cmd_gradcheck(v, seed, workers, out_dir):
     n_nets = v.get_int("gradcheck", "networks", 100)
     max_layers = v.get_int_list("gradcheck", "max_sizes", [4, 8, 4])
+    if len(max_layers) < 2 or min(max_layers) < 1:
+        raise ConfigError(f"[gradcheck] max_sizes needs at least two layer "
+                          f"sizes, each >= 1, got {max_layers}")
     loss = training.LossSpec(kind=v.get_str(
         "gradcheck", "loss", training.SQUARED_ERROR))
     rng = derive_rng(seed, "gradcheck")
@@ -247,14 +252,15 @@ def cmd_gradcheck(v, seed, workers, out_dir):
                 err = max(err, float(np.max(np.abs(bb - fb) / scale_b)))
         worst = max(worst, err)
         rows.append((i, "x".join(map(str, sizes)), err))
-    path = os.path.join(out_dir, "gradcheck.csv")
-    with atomic_path(path) as tmp:
-        with open(tmp, "w", newline="\n") as fh:
+
+    def write_rows(path):
+        with open(path, "w", newline="\n") as fh:
             fh.write("net,sizes,max_rel_error\n")
             for i, sizes, err in rows:
                 fh.write(f"{i},{sizes},{err!r}\n")
+    outputs = [_write(out_dir, "gradcheck.csv", write_rows)]
     print(f"gradcheck: {n_nets} networks, max relative error {worst:.3e}")
-    return ["gradcheck.csv"], worst <= 1e-5
+    return outputs, worst <= 1e-5
 
 
 _COMMANDS = {

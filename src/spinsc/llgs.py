@@ -8,19 +8,21 @@ with the thermal field
 
     H_th = sqrt( alpha/(1+alpha^2) * 2 kB T / (gamma mu0 Ms V dt) ) * G,
 
-G a vector of independent standard normals resampled once per step.  The
-implicit damping term is removed by the usual algebraic rearrangement
-(dm/dt = (A + alpha m x A)/(1+alpha^2) with A collecting the explicit
-torques), and each step is advanced with the stochastic Heun scheme, the
-noise held fixed within the step.  The state is renormalized to unit
-length after every step.
+G a vector of independent standard normals resampled once per step
+(`sample_thermal_field`).  The implicit damping term is removed by the
+usual algebraic rearrangement (dm/dt = (A + alpha m x A)/(1+alpha^2) with
+A collecting the explicit torques), and each step is advanced with the
+stochastic Heun scheme, the noise held fixed within the step.  The state
+is renormalized to unit length after every step.
 
 The effective field is the minimal bistable composition: uniaxial
-anisotropy Hk along +z (easy axis), a single demagnetization penalty Hd
-along the hard axis y, plus any externally applied field.
+anisotropy Hk along +z (easy axis) and a single demagnetization penalty
+Hd along the hard axis y.  One formula gives it: `effective_field` adds
+an optional applied field, and both Heun stages of the integrator add the
+step's thermal field.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -41,7 +43,6 @@ __all__ = [
     "thermal_prefactor",
     "sample_thermal_field",
     "effective_field",
-    "llgs_step",
     "simulate_pulse",
 ]
 
@@ -51,6 +52,8 @@ MU_0 = 1.25663706212e-6   # T m/A
 MU_B = 9.2740100783e-24   # J/T
 HBAR = 1.054571817e-34    # J s
 Q_E = 1.602176634e-19     # C
+
+_CHUNK_STEPS = 2048       # thermal-field steps drawn per trial at a time
 
 
 @dataclass(frozen=True)
@@ -158,15 +161,22 @@ def sample_thermal_field(params: DeviceParams, rng: np.random.Generator,
     return pref * rng.standard_normal((int(size), 3))
 
 
+def _field(mx, my, mz, bx, by, bz, Hk, Hd):
+    """Effective field in component form: the base field b plus the
+    anisotropy Hk along z and the hard-axis penalty Hd along y (A/m)."""
+    return bx, by - Hd * my, bz + Hk * mz
+
+
 def effective_field(m, params: DeviceParams, applied=None) -> np.ndarray:
-    """Anisotropy + hard-axis + applied field at magnetization m (A/m)."""
+    """Anisotropy + hard-axis + applied field at magnetization m (A/m).
+
+    The integrator evaluates the same formula, with the per-step thermal
+    field in the place of `applied`."""
     m = np.asarray(m, dtype=float)
-    h = np.zeros_like(m)
-    h[..., 1] = -params.Hd * m[..., 1]
-    h[..., 2] = params.Hk * m[..., 2]
-    if applied is not None:
-        h = h + np.asarray(applied, dtype=float)
-    return h
+    b = np.zeros(3) if applied is None else np.asarray(applied, dtype=float)
+    h = _field(m[..., 0], m[..., 1], m[..., 2], b[..., 0], b[..., 1], b[..., 2],
+               params.Hk, params.Hd)
+    return np.stack(np.broadcast_arrays(*h), axis=-1)
 
 
 def _deriv(mx, my, mz, hx, hy, hz, isx, isy, isz, gamma, alpha, inv_qns, inv_1a2):
@@ -185,104 +195,82 @@ def _deriv(mx, my, mz, hx, hy, hz, isx, isy, isz, gamma, alpha, inv_qns, inv_1a2
     return dx, dy, dz
 
 
-def _integrate(mx, my, mz, phases, params, applied, rngs,
-               record=False, chunk_steps=2048, t0=0.0):
+def _integrate(mx, my, mz, phases, params, rngs, record=False):
     """Advance a batch of trajectories through the given (n_steps, Is) phases.
 
-    mx/my/mz are 1-D arrays of batch size B; `rngs` is a list of B
-    generators supplying the per-trial thermal noise (ignored at T = 0).
-    Returns (mx, my, mz, max_pre_drift, max_post_drift, recorded) where
-    `recorded` is a (times, m) pair when record=True (B must be 1).
+    mx/my/mz are 1-D arrays of batch size B; trial i draws its thermal
+    field from rngs[i] (no draws at T = 0).  Returns (mx, my, mz,
+    max_pre_drift, max_post_drift, recorded): the largest |norm - 1| before
+    and after renormalization, and a (times, m) pair when record=True (B
+    must be 1).
     """
     alpha = params.alpha
     gamma = params.gamma
     dt = params.dt
+    half = 0.5 * dt
     Hk = params.Hk
     Hd = params.Hd
     inv_qns = 1.0 / (params.q_e * params.Ns)
     inv_1a2 = 1.0 / (1.0 + alpha * alpha)
-    apx, apy, apz = (0.0, 0.0, 0.0) if applied is None else tuple(np.asarray(applied, float))
-    pref = thermal_prefactor(params)
-    thermal = pref > 0.0 and rngs is not None
+    thermal = thermal_prefactor(params) > 0.0
+    nx = ny = nz = 0.0
 
-    max_pre = 0.0
-    max_post = 0.0
-    rec_t = [t0] if record else None
+    # per-trial running maxima of the drift, reduced once at the end
+    max_pre = np.zeros(len(mx))
+    max_post = np.zeros(len(mx))
+    rec_t = [0.0] if record else None
     rec_m = [(float(mx[0]), float(my[0]), float(mz[0]))] if record else None
-    t = t0
+    t = 0.0
 
     for n_steps, is_vec in phases:
         isx, isy, isz = float(is_vec[0]), float(is_vec[1]), float(is_vec[2])
         done = 0
         while done < n_steps:
-            cl = min(chunk_steps, n_steps - done)
+            cl = min(_CHUNK_STEPS, n_steps - done)
             if thermal:
-                noise = np.stack([g.standard_normal((cl, 3)) for g in rngs], axis=0)
-                noise *= pref
+                noise = np.stack([sample_thermal_field(params, g, cl) for g in rngs])
             for k in range(cl):
                 if thermal:
                     nx = noise[:, k, 0]
                     ny = noise[:, k, 1]
                     nz = noise[:, k, 2]
-                else:
-                    nx = ny = nz = 0.0
-                hx = apx + nx
-                hy = apy + ny - Hd * my
-                hz = apz + nz + Hk * mz
+                hx, hy, hz = _field(mx, my, mz, nx, ny, nz, Hk, Hd)
                 k1x, k1y, k1z = _deriv(mx, my, mz, hx, hy, hz,
                                        isx, isy, isz, gamma, alpha, inv_qns, inv_1a2)
                 px = mx + dt * k1x
                 py = my + dt * k1y
                 pz = mz + dt * k1z
-                hx2 = apx + nx
-                hy2 = apy + ny - Hd * py
-                hz2 = apz + nz + Hk * pz
-                k2x, k2y, k2z = _deriv(px, py, pz, hx2, hy2, hz2,
+                hx, hy, hz = _field(px, py, pz, nx, ny, nz, Hk, Hd)
+                k2x, k2y, k2z = _deriv(px, py, pz, hx, hy, hz,
                                        isx, isy, isz, gamma, alpha, inv_qns, inv_1a2)
-                half = 0.5 * dt
                 mx = mx + half * (k1x + k2x)
                 my = my + half * (k1y + k2y)
                 mz = mz + half * (k1z + k2z)
                 norm = np.sqrt(mx * mx + my * my + mz * mz)
-                drift = float(np.max(np.abs(norm - 1.0)))
-                if drift > max_pre:
-                    max_pre = drift
+                np.maximum(max_pre, np.abs(norm - 1.0), out=max_pre)
                 mx = mx / norm
                 my = my / norm
                 mz = mz / norm
-                post = float(np.max(np.abs(mx * mx + my * my + mz * mz - 1.0)))
-                if post > max_post:
-                    max_post = post
+                np.maximum(max_post, np.abs(mx * mx + my * my + mz * mz - 1.0),
+                           out=max_post)
                 t += dt
                 if record:
                     rec_t.append(t)
                     rec_m.append((float(mx[0]), float(my[0]), float(mz[0])))
             done += cl
-            if not (np.isfinite(mx).all() and np.isfinite(my).all() and np.isfinite(mz).all()):
-                bad = np.nonzero(~(np.isfinite(mx) & np.isfinite(my) & np.isfinite(mz)))[0]
-                raise StepFaultError(
-                    f"non-finite magnetization in trial(s) {bad.tolist()}; reduce dt")
-    recorded = None
-    if record:
-        recorded = (np.asarray(rec_t), np.asarray(rec_m))
-    return mx, my, mz, max_pre, max_post, recorded
-
-
-def llgs_step(m, params: DeviceParams, pulse: SpinCurrentPulse | None,
-              rng: np.random.Generator, applied=None) -> np.ndarray:
-    """One stochastic Heun step; returns the renormalized magnetization."""
-    m = np.asarray(m, dtype=float)
-    is_vec = pulse.vector if pulse is not None else np.zeros(3)
-    mx, my, mz, _, _, _ = _integrate(
-        np.array([m[0]]), np.array([m[1]]), np.array([m[2]]),
-        [(1, is_vec)], params, applied, [rng] if rng is not None else None)
-    return np.array([mx[0], my[0], mz[0]])
+            finite = np.isfinite(mx) & np.isfinite(my) & np.isfinite(mz)
+            if not finite.all():
+                raise StepFaultError(f"non-finite magnetization in trial(s) "
+                                     f"{np.nonzero(~finite)[0].tolist()}; reduce dt")
+    recorded = (np.asarray(rec_t), np.asarray(rec_m)) if record else None
+    return mx, my, mz, float(max_pre.max()), float(max_post.max()), recorded
 
 
 def simulate_pulse(m0, pulse: SpinCurrentPulse, params: DeviceParams,
-                   relax_time: float, seed: int, applied=None,
-                   record: bool = True) -> Trajectory:
-    """Apply the pulse, then field-only relaxation; fully seed-determined."""
+                   relax_time: float, seed: int, record: bool = True) -> Trajectory:
+    """Apply the pulse, then field-only relaxation; fully seed-determined.
+
+    The thermal field comes from the "trajectory" substream of `seed`."""
     if relax_time < 0:
         raise DomainError("relax_time must be non-negative")
     m0 = np.asarray(m0, dtype=float)
@@ -294,7 +282,7 @@ def simulate_pulse(m0, pulse: SpinCurrentPulse, params: DeviceParams,
         phases.append((n_relax, np.zeros(3)))
     mx, my, mz, pre, post, recorded = _integrate(
         np.array([m0[0]]), np.array([m0[1]]), np.array([m0[2]]),
-        phases, params, applied, [rng], record=record)
+        phases, params, [rng], record=record)
     switched = bool(mz[0] * m0[2] < 0)
     if recorded is not None:
         times, samples = recorded

@@ -7,8 +7,7 @@ current pulse followed by a field-only relax window; a trial counts as
 switched when the final mz sign differs from the initial sign.
 """
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import json
 import math
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, FitDomainError
 from .llgs import DeviceParams, _integrate, default_device_params
-from .rngtools import derive_rng
+from .rngtools import derive_rng, parallel_map
 
 __all__ = [
     "MtjParams",
@@ -132,7 +131,7 @@ def estimate_switching_probability(charge_current: float, pulse_width: float,
     phases.append((n_pulse, np.array([0.0, 0.0, is_mag])))
     if n_relax:
         phases.append((n_relax, np.zeros(3)))
-    mx, my, mz, _, _, _ = _integrate(mx, my, mz, phases, dev, None, rngs)
+    mx, my, mz, _, _, _ = _integrate(mx, my, mz, phases, dev, rngs)
     switched = mz > 0.0
     p_hat = float(np.count_nonzero(switched)) / trials
     return p_hat, _ci_halfwidth(p_hat, trials)
@@ -156,11 +155,7 @@ def sweep_switching_curve(currents, pulse_width: float, trials_per_point: int,
         raise DomainError("sweep currents must be strictly increasing")
     jobs = [(i, c, pulse_width, trials_per_point, params, seed)
             for i, c in enumerate(currents)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_point, jobs))
-    else:
-        results = [_sweep_point(job) for job in jobs]
+    results = parallel_map(_sweep_point, jobs, workers)
     p_hat = np.array([r[0] for r in results])
     ci = np.array([r[1] for r in results])
     return SwitchingCurve(currents=currents, p_hat=p_hat,

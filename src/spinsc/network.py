@@ -108,30 +108,28 @@ def weighted_sum(x, weights, bias) -> np.ndarray:
 
 
 def forward_trace(model: NetworkModel, x):
-    """Deterministic forward over inputs of shape (..., n_in), returning
-    (activations, pre-activations) per layer for backpropagation;
-    activations[0] is the input and every entry keeps the leading axes."""
+    """Deterministic forward over inputs of shape (..., n_in), returning the
+    activations of every layer for backpropagation: activations[0] is the
+    input, activations[-1] the output, and every entry keeps the leading
+    axes."""
     if model.activation_mode != DETERMINISTIC:
         raise DomainError("forward_trace supports deterministic mode only")
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (model.input_dim,):
         raise ShapeError(f"input shape {x.shape} != (..., {model.input_dim})")
     activations = [x]
-    pres = []
     for i, layer in enumerate(model.layers):
-        pre = weighted_sum(activations[-1], layer.weights, layer.bias)
-        pres.append(pre)
+        a = weighted_sum(activations[-1], layer.weights, layer.bias)
         if i < len(model.layers) - 1 or model.output_activation == "sigmoid":
-            activations.append(sigmoid(pre))
-        else:
-            activations.append(pre)
-    return activations, pres
+            a = sigmoid(a)
+        activations.append(a)
+    return activations
 
 
 def forward(model: NetworkModel, x) -> np.ndarray:
     """Deterministic forward pass: (..., n_in) inputs -> (..., n_out) outputs.
     Stochastic-firing models are run with forward_rate."""
-    return forward_trace(model, x)[0][-1]
+    return forward_trace(model, x)[-1]
 
 
 def forward_rate(model: NetworkModel, x, window: int, seed: int) -> np.ndarray:

@@ -6,7 +6,6 @@ decoder uses the exact check-node rule in its numerically safe log form
 (min-sum available behind a flag).  Ties decode to bit 0.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 import json
 import math
@@ -16,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError, malformed_as_format_error
 from .network import DETERMINISTIC, NetworkModel, forward, forward_rate
-from .rngtools import derive_rng
+from .rngtools import derive_rng, parallel_map
 
 FRAME_BLOCK = 512    # frames per ber_experiment block; bounds its memory
 
@@ -301,10 +300,7 @@ def ber_experiment(spec: PolarCodeSpec, decoder: str, snr_list, min_frames: int,
         raise DomainError("neural decoding requires a trained model")
     jobs = [(i, spec, decoder, snr, min_frames, seed, model, window)
             for i, snr in enumerate(snr_list)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_ber_point, jobs))
-    return [_ber_point(job) for job in jobs]
+    return parallel_map(_ber_point, jobs, workers)
 
 
 def write_ber_csv(rows, path):

@@ -5,11 +5,12 @@ single master seed, so independent workloads (trials, sweep points, frames)
 produce the same aggregate results regardless of execution order.
 """
 
+from concurrent.futures import ProcessPoolExecutor
 import hashlib
 
 import numpy as np
 
-__all__ = ["derive_seedseq", "derive_rng", "derive_philox"]
+__all__ = ["derive_seedseq", "derive_rng", "derive_philox", "parallel_map"]
 
 
 def _tag_to_int(tag) -> int:
@@ -37,3 +38,12 @@ def derive_rng(master_seed: int, *tags) -> np.random.Generator:
 def derive_philox(master_seed: int, *tags) -> np.random.Generator:
     """Counter-based (Philox) generator, used for bitstream construction."""
     return np.random.Generator(np.random.Philox(derive_seedseq(master_seed, *tags)))
+
+
+def parallel_map(fn, jobs, workers: int = 1) -> list:
+    """[fn(job) for job in jobs], on a pool of `workers` processes when
+    workers > 1; the results come back in job order either way."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, jobs))
+    return [fn(job) for job in jobs]

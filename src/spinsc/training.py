@@ -101,7 +101,7 @@ def _stack(examples):
 
 def _row_losses(model: NetworkModel, X, Y, loss: LossSpec) -> np.ndarray:
     """Loss of each row of (..., n_in) inputs X against (..., n_out) targets Y."""
-    y_hat = forward_trace(model, X)[0][-1]
+    y_hat = forward_trace(model, X)[-1]
     if loss.kind == SQUARED_ERROR:
         d = y_hat - Y
         return 0.5 * (d[..., None, :] @ d[..., :, None])[..., 0, 0]
@@ -127,7 +127,7 @@ def _gradient_sum(model: NetworkModel, X, Y, loss: LossSpec) -> list:
     Y (B, n_out), added in ascending row order; one (dW, db) per layer."""
     if model.activation_mode != DETERMINISTIC:
         raise UnsupportedModeError("stochastic firing is not differentiated")
-    activations, _ = forward_trace(model, X)
+    activations = forward_trace(model, X)
     y_hat = activations[-1]
     if Y.shape != y_hat.shape:
         raise DomainError("target dimension does not match network output")

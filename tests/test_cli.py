@@ -349,6 +349,25 @@ class TestErrors:
         assert "error: [scarith] needs length >= 1" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    def test_empty_dataset_snrs(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "t.cfg",
+                        TRAIN_CFG.replace("snrs_db = 2.0", "snrs_db ="))
+        out = tmp_path / "out"
+        assert run("train-decoder", cfg, out) == 2
+        assert "error: [dataset] snrs_db needs at least one SNR" in \
+            capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("sizes", ["3, 0, 3", ""], ids=["zero", "empty"])
+    def test_bad_gradcheck_max_sizes(self, tmp_path, capsys, sizes):
+        cfg = write_cfg(tmp_path / "g.cfg", GRADCHECK_CFG.replace(
+            "max_sizes = 3, 5, 3", f"max_sizes = {sizes}"))
+        out = tmp_path / "out"
+        assert run("gradcheck", cfg, out) == 2
+        assert "error: [gradcheck] max_sizes needs at least two layer sizes" in \
+            capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_rerun_manifest_without_config(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"
         manifest.write_text(json.dumps({"command": "gradcheck",

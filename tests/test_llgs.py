@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from spinsc.errors import DomainError
+from spinsc.errors import DomainError, StepFaultError
 from spinsc.llgs import (DeviceParams, SpinCurrentPulse, default_device_params,
-                         effective_field, llgs_step, sample_thermal_field,
+                         effective_field, sample_thermal_field,
                          simulate_pulse, thermal_prefactor)
 from spinsc.rngtools import derive_rng
 
@@ -72,13 +72,50 @@ class TestEffectiveField:
                            [123.0, 0, p.Hk])
 
 
+class TestHeunStepOracle:
+    """A 1-step simulate_pulse equals one stochastic Heun step written out
+    here from effective_field, sample_thermal_field on the "trajectory"
+    substream and renormalization, bit for bit."""
+
+    @pytest.mark.parametrize("T", [300.0, 0.0])
+    def test_one_step_bit_for_bit(self, T):
+        p = DeviceParams(alpha=0.05, Ms=1e6, V=40e-9 * 40e-9 * 2e-9, T=T,
+                         dt=1e-13, Hk=2e5, Hd=3e4)
+        pulse = SpinCurrentPulse(3e-4, p.dt, (0.6, 0.0, 0.8))
+        m0 = tilted(2.0, 0.7)
+        # at T = 0 the integrator draws no noise, so no thermal field is added
+        h_th = (sample_thermal_field(p, derive_rng(13, "trajectory"))
+                if T > 0 else None)
+        inv_qns = 1.0 / (p.q_e * p.Ns)
+        inv_1a2 = 1.0 / (1.0 + p.alpha * p.alpha)
+
+        def rhs(m):
+            h = effective_field(m, p, applied=h_th)
+            a = (-p.gamma * np.cross(m, h)
+                 + inv_qns * np.cross(m, np.cross(pulse.vector, m)))
+            return (a + p.alpha * np.cross(m, a)) * inv_1a2
+
+        k1 = rhs(m0)
+        k2 = rhs(m0 + p.dt * k1)
+        m = m0 + 0.5 * p.dt * (k1 + k2)
+        norm = np.sqrt(m[0] * m[0] + m[1] * m[1] + m[2] * m[2])
+        m = m / norm
+        post = abs(m[0] * m[0] + m[1] * m[1] + m[2] * m[2] - 1.0)
+
+        tr = simulate_pulse(m0, pulse, p, 0.0, seed=13)
+        assert tr.m.shape == (2, 3)
+        assert tr.m[1].tobytes() == m.tobytes()
+        assert tr.max_pre_renorm_drift == abs(norm - 1.0)
+        assert tr.max_post_renorm_drift == post
+
+
 class TestLlgsStep:
     def test_easy_axis_fixed_point(self):
         p = default_device_params(T=0.0)
-        m = np.array([0.0, 0.0, 1.0])
-        for _ in range(10):
-            m = llgs_step(m, p, None, derive_rng(0, "s"))
-        assert np.allclose(m, [0, 0, 1], atol=1e-15)
+        tr = simulate_pulse([0.0, 0.0, 1.0], SpinCurrentPulse(0.0, 10 * p.dt), p,
+                            0.0, seed=0)
+        assert tr.m.shape == (11, 3)
+        assert np.allclose(tr.m, [0, 0, 1], atol=1e-15)
 
     def test_damping_monotone_and_energy_decreasing(self):
         p = default_device_params(T=0.0)
@@ -147,6 +184,11 @@ class TestSimulatePulse:
         with pytest.raises(DomainError):
             simulate_pulse(tilted(0.1), SpinCurrentPulse(0.0, 1e-12), p,
                            -1.0, seed=0)
+
+    def test_non_finite_step_raises(self):
+        p = DeviceParams(alpha=0.01, Ms=1e6, V=1e-24, T=0.0, dt=1e300, Hk=1e4)
+        with np.errstate(all="ignore"), pytest.raises(StepFaultError):
+            simulate_pulse(tilted(0.5), SpinCurrentPulse(1e-4, 1e300), p, 0.0, seed=0)
 
     def test_trajectory_csv_export(self, tmp_path):
         p = default_device_params(T=0.0)

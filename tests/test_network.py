@@ -142,10 +142,11 @@ class TestForward:
                     Layer(rng.standard_normal((2, 4)), rng.standard_normal(2))],
             output_activation="identity")
         X = rng.standard_normal(batch + (3,))
-        acts, pres = forward_trace(model, X)
+        acts = forward_trace(model, X)
         for idx in np.ndindex(batch):
-            row_acts, row_pres = forward_trace(model, X[idx])
-            for block, row in zip(acts + pres, row_acts + row_pres):
+            row_acts = forward_trace(model, X[idx])
+            assert len(row_acts) == len(acts) == 3
+            for block, row in zip(acts, row_acts):
                 assert np.array_equal(block[idx], row)
         assert np.array_equal(forward(model, X), acts[-1])
 
@@ -211,8 +212,9 @@ class TestSerialization:
 
     def test_forward_trace_shapes(self):
         model = two_layer_model()
-        acts, pres = forward_trace(model, np.array([0.1, 0.2]))
-        assert len(acts) == 3 and len(pres) == 2
+        acts = forward_trace(model, np.array([0.1, 0.2]))
+        assert len(acts) == 3
+        assert [a.shape for a in acts] == [(2,), (2,), (1,)]
         assert np.array_equal(acts[-1], forward(model, np.array([0.1, 0.2])))
 
     @pytest.mark.parametrize("text", [
