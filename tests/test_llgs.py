@@ -229,6 +229,17 @@ class TestPinnedTrajectories:
         assert tr.max_pre_renorm_drift == 3.206590548643362e-11
         assert tr.max_post_renorm_drift == 4.440892098500626e-16
 
+    def test_million_step_thermal_run(self):
+        """Criterion 02(a)'s unrecorded run: 178 degrees, 5e-4 A for 1e-7 s
+        (1e6 steps), seed 7 keeps its end state and drift values."""
+        tr = simulate_pulse(tilted(math.radians(178)), SpinCurrentPulse(5e-4, 1e-7),
+                            default_device_params(), 0.0, seed=7, record=False)
+        assert tr.m.tolist() == [[-0.01573825095035753, -0.022329860325059507,
+                                  0.9996267727481527]]
+        assert tr.switched
+        assert tr.max_pre_renorm_drift == 5.0536463902517426e-11
+        assert tr.max_post_renorm_drift == 4.440892098500626e-16
+
 
 class TestParamsValidation:
     def test_invalid_params_rejected(self):
