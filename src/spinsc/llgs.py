@@ -13,7 +13,10 @@ G a vector of independent standard normals resampled once per step
 usual algebraic rearrangement (dm/dt = (A + alpha m x A)/(1+alpha^2) with
 A collecting the explicit torques), and each step is advanced with the
 stochastic Heun scheme, the noise held fixed within the step.  The state
-is renormalized to unit length after every step.
+is renormalized to unit length after every step.  The integrator picks
+its arithmetic from the batch size: a single trial (`simulate_pulse`)
+steps three Python floats, a batch of trials (`mtj`) steps (B,) arrays,
+and both run the same step body with the same bits per trial.
 
 The effective field is the minimal bistable composition: uniaxial
 anisotropy Hk along +z (easy axis) and a single demagnetization penalty
@@ -195,14 +198,17 @@ def _deriv(mx, my, mz, hx, hy, hz, isx, isy, isz, gamma, alpha, inv_qns, inv_1a2
     return dx, dy, dz
 
 
-def _integrate(mx, my, mz, phases, params, rngs, record=False):
+def _integrate(m0, phases, params, rngs, record=False):
     """Advance a batch of trajectories through the given (n_steps, Is) phases.
 
-    mx/my/mz are 1-D arrays of batch size B; trial i draws its thermal
-    field from rngs[i] (no draws at T = 0).  Returns (mx, my, mz,
-    max_pre_drift, max_post_drift, recorded): the largest |norm - 1| before
-    and after renormalization, and a (times, m) pair when record=True (B
-    must be 1).
+    m0 is (B, 3) with B = len(rngs); trial i draws its thermal field from
+    rngs[i] (no draws at T = 0).  The batch size picks the arithmetic once,
+    on entry: one trial runs on three Python floats with `math.sqrt`, more
+    run on (B,) arrays with `np.sqrt`; both widths run the one step body
+    below and give the same bits per trial.  Returns (m, max_pre_drift,
+    max_post_drift, recorded): the (B, 3) end state, the largest
+    |norm - 1| before and after renormalization, and a (times, m) pair when
+    record=True (B must be 1).
     """
     alpha = params.alpha
     gamma = params.gamma
@@ -213,57 +219,61 @@ def _integrate(mx, my, mz, phases, params, rngs, record=False):
     inv_qns = 1.0 / (params.q_e * params.Ns)
     inv_1a2 = 1.0 / (1.0 + alpha * alpha)
     thermal = thermal_prefactor(params) > 0.0
-    nx = ny = nz = 0.0
-
-    # per-trial running maxima of the drift, reduced once at the end
-    max_pre = np.zeros(len(mx))
-    max_post = np.zeros(len(mx))
-    rec_t = [0.0] if record else None
-    rec_m = [(float(mx[0]), float(my[0]), float(mz[0]))] if record else None
+    scalar = len(rngs) == 1
+    if scalar:
+        (mx, my, mz), = np.asarray(m0, dtype=float).tolist()
+        sqrt, vmax = math.sqrt, max
+    else:
+        mx, my, mz = np.array(m0, dtype=float).T
+        sqrt, vmax = np.sqrt, np.maximum
+    max_pre = max_post = 0.0    # per-trial running maxima of the drift
+    rec_t, rec_m = [0.0], [(mx, my, mz)]
     t = 0.0
-
-    for n_steps, is_vec in phases:
-        isx, isy, isz = float(is_vec[0]), float(is_vec[1]), float(is_vec[2])
-        done = 0
-        while done < n_steps:
-            cl = min(_CHUNK_STEPS, n_steps - done)
-            if thermal:
-                noise = np.stack([sample_thermal_field(params, g, cl) for g in rngs])
-            for k in range(cl):
-                if thermal:
-                    nx = noise[:, k, 0]
-                    ny = noise[:, k, 1]
-                    nz = noise[:, k, 2]
-                hx, hy, hz = _field(mx, my, mz, nx, ny, nz, Hk, Hd)
-                k1x, k1y, k1z = _deriv(mx, my, mz, hx, hy, hz,
-                                       isx, isy, isz, gamma, alpha, inv_qns, inv_1a2)
-                px = mx + dt * k1x
-                py = my + dt * k1y
-                pz = mz + dt * k1z
-                hx, hy, hz = _field(px, py, pz, nx, ny, nz, Hk, Hd)
-                k2x, k2y, k2z = _deriv(px, py, pz, hx, hy, hz,
-                                       isx, isy, isz, gamma, alpha, inv_qns, inv_1a2)
-                mx = mx + half * (k1x + k2x)
-                my = my + half * (k1y + k2y)
-                mz = mz + half * (k1z + k2z)
-                norm = np.sqrt(mx * mx + my * my + mz * mz)
-                np.maximum(max_pre, np.abs(norm - 1.0), out=max_pre)
-                mx = mx / norm
-                my = my / norm
-                mz = mz / norm
-                np.maximum(max_post, np.abs(mx * mx + my * my + mz * mz - 1.0),
-                           out=max_post)
-                t += dt
-                if record:
-                    rec_t.append(t)
-                    rec_m.append((float(mx[0]), float(my[0]), float(mz[0])))
-            done += cl
-            finite = np.isfinite(mx) & np.isfinite(my) & np.isfinite(mz)
-            if not finite.all():
-                raise StepFaultError(f"non-finite magnetization in trial(s) "
-                                     f"{np.nonzero(~finite)[0].tolist()}; reduce dt")
+    try:
+        for n_steps, is_vec in phases:
+            isx, isy, isz = float(is_vec[0]), float(is_vec[1]), float(is_vec[2])
+            for done in range(0, n_steps, _CHUNK_STEPS):
+                cl = min(_CHUNK_STEPS, n_steps - done)
+                if not thermal:
+                    rows = [(0.0, 0.0, 0.0)] * cl
+                elif scalar:
+                    rows = sample_thermal_field(params, rngs[0], cl).tolist()
+                else:   # (cl, 3, B): step k's field components as (B,) rows
+                    rows = np.stack([sample_thermal_field(params, g, cl) for g in rngs],
+                                    axis=-1)
+                for nx, ny, nz in rows:
+                    hx, hy, hz = _field(mx, my, mz, nx, ny, nz, Hk, Hd)
+                    k1x, k1y, k1z = _deriv(mx, my, mz, hx, hy, hz,
+                                           isx, isy, isz, gamma, alpha, inv_qns, inv_1a2)
+                    px = mx + dt * k1x
+                    py = my + dt * k1y
+                    pz = mz + dt * k1z
+                    hx, hy, hz = _field(px, py, pz, nx, ny, nz, Hk, Hd)
+                    k2x, k2y, k2z = _deriv(px, py, pz, hx, hy, hz,
+                                           isx, isy, isz, gamma, alpha, inv_qns, inv_1a2)
+                    mx = mx + half * (k1x + k2x)
+                    my = my + half * (k1y + k2y)
+                    mz = mz + half * (k1z + k2z)
+                    norm = sqrt(mx * mx + my * my + mz * mz)
+                    max_pre = vmax(max_pre, abs(norm - 1.0))
+                    mx = mx / norm
+                    my = my / norm
+                    mz = mz / norm
+                    max_post = vmax(max_post, abs(mx * mx + my * my + mz * mz - 1.0))
+                    t += dt
+                    if record:
+                        rec_t.append(t)
+                        rec_m.append((mx, my, mz))
+                finite = np.isfinite(mx) & np.isfinite(my) & np.isfinite(mz)
+                if not finite.all():
+                    raise StepFaultError(f"non-finite magnetization in trial(s) "
+                                         f"{np.flatnonzero(~finite).tolist()}; reduce dt")
+    except ZeroDivisionError:   # a zero norm at the float width; numpy gives nan
+        raise StepFaultError("non-finite magnetization in trial(s) [0]; "
+                             "reduce dt") from None
     recorded = (np.asarray(rec_t), np.asarray(rec_m)) if record else None
-    return mx, my, mz, float(max_pre.max()), float(max_post.max()), recorded
+    return (np.column_stack((mx, my, mz)), float(np.max(max_pre)),
+            float(np.max(max_post)), recorded)
 
 
 def simulate_pulse(m0, pulse: SpinCurrentPulse, params: DeviceParams,
@@ -280,15 +290,7 @@ def simulate_pulse(m0, pulse: SpinCurrentPulse, params: DeviceParams,
     phases = [(n_pulse, pulse.vector)]
     if n_relax:
         phases.append((n_relax, np.zeros(3)))
-    mx, my, mz, pre, post, recorded = _integrate(
-        np.array([m0[0]]), np.array([m0[1]]), np.array([m0[2]]),
-        phases, params, [rng], record=record)
-    switched = bool(mz[0] * m0[2] < 0)
-    if recorded is not None:
-        times, samples = recorded
-    else:
-        n = n_pulse + n_relax
-        times = np.array([n * params.dt])
-        samples = np.array([[mx[0], my[0], mz[0]]])
-    return Trajectory(times=times, m=samples, switched=switched,
+    m, pre, post, recorded = _integrate(m0[None], phases, params, [rng], record=record)
+    times, samples = recorded or (np.array([(n_pulse + n_relax) * params.dt]), m)
+    return Trajectory(times=times, m=samples, switched=bool(m[0, 2] * m0[2] < 0),
                       max_pre_renorm_drift=pre, max_post_renorm_drift=post)

@@ -121,9 +121,7 @@ def estimate_switching_probability(charge_current: float, pulse_width: float,
     n_relax = int(round(params.relax_time / dev.dt))
     is_mag = params.theta_sh * charge_current
     th0 = params.init_tilt
-    mx = np.full(trials, math.sin(th0))
-    my = np.zeros(trials)
-    mz = np.full(trials, -math.cos(th0))
+    m0 = np.tile([math.sin(th0), 0.0, -math.cos(th0)], (trials, 1))
     rngs = [derive_rng(seed, "switch-trial", i) for i in range(trials)]
     phases = []
     if params.equil_steps:
@@ -131,8 +129,7 @@ def estimate_switching_probability(charge_current: float, pulse_width: float,
     phases.append((n_pulse, np.array([0.0, 0.0, is_mag])))
     if n_relax:
         phases.append((n_relax, np.zeros(3)))
-    mx, my, mz, _, _, _ = _integrate(mx, my, mz, phases, dev, rngs)
-    switched = mz > 0.0
+    switched = _integrate(m0, phases, dev, rngs)[0][:, 2] > 0.0
     p_hat = float(np.count_nonzero(switched)) / trials
     return p_hat, _ci_halfwidth(p_hat, trials)
 

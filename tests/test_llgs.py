@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from spinsc.errors import DomainError, StepFaultError
-from spinsc.llgs import (DeviceParams, SpinCurrentPulse, default_device_params,
-                         effective_field, sample_thermal_field,
-                         simulate_pulse, thermal_prefactor)
+from spinsc.llgs import (DeviceParams, SpinCurrentPulse, _integrate,
+                         default_device_params, effective_field,
+                         sample_thermal_field, simulate_pulse, thermal_prefactor)
 from spinsc.rngtools import derive_rng
 
 # independent constants for the oracle below (CODATA values retyped, not
@@ -185,10 +185,21 @@ class TestSimulatePulse:
             simulate_pulse(tilted(0.1), SpinCurrentPulse(0.0, 1e-12), p,
                            -1.0, seed=0)
 
-    def test_non_finite_step_raises(self):
+    @pytest.mark.parametrize("trials", [1, 2])
+    @pytest.mark.parametrize("start", ["tilted", "zero"])
+    def test_non_finite_step_raises(self, trials, start):
+        """dt = 1e300 overflows the first step and a zero start vector has
+        zero norm: both widths raise StepFaultError, the float width never
+        ZeroDivisionError or OverflowError."""
         p = DeviceParams(alpha=0.01, Ms=1e6, V=1e-24, T=0.0, dt=1e300, Hk=1e4)
+        m0 = tilted(0.5) if start == "tilted" else np.zeros(3)
+        rngs = [derive_rng(0, "trial", i) for i in range(trials)]
         with np.errstate(all="ignore"), pytest.raises(StepFaultError):
-            simulate_pulse(tilted(0.5), SpinCurrentPulse(1e-4, 1e300), p, 0.0, seed=0)
+            _integrate(np.tile(m0, (trials, 1)), [(1, np.array([0.0, 0.0, 1e-4]))],
+                       p, rngs)
+        if trials == 1:
+            with np.errstate(all="ignore"), pytest.raises(StepFaultError):
+                simulate_pulse(m0, SpinCurrentPulse(1e-4, 1e300), p, 0.0, seed=0)
 
     def test_trajectory_csv_export(self, tmp_path):
         p = default_device_params(T=0.0)
@@ -200,6 +211,34 @@ class TestSimulatePulse:
         assert lines[0] == "time_s,mx,my,mz"
         assert len(lines) == len(tr.times) + 1
         assert np.all(np.diff(tr.times) > 0)
+
+
+class TestIntegratorWidths:
+    """One trial integrates on Python floats, a batch on arrays; trial i alone
+    equals row i of the batch, bit for bit (2,100 pulse steps cross a chunk
+    boundary)."""
+
+    PHASES = [(100, np.zeros(3)), (2100, np.array([0.0, 0.0, 5e-4])),
+              (100, np.zeros(3))]
+
+    @pytest.mark.parametrize("T", [300.0, 0.0])
+    def test_single_trial_equals_batch_row(self, T):
+        p = default_device_params(T=T)
+        m0 = np.array([tilted(math.radians(a), 0.3 * i)
+                       for i, a in enumerate((178.0, 170.0, 150.0))])
+
+        def rngs():
+            return [derive_rng(5, "width", i) for i in range(3)]
+
+        m, pre, post, _ = _integrate(m0, self.PHASES, p, rngs())
+        singles = [_integrate(m0[i:i + 1], self.PHASES, p, [g])
+                   for i, g in enumerate(rngs())]
+        assert len({row.tobytes() for row in m}) == 3
+        for i, (mi, _, _, _) in enumerate(singles):
+            assert mi.shape == (1, 3)
+            assert mi[0].tobytes() == m[i].tobytes()
+        assert pre == max(s[1] for s in singles)
+        assert post == max(s[2] for s in singles)
 
 
 class TestPinnedTrajectories:

@@ -1,8 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from spinsc import llgs, mtj
 from spinsc.errors import DomainError, FitDomainError
 from spinsc.llgs import default_device_params
 from spinsc.mtj import (MtjParams, SwitchingCurve, default_mtj_params,
@@ -59,6 +61,35 @@ class TestEstimate:
         a = estimate_switching_probability(1.5e-3, 3e-10, 50, params, 9)
         b = estimate_switching_probability(1.5e-3, 3e-10, 50, params, 9)
         assert a == b
+
+
+    def test_single_trial_runs_float_width_and_matches_batch_row(self, monkeypatch):
+        """trials=1 integrates on Python floats (math.sqrt once per step) and
+        ends where trial 0 of a 3-trial batch ends, bit for bit."""
+        ends, roots = [], []
+
+        def spy(*args, **kwargs):
+            out = llgs._integrate(*args, **kwargs)
+            ends.append(out[0])
+            return out
+
+        def counted_sqrt(x):
+            roots.append(x)
+            return math.sqrt(x)
+
+        monkeypatch.setattr(mtj, "_integrate", spy)
+        monkeypatch.setattr(llgs, "math", SimpleNamespace(sqrt=counted_sqrt))
+        params = default_mtj_params()
+        steps = params.equil_steps + 500 + round(params.relax_time / params.device.dt)
+        p1, _ = estimate_switching_probability(1.6e-3, 5e-11, 1, params, seed=3)
+        single_roots = len(roots)
+        estimate_switching_probability(1.6e-3, 5e-11, 3, params, seed=3)
+        assert single_roots >= steps
+        # the batch takes np.sqrt; math.sqrt gives only its noise prefactors
+        assert len(roots) - single_roots < steps // 100
+        assert ends[0].shape == (1, 3) and ends[1].shape == (3, 3)
+        assert ends[0][0].tobytes() == ends[1][0].tobytes()
+        assert p1 == float(ends[1][0, 2] > 0.0)
 
 
 class TestSweep:
