@@ -200,6 +200,8 @@ def cmd_ber(v, seed, workers, out_dir):
     spec = _code_from_config(v)
     decoder = v.get_str("ber", "decoder", "classical")
     snrs = v.get_float_list("ber", "snrs_db")
+    if not snrs:
+        raise ConfigError("[ber] snrs_db needs at least one SNR")
     min_frames = v.get_int("ber", "min_frames")
     window = v.get_int("ber", "window", 64)
     which = ["classical", "neural"] if decoder == "paired" else [decoder]

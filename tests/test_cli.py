@@ -358,6 +358,15 @@ class TestErrors:
             capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    def test_empty_ber_snrs(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "b.cfg",
+                        BER_CFG.replace("snrs_db = 1.0, 3.0", "snrs_db ="))
+        out = tmp_path / "out"
+        assert run("ber", cfg, out) == 2
+        assert "error: [ber] snrs_db needs at least one SNR" in \
+            capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("sizes", ["3, 0, 3", ""], ids=["zero", "empty"])
     def test_bad_gradcheck_max_sizes(self, tmp_path, capsys, sizes):
         cfg = write_cfg(tmp_path / "g.cfg", GRADCHECK_CFG.replace(
