@@ -125,10 +125,9 @@ class Trajectory:
     max_post_renorm_drift: float = 0.0
 
     def to_csv(self, path):
-        header = "time_s,mx,my,mz\n"
         with open(path, "w", newline="\n") as fh:
-            fh.write(header)
-            for t, (mx, my, mz) in zip(self.times, self.m):
+            fh.write("time_s,mx,my,mz\n")
+            for t, (mx, my, mz) in zip(self.times.tolist(), self.m.tolist()):
                 fh.write(f"{t!r},{mx!r},{my!r},{mz!r}\n")
 
 

@@ -211,6 +211,10 @@ class TestSimulatePulse:
         assert lines[0] == "time_s,mx,my,mz"
         assert len(lines) == len(tr.times) + 1
         assert np.all(np.diff(tr.times) > 0)
+        # every field is a plain float literal that reads back exactly
+        rows = np.array([[float(f) for f in line.split(",")] for line in lines[1:]])
+        assert rows[:, 0].tobytes() == tr.times.tobytes()
+        assert rows[:, 1:].tobytes() == tr.m.tobytes()
 
 
 class TestIntegratorWidths:
@@ -247,8 +251,8 @@ class TestPinnedTrajectories:
     (5,000 steps, so chunk and phase boundaries are crossed)."""
 
     PINNED = {
-        300.0: "3189157aa17db480704319b4de4a6acd65d005e873c1494c918f89e0f38d45c4",
-        0.0: "8f49d925ba94db398a7004102c15c2593c61ef4521991e46a2c80ca54d21a493",
+        300.0: "3806bfbd55f9006da50337dfe8a0e3ece8c13519bdcdcaa812e4a5a21ae3c9a7",
+        0.0: "3206862efddb7244f2819795c8f8a4d1c223aad3ea046968ba5257fde8486666",
     }
 
     @staticmethod
