@@ -341,24 +341,67 @@ class TestBerExperiment:
 with open(os.path.join(ROOT, "tests", "golden.json")) as _fh:
     GOLDEN = json.load(_fh)
 
+# Neural `ber` golden entries decode with the model trained from
+# REPRO_CONFIGS["train-decoder"], its model.json fields updated as named by
+# the entry's "model"; more frames than one FRAME_BLOCK, at 1 and 2 workers.
+NEURAL_MODELS = {
+    "deterministic": {},
+    "stochastic-firing": {"activation_mode": "stochastic-firing"},
+    "device": {"activation_mode": "stochastic-firing", "unit_current": 1e-3,
+               "neuron_fit": {"a": 1.2e3, "b": 1e-4, "r_squared": 0.99}},
+}
+NEURAL_BER_CFG = """
+[run]
+seed = 5
+[code]
+n = 8
+k = 4
+[ber]
+decoder = neural
+snrs_db = 1.0, 3.0
+min_frames = 600
+model_path = {model}
+"""
+
 
 def _golden_id(entry):
     """The config for `ber` entries, command-prefixed for the others."""
+    if "model" in entry:
+        return f"{entry['config']}:neural-{entry['model']}"
     if entry["command"] == "ber":
         return entry["config"]
     return f"{entry['command']}:{entry['config']}"
 
 
+def _neural_ber_cfg(tmp_path, relabel):
+    train_cfg = tmp_path / "train.cfg"
+    train_cfg.write_text(REPRO_CONFIGS["train-decoder"])
+    assert cli_main(["train-decoder", "--config", str(train_cfg),
+                     "--out-dir", str(tmp_path / "train")]) == 0
+    doc = json.loads((tmp_path / "train" / "model.json").read_text())
+    doc.update(relabel)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    cfg = tmp_path / "ber.cfg"
+    cfg.write_text(NEURAL_BER_CFG.format(model=model))
+    return cfg
+
+
 @pytest.mark.parametrize("entry", GOLDEN, ids=_golden_id)
 def test_golden_output_hashes(entry, tmp_path):
     """Seeded data files keep the bytes recorded in tests/golden.json."""
-    if entry["config"] == "REPRO_CONFIGS":
+    workers = [[]]
+    if "model" in entry:
+        cfg = _neural_ber_cfg(tmp_path, NEURAL_MODELS[entry["model"]])
+        workers = [["--workers", "1"], ["--workers", "2"]]
+    elif entry["config"] == "REPRO_CONFIGS":
         cfg = tmp_path / "run.cfg"
         cfg.write_text(REPRO_CONFIGS[entry["command"]])
     else:
         cfg = os.path.join(ROOT, entry["config"])
-    out = tmp_path / "out"
-    assert cli_main([entry["command"], "--config", str(cfg),
-                     "--out-dir", str(out)]) == 0
-    for name, digest in entry["sha256"].items():
-        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+    for i, flags in enumerate(workers):
+        out = tmp_path / f"out{i}"
+        assert cli_main([entry["command"], "--config", str(cfg),
+                         "--out-dir", str(out), *flags]) == 0
+        for name, digest in entry["sha256"].items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
