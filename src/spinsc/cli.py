@@ -127,7 +127,7 @@ def cmd_sc_arith_bench(v, seed, workers, out_dir):
     L = v.get_int("scarith", "length", 4096)
     n_seeds = v.get_int("scarith", "seeds", 100)
     values = v.get_float_list("scarith", "values", [0.1, 0.5, 0.9])
-    if L < 1 or not all(0.0 <= p <= 1.0 for p in values):
+    if L < 1 or not values or not all(0.0 <= p <= 1.0 for p in values):
         raise ConfigError(f"[scarith] needs length >= 1 and values in [0, 1], "
                           f"got length {L}, values {values}")
     rows = []
@@ -165,9 +165,7 @@ def _build_decoder_dataset(spec, frames, snrs_db, seed):
     snrs = [snrs_db[i % len(snrs_db)] for i in range(frames)]
     messages, llrs, _ = polar.generate_frames(spec, seed, ("dataset",),
                                               range(frames), snrs)
-    # per-frame tanh, exactly as neural_sc_decode featurises a frame
-    return [training.Example(np.tanh(llr / 2.0), message.astype(float))
-            for message, llr in zip(messages, llrs)]
+    return polar.llr_features(llrs), messages.astype(float)
 
 
 def cmd_train_decoder(v, seed, workers, out_dir):
@@ -176,7 +174,7 @@ def cmd_train_decoder(v, seed, workers, out_dir):
     snrs = v.get_float_list("dataset", "snrs_db")
     if not snrs:
         raise ConfigError("[dataset] snrs_db needs at least one SNR")
-    dataset = _build_decoder_dataset(spec, frames, snrs, seed)
+    X, Y = _build_decoder_dataset(spec, frames, snrs, seed)
     hidden = v.get_int_list("network", "hidden", [16])
     model = training.init_model([spec.N] + hidden + [spec.K], seed)
     cfg = training.OptimizerConfig(
@@ -189,7 +187,7 @@ def cmd_train_decoder(v, seed, workers, out_dir):
     )
     loss = training.LossSpec(kind=v.get_str(
         "training", "loss", training.CROSS_ENTROPY))
-    model, history = training.train(model, dataset, cfg, loss)
+    model, history = training.train(model, X, Y, cfg, loss)
     return [_write(out_dir, "code_spec.json", spec.to_json),
             _write(out_dir, "model.json", lambda p: save_model(model, p)),
             _write(out_dir, "history.csv",
@@ -241,10 +239,10 @@ def cmd_gradcheck(v, seed, workers, out_dir):
     for i in range(n_nets):
         sizes = [int(rng.integers(1, m + 1)) for m in max_layers]
         model = training.init_model(sizes, int(rng.integers(0, 2 ** 63)))
-        example = training.Example(rng.standard_normal(sizes[0]),
-                                   rng.uniform(0.1, 0.9, sizes[-1]))
-        bp = training.backprop_gradient(model, example, loss)
-        fd = training.finite_difference_gradient(model, example, loss)
+        x = rng.standard_normal(sizes[0])
+        y = rng.uniform(0.1, 0.9, sizes[-1])
+        bp = training.backprop_gradient(model, x, y, loss)
+        fd = training.finite_difference_gradient(model, x, y, loss)
         err = 0.0
         for (bw, bb), (fw, fb) in zip(bp, fd):
             scale_w = np.maximum(np.abs(fw), 1e-8)

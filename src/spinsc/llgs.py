@@ -283,6 +283,8 @@ def simulate_pulse(m0, pulse: SpinCurrentPulse, params: DeviceParams,
     if relax_time < 0:
         raise DomainError("relax_time must be non-negative")
     m0 = np.asarray(m0, dtype=float)
+    if m0.shape != (3,) or not abs(np.linalg.norm(m0) - 1.0) <= 1e-12:
+        raise DomainError("m0 must be a finite unit 3-vector")
     n_pulse = max(1, int(round(pulse.duration / params.dt)))
     n_relax = int(round(relax_time / params.dt))
     rng = derive_rng(seed, "trajectory")

@@ -5,10 +5,10 @@ weighted sum accumulates columns in ascending input index, so repeated
 runs are bit-identical and a batch of inputs gives each row the bits it
 gets alone.  Deterministic models run `forward` / `forward_trace` over
 (..., n_in) batches and apply the mathematical sigmoid.  Stochastic
-models run `forward_rate`: each neuron emits a 0/1 spike with the sigmoid
-as its firing probability (optionally routed through a fitted device
-curve via a current scale), and the spikes are averaged over a window of
-passes batched as rows.
+models run `forward_rate` on (..., n_in) batches, one seed per input:
+each neuron emits a 0/1 spike with the sigmoid as its firing probability
+(optionally routed through a fitted device curve via a current scale),
+and the spikes are averaged over a window of passes batched as rows.
 """
 
 from dataclasses import dataclass
@@ -38,6 +38,7 @@ DETERMINISTIC = "deterministic-sigmoid"
 STOCHASTIC = "stochastic-firing"
 
 MODEL_FORMAT_VERSION = 1
+_CHUNK_BYTES = 1 << 18    # uniform draws forward_rate holds at a time
 
 
 def sigmoid(x):
@@ -132,30 +133,38 @@ def forward(model: NetworkModel, x) -> np.ndarray:
     return forward_trace(model, x)[-1]
 
 
-def forward_rate(model: NetworkModel, x, window: int, seed: int) -> np.ndarray:
-    """Rate-coded stochastic inference on one input x of shape (n_in,): the
-    mean spike output over `window` forward passes, run as one
-    (window, n) batch.  Every neuron, outputs included, spikes with its
-    firing probability; row w of the uniform draws is pass w's, layer by
-    layer, so the passes consume the "rate-window" stream in order."""
+def forward_rate(model: NetworkModel, x, window: int, seed) -> np.ndarray:
+    """Mean spike output (..., n_out) over `window` passes on inputs x
+    (..., n_in), seed of shape x.shape[:-1] (a scalar for one input); every
+    neuron spikes with its firing probability.  Input i's pass w uses row w
+    of derive_rng(seed[i], "rate-window").random((window, sum of widths)),
+    whatever the other inputs; passes run batched, _CHUNK_BYTES of draws at once."""
     if model.activation_mode != STOCHASTIC:
         raise DomainError("forward_rate needs a stochastic-firing model")
     if window < 1:
         raise DomainError("window must be >= 1")
     x = np.asarray(x, dtype=float)
-    if x.shape != (model.input_dim,):
-        raise ShapeError(f"input shape {x.shape} != ({model.input_dim},)")
+    if x.shape[-1:] != (model.input_dim,) or np.shape(seed) != x.shape[:-1]:
+        raise ShapeError(f"need inputs (..., {model.input_dim}) and one seed "
+                         f"each, got x{x.shape}, seed{np.shape(seed)}")
     sizes = [layer.weights.shape[0] for layer in model.layers]
-    draws = derive_rng(seed, "rate-window").random((window, sum(sizes)))
     fit = model.neuron_fit if model.unit_current > 0.0 else None
-    a = np.broadcast_to(x, (window, x.size))
-    start = 0
-    for layer, n in zip(model.layers, sizes):
-        pre = weighted_sum(a, layer.weights, layer.bias)
-        p = sigmoid(pre) if fit is None else fit.predict(pre * model.unit_current)
-        a = (draws[:, start:start + n] < p).astype(float)
-        start += n
-    return a.sum(axis=0) / window
+    inputs, seeds = x.reshape(-1, x.shape[-1]), np.reshape(seed, -1)
+    out = np.empty((len(inputs), sizes[-1]))
+    chunk = max(1, _CHUNK_BYTES // (8 * window * sum(sizes)))
+    for lo in range(0, len(inputs), chunk):
+        part = inputs[lo:lo + chunk]
+        draws = np.empty((len(part), window, sum(sizes)))
+        for row, s in zip(draws, seeds[lo:lo + chunk]):
+            derive_rng(int(s), "rate-window").random(out=row)
+        a = np.broadcast_to(part[:, None], draws.shape[:2] + part.shape[1:])
+        for layer, d in zip(model.layers,
+                            np.split(draws, np.cumsum(sizes)[:-1], axis=-1)):
+            pre = weighted_sum(a, layer.weights, layer.bias)
+            p = sigmoid(pre) if fit is None else fit.predict(pre * model.unit_current)
+            a = (d < p).astype(float)
+        out[lo:lo + chunk] = a.sum(axis=1) / window
+    return out.reshape(x.shape[:-1] + (sizes[-1],))
 
 
 def save_model(model: NetworkModel, path):

@@ -3,7 +3,8 @@
 Index convention: natural order throughout (no bit-reversal).  The
 encoder applies the [[1,0],[1,1]] kernel by in-place butterflies; the SC
 decoder uses the exact check-node rule in its numerically safe log form
-(min-sum available behind a flag).  Ties decode to bit 0.
+(min-sum available behind a flag).  Ties decode to bit 0.  Encoders and
+both decoders take one word (N,) or a block of words (..., N).
 """
 
 from dataclasses import dataclass
@@ -29,6 +30,7 @@ __all__ = [
     "bpsk_awgn",
     "generate_frames",
     "sc_decode",
+    "llr_features",
     "neural_sc_decode",
     "ber_experiment",
     "write_ber_csv",
@@ -227,24 +229,28 @@ def _decode_result(u_hat, spec, truth):
     return DecodeResult(u_hat=u_hat, message_hat=message_hat, bit_errors=errors)
 
 
+def llr_features(llrs) -> np.ndarray:
+    """The neural decoder's inputs: LLRs squashed elementwise by tanh(llr/2)."""
+    return np.tanh(np.asarray(llrs, dtype=float) / 2.0)
+
+
 def neural_sc_decode(out: ChannelOutput, model: NetworkModel,
                      spec: PolarCodeSpec, window: int = 64,
-                     seed: int = 0, truth=None) -> DecodeResult:
-    """One-shot dense decoder: llrs squashed by tanh(llr/2), forward pass,
-    outputs thresholded at 0.5 (0.5 decodes to bit 0).  Stochastic-firing
-    models average spikes over `window` passes before thresholding."""
+                     seed=0, truth=None) -> DecodeResult:
+    """One-shot dense decoder of LLRs (..., N): llr_features, forward pass,
+    outputs (..., K) thresholded at 0.5 (0.5 decodes to bit 0).  A
+    stochastic-firing model averages spikes over `window` passes first,
+    with a seed per frame (seed has shape llrs.shape[:-1])."""
     llr = np.asarray(out.llrs, dtype=float)
-    if llr.shape != (spec.N,):
+    if llr.shape[-1:] != (spec.N,):
         raise ShapeError(f"LLR length must be {spec.N}")
     if model.input_dim != spec.N or model.output_dim != spec.K:
         raise ShapeError("model dimensions do not match the code spec")
-    x = np.tanh(llr / 2.0)
-    if model.activation_mode == DETERMINISTIC:
-        y = forward(model, x)
-    else:
-        y = forward_rate(model, x, window, seed)
-    u_hat = np.zeros(spec.N, dtype=np.uint8)
-    u_hat[~spec.frozen] = y > 0.5
+    x = llr_features(llr)
+    y = (forward(model, x) if model.activation_mode == DETERMINISTIC
+         else forward_rate(model, x, window, seed))
+    u_hat = np.zeros(llr.shape, dtype=np.uint8)
+    u_hat[..., ~spec.frozen] = y > 0.5
     return _decode_result(u_hat, spec, truth)
 
 
@@ -259,14 +265,9 @@ def _ber_point(args):
             spec, seed, ("ber", point_index), block, [snr_db] * len(block))
         out = ChannelOutput(llrs=llrs, snr_db=snr_db)
         t0 = time.perf_counter()
-        if decoder == "classical":
-            message_hat = sc_decode(out, spec).message_hat
-        else:
-            message_hat = np.array([
-                neural_sc_decode(ChannelOutput(llrs=row, snr_db=snr_db),
-                                 model, spec, window=window,
-                                 seed=int(frame_seed)).message_hat
-                for row, frame_seed in zip(out.llrs, frame_seeds)])
+        result = (sc_decode(out, spec) if decoder == "classical" else
+                  neural_sc_decode(out, model, spec, window, frame_seeds))
+        message_hat = result.message_hat
         decode_time += time.perf_counter() - t0
         errs = np.count_nonzero(message_hat != messages, axis=1)
         bit_errors += int(errs.sum())
@@ -289,8 +290,8 @@ def ber_experiment(spec: PolarCodeSpec, decoder: str, snr_list, min_frames: int,
 
     Every frame draws its message and noise from a dedicated substream of
     (seed, point index, frame index), so results do not depend on worker
-    count, scheduling or block size.  Frames are generated, and decoded by
-    classical SC, in blocks of at most FRAME_BLOCK.
+    count, scheduling or block size.  Frames are generated and decoded in
+    blocks of at most FRAME_BLOCK.
     """
     if min_frames < 1:
         raise DomainError("min_frames must be >= 1")

@@ -1,11 +1,12 @@
 """Backpropagation and the three gradient-descent variants.
 
-All three optimizers share one batch update: the gradient of a block of
-examples, one per row, summed in ascending row order and averaged; so
-minibatch(B=1) is bit-identical to SGD and minibatch(B=n) to full GD.
-Losses are computed for a block at once too.  Only deterministic-sigmoid
-models are differentiated; stochastic-firing networks reuse weights
-trained in deterministic mode.
+A dataset is inputs X (B, n_in) and targets Y (B, n_out), one example per
+row.  All three optimizers share one batch update: the gradient of the
+rows, summed in ascending row order and averaged; so minibatch(B=1) is
+bit-identical to SGD and minibatch(B=n) to full GD.  Losses are computed
+for a block at once too.  Only deterministic-sigmoid models are
+differentiated; stochastic-firing networks reuse weights trained in
+deterministic mode.
 """
 
 from dataclasses import dataclass, replace
@@ -13,12 +14,11 @@ import math
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, UnsupportedModeError
+from .errors import DivergenceError, DomainError, ShapeError, UnsupportedModeError
 from .network import DETERMINISTIC, Layer, NetworkModel, forward_trace
 from .rngtools import derive_rng
 
 __all__ = [
-    "Example",
     "LossSpec",
     "OptimizerConfig",
     "init_model",
@@ -35,16 +35,6 @@ SQUARED_ERROR = "squared-error"
 CROSS_ENTROPY = "binary-cross-entropy"
 
 DIVERGENCE_GUARD = 1e6
-
-
-@dataclass(frozen=True)
-class Example:
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -93,14 +83,20 @@ def init_model(layer_sizes, seed: int, bias_enabled: bool = True,
                         output_activation=output_activation)
 
 
-def _stack(examples):
-    """(inputs, targets) of a sequence of examples, one row each."""
-    return (np.stack([ex.x for ex in examples]),
-            np.stack([ex.y for ex in examples]))
+def _rows(model: NetworkModel, X, Y):
+    """Inputs X (B, n_in) and targets Y (B, n_out) as floats, B >= 1."""
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    if X.ndim != 2 or Y.shape != (len(X), model.output_dim):
+        raise ShapeError(f"need (B, n_in) inputs and (B, {model.output_dim}) "
+                         f"targets, got X{X.shape}, Y{Y.shape}")
+    if not len(X):
+        raise DomainError("need at least one example")
+    return X, Y
 
 
 def _row_losses(model: NetworkModel, X, Y, loss: LossSpec) -> np.ndarray:
-    """Loss of each row of (..., n_in) inputs X against (..., n_out) targets Y."""
+    """Loss of each row of inputs X (B, n_in) against targets Y (B, n_out)."""
+    X, Y = _rows(model, X, Y)
     y_hat = forward_trace(model, X)[-1]
     if loss.kind == SQUARED_ERROR:
         d = y_hat - Y
@@ -110,16 +106,16 @@ def _row_losses(model: NetworkModel, X, Y, loss: LossSpec) -> np.ndarray:
     return -np.sum(Y * np.log(y_hat) + (1.0 - Y) * np.log(1.0 - y_hat), axis=-1)
 
 
-def loss_value(model: NetworkModel, example: Example, loss: LossSpec) -> float:
-    return float(_row_losses(model, example.x, example.y, loss))
+def loss_value(model: NetworkModel, x, y, loss: LossSpec) -> float:
+    """Loss of one example: input x (n_in,) against target y (n_out,)."""
+    return float(_row_losses(model, [x], [y], loss)[0])
 
 
-def mean_loss(model: NetworkModel, dataset, loss: LossSpec) -> float:
-    """Mean of the per-example losses, added in dataset order."""
-    if not dataset:
-        raise DomainError("dataset must be non-empty")
-    X, Y = _stack(dataset)
-    return sum(_row_losses(model, X, Y, loss).tolist()) / len(dataset)
+def mean_loss(model: NetworkModel, X, Y, loss: LossSpec) -> float:
+    """Mean of the losses of the rows of X (B, n_in) against Y (B, n_out),
+    added in row order."""
+    losses = _row_losses(model, X, Y, loss)
+    return sum(losses.tolist()) / len(losses)
 
 
 def _gradient_sum(model: NetworkModel, X, Y, loss: LossSpec) -> list:
@@ -127,10 +123,9 @@ def _gradient_sum(model: NetworkModel, X, Y, loss: LossSpec) -> list:
     Y (B, n_out), added in ascending row order; one (dW, db) per layer."""
     if model.activation_mode != DETERMINISTIC:
         raise UnsupportedModeError("stochastic firing is not differentiated")
+    X, Y = _rows(model, X, Y)
     activations = forward_trace(model, X)
     y_hat = activations[-1]
-    if Y.shape != y_hat.shape:
-        raise DomainError("target dimension does not match network output")
     sigmoid_output = model.output_activation == "sigmoid"
     if loss.kind == CROSS_ENTROPY and not sigmoid_output:
         raise DomainError("cross-entropy requires a sigmoid output")
@@ -152,52 +147,44 @@ def _gradient_sum(model: NetworkModel, X, Y, loss: LossSpec) -> list:
     return grads
 
 
-def backprop_gradient(model: NetworkModel, example: Example,
-                      loss: LossSpec) -> list:
-    """Exact reverse-mode gradient; one (dW, db) pair per layer."""
-    return _gradient_sum(model, example.x[None], example.y[None], loss)
+def backprop_gradient(model: NetworkModel, x, y, loss: LossSpec) -> list:
+    """Exact reverse-mode gradient of one example, input x (n_in,) and
+    target y (n_out,); one (dW, db) pair per layer."""
+    return _gradient_sum(model, [x], [y], loss)
 
 
-def _apply_update(model: NetworkModel, grad_sum, count: int,
-                  rate: float) -> NetworkModel:
-    layers = []
-    for layer, (dW, db) in zip(model.layers, grad_sum):
-        layers.append(Layer(layer.weights - rate * (dW / count),
-                            layer.bias - rate * (db / count)))
-    return replace(model, layers=layers)
-
-
-def minibatch_step(model: NetworkModel, batch, rate: float,
+def minibatch_step(model: NetworkModel, X, Y, rate: float,
                    loss: LossSpec) -> NetworkModel:
-    """One update with the mean gradient over the batch (ascending order)."""
-    if not batch:
-        raise DomainError("batch must be non-empty")
-    X, Y = _stack(batch)
-    return _apply_update(model, _gradient_sum(model, X, Y, loss), len(batch), rate)
+    """One update with the mean gradient over the rows of X (B, n_in) and
+    Y (B, n_out), added in ascending row order."""
+    grads = _gradient_sum(model, X, Y, loss)
+    return replace(model, layers=[
+        Layer(layer.weights - rate * (dW / len(X)), layer.bias - rate * (db / len(X)))
+        for layer, (dW, db) in zip(model.layers, grads)])
 
 
-def gd_step(model: NetworkModel, dataset, rate: float,
+def gd_step(model: NetworkModel, X, Y, rate: float,
             loss: LossSpec) -> NetworkModel:
-    """Full-batch update over the whole dataset."""
-    return minibatch_step(model, dataset, rate, loss)
+    """Full-batch update over the whole dataset X (B, n_in), Y (B, n_out)."""
+    return minibatch_step(model, X, Y, rate, loss)
 
 
-def sgd_step(model: NetworkModel, example: Example, rate: float,
+def sgd_step(model: NetworkModel, x, y, rate: float,
              loss: LossSpec) -> NetworkModel:
-    """Single-example update."""
-    return minibatch_step(model, [example], rate, loss)
+    """Update from one example, input x (n_in,) and target y (n_out,)."""
+    return minibatch_step(model, [x], [y], rate, loss)
 
 
-def train(model: NetworkModel, dataset, config: OptimizerConfig,
+def train(model: NetworkModel, X, Y, config: OptimizerConfig,
           loss: LossSpec):
-    """Run the configured optimizer; returns (model, per-epoch mean loss).
+    """Run the configured optimizer on the dataset X (B, n_in), Y (B, n_out);
+    returns (model, per-epoch mean loss).
 
     SGD and minibatch reshuffle the example order every epoch from the
     dedicated shuffle seed (Fisher-Yates); full GD never shuffles.
     """
-    if not dataset:
-        raise DomainError("dataset must be non-empty")
-    n = len(dataset)
+    X, Y = _rows(model, X, Y)
+    n = len(X)
     if config.kind == "minibatch" and config.batch_size > n:
         raise DomainError("batch_size exceeds dataset size")
     shuffle_rng = derive_rng(config.shuffle_seed, "shuffle")
@@ -205,15 +192,16 @@ def train(model: NetworkModel, dataset, config: OptimizerConfig,
     step = 0
     for _ in range(config.epochs):
         if config.kind == "gd":
-            order, batch_size = range(n), n
+            order, batch_size = np.arange(n), n
         else:
             order = shuffle_rng.permutation(n)
             batch_size = 1 if config.kind == "sgd" else config.batch_size
         for start in range(0, n, batch_size):
-            batch = [dataset[i] for i in order[start:start + batch_size]]
-            model = minibatch_step(model, batch, config.rate_at(step), loss)
+            idx = order[start:start + batch_size]
+            model = minibatch_step(model, X[idx], Y[idx], config.rate_at(step),
+                                   loss)
             step += 1
-        epoch_loss = mean_loss(model, dataset, loss)
+        epoch_loss = mean_loss(model, X, Y, loss)
         history.append(epoch_loss)
         if not math.isfinite(epoch_loss) or epoch_loss > DIVERGENCE_GUARD:
             raise DivergenceError(
@@ -221,15 +209,16 @@ def train(model: NetworkModel, dataset, config: OptimizerConfig,
     return model, history
 
 
-def finite_difference_gradient(model: NetworkModel, example: Example,
-                               loss: LossSpec, h: float = 1e-5) -> list:
-    """Central-difference gradient, independent of backprop; for checking."""
+def finite_difference_gradient(model: NetworkModel, x, y, loss: LossSpec,
+                               h: float = 1e-5) -> list:
+    """Central-difference gradient of one example, input x (n_in,) and
+    target y (n_out,), independent of backprop; for checking."""
     def central(params, idx):
         base = params[idx]
         params[idx] = base + h
-        up = loss_value(model, example, loss)
+        up = loss_value(model, x, y, loss)
         params[idx] = base - h
-        down = loss_value(model, example, loss)
+        down = loss_value(model, x, y, loss)
         params[idx] = base
         return (up - down) / (2.0 * h)
 

@@ -22,7 +22,7 @@ from spinsc.network import STOCHASTIC, NetworkModel, load_model
 from spinsc.polar import (ChannelOutput, PolarCodeSpec, bpsk_awgn,
                           construct_frozen_set, encode, neural_sc_decode,
                           ber_experiment, polar_transform, sc_decode)
-from spinsc.training import (SQUARED_ERROR, Example, LossSpec, backprop_gradient,
+from spinsc.training import (SQUARED_ERROR, LossSpec, backprop_gradient,
                              gd_step, init_model, loss_value, minibatch_step,
                              sgd_step)
 from spinsc.rngtools import derive_rng
@@ -132,7 +132,7 @@ def test_criterion_04_sc_arithmetic_concentration():
                            f"{len(passes)} (op, p, q) cells (>=99)")
 
 
-def _fd_gradient(model, example, loss, h=1e-6):
+def _fd_gradient(model, x, y, loss, h=1e-6):
     grads = []
     for layer in model.layers:
         dW = np.zeros_like(layer.weights)
@@ -140,17 +140,17 @@ def _fd_gradient(model, example, loss, h=1e-6):
         for idx in np.ndindex(layer.weights.shape):
             orig = layer.weights[idx]
             layer.weights[idx] = orig + h
-            lp = loss_value(model, example, loss)
+            lp = loss_value(model, x, y, loss)
             layer.weights[idx] = orig - h
-            lm = loss_value(model, example, loss)
+            lm = loss_value(model, x, y, loss)
             layer.weights[idx] = orig
             dW[idx] = (lp - lm) / (2 * h)
         for j in range(layer.bias.size):
             orig = layer.bias[j]
             layer.bias[j] = orig + h
-            lp = loss_value(model, example, loss)
+            lp = loss_value(model, x, y, loss)
             layer.bias[j] = orig - h
-            lm = loss_value(model, example, loss)
+            lm = loss_value(model, x, y, loss)
             layer.bias[j] = orig
             db[j] = (lp - lm) / (2 * h)
         grads.append((dW, db))
@@ -164,10 +164,10 @@ def test_criterion_05_gradient_correctness():
     for _ in range(100):
         sizes = [int(rng.integers(1, m + 1)) for m in (4, 8, 4)]
         model = init_model(sizes, int(rng.integers(0, 2 ** 63)))
-        ex = Example(rng.standard_normal(sizes[0]),
-                     rng.uniform(0.1, 0.9, sizes[-1]))
-        bp = backprop_gradient(model, ex, loss)
-        fd = _fd_gradient(model, ex, loss)
+        x = rng.standard_normal(sizes[0])
+        y = rng.uniform(0.1, 0.9, sizes[-1])
+        bp = backprop_gradient(model, x, y, loss)
+        fd = _fd_gradient(model, x, y, loss)
         for (bw, bb), (fw, fb) in zip(bp, fd):
             worst = max(worst, float(np.max(
                 np.abs(bw - fw) / np.maximum(np.abs(fw), 1e-8))))
@@ -181,13 +181,13 @@ def test_criterion_06_optimizer_identities():
     loss = LossSpec(SQUARED_ERROR)
     rng = derive_rng(6, "acc-opt")
     model = init_model([3, 5, 2], 61)
-    dataset = [Example(rng.standard_normal(3), rng.uniform(0, 1, 2))
-               for _ in range(6)]
+    rows = [(rng.standard_normal(3), rng.uniform(0, 1, 2)) for _ in range(6)]
+    X, Y = np.array([x for x, _ in rows]), np.array([y for _, y in rows])
     exact = True
-    b1 = minibatch_step(model, dataset[:1], 0.3, loss)
-    s1 = sgd_step(model, dataset[0], 0.3, loss)
-    bn = minibatch_step(model, dataset, 0.3, loss)
-    gd = gd_step(model, dataset, 0.3, loss)
+    b1 = minibatch_step(model, X[:1], Y[:1], 0.3, loss)
+    s1 = sgd_step(model, X[0], Y[0], 0.3, loss)
+    bn = minibatch_step(model, X, Y, 0.3, loss)
+    gd = gd_step(model, X, Y, 0.3, loss)
     for x, y in ((b1, s1), (bn, gd)):
         for lx, ly in zip(x.layers, y.layers):
             exact &= np.array_equal(lx.weights, ly.weights)
@@ -196,12 +196,12 @@ def test_criterion_06_optimizer_identities():
     for i, layer in enumerate(gd.layers):
         acc_w = np.zeros_like(layer.weights)
         acc_b = np.zeros_like(layer.bias)
-        for ex in dataset:
-            s = sgd_step(model, ex, 0.3, loss)
+        for x, y in zip(X, Y):
+            s = sgd_step(model, x, y, 0.3, loss)
             acc_w += s.layers[i].weights
             acc_b += s.layers[i].bias
-        gap = max(gap, float(np.max(np.abs(acc_w / len(dataset) - layer.weights))))
-        gap = max(gap, float(np.max(np.abs(acc_b / len(dataset) - layer.bias))))
+        gap = max(gap, float(np.max(np.abs(acc_w / len(X) - layer.weights))))
+        gap = max(gap, float(np.max(np.abs(acc_b / len(X) - layer.bias))))
     ok = exact and gap <= 1e-12
     report(6, ok, f"B=1==SGD and B=n==GD bit-exact, "
                   f"SGD-mean vs GD gap {gap:.1e} (<=1e-12)")

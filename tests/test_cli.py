@@ -349,6 +349,15 @@ class TestErrors:
         assert "error: [scarith] needs length >= 1" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    def test_empty_scarith_values(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "s.cfg",
+                        SC_ARITH_CFG.replace("values = 0.3, 0.7", "values ="))
+        out = tmp_path / "out"
+        assert run("sc-arith-bench", cfg, out) == 2
+        assert "values in [0, 1], got length 4096, values []" in \
+            capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_empty_dataset_snrs(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "t.cfg",
                         TRAIN_CFG.replace("snrs_db = 2.0", "snrs_db ="))

@@ -185,12 +185,23 @@ class TestSimulatePulse:
             simulate_pulse(tilted(0.1), SpinCurrentPulse(0.0, 1e-12), p,
                            -1.0, seed=0)
 
+    @pytest.mark.parametrize("m0", [
+        [0.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0, 0.0], [[0.0, 0.0, 1.0]],
+        [np.nan, 0.0, 1.0], [0.0, np.inf, 1.0], [0.0, 0.0, 1.0 + 1e-9],
+        [0.6, 0.0, 0.6]], ids=["zero", "2-vector", "4-vector", "row", "nan",
+                               "inf", "near-unit", "non-unit"])
+    def test_invalid_start_rejected(self, m0):
+        p = default_device_params(T=0.0)
+        with pytest.raises(DomainError, match="m0 must be a finite unit 3-vector"):
+            simulate_pulse(m0, SpinCurrentPulse(0.0, 1e-12), p, 0.0, seed=0)
+
     @pytest.mark.parametrize("trials", [1, 2])
     @pytest.mark.parametrize("start", ["tilted", "zero"])
     def test_non_finite_step_raises(self, trials, start):
         """dt = 1e300 overflows the first step and a zero start vector has
-        zero norm: both widths raise StepFaultError, the float width never
-        ZeroDivisionError or OverflowError."""
+        zero norm: both widths of _integrate raise StepFaultError, the float
+        width never ZeroDivisionError or OverflowError.  simulate_pulse
+        rejects the zero start before stepping."""
         p = DeviceParams(alpha=0.01, Ms=1e6, V=1e-24, T=0.0, dt=1e300, Hk=1e4)
         m0 = tilted(0.5) if start == "tilted" else np.zeros(3)
         rngs = [derive_rng(0, "trial", i) for i in range(trials)]
@@ -198,7 +209,8 @@ class TestSimulatePulse:
             _integrate(np.tile(m0, (trials, 1)), [(1, np.array([0.0, 0.0, 1e-4]))],
                        p, rngs)
         if trials == 1:
-            with np.errstate(all="ignore"), pytest.raises(StepFaultError):
+            error = StepFaultError if start == "tilted" else DomainError
+            with np.errstate(all="ignore"), pytest.raises(error):
                 simulate_pulse(m0, SpinCurrentPulse(1e-4, 1e300), p, 0.0, seed=0)
 
     def test_trajectory_csv_export(self, tmp_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spinsc import network
 from spinsc.errors import DomainError, FormatError, ShapeError
 from spinsc.mtj import SigmoidFit
 from spinsc.network import (STOCHASTIC, Layer, NetworkModel, forward,
@@ -134,6 +135,27 @@ class TestForward:
         assert np.array_equal(forward_rate(model, x, window, seed=11),
                               acc / window)
 
+    @pytest.mark.parametrize("device", [None, (2e4, 1e-3, 1e-3)],
+                             ids=["sigmoid", "device"])
+    def test_rate_block_equals_rows(self, device):
+        sizes, window = [5, 9, 3], 64
+        rng = derive_rng(6, "rate-block", device is None)
+        fit, unit = (None, 0.0) if device is None else (
+            SigmoidFit(a=device[0], b=device[1], r_squared=1.0), device[2])
+        model = NetworkModel(
+            layers=[Layer(rng.standard_normal((m, n)) * 2, rng.standard_normal(m))
+                    for n, m in zip(sizes, sizes[1:])],
+            activation_mode=STOCHASTIC, neuron_fit=fit, unit_current=unit)
+        chunk = network._CHUNK_BYTES // (8 * window * sum(sizes[1:]))
+        batch = (2, chunk + 3)                 # crosses two chunk boundaries
+        X = rng.standard_normal(batch + (sizes[0],))
+        seeds = rng.integers(0, 2 ** 63, batch)
+        block = forward_rate(model, X, window, seeds)
+        assert block.shape == batch + (sizes[-1],)
+        for idx in np.ndindex(batch):
+            assert np.array_equal(
+                block[idx], forward_rate(model, X[idx], window, int(seeds[idx])))
+
     @pytest.mark.parametrize("batch", [(1,), (6,), (2, 3)])
     def test_trace_block_equals_rows(self, batch):
         rng = derive_rng(5, "trace-block", *batch)
@@ -157,8 +179,9 @@ class TestForward:
             forward(sto, np.zeros(2))
         with pytest.raises(DomainError):
             forward_rate(two_layer_model(), np.zeros(2), 4, seed=1)
-        with pytest.raises(ShapeError):
-            forward_rate(sto, np.zeros((3, 2)), 4, seed=1)
+        for seed in (1, [1, 2], [[1, 2, 3]]):
+            with pytest.raises(ShapeError):
+                forward_rate(sto, np.zeros((3, 2)), 4, seed=seed)
 
     def test_hidden_unit_permutation_invariance(self):
         model = two_layer_model()

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from spinsc.cli import main as cli_main
 from spinsc.errors import DomainError, FormatError, ShapeError
-from spinsc.network import Layer, NetworkModel
+from spinsc.mtj import SigmoidFit
+from spinsc.network import DETERMINISTIC, STOCHASTIC, Layer, NetworkModel
 from spinsc.polar import (ChannelOutput, PolarCodeSpec, bpsk_awgn,
                           construct_frozen_set, encode, generate_frames,
                           neural_sc_decode, ber_experiment, polar_transform,
@@ -298,12 +299,44 @@ class TestNeuralDecode:
         # every pre-threshold output is exactly 0.5; the tie maps to bit 0
         assert not res.message_hat.any()
 
+    @pytest.mark.parametrize("mode", ["deterministic", "stochastic", "device"])
+    def test_block_equals_frame_by_frame(self, mode):
+        spec = construct_frozen_set(8, 4)
+        rng = derive_rng(12, "neural-block", mode)
+        fit = SigmoidFit(a=1.2e3, b=1e-4, r_squared=1.0)
+        model = NetworkModel(
+            layers=[Layer(rng.standard_normal((6, 8)), rng.standard_normal(6)),
+                    Layer(rng.standard_normal((4, 6)), rng.standard_normal(4))],
+            activation_mode=DETERMINISTIC if mode == "deterministic" else STOCHASTIC,
+            neuron_fit=fit if mode == "device" else None,
+            unit_current=1e-3 if mode == "device" else 0.0)
+        msgs, llrs, seeds = generate_frames(spec, 4, ("nb",), range(40), [2.0] * 40)
+        llrs[1] = 0.0                    # a frame of zero LLRs
+        block = neural_sc_decode(ChannelOutput(llrs, 2.0), model, spec,
+                                 window=16, seed=seeds, truth=msgs)
+        rows = [neural_sc_decode(ChannelOutput(llr, 2.0), model, spec, window=16,
+                                 seed=int(seed), truth=msg)
+                for llr, seed, msg in zip(llrs, seeds, msgs)]
+        assert block.u_hat.shape == (40, 8) and block.message_hat.shape == (40, 4)
+        assert np.array_equal(block.u_hat, np.array([r.u_hat for r in rows]))
+        assert np.array_equal(block.message_hat,
+                              np.array([r.message_hat for r in rows]))
+        assert block.bit_errors == sum(r.bit_errors for r in rows)
+        assert not block.u_hat[:, spec.frozen].any()
+
     def test_dimension_mismatch(self):
         spec = construct_frozen_set(8, 4)
         model = NetworkModel(layers=[Layer(np.zeros((4, 16)), np.zeros(4))])
         out = ChannelOutput(np.zeros(8), 0.0)
         with pytest.raises(ShapeError):
             neural_sc_decode(out, model, spec)
+        fitting = NetworkModel(layers=[Layer(np.zeros((4, 8)), np.zeros(4))],
+                               activation_mode=STOCHASTIC)
+        with pytest.raises(ShapeError):            # LLR blocks of length 4
+            neural_sc_decode(ChannelOutput(np.zeros((3, 4)), 0.0), fitting, spec)
+        with pytest.raises(ShapeError):            # one seed for three frames
+            neural_sc_decode(ChannelOutput(np.zeros((3, 8)), 0.0), fitting, spec,
+                             seed=1)
 
 
 class TestBerExperiment:
@@ -390,16 +423,16 @@ def _neural_ber_cfg(tmp_path, relabel):
 @pytest.mark.parametrize("entry", GOLDEN, ids=_golden_id)
 def test_golden_output_hashes(entry, tmp_path):
     """Seeded data files keep the bytes recorded in tests/golden.json."""
-    workers = [[]]
+    runs = [[]]                                  # extra CLI flags per run
     if "model" in entry:
         cfg = _neural_ber_cfg(tmp_path, NEURAL_MODELS[entry["model"]])
-        workers = [["--workers", "1"], ["--workers", "2"]]
+        runs = [["--workers", "1"], ["--workers", "2"]]
     elif entry["config"] == "REPRO_CONFIGS":
         cfg = tmp_path / "run.cfg"
         cfg.write_text(REPRO_CONFIGS[entry["command"]])
     else:
         cfg = os.path.join(ROOT, entry["config"])
-    for i, flags in enumerate(workers):
+    for i, flags in enumerate(runs):
         out = tmp_path / f"out{i}"
         assert cli_main([entry["command"], "--config", str(cfg),
                          "--out-dir", str(out), *flags]) == 0

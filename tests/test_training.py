@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from spinsc.errors import DivergenceError, DomainError, UnsupportedModeError
+from spinsc.errors import (DivergenceError, DomainError, ShapeError,
+                           UnsupportedModeError)
 from spinsc.network import STOCHASTIC, Layer, NetworkModel
-from spinsc.training import (CROSS_ENTROPY, SQUARED_ERROR, Example, LossSpec,
+from spinsc.training import (CROSS_ENTROPY, SQUARED_ERROR, LossSpec,
                              OptimizerConfig, backprop_gradient, gd_step,
                              init_model, loss_value, mean_loss, minibatch_step,
                              sgd_step, train)
@@ -20,10 +21,10 @@ def scalar_quadratic_setup():
     """Identity-output unit without bias: Q = (w - 1)^2 / 2 for x=1, y=1."""
     model = NetworkModel(layers=[Layer(np.array([[0.0]]), np.array([0.0]))],
                          output_activation="identity", bias_enabled=False)
-    return model, Example(np.array([1.0]), np.array([1.0]))
+    return model, np.array([1.0]), np.array([1.0])
 
 
-def fd_gradient(model, example, loss, h=1e-6):
+def fd_gradient(model, x, y, loss, h=1e-6):
     """Oracle: central finite differences, written independently of the
     package's own checker."""
     grads = []
@@ -33,17 +34,17 @@ def fd_gradient(model, example, loss, h=1e-6):
         for idx in np.ndindex(layer.weights.shape):
             orig = layer.weights[idx]
             layer.weights[idx] = orig + h
-            lp = loss_value(model, example, loss)
+            lp = loss_value(model, x, y, loss)
             layer.weights[idx] = orig - h
-            lm = loss_value(model, example, loss)
+            lm = loss_value(model, x, y, loss)
             layer.weights[idx] = orig
             dW[idx] = (lp - lm) / (2 * h)
         for j in range(layer.bias.size):
             orig = layer.bias[j]
             layer.bias[j] = orig + h
-            lp = loss_value(model, example, loss)
+            lp = loss_value(model, x, y, loss)
             layer.bias[j] = orig - h
-            lm = loss_value(model, example, loss)
+            lm = loss_value(model, x, y, loss)
             layer.bias[j] = orig
             db[j] = (lp - lm) / (2 * h)
         grads.append((dW, db))
@@ -64,27 +65,26 @@ def reference_forward(model, x):
     return acts
 
 
-def reference_loss(model, ex, loss):
-    y_hat = reference_forward(model, ex.x)[-1]
+def reference_loss(model, x, y, loss):
+    y_hat = reference_forward(model, x)[-1]
     if loss.kind == SQUARED_ERROR:
-        d = y_hat - ex.y
+        d = y_hat - y
         return 0.5 * float(d @ d)
     y_hat = np.clip(y_hat, 1e-12, 1.0 - 1e-12)
-    return -float(np.sum(ex.y * np.log(y_hat)
-                         + (1.0 - ex.y) * np.log(1.0 - y_hat)))
+    return -float(np.sum(y * np.log(y_hat) + (1.0 - y) * np.log(1.0 - y_hat)))
 
 
-def sequential_step(model, batch, rate, loss):
+def sequential_step(model, X, Y, rate, loss):
     """Oracle: the update computed one example at a time, with
     reference_forward, np.outer, += and W.T @ delta."""
     grad_sum = None
-    for ex in batch:
-        acts = reference_forward(model, ex.x)
+    for x, y in zip(X, Y):
+        acts = reference_forward(model, x)
         y_hat = acts[-1]
         if model.output_activation == "identity" or loss.kind == CROSS_ENTROPY:
-            delta = y_hat - ex.y
+            delta = y_hat - y
         else:
-            delta = (y_hat - ex.y) * y_hat * (1.0 - y_hat)
+            delta = (y_hat - y) * y_hat * (1.0 - y_hat)
         grads = []
         for i in range(len(model.layers) - 1, -1, -1):
             db = delta.copy() if model.bias_enabled else np.zeros_like(delta)
@@ -98,8 +98,8 @@ def sequential_step(model, batch, rate, loss):
             for (sW, sb), (dW, db) in zip(grad_sum, grads):
                 sW += dW
                 sb += db
-    return [(layer.weights - rate * (dW / len(batch)),
-             layer.bias - rate * (db / len(batch)))
+    return [(layer.weights - rate * (dW / len(X)),
+             layer.bias - rate * (db / len(X)))
             for layer, (dW, db) in zip(model.layers, grad_sum)]
 
 
@@ -129,20 +129,28 @@ def random_batch_case(case, size, tag):
     model = NetworkModel(layers=[Layer(l.weights, rng.standard_normal(l.bias.size))
                                  for l in model.layers],
                          bias_enabled=bias, output_activation=output)
-    batch = [Example(rng.standard_normal(sizes[0]) * 2,
-                     rng.uniform(0, 1, sizes[-1])) for _ in range(size)]
-    return model, batch, LossSpec(kind)
+    rows = [(rng.standard_normal(sizes[0]) * 2, rng.uniform(0, 1, sizes[-1]))
+            for _ in range(size)]
+    X, Y = (np.array(column) for column in zip(*rows))
+    return model, X, Y, LossSpec(kind)
+
+
+def random_dataset(rng, n, n_in, n_out):
+    """n examples drawn row by row: an input, then its target."""
+    rows = [(rng.standard_normal(n_in), rng.uniform(0, 1, n_out))
+            for _ in range(n)]
+    return tuple(np.array(column) for column in zip(*rows))
 
 
 class TestBackprop:
     loss = LossSpec(SQUARED_ERROR)
 
     def test_zero_gradient_at_optimum(self):
-        g = backprop_gradient(single_unit(), Example([1.0], [0.5]), self.loss)
+        g = backprop_gradient(single_unit(), [1.0], [0.5], self.loss)
         assert np.allclose(g[0][0], 0.0) and np.allclose(g[0][1], 0.0)
 
     def test_hand_chain_rule(self):
-        g = backprop_gradient(single_unit(), Example([1.0], [1.0]), self.loss)
+        g = backprop_gradient(single_unit(), [1.0], [1.0], self.loss)
         assert g[0][0][0, 0] == pytest.approx(-0.125, abs=1e-15)
         assert g[0][1][0] == pytest.approx(-0.125, abs=1e-15)
 
@@ -152,9 +160,9 @@ class TestBackprop:
         rng = derive_rng(0, "fd")
         for trial in range(10):
             model = init_model([2, 3, 1], int(rng.integers(0, 2 ** 62)))
-            ex = Example(rng.standard_normal(2), rng.uniform(0.2, 0.8, 1))
-            bp = backprop_gradient(model, ex, loss)
-            fd = fd_gradient(model, ex, loss)
+            x, y = rng.standard_normal(2), rng.uniform(0.2, 0.8, 1)
+            bp = backprop_gradient(model, x, y, loss)
+            fd = fd_gradient(model, x, y, loss)
             for (bw, bb), (fw, fb) in zip(bp, fd):
                 assert np.allclose(bw, fw, rtol=1e-5, atol=1e-8)
                 assert np.allclose(bb, fb, rtol=1e-5, atol=1e-8)
@@ -163,63 +171,61 @@ class TestBackprop:
         model = NetworkModel(layers=[Layer(np.eye(1), np.zeros(1))],
                              activation_mode=STOCHASTIC)
         with pytest.raises(UnsupportedModeError):
-            backprop_gradient(model, Example([1.0], [0.5]), self.loss)
+            backprop_gradient(model, [1.0], [0.5], self.loss)
 
 
 class TestSteps:
     loss = LossSpec(SQUARED_ERROR)
 
     def test_zero_rate_leaves_model_unchanged(self):
-        model, ex = scalar_quadratic_setup()
+        model, x, y = scalar_quadratic_setup()
         # rate 0 is forbidden by config validation; step APIs take it directly
-        out = sgd_step(model, ex, 0.0, self.loss)
+        out = sgd_step(model, x, y, 0.0, self.loss)
         assert np.array_equal(out.layers[0].weights, model.layers[0].weights)
 
     def test_single_example_gd_equals_sgd(self):
         model = init_model([2, 2, 1], 3)
-        ex = Example([0.2, -0.5], [0.7])
-        a = gd_step(model, [ex], 0.3, self.loss)
-        b = sgd_step(model, ex, 0.3, self.loss)
+        x, y = [0.2, -0.5], [0.7]
+        a = gd_step(model, [x], [y], 0.3, self.loss)
+        b = sgd_step(model, x, y, 0.3, self.loss)
         for la, lb in zip(a.layers, b.layers):
             assert np.array_equal(la.weights, lb.weights)
             assert np.array_equal(la.bias, lb.bias)
 
     def test_quadratic_toy_gd(self):
-        model, ex = scalar_quadratic_setup()
-        out = gd_step(model, [ex, ex], 0.5, self.loss)
+        model, x, y = scalar_quadratic_setup()
+        out = gd_step(model, [x, x], [y, y], 0.5, self.loss)
         assert out.layers[0].weights[0, 0] == pytest.approx(0.5, abs=1e-15)
 
     def test_quadratic_toy_sgd(self):
-        model, ex = scalar_quadratic_setup()
-        out = sgd_step(model, ex, 0.1, self.loss)
+        model, x, y = scalar_quadratic_setup()
+        out = sgd_step(model, x, y, 0.1, self.loss)
         assert out.layers[0].weights[0, 0] == pytest.approx(0.1, abs=1e-15)
 
     def test_sgd_updates_average_to_gd_update(self):
         rng = derive_rng(1, "avg")
         model = init_model([2, 3, 2], 17)
-        dataset = [Example(rng.standard_normal(2), rng.uniform(0, 1, 2))
-                   for _ in range(5)]
-        gd = gd_step(model, dataset, 0.25, self.loss)
+        X, Y = random_dataset(rng, 5, 2, 2)
+        gd = gd_step(model, X, Y, 0.25, self.loss)
         acc = [np.zeros_like(l.weights) for l in model.layers]
         acc_b = [np.zeros_like(l.bias) for l in model.layers]
-        for ex in dataset:
-            stepped = sgd_step(model, ex, 0.25, self.loss)
+        for x, y in zip(X, Y):
+            stepped = sgd_step(model, x, y, 0.25, self.loss)
             for i, l in enumerate(stepped.layers):
                 acc[i] += l.weights
                 acc_b[i] += l.bias
         for i, l in enumerate(gd.layers):
-            assert np.allclose(acc[i] / len(dataset), l.weights, atol=1e-12)
-            assert np.allclose(acc_b[i] / len(dataset), l.bias, atol=1e-12)
+            assert np.allclose(acc[i] / len(X), l.weights, atol=1e-12)
+            assert np.allclose(acc_b[i] / len(X), l.bias, atol=1e-12)
 
     def test_minibatch_degeneracies_bit_exact(self):
         rng = derive_rng(2, "deg")
         model = init_model([3, 4, 2], 23)
-        dataset = [Example(rng.standard_normal(3), rng.uniform(0, 1, 2))
-                   for _ in range(4)]
-        b1 = minibatch_step(model, dataset[:1], 0.4, self.loss)
-        s1 = sgd_step(model, dataset[0], 0.4, self.loss)
-        bn = minibatch_step(model, dataset, 0.4, self.loss)
-        gd = gd_step(model, dataset, 0.4, self.loss)
+        X, Y = random_dataset(rng, 4, 3, 2)
+        b1 = minibatch_step(model, X[:1], Y[:1], 0.4, self.loss)
+        s1 = sgd_step(model, X[0], Y[0], 0.4, self.loss)
+        bn = minibatch_step(model, X, Y, 0.4, self.loss)
+        gd = gd_step(model, X, Y, 0.4, self.loss)
         for x, y in ((b1, s1), (bn, gd)):
             for lx, ly in zip(x.layers, y.layers):
                 assert np.array_equal(lx.weights, ly.weights)
@@ -228,109 +234,125 @@ class TestSteps:
     @pytest.mark.parametrize("size", [1, 2, 33])
     @pytest.mark.parametrize("case", BATCH_CASES, ids=batch_case_id)
     def test_minibatch_matches_sequential_reference(self, case, size):
-        model, batch, loss = random_batch_case(case, size, "mb-seq")
+        model, X, Y, loss = random_batch_case(case, size, "mb-seq")
         # at rate 2**20 the update swamps the weights, so the last bits of
         # the summed gradient show in the result
         for rate in (0.7, 2.0 ** 20):
-            stepped = minibatch_step(model, batch, rate, loss)
-            reference = sequential_step(model, batch, rate, loss)
+            stepped = minibatch_step(model, X, Y, rate, loss)
+            reference = sequential_step(model, X, Y, rate, loss)
             for layer, (w, b) in zip(stepped.layers, reference):
                 assert np.array_equal(layer.weights, w)
                 assert np.array_equal(layer.bias, b)
 
     @pytest.mark.parametrize("case", BATCH_CASES, ids=batch_case_id)
     def test_mean_loss_is_sequential_sum(self, case):
-        model, dataset, loss = random_batch_case(case, 33, "mean-loss")
+        model, X, Y, loss = random_batch_case(case, 33, "mean-loss")
         total = 0.0
-        for ex in dataset:
-            value = loss_value(model, ex, loss)
-            assert value == reference_loss(model, ex, loss)
+        for x, y in zip(X, Y):
+            value = loss_value(model, x, y, loss)
+            assert value == reference_loss(model, x, y, loss)
             total += value
-        assert mean_loss(model, dataset, loss) == total / len(dataset)
+        assert mean_loss(model, X, Y, loss) == total / len(X)
 
     def test_minibatch_mean_of_two_gradients(self):
         rng = derive_rng(3, "mb2")
         model = init_model([2, 2, 1], 29)
-        dataset = [Example(rng.standard_normal(2), rng.uniform(0, 1, 1))
-                   for _ in range(4)]
-        batch = dataset[1:3]
-        stepped = minibatch_step(model, batch, 1.0, self.loss)
-        fd = [fd_gradient(model, ex, self.loss) for ex in batch]
+        X, Y = random_dataset(rng, 4, 2, 1)
+        stepped = minibatch_step(model, X[1:3], Y[1:3], 1.0, self.loss)
+        fd = [fd_gradient(model, x, y, self.loss) for x, y in zip(X[1:3], Y[1:3])]
         for i, layer in enumerate(model.layers):
             mean_dw = (fd[0][i][0] + fd[1][i][0]) / 2
             assert np.allclose(layer.weights - mean_dw,
                                stepped.layers[i].weights, rtol=1e-5, atol=1e-8)
 
+    @staticmethod
+    def batch_calls(model, loss):
+        """Every function that takes a dataset, as f(X, Y)."""
+        cfg = OptimizerConfig(kind="gd", learning_rate=0.1, epochs=0)
+        return [lambda X, Y: gd_step(model, X, Y, 0.1, loss),
+                lambda X, Y: minibatch_step(model, X, Y, 0.1, loss),
+                lambda X, Y: mean_loss(model, X, Y, loss),
+                lambda X, Y: train(model, X, Y, cfg, loss)]
+
     def test_empty_dataset_rejected(self):
-        model, _ = scalar_quadratic_setup()
-        with pytest.raises(DomainError):
-            gd_step(model, [], 0.1, self.loss)
-        with pytest.raises(DomainError):
-            minibatch_step(model, [], 0.1, self.loss)
+        model, _, _ = scalar_quadratic_setup()
+        for call in self.batch_calls(model, self.loss):
+            with pytest.raises(DomainError):
+                call(np.empty((0, 1)), np.empty((0, 1)))
+
+    def test_mismatched_rows_rejected(self):
+        model, _, _ = scalar_quadratic_setup()
+        X = np.array([[1.0], [2.0], [3.0]])
+        for call in self.batch_calls(model, self.loss):
+            # a one-row Y would broadcast against the outputs of X
+            for Y in (np.ones((1, 1)), np.ones((2, 1)), np.ones((4, 1)),
+                      np.ones((3, 2)), np.ones(3)):
+                with pytest.raises(ShapeError):
+                    call(X, Y)
+            with pytest.raises(ShapeError):
+                call(X[:, 0], np.ones(3))
 
 
 class TestTrain:
     loss = LossSpec(SQUARED_ERROR)
 
     def test_zero_epochs_noop(self):
-        model, ex = scalar_quadratic_setup()
+        model, x, y = scalar_quadratic_setup()
         cfg = OptimizerConfig(kind="gd", learning_rate=0.5, epochs=0)
-        out, history = train(model, [ex], cfg, self.loss)
+        out, history = train(model, [x], [y], cfg, self.loss)
         assert history == []
         assert np.array_equal(out.layers[0].weights, model.layers[0].weights)
 
     def test_gd_quadratic_geometric_contraction(self):
-        model, ex = scalar_quadratic_setup()
-        loss0 = mean_loss(model, [ex], self.loss)
+        model, x, y = scalar_quadratic_setup()
+        loss0 = mean_loss(model, [x], [y], self.loss)
         cfg = OptimizerConfig(kind="gd", learning_rate=0.5, epochs=5)
-        _, history = train(model, [ex, ex], cfg, self.loss)
+        _, history = train(model, [x, x], [y, y], cfg, self.loss)
         for t, lt in enumerate(history, start=1):
             assert lt == pytest.approx(0.25 ** t * loss0, rel=1e-12)
 
     def test_sgd_equals_minibatch_one(self):
         rng = derive_rng(4, "xor")
-        dataset = [Example(rng.standard_normal(2), rng.uniform(0, 1, 1))
-                   for _ in range(6)]
+        X, Y = random_dataset(rng, 6, 2, 1)
         model = init_model([2, 3, 1], 31)
         a = OptimizerConfig(kind="sgd", learning_rate=0.3, epochs=4,
                             shuffle_seed=12)
         b = OptimizerConfig(kind="minibatch", batch_size=1, learning_rate=0.3,
                             epochs=4, shuffle_seed=12)
-        _, ha = train(model, dataset, a, self.loss)
-        _, hb = train(model, dataset, b, self.loss)
+        _, ha = train(model, X, Y, a, self.loss)
+        _, hb = train(model, X, Y, b, self.loss)
         assert ha == hb
 
     def test_seed_determinism(self):
         rng = derive_rng(5, "det")
-        dataset = [Example(rng.standard_normal(2), rng.uniform(0, 1, 1))
-                   for _ in range(8)]
+        X, Y = random_dataset(rng, 8, 2, 1)
         cfg = OptimizerConfig(kind="minibatch", batch_size=3, learning_rate=0.2,
                               epochs=3, shuffle_seed=77)
-        _, h1 = train(init_model([2, 3, 1], 41), dataset, cfg, self.loss)
-        _, h2 = train(init_model([2, 3, 1], 41), dataset, cfg, self.loss)
+        _, h1 = train(init_model([2, 3, 1], 41), X, Y, cfg, self.loss)
+        _, h2 = train(init_model([2, 3, 1], 41), X, Y, cfg, self.loss)
         assert h1 == h2
 
     def test_xor_minibatch_converges(self):
-        dataset = [Example([0.0, 0.0], [0.0]), Example([0.0, 1.0], [1.0]),
-                   Example([1.0, 0.0], [1.0]), Example([1.0, 1.0], [0.0])]
+        X = [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
+        Y = [[0.0], [1.0], [1.0], [0.0]]
         model = init_model([2, 2, 1], 2024)
         cfg = OptimizerConfig(kind="minibatch", batch_size=2, learning_rate=0.5,
                               epochs=5000, shuffle_seed=2024)
-        _, history = train(model, dataset, cfg, self.loss)
+        _, history = train(model, X, Y, cfg, self.loss)
         assert history[-1] < 0.05
 
     def test_divergence_guard(self):
-        model, ex = scalar_quadratic_setup()
+        model, x, y = scalar_quadratic_setup()
         cfg = OptimizerConfig(kind="gd", learning_rate=1e9, epochs=50)
         with pytest.raises(DivergenceError):
-            train(model, [ex], cfg, self.loss)
+            train(model, [x], [y], cfg, self.loss)
 
     def test_batch_size_exceeding_dataset_rejected(self):
-        model, ex = scalar_quadratic_setup()
+        model, x, y = scalar_quadratic_setup()
         cfg = OptimizerConfig(kind="minibatch", batch_size=5, learning_rate=0.1,
                               epochs=1)
         with pytest.raises(DomainError):
-            train(model, [ex], cfg, self.loss)
+            train(model, [x], [y], cfg, self.loss)
 
     def test_lr_schedule_decay(self):
         cfg = OptimizerConfig(kind="sgd", learning_rate=1.0, epochs=1,
