@@ -278,6 +278,21 @@ class TestDeviceSweep:
                (b / "sigmoid_fit.json").read_bytes()
 
 
+class TestManifestFormat:
+    @pytest.mark.parametrize("cmd, text", [
+        ("gradcheck", GRADCHECK_CFG), ("sc-arith-bench", SC_ARITH_CFG),
+        ("train-decoder", TRAIN_CFG), ("ber", BER_CFG),
+        ("device-sweep", SWEEP_SUBCRITICAL_CFG)])
+    def test_json_at_indent_2_with_final_newline(self, tmp_path, cmd, text):
+        # duration_s changes from run to run, so the format is checked, not a hash
+        cfg = write_cfg(tmp_path / "run.cfg", text)
+        assert run(cmd, cfg, tmp_path / "out") in (0, 3)
+        raw = (tmp_path / "out" / "manifest.json").read_bytes()
+        text = raw.decode()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        assert b"\r" not in raw
+
+
 class TestAtomicPath:
     def test_nested_writers_get_own_temp_files(self, tmp_path):
         final = tmp_path / "data.csv"

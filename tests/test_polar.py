@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from spinsc.cli import main as cli_main
 from spinsc.errors import DomainError, FormatError, ShapeError
 from spinsc.mtj import SigmoidFit
-from spinsc.network import DETERMINISTIC, STOCHASTIC, Layer, NetworkModel
+from spinsc.network import (DETERMINISTIC, STOCHASTIC, Layer, NetworkModel,
+                            load_model, save_model)
 from spinsc.polar import (ChannelOutput, PolarCodeSpec, bpsk_awgn,
                           construct_frozen_set, encode, generate_frames,
                           neural_sc_decode, ber_experiment, polar_transform,
@@ -377,6 +378,7 @@ with open(os.path.join(ROOT, "tests", "golden.json")) as _fh:
 # Neural `ber` golden entries decode with the model trained from
 # REPRO_CONFIGS["train-decoder"], its model.json fields updated as named by
 # the entry's "model"; more frames than one FRAME_BLOCK, at 1 and 2 workers.
+# `save_model` entries pin the bytes of that relabelled model file.
 NEURAL_MODELS = {
     "deterministic": {},
     "stochastic-firing": {"activation_mode": "stochastic-firing"},
@@ -399,6 +401,8 @@ model_path = {model}
 
 def _golden_id(entry):
     """The config for `ber` entries, command-prefixed for the others."""
+    if entry["command"] == "save_model":
+        return f"save_model:{entry['model']}"
     if "model" in entry:
         return f"{entry['config']}:neural-{entry['model']}"
     if entry["command"] == "ber":
@@ -406,23 +410,41 @@ def _golden_id(entry):
     return f"{entry['command']}:{entry['config']}"
 
 
-def _neural_ber_cfg(tmp_path, relabel):
+def _relabelled_model(tmp_path, relabel):
+    """tmp_path/model.json: the REPRO_CONFIGS["train-decoder"] model with
+    the fields named in `relabel` updated, written by save_model."""
     train_cfg = tmp_path / "train.cfg"
     train_cfg.write_text(REPRO_CONFIGS["train-decoder"])
     assert cli_main(["train-decoder", "--config", str(train_cfg),
                      "--out-dir", str(tmp_path / "train")]) == 0
     doc = json.loads((tmp_path / "train" / "model.json").read_text())
     doc.update(relabel)
+    raw = tmp_path / "relabelled.json"
+    raw.write_text(json.dumps(doc))
     model = tmp_path / "model.json"
-    model.write_text(json.dumps(doc))
+    save_model(load_model(raw), model)
+    return model
+
+
+def _neural_ber_cfg(tmp_path, relabel):
     cfg = tmp_path / "ber.cfg"
-    cfg.write_text(NEURAL_BER_CFG.format(model=model))
+    cfg.write_text(NEURAL_BER_CFG.format(
+        model=_relabelled_model(tmp_path, relabel)))
     return cfg
+
+
+def _assert_digests(out, entry):
+    for name, digest in entry["sha256"].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 @pytest.mark.parametrize("entry", GOLDEN, ids=_golden_id)
 def test_golden_output_hashes(entry, tmp_path):
     """Seeded data files keep the bytes recorded in tests/golden.json."""
+    if entry["command"] == "save_model":
+        _relabelled_model(tmp_path, NEURAL_MODELS[entry["model"]])
+        _assert_digests(tmp_path, entry)
+        return
     runs = [[]]                                  # extra CLI flags per run
     if "model" in entry:
         cfg = _neural_ber_cfg(tmp_path, NEURAL_MODELS[entry["model"]])
@@ -436,5 +458,4 @@ def test_golden_output_hashes(entry, tmp_path):
         out = tmp_path / f"out{i}"
         assert cli_main([entry["command"], "--config", str(cfg),
                          "--out-dir", str(out), *flags]) == 0
-        for name, digest in entry["sha256"].items():
-            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+        _assert_digests(out, entry)
