@@ -20,6 +20,7 @@ from . import __version__
 from . import bitstream, mtj, polar, training
 from .config import ConfigView, load_config
 from .errors import ConfigError, FitDomainError, SpinscError
+from .formats import write_csv, write_json
 from .llgs import DeviceParams, default_device_params
 from .network import save_model, load_model
 from .rngtools import derive_rng
@@ -58,11 +59,7 @@ def _write_manifest(out_dir, command, seed, workers, cfg, outputs, duration):
         "outputs": outputs,
         "duration_s": duration,
     }
-    path = os.path.join(out_dir, MANIFEST_NAME)
-    with atomic_path(path) as tmp:
-        with open(tmp, "w", newline="\n") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+    _write(out_dir, MANIFEST_NAME, lambda p: write_json(p, doc))
 
 
 def _device_from_config(v: ConfigView) -> DeviceParams:
@@ -150,15 +147,11 @@ def cmd_sc_arith_bench(v, seed, workers, out_dir):
                     and_pass += 1
                 if abs(bitstream.decode(bitstream.scaled_add_mux(a, b, sel)) - target_mux) <= bound_mux:
                     mux_pass += 1
-            rows.append(("and", p, q, and_pass, bound_and))
-            rows.append(("mux", p, q, mux_pass, bound_mux))
-
-    def write_rows(path):
-        with open(path, "w", newline="\n") as fh:
-            fh.write("op,p,q,length,seeds,passes,bound\n")
-            for op, p, q, passes, bound in rows:
-                fh.write(f"{op},{p!r},{q!r},{L},{n_seeds},{passes},{bound!r}\n")
-    return [_write(out_dir, "sc_arith.csv", write_rows)], True
+            rows.append(("and", p, q, L, n_seeds, and_pass, bound_and))
+            rows.append(("mux", p, q, L, n_seeds, mux_pass, bound_mux))
+    header = ("op", "p", "q", "length", "seeds", "passes", "bound")
+    return [_write(out_dir, "sc_arith.csv",
+                   lambda path: write_csv(path, header, rows))], True
 
 
 def _build_decoder_dataset(spec, frames, snrs_db, seed):
@@ -252,13 +245,9 @@ def cmd_gradcheck(v, seed, workers, out_dir):
                 err = max(err, float(np.max(np.abs(bb - fb) / scale_b)))
         worst = max(worst, err)
         rows.append((i, "x".join(map(str, sizes)), err))
-
-    def write_rows(path):
-        with open(path, "w", newline="\n") as fh:
-            fh.write("net,sizes,max_rel_error\n")
-            for i, sizes, err in rows:
-                fh.write(f"{i},{sizes},{err!r}\n")
-    outputs = [_write(out_dir, "gradcheck.csv", write_rows)]
+    header = ("net", "sizes", "max_rel_error")
+    outputs = [_write(out_dir, "gradcheck.csv",
+                      lambda path: write_csv(path, header, rows))]
     print(f"gradcheck: {n_nets} networks, max relative error {worst:.3e}")
     return outputs, worst <= 1e-5
 

@@ -31,6 +31,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, StepFaultError
+from .formats import write_csv
 from .rngtools import derive_rng
 
 __all__ = [
@@ -61,7 +62,8 @@ _CHUNK_STEPS = 2048       # thermal-field steps drawn per trial at a time
 
 @dataclass(frozen=True)
 class DeviceParams:
-    """Physical constants and free-layer geometry of one device.
+    """Free-layer geometry and dynamics of one device; the physical
+    constants are the module's CODATA values.
 
     `gamma` absorbs mu0, so gamma * H has units 1/s with H in A/m.
     """
@@ -74,11 +76,6 @@ class DeviceParams:
     Hk: float                 # uniaxial anisotropy field along z, A/m
     Hd: float = 0.0           # hard-axis (y) demagnetization field, A/m
     gamma: float = 2.0 * MU_B * MU_0 / HBAR   # gyromagnetic ratio, m/(A s)
-    kB: float = K_B
-    mu0: float = MU_0
-    muB: float = MU_B
-    hbar: float = HBAR
-    q_e: float = Q_E
 
     def __post_init__(self):
         if not (self.alpha > 0 and self.Ms > 0 and self.V > 0 and self.dt > 0):
@@ -91,7 +88,7 @@ class DeviceParams:
     @property
     def Ns(self) -> float:
         """Number of spins in the free layer, Ms*V/muB."""
-        return self.Ms * self.V / self.muB
+        return self.Ms * self.V / MU_B
 
 
 @dataclass(frozen=True)
@@ -125,10 +122,8 @@ class Trajectory:
     max_post_renorm_drift: float = 0.0
 
     def to_csv(self, path):
-        with open(path, "w", newline="\n") as fh:
-            fh.write("time_s,mx,my,mz\n")
-            for t, (mx, my, mz) in zip(self.times.tolist(), self.m.tolist()):
-                fh.write(f"{t!r},{mx!r},{my!r},{mz!r}\n")
+        write_csv(path, ("time_s", "mx", "my", "mz"),
+                  zip(self.times.tolist(), *self.m.T.tolist()))
 
 
 def default_device_params(T: float = 300.0, dt: float = 1e-13) -> DeviceParams:
@@ -146,8 +141,8 @@ def default_device_params(T: float = 300.0, dt: float = 1e-13) -> DeviceParams:
 def thermal_prefactor(params: DeviceParams) -> float:
     """Standard deviation (A/m) of each thermal-field component per step."""
     a = params.alpha
-    num = 2.0 * params.kB * params.T
-    den = params.gamma * params.mu0 * params.Ms * params.V * params.dt
+    num = 2.0 * K_B * params.T
+    den = params.gamma * MU_0 * params.Ms * params.V * params.dt
     return math.sqrt(a / (1.0 + a * a) * num / den)
 
 
@@ -215,7 +210,7 @@ def _integrate(m0, phases, params, rngs, record=False):
     half = 0.5 * dt
     Hk = params.Hk
     Hd = params.Hd
-    inv_qns = 1.0 / (params.q_e * params.Ns)
+    inv_qns = 1.0 / (Q_E * params.Ns)
     inv_1a2 = 1.0 / (1.0 + alpha * alpha)
     thermal = thermal_prefactor(params) > 0.0
     scalar = len(rngs) == 1
@@ -275,6 +270,16 @@ def _integrate(m0, phases, params, rngs, record=False):
             float(np.max(max_post)), recorded)
 
 
+def _pulse_phases(width, is_vec, relax_time, dt):
+    """The (n_steps, Is) phases of a pulse of spin current is_vec lasting
+    `width` (at least one step), then field-only relaxation for relax_time."""
+    phases = [(max(1, int(round(width / dt))), is_vec)]
+    n_relax = int(round(relax_time / dt))
+    if n_relax:
+        phases.append((n_relax, np.zeros(3)))
+    return phases
+
+
 def simulate_pulse(m0, pulse: SpinCurrentPulse, params: DeviceParams,
                    relax_time: float, seed: int, record: bool = True) -> Trajectory:
     """Apply the pulse, then field-only relaxation; fully seed-determined.
@@ -285,13 +290,10 @@ def simulate_pulse(m0, pulse: SpinCurrentPulse, params: DeviceParams,
     m0 = np.asarray(m0, dtype=float)
     if m0.shape != (3,) or not abs(np.linalg.norm(m0) - 1.0) <= 1e-12:
         raise DomainError("m0 must be a finite unit 3-vector")
-    n_pulse = max(1, int(round(pulse.duration / params.dt)))
-    n_relax = int(round(relax_time / params.dt))
+    phases = _pulse_phases(pulse.duration, pulse.vector, relax_time, params.dt)
     rng = derive_rng(seed, "trajectory")
-    phases = [(n_pulse, pulse.vector)]
-    if n_relax:
-        phases.append((n_relax, np.zeros(3)))
     m, pre, post, recorded = _integrate(m0[None], phases, params, [rng], record=record)
-    times, samples = recorded or (np.array([(n_pulse + n_relax) * params.dt]), m)
+    n_steps = sum(n for n, _ in phases)
+    times, samples = recorded or (np.array([n_steps * params.dt]), m)
     return Trajectory(times=times, m=samples, switched=bool(m[0, 2] * m0[2] < 0),
                       max_pre_renorm_drift=pre, max_post_renorm_drift=post)

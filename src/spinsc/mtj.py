@@ -8,13 +8,13 @@ switched when the final mz sign differs from the initial sign.
 """
 
 from dataclasses import dataclass
-import json
 import math
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, FitDomainError
-from .llgs import DeviceParams, _integrate, default_device_params
+from .formats import write_csv, write_json
+from .llgs import DeviceParams, _integrate, _pulse_phases, default_device_params
 from .rngtools import derive_rng, parallel_map
 
 __all__ = [
@@ -79,11 +79,13 @@ class SwitchingCurve:
     ci_halfwidth: np.ndarray    # 95% normal-approximation halfwidths
 
     def to_csv(self, path):
-        with open(path, "w", newline="\n") as fh:
-            fh.write("current_A,p_hat,trials,ci_halfwidth\n")
-            for i, p, n, ci in zip(self.currents, self.p_hat,
-                                   self.trials, self.ci_halfwidth):
-                fh.write(f"{float(i)!r},{float(p)!r},{int(n)},{float(ci)!r}\n")
+        write_csv(path, ("current_A", "p_hat", "trials", "ci_halfwidth"),
+                  [(float(i), float(p), int(n), float(ci)) for i, p, n, ci
+                   in zip(self.currents, self.p_hat, self.trials, self.ci_halfwidth)])
+
+
+def _logistic(current, a, b):
+    return 1.0 / (1.0 + np.exp(-a * (current - b)))
 
 
 @dataclass(frozen=True)
@@ -95,13 +97,10 @@ class SigmoidFit:
     r_squared: float
 
     def predict(self, current):
-        return 1.0 / (1.0 + np.exp(-self.a * (np.asarray(current, float) - self.b)))
+        return _logistic(np.asarray(current, float), self.a, self.b)
 
     def to_json(self, path):
-        with open(path, "w", newline="\n") as fh:
-            json.dump({"a": self.a, "b": self.b, "r_squared": self.r_squared},
-                      fh, indent=2)
-            fh.write("\n")
+        write_json(path, {"a": self.a, "b": self.b, "r_squared": self.r_squared})
 
 
 def _ci_halfwidth(p_hat: float, trials: int) -> float:
@@ -117,18 +116,13 @@ def estimate_switching_probability(charge_current: float, pulse_width: float,
         raise DomainError("trials must be >= 1")
     if pulse_width < dev.dt:
         raise DomainError("pulse_width must be at least one time-step")
-    n_pulse = max(1, int(round(pulse_width / dev.dt)))
-    n_relax = int(round(params.relax_time / dev.dt))
     is_mag = params.theta_sh * charge_current
     th0 = params.init_tilt
     m0 = np.tile([math.sin(th0), 0.0, -math.cos(th0)], (trials, 1))
     rngs = [derive_rng(seed, "switch-trial", i) for i in range(trials)]
-    phases = []
-    if params.equil_steps:
-        phases.append((params.equil_steps, np.zeros(3)))
-    phases.append((n_pulse, np.array([0.0, 0.0, is_mag])))
-    if n_relax:
-        phases.append((n_relax, np.zeros(3)))
+    phases = [(params.equil_steps, np.zeros(3))] if params.equil_steps else []
+    phases += _pulse_phases(pulse_width, np.array([0.0, 0.0, is_mag]),
+                            params.relax_time, dev.dt)
     switched = _integrate(m0, phases, dev, rngs)[0][:, 2] > 0.0
     p_hat = float(np.count_nonzero(switched)) / trials
     return p_hat, _ci_halfwidth(p_hat, trials)
@@ -184,15 +178,12 @@ def fit_stochastic_sigmoid(curve: SwitchingCurve,
     a, b = float(a0), float(b0)
     lam = 1e-3
 
-    def model(a, b):
-        return 1.0 / (1.0 + np.exp(-a * (I - b)))
-
-    def jacobian(a, b):         # of the model wrt (a, b)
-        s = model(a, b)
+    def jacobian(a, b):         # of the logistic wrt (a, b)
+        s = _logistic(I, a, b)
         w = s * (1.0 - s)
         return np.column_stack([w * (I - b), -a * w])
 
-    r = model(a, b) - p
+    r = _logistic(I, a, b) - p
     cost = float(r @ r)
     converged = False
     for _ in range(max_iter):
@@ -201,7 +192,7 @@ def fit_stochastic_sigmoid(curve: SwitchingCurve,
         H = J.T @ J
         step = np.linalg.solve(H + lam * np.diag(np.diag(H) + 1e-300), -g)
         a_new, b_new = a + step[0], b + step[1]
-        r_new = model(a_new, b_new) - p
+        r_new = _logistic(I, a_new, b_new) - p
         cost_new = float(r_new @ r_new)
         if cost_new <= cost:
             rel = abs(cost - cost_new) / max(cost, 1e-300)

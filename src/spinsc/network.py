@@ -17,6 +17,7 @@ import json
 import numpy as np
 
 from .errors import DomainError, ShapeError, malformed_as_format_error
+from .formats import write_json
 from .mtj import SigmoidFit
 from .rngtools import derive_rng
 
@@ -184,9 +185,7 @@ def save_model(model: NetworkModel, path):
             for l in model.layers
         ],
     }
-    with open(path, "w", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_model(path) -> NetworkModel:

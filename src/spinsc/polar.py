@@ -15,6 +15,7 @@ import time
 import numpy as np
 
 from .errors import DomainError, ShapeError, malformed_as_format_error
+from .formats import write_csv, write_json
 from .network import DETERMINISTIC, NetworkModel, forward, forward_rate
 from .rngtools import derive_rng, parallel_map
 
@@ -61,12 +62,9 @@ class PolarCodeSpec:
         return self.K / self.N
 
     def to_json(self, path):
-        with open(path, "w", newline="\n") as fh:
-            json.dump({"N": self.N, "K": self.K,
-                       "design_snr_db": self.design_snr_db,
-                       "frozen_mask": self.frozen.astype(int).tolist()},
-                      fh, indent=2)
-            fh.write("\n")
+        write_json(path, {"N": self.N, "K": self.K,
+                          "design_snr_db": self.design_snr_db,
+                          "frozen_mask": self.frozen.astype(int).tolist()})
 
     @classmethod
     def from_json(cls, path) -> "PolarCodeSpec":
@@ -96,7 +94,6 @@ class ChannelOutput:
 class DecodeResult:
     u_hat: np.ndarray            # full length-N estimate, frozen positions 0
     message_hat: np.ndarray      # K information bits
-    bit_errors: int | None = None
 
 
 def construct_frozen_set(N: int, K: int, design_snr_db: float = 0.0) -> PolarCodeSpec:
@@ -209,24 +206,21 @@ def _sc_recurse(llr, frozen, min_sum):
 
 
 def sc_decode(out: ChannelOutput, spec: PolarCodeSpec,
-              min_sum: bool = False, truth=None) -> DecodeResult:
+              min_sum: bool = False) -> DecodeResult:
     """Classical successive-cancellation decoding (llr >= 0 decodes to 0) of
     one frame, LLRs (N,), or of a block of frames at once, LLRs (..., N);
-    u_hat is (..., N), message_hat (..., K), bit_errors sums the block."""
+    u_hat is (..., N), message_hat (..., K)."""
     llr = np.asarray(out.llrs, dtype=float)
     if llr.shape[-1:] != (spec.N,):
         raise ShapeError(f"LLR length must be {spec.N}")
     if not np.isfinite(llr).all():
         raise DomainError("LLRs must be finite")
     u_hat, _ = _sc_recurse(llr.reshape(-1, spec.N), spec.frozen, min_sum)
-    return _decode_result(u_hat.reshape(llr.shape), spec, truth)
+    return _decode_result(u_hat.reshape(llr.shape), spec)
 
 
-def _decode_result(u_hat, spec, truth):
-    message_hat = u_hat[..., ~spec.frozen]
-    errors = (None if truth is None else
-              int(np.count_nonzero(message_hat != np.asarray(truth, np.uint8))))
-    return DecodeResult(u_hat=u_hat, message_hat=message_hat, bit_errors=errors)
+def _decode_result(u_hat, spec):
+    return DecodeResult(u_hat=u_hat, message_hat=u_hat[..., ~spec.frozen])
 
 
 def llr_features(llrs) -> np.ndarray:
@@ -236,7 +230,7 @@ def llr_features(llrs) -> np.ndarray:
 
 def neural_sc_decode(out: ChannelOutput, model: NetworkModel,
                      spec: PolarCodeSpec, window: int = 64,
-                     seed=0, truth=None) -> DecodeResult:
+                     seed=0) -> DecodeResult:
     """One-shot dense decoder of LLRs (..., N): llr_features, forward pass,
     outputs (..., K) thresholded at 0.5 (0.5 decodes to bit 0).  A
     stochastic-firing model averages spikes over `window` passes first,
@@ -251,7 +245,7 @@ def neural_sc_decode(out: ChannelOutput, model: NetworkModel,
          else forward_rate(model, x, window, seed))
     u_hat = np.zeros(llr.shape, dtype=np.uint8)
     u_hat[..., ~spec.frozen] = y > 0.5
-    return _decode_result(u_hat, spec, truth)
+    return _decode_result(u_hat, spec)
 
 
 def _ber_point(args):
@@ -306,15 +300,11 @@ def ber_experiment(spec: PolarCodeSpec, decoder: str, snr_list, min_frames: int,
 
 def write_ber_csv(rows, path):
     """Deterministic results table (timing goes to the sidecar file)."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("snr_db,frames,bit_errors,frame_errors,ber,fer\n")
-        for r in rows:
-            fh.write(f"{float(r['snr_db'])!r},{r['frames']},{r['bit_errors']},"
-                     f"{r['frame_errors']},{float(r['ber'])!r},{float(r['fer'])!r}\n")
+    write_csv(path, ("snr_db", "frames", "bit_errors", "frame_errors", "ber", "fer"),
+              [(float(r["snr_db"]), r["frames"], r["bit_errors"], r["frame_errors"],
+                float(r["ber"]), float(r["fer"])) for r in rows])
 
 
 def write_timing_csv(rows, path):
-    with open(path, "w", newline="\n") as fh:
-        fh.write("snr_db,mean_decode_us\n")
-        for r in rows:
-            fh.write(f"{float(r['snr_db'])!r},{float(r['mean_decode_us'])!r}\n")
+    write_csv(path, ("snr_db", "mean_decode_us"),
+              [(float(r["snr_db"]), float(r["mean_decode_us"])) for r in rows])

@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from .errors import DivergenceError, DomainError, ShapeError, UnsupportedModeError
+from .formats import write_csv
 from .network import DETERMINISTIC, Layer, NetworkModel, forward_trace
 from .rngtools import derive_rng
 
@@ -236,7 +237,5 @@ def finite_difference_gradient(model: NetworkModel, x, y, loss: LossSpec,
 
 
 def write_history_csv(history, path):
-    with open(path, "w", newline="\n") as fh:
-        fh.write("epoch,mean_loss\n")
-        for i, v in enumerate(history):
-            fh.write(f"{i},{float(v)!r}\n")
+    write_csv(path, ("epoch", "mean_loss"),
+              [(i, float(v)) for i, v in enumerate(history)])

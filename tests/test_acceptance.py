@@ -16,7 +16,8 @@ import numpy as np
 
 from spinsc import bitstream
 from spinsc.cli import main as cli_main
-from spinsc.llgs import SpinCurrentPulse, default_device_params, sample_thermal_field, simulate_pulse
+from spinsc.llgs import (Q_E, SpinCurrentPulse, default_device_params,
+                         sample_thermal_field, simulate_pulse)
 from spinsc.mtj import default_mtj_params, fit_stochastic_sigmoid, sweep_switching_curve
 from spinsc.network import STOCHASTIC, NetworkModel, load_model
 from spinsc.polar import (ChannelOutput, PolarCodeSpec, bpsk_awgn,
@@ -41,7 +42,7 @@ def tilted(theta):
 
 def critical_charge_current(params):
     dev = params.device
-    spin = dev.alpha * dev.gamma * dev.Hk * dev.q_e * dev.Ns
+    spin = dev.alpha * dev.gamma * dev.Hk * Q_E * dev.Ns
     return spin / params.theta_sh
 
 

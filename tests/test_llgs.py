@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spinsc.errors import DomainError, StepFaultError
-from spinsc.llgs import (DeviceParams, SpinCurrentPulse, _integrate,
+from spinsc.llgs import (MU_B, Q_E, DeviceParams, SpinCurrentPulse, _integrate,
                          default_device_params, effective_field,
                          sample_thermal_field, simulate_pulse, thermal_prefactor)
 from spinsc.rngtools import derive_rng
@@ -86,7 +86,7 @@ class TestHeunStepOracle:
         # at T = 0 the integrator draws no noise, so no thermal field is added
         h_th = (sample_thermal_field(p, derive_rng(13, "trajectory"))
                 if T > 0 else None)
-        inv_qns = 1.0 / (p.q_e * p.Ns)
+        inv_qns = 1.0 / (Q_E * p.Ns)
         inv_1a2 = 1.0 / (1.0 + p.alpha * p.alpha)
 
         def rhs(m):
@@ -169,7 +169,7 @@ class TestSimulatePulse:
 
     def test_deterministic_switching_matches_fine_dt_reference(self):
         p = default_device_params(T=0.0)
-        ic = p.alpha * p.gamma * p.Hk * p.q_e * p.Ns
+        ic = p.alpha * p.gamma * p.Hk * Q_E * p.Ns
         pulse = SpinCurrentPulse(20 * ic, 2e-9, (0.0, 0.0, 1.0))
         m0 = -tilted(math.radians(2))  # near -z
         tr = simulate_pulse(m0, pulse, p, 2e-10, seed=1, record=False)
@@ -305,7 +305,7 @@ class TestParamsValidation:
 
     def test_ns_derived_exactly(self):
         p = default_device_params()
-        assert p.Ns == p.Ms * p.V / p.muB
+        assert p.Ns == p.Ms * p.V / MU_B
 
     def test_pulse_validation(self):
         with pytest.raises(DomainError):

@@ -13,7 +13,7 @@ from spinsc.mtj import (MtjParams, SwitchingCurve, default_mtj_params,
 
 
 def critical_spin_current(dev):
-    return dev.alpha * dev.gamma * dev.Hk * dev.q_e * dev.Ns
+    return dev.alpha * dev.gamma * dev.Hk * llgs.Q_E * dev.Ns
 
 
 class TestResistance:

@@ -228,17 +228,14 @@ class TestScDecode:
         llrs[1] = 0.0                                 # a row of exact ties
         llrs[2, rng.integers(0, N, max(1, N // 4))] = 0.0
         llrs[3] = np.round(llrs[3])                   # many zeros, equal magnitudes
-        msgs = rng.integers(0, 2, (6, k)).astype(np.uint8)
-        block = sc_decode(ChannelOutput(llrs, 2.0), spec, min_sum=min_sum,
-                          truth=msgs)
-        rows = [sc_decode(ChannelOutput(row, 2.0), spec, min_sum=min_sum,
-                          truth=m) for row, m in zip(llrs, msgs)]
+        block = sc_decode(ChannelOutput(llrs, 2.0), spec, min_sum=min_sum)
+        rows = [sc_decode(ChannelOutput(row, 2.0), spec, min_sum=min_sum)
+                for row in llrs]
         assert block.u_hat.shape == (6, N)
         assert block.message_hat.shape == (6, k)
         assert np.array_equal(block.u_hat, np.array([r.u_hat for r in rows]))
         assert np.array_equal(block.message_hat,
                               np.array([r.message_hat for r in rows]).reshape(6, k))
-        assert block.bit_errors == sum(r.bit_errors for r in rows)
         assert not block.u_hat[:, spec.frozen].any()
         assert not block.u_hat[1].any()
 
@@ -311,18 +308,17 @@ class TestNeuralDecode:
             activation_mode=DETERMINISTIC if mode == "deterministic" else STOCHASTIC,
             neuron_fit=fit if mode == "device" else None,
             unit_current=1e-3 if mode == "device" else 0.0)
-        msgs, llrs, seeds = generate_frames(spec, 4, ("nb",), range(40), [2.0] * 40)
+        _, llrs, seeds = generate_frames(spec, 4, ("nb",), range(40), [2.0] * 40)
         llrs[1] = 0.0                    # a frame of zero LLRs
         block = neural_sc_decode(ChannelOutput(llrs, 2.0), model, spec,
-                                 window=16, seed=seeds, truth=msgs)
+                                 window=16, seed=seeds)
         rows = [neural_sc_decode(ChannelOutput(llr, 2.0), model, spec, window=16,
-                                 seed=int(seed), truth=msg)
-                for llr, seed, msg in zip(llrs, seeds, msgs)]
+                                 seed=int(seed))
+                for llr, seed in zip(llrs, seeds)]
         assert block.u_hat.shape == (40, 8) and block.message_hat.shape == (40, 4)
         assert np.array_equal(block.u_hat, np.array([r.u_hat for r in rows]))
         assert np.array_equal(block.message_hat,
                               np.array([r.message_hat for r in rows]))
-        assert block.bit_errors == sum(r.bit_errors for r in rows)
         assert not block.u_hat[:, spec.frozen].any()
 
     def test_dimension_mismatch(self):
