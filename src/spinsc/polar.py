@@ -216,10 +216,7 @@ def sc_decode(out: ChannelOutput, spec: PolarCodeSpec,
     if not np.isfinite(llr).all():
         raise DomainError("LLRs must be finite")
     u_hat, _ = _sc_recurse(llr.reshape(-1, spec.N), spec.frozen, min_sum)
-    return _decode_result(u_hat.reshape(llr.shape), spec)
-
-
-def _decode_result(u_hat, spec):
+    u_hat = u_hat.reshape(llr.shape)
     return DecodeResult(u_hat=u_hat, message_hat=u_hat[..., ~spec.frozen])
 
 
@@ -245,7 +242,7 @@ def neural_sc_decode(out: ChannelOutput, model: NetworkModel,
          else forward_rate(model, x, window, seed))
     u_hat = np.zeros(llr.shape, dtype=np.uint8)
     u_hat[..., ~spec.frozen] = y > 0.5
-    return _decode_result(u_hat, spec)
+    return DecodeResult(u_hat=u_hat, message_hat=u_hat[..., ~spec.frozen])
 
 
 def _ber_point(args):
