@@ -10,6 +10,7 @@ from spinsc.llgs import default_device_params
 from spinsc.mtj import (MtjParams, SwitchingCurve, default_mtj_params,
                         estimate_switching_probability, fit_stochastic_sigmoid,
                         resistance, sweep_switching_curve, tmr_ratio)
+from spinsc.rngtools import derive_rng
 
 
 def critical_spin_current(dev):
@@ -120,6 +121,26 @@ class TestSweep:
         for p, n, ci in zip(curve.p_hat, curve.trials, curve.ci_halfwidth):
             assert ci == 1.96 * math.sqrt(p * (1 - p) / n)
         assert np.all((curve.p_hat >= 0) & (curve.p_hat <= 1))
+
+    SHORT = MtjParams(device=default_device_params(), R_p=5e3, R_ap=10e3,
+                      equil_steps=20, relax_time=2e-11)
+    CURRENTS = [6.8e-3, 7.2e-3, 7.5e-3, 7.8e-3, 8.2e-3]
+
+    def assert_points_match_estimates(self, workers):
+        """Point idx of a sweep is estimate_switching_probability on the seed
+        derive_rng(seed, "sweep-point", idx) draws (T = 300 K, 1,220 steps)."""
+        curve = sweep_switching_curve(self.CURRENTS, 1e-10, 16, self.SHORT, 11,
+                                      workers=workers)
+        for idx, current in enumerate(self.CURRENTS):
+            point_seed = int(derive_rng(11, "sweep-point", idx).integers(0, 2**63))
+            p, ci = estimate_switching_probability(current, 1e-10, 16, self.SHORT,
+                                                   point_seed)
+            assert (curve.p_hat[idx], curve.ci_halfwidth[idx]) == (p, ci)
+        assert 0.0 < curve.p_hat.mean() < 1.0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_points_equal_single_point_estimates(self, workers):
+        self.assert_points_match_estimates(workers)
 
     def test_csv_export(self, tmp_path):
         curve = SwitchingCurve(np.array([1e-4, 2e-4]), np.array([0.1, 0.9]),
