@@ -16,7 +16,9 @@ stochastic Heun scheme, the noise held fixed within the step.  The state
 is renormalized to unit length after every step.  The integrator picks
 its arithmetic from the batch size: a single trial (`simulate_pulse`)
 steps three Python floats, a batch of trials (`mtj`) steps (B,) arrays,
-and both run the same step body with the same bits per trial.
+and both run the same step body with the same bits per trial.  Each trial
+may have its own spin current, and the thermal field is drawn in chunks
+whose size, bounded in bytes per batch, never changes the bits.
 
 The effective field is the minimal bistable composition: uniaxial
 anisotropy Hk along +z (easy axis) and a single demagnetization penalty
@@ -57,7 +59,8 @@ MU_B = 9.2740100783e-24   # J/T
 HBAR = 1.054571817e-34    # J s
 Q_E = 1.602176634e-19     # C
 
-_CHUNK_STEPS = 2048       # thermal-field steps drawn per trial at a time
+_CHUNK_STEPS = 2048       # most thermal-field steps drawn per trial at a time
+_CHUNK_BYTES = 4 << 20    # bound on a batch's (B, steps, 3) block of draws
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,9 @@ class DeviceParams:
     gamma: float = 2.0 * MU_B * MU_0 / HBAR   # gyromagnetic ratio, m/(A s)
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.alpha, self.Ms, self.V, self.T, self.dt,
+                                   self.Hk, self.Hd, self.gamma])):
+            raise DomainError("device parameters must be finite")
         if not (self.alpha > 0 and self.Ms > 0 and self.V > 0 and self.dt > 0):
             raise DomainError("alpha, Ms, V, dt must be positive")
         if self.T < 0:
@@ -100,8 +106,9 @@ class SpinCurrentPulse:
     polarization_axis: tuple = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise DomainError("pulse duration must be positive")
+        if not (0 < self.duration < np.inf and np.isfinite(self.magnitude)):
+            raise DomainError("pulse magnitude and duration must be finite, "
+                              "duration positive")
         axis = np.asarray(self.polarization_axis, dtype=float)
         if axis.shape != (3,) or abs(np.linalg.norm(axis) - 1.0) > 1e-12:
             raise DomainError("polarization_axis must be a unit 3-vector")
@@ -195,14 +202,16 @@ def _deriv(mx, my, mz, hx, hy, hz, isx, isy, isz, gamma, alpha, inv_qns, inv_1a2
 def _integrate(m0, phases, params, rngs, record=False):
     """Advance a batch of trajectories through the given (n_steps, Is) phases.
 
-    m0 is (B, 3) with B = len(rngs); trial i draws its thermal field from
-    rngs[i] (no draws at T = 0).  The batch size picks the arithmetic once,
-    on entry: one trial runs on three Python floats with `math.sqrt`, more
+    m0 is (B, 3) with B = len(rngs); a phase's Is is (3,) or (3, B), one
+    column per trial.  Trial i draws its thermal field from rngs[i] (no
+    draws at T = 0) in chunks of min(_CHUNK_STEPS, _CHUNK_BYTES // (24 B))
+    steps, at least one.  The batch size picks the arithmetic once, on
+    entry: one trial runs on three Python floats with `math.sqrt`, more
     run on (B,) arrays with `np.sqrt`; both widths run the one step body
-    below and give the same bits per trial.  Returns (m, max_pre_drift,
-    max_post_drift, recorded): the (B, 3) end state, the largest
-    |norm - 1| before and after renormalization, and a (times, m) pair when
-    record=True (B must be 1).
+    below and give the same bits per trial, at any chunk length.  Returns
+    (m, max_pre_drift, max_post_drift, recorded): the (B, 3) end state, the
+    largest |norm - 1| before and after renormalization, and a (times, m)
+    pair when record=True (B must be 1).
     """
     alpha = params.alpha
     gamma = params.gamma
@@ -212,8 +221,10 @@ def _integrate(m0, phases, params, rngs, record=False):
     Hd = params.Hd
     inv_qns = 1.0 / (Q_E * params.Ns)
     inv_1a2 = 1.0 / (1.0 + alpha * alpha)
-    thermal = thermal_prefactor(params) > 0.0
+    pref = thermal_prefactor(params)
     scalar = len(rngs) == 1
+    cl = min(_CHUNK_STEPS, max(1, _CHUNK_BYTES // (24 * len(rngs))))
+    draws = np.empty((len(rngs), cl, 3))    # reused by every chunk
     if scalar:
         (mx, my, mz), = np.asarray(m0, dtype=float).tolist()
         sqrt, vmax = math.sqrt, max
@@ -225,16 +236,17 @@ def _integrate(m0, phases, params, rngs, record=False):
     t = 0.0
     try:
         for n_steps, is_vec in phases:
-            isx, isy, isz = float(is_vec[0]), float(is_vec[1]), float(is_vec[2])
-            for done in range(0, n_steps, _CHUNK_STEPS):
-                cl = min(_CHUNK_STEPS, n_steps - done)
-                if not thermal:
-                    rows = [(0.0, 0.0, 0.0)] * cl
-                elif scalar:
-                    rows = sample_thermal_field(params, rngs[0], cl).tolist()
-                else:   # (cl, 3, B): step k's field components as (B,) rows
-                    rows = np.stack([sample_thermal_field(params, g, cl) for g in rngs],
-                                    axis=-1)
+            isx, isy, isz = is_vec.reshape(3, -1)[:, 0].tolist() if scalar else is_vec
+            for done in range(0, n_steps, cl):
+                n = min(cl, n_steps - done)
+                if pref == 0.0:     # T = 0
+                    rows = [(0.0, 0.0, 0.0)] * n
+                else:   # floats, or (n, 3, B): step k's components as (B,) rows
+                    block = draws[:, :n]
+                    for g, row in zip(rngs, block):
+                        g.standard_normal(out=row)
+                    rows = ((pref * block[0]).tolist() if scalar
+                            else pref * block.transpose(1, 2, 0))
                 for nx, ny, nz in rows:
                     hx, hy, hz = _field(mx, my, mz, nx, ny, nz, Hk, Hd)
                     k1x, k1y, k1z = _deriv(mx, my, mz, hx, hy, hz,
@@ -285,8 +297,8 @@ def simulate_pulse(m0, pulse: SpinCurrentPulse, params: DeviceParams,
     """Apply the pulse, then field-only relaxation; fully seed-determined.
 
     The thermal field comes from the "trajectory" substream of `seed`."""
-    if relax_time < 0:
-        raise DomainError("relax_time must be non-negative")
+    if not 0 <= relax_time < np.inf:
+        raise DomainError("relax_time must be finite and non-negative")
     m0 = np.asarray(m0, dtype=float)
     if m0.shape != (3,) or not abs(np.linalg.norm(m0) - 1.0) <= 1e-12:
         raise DomainError("m0 must be a finite unit 3-vector")

@@ -5,6 +5,9 @@ Switching trials start from the antiparallel state (-z) with a small
 fixed tilt, equilibrate thermally for a short window, then see the
 current pulse followed by a field-only relax window; a trial counts as
 switched when the final mz sign differs from the initial sign.
+A sweep steps all its points' trials as one batch, each trial with its
+point's current and its own substream, cut into slabs of at most
+_BATCH_TRIALS for the worker processes; one estimate is a one-point sweep.
 """
 
 from dataclasses import dataclass
@@ -29,6 +32,8 @@ __all__ = [
     "fit_stochastic_sigmoid",
 ]
 
+_BATCH_TRIALS = 4096      # most trials stepped together in one LLGS batch
+
 
 @dataclass(frozen=True)
 class MtjParams:
@@ -43,12 +48,14 @@ class MtjParams:
     relax_time: float = 3e-10   # field-only window after the pulse, s
 
     def __post_init__(self):
-        if not (self.R_ap > self.R_p > 0):
+        if not (math.inf > self.R_ap > self.R_p > 0):
             raise DomainError("need R_ap > R_p > 0")
         if not (0 < self.theta_sh <= 1):
             raise DomainError("theta_sh must be in (0, 1]")
-        if self.equil_steps < 0 or self.relax_time < 0:
-            raise DomainError("equil_steps and relax_time must be non-negative")
+        if not (self.equil_steps >= 0 and 0 <= self.relax_time < math.inf
+                and math.isfinite(self.init_tilt)):
+            raise DomainError("relax_time must be finite and non-negative, "
+                              "equil_steps non-negative, init_tilt finite")
 
 
 def default_mtj_params(T: float = 300.0) -> MtjParams:
@@ -103,36 +110,48 @@ class SigmoidFit:
         write_json(path, {"a": self.a, "b": self.b, "r_squared": self.r_squared})
 
 
-def _ci_halfwidth(p_hat: float, trials: int) -> float:
-    return 1.96 * math.sqrt(p_hat * (1.0 - p_hat) / trials)
+def _switched(job):
+    """Switched flags of one slab: trial i of the point seeded s, at the
+    charge current in the same place, for each (s, i) in keys."""
+    currents, keys, pulse_width, params = job
+    th0 = params.init_tilt
+    m0 = np.tile([math.sin(th0), 0.0, -math.cos(th0)], (len(keys), 1))
+    rngs = [derive_rng(s, "switch-trial", i) for s, i in keys]
+    is_vec = np.zeros((3, len(keys)))
+    is_vec[2] = params.theta_sh * currents
+    phases = [(params.equil_steps, np.zeros(3))] if params.equil_steps else []
+    phases += _pulse_phases(pulse_width, is_vec, params.relax_time,
+                            params.device.dt)
+    return _integrate(m0, phases, params.device, rngs)[0][:, 2] > 0.0
+
+
+def _switching_probabilities(currents, pulse_width, trials, params, seeds,
+                             workers=1):
+    """p_hat and 95% CI halfwidth lists, `trials` trials per current on the
+    matching point seed, all stepped as equal slabs of one flat batch."""
+    if trials < 1:
+        raise DomainError("trials must be >= 1")
+    if not params.device.dt <= pulse_width < math.inf:
+        raise DomainError("pulse_width must be finite and at least one time-step")
+    if not np.all(np.isfinite(currents)):
+        raise DomainError("charge currents must be finite")
+    flat = np.repeat(currents, trials)
+    keys = [(s, i) for s in seeds for i in range(trials)]
+    slab = -(-len(keys) // max(workers, -(-len(keys) // _BATCH_TRIALS)))
+    switched = np.concatenate(parallel_map(_switched, [
+        (flat[a:a + slab], keys[a:a + slab], pulse_width, params)
+        for a in range(0, len(keys), slab)], workers))
+    p_hat = (np.count_nonzero(switched.reshape(-1, trials), axis=1) / trials).tolist()
+    return p_hat, [1.96 * math.sqrt(p * (1.0 - p) / trials) for p in p_hat]
 
 
 def estimate_switching_probability(charge_current: float, pulse_width: float,
                                    trials: int, params: MtjParams,
                                    seed: int) -> tuple[float, float]:
     """Fraction of seeded trials that switch, with 95% CI halfwidth."""
-    dev = params.device
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
-    if pulse_width < dev.dt:
-        raise DomainError("pulse_width must be at least one time-step")
-    is_mag = params.theta_sh * charge_current
-    th0 = params.init_tilt
-    m0 = np.tile([math.sin(th0), 0.0, -math.cos(th0)], (trials, 1))
-    rngs = [derive_rng(seed, "switch-trial", i) for i in range(trials)]
-    phases = [(params.equil_steps, np.zeros(3))] if params.equil_steps else []
-    phases += _pulse_phases(pulse_width, np.array([0.0, 0.0, is_mag]),
-                            params.relax_time, dev.dt)
-    switched = _integrate(m0, phases, dev, rngs)[0][:, 2] > 0.0
-    p_hat = float(np.count_nonzero(switched)) / trials
-    return p_hat, _ci_halfwidth(p_hat, trials)
-
-
-def _sweep_point(args):
-    idx, current, pulse_width, trials, params, seed = args
-    point_seed = derive_rng(seed, "sweep-point", idx).integers(0, 2**63)
-    return estimate_switching_probability(
-        current, pulse_width, trials, params, int(point_seed))
+    p_hat, ci = _switching_probabilities([charge_current], pulse_width, trials,
+                                         params, [seed])
+    return p_hat[0], ci[0]
 
 
 def sweep_switching_curve(currents, pulse_width: float, trials_per_point: int,
@@ -144,14 +163,13 @@ def sweep_switching_curve(currents, pulse_width: float, trials_per_point: int,
         raise DomainError("need at least 5 sweep currents")
     if not np.all(np.diff(currents) > 0):
         raise DomainError("sweep currents must be strictly increasing")
-    jobs = [(i, c, pulse_width, trials_per_point, params, seed)
-            for i, c in enumerate(currents)]
-    results = parallel_map(_sweep_point, jobs, workers)
-    p_hat = np.array([r[0] for r in results])
-    ci = np.array([r[1] for r in results])
-    return SwitchingCurve(currents=currents, p_hat=p_hat,
+    seeds = [int(derive_rng(seed, "sweep-point", i).integers(0, 2**63))
+             for i in range(len(currents))]
+    p_hat, ci = _switching_probabilities(currents, pulse_width, trials_per_point,
+                                         params, seeds, workers)
+    return SwitchingCurve(currents=currents, p_hat=np.array(p_hat),
                           trials=np.full(len(currents), trials_per_point),
-                          ci_halfwidth=ci)
+                          ci_halfwidth=np.array(ci))
 
 
 def fit_stochastic_sigmoid(curve: SwitchingCurve,

@@ -266,6 +266,24 @@ class TestDeviceSweep:
         assert "error: logistic fit did not converge" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("SWEEP__PULSE_WIDTH_S", "nan", "pulse_width must be finite"),
+        ("SWEEP__PULSE_WIDTH_S", "inf", "pulse_width must be finite"),
+        ("DEVICE__RELAX_TIME_S", "nan", "relax_time"),
+        ("DEVICE__TEMPERATURE_K", "nan", "device parameters must be finite"),
+        ("DEVICE__HK_A_PER_M", "nan", "device parameters must be finite"),
+        ("DEVICE__HD_A_PER_M", "inf", "device parameters must be finite"),
+        ("SWEEP__CURRENTS_A", "1e-5, 2e-5, 3e-5, 4e-5, inf",
+         "charge currents must be finite")])
+    def test_non_finite_input_writes_nothing(self, tmp_path, capsys, monkeypatch,
+                                             key, value, message):
+        monkeypatch.setenv(f"SPINSC_{key}", value)
+        cfg = write_cfg(tmp_path / "d.cfg", SWEEP_SUBCRITICAL_CFG)
+        out = tmp_path / "out"
+        assert run("device-sweep", cfg, out) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_thermal_sweep_rerun_byte_identical(self, tmp_path):
         cfg = write_cfg(tmp_path / "d.cfg", SWEEP_THERMAL_CFG)
         a, b = tmp_path / "a", tmp_path / "b"

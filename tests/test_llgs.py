@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from spinsc import llgs
 from spinsc.errors import DomainError, StepFaultError
 from spinsc.llgs import (MU_B, Q_E, DeviceParams, SpinCurrentPulse, _integrate,
                          default_device_params, effective_field,
@@ -256,6 +257,32 @@ class TestIntegratorWidths:
         assert pre == max(s[1] for s in singles)
         assert post == max(s[2] for s in singles)
 
+    def test_chunk_length_and_per_trial_current_keep_bits(self, monkeypatch):
+        """Byte budgets giving chunks of 1, 7 and 2048 steps end a 2,100-step
+        phase with one spin current per trial in the same state and drifts,
+        and trial i ends where it ends alone with its own current."""
+        p = default_device_params()
+        m0 = np.array([tilted(math.radians(a), 0.3 * i)
+                       for i, a in enumerate((178.0, 170.0, 150.0))])
+        currents = np.array([[0.0, 0.0, 0.0], [1e-5, 0.0, 0.0],
+                             [2e-4, 5e-4, 8e-4]])
+        phases = [(100, np.zeros(3)), (2100, currents), (100, np.zeros(3))]
+
+        def rngs():
+            return [derive_rng(5, "chunk", i) for i in range(3)]
+
+        runs = []
+        for chunk in (1, 7, 2048):
+            monkeypatch.setattr(llgs, "_CHUNK_BYTES", 24 * 3 * chunk)
+            m, pre, post, _ = _integrate(m0, phases, p, rngs())
+            runs.append((m.tobytes(), pre, post))
+        assert runs[0] == runs[1] == runs[2]
+        for i, g in enumerate(rngs()):
+            alone = [(n, is_vec if is_vec.ndim == 1 else is_vec[:, i])
+                     for n, is_vec in phases]
+            mi = _integrate(m0[i:i + 1], alone, p, [g])[0]
+            assert mi[0].tobytes() == m[i].tobytes()
+
 
 class TestPinnedTrajectories:
     """Recorded runs keep the bytes and drift values they had when pinned:
@@ -302,6 +329,27 @@ class TestParamsValidation:
             DeviceParams(alpha=0.0, Ms=1e6, V=1e-24, T=300, dt=1e-13, Hk=1e4)
         with pytest.raises(DomainError):
             DeviceParams(alpha=0.01, Ms=1e6, V=1e-24, T=-1, dt=1e-13, Hk=1e4)
+
+    @pytest.mark.parametrize("field", ["alpha", "Ms", "V", "T", "dt", "Hk", "Hd",
+                                       "gamma"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_params_rejected(self, field, value):
+        kwargs = dict(alpha=0.01, Ms=1e6, V=1e-24, T=300.0, dt=1e-13, Hk=1e4)
+        kwargs[field] = value
+        with pytest.raises(DomainError, match="finite"):
+            DeviceParams(**kwargs)
+
+    @pytest.mark.parametrize("magnitude, duration", [
+        (1e-4, np.nan), (1e-4, np.inf), (np.nan, 1e-9), (np.inf, 1e-9)])
+    def test_non_finite_pulse_rejected(self, magnitude, duration):
+        with pytest.raises(DomainError, match="finite"):
+            SpinCurrentPulse(magnitude, duration)
+
+    @pytest.mark.parametrize("relax_time", [np.nan, np.inf])
+    def test_non_finite_relax_time_rejected(self, relax_time):
+        with pytest.raises(DomainError, match="finite"):
+            simulate_pulse(tilted(0.1), SpinCurrentPulse(0.0, 1e-12),
+                           default_device_params(T=0.0), relax_time, seed=0)
 
     def test_ns_derived_exactly(self):
         p = default_device_params()

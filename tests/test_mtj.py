@@ -38,6 +38,14 @@ class TestResistance:
         with pytest.raises(DomainError):
             MtjParams(device=dev, R_p=5e3, R_ap=10e3, theta_sh=1.5)
 
+    @pytest.mark.parametrize("field", ["R_p", "R_ap", "theta_sh", "init_tilt",
+                                       "relax_time"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_param_rejected(self, field, value):
+        kwargs = {"R_p": 5e3, "R_ap": 10e3, field: value}
+        with pytest.raises(DomainError):
+            MtjParams(device=default_device_params(), **kwargs)
+
 
 class TestEstimate:
     def test_zero_current_zero_temperature(self):
@@ -126,21 +134,35 @@ class TestSweep:
                       equil_steps=20, relax_time=2e-11)
     CURRENTS = [6.8e-3, 7.2e-3, 7.5e-3, 7.8e-3, 8.2e-3]
 
-    def assert_points_match_estimates(self, workers):
+    @pytest.mark.parametrize("workers, batch", [(1, None), (2, None), (1, 12)],
+                             ids=["1-worker", "2-workers", "12-trial-slabs"])
+    def test_points_equal_single_point_estimates(self, workers, batch,
+                                                 monkeypatch):
         """Point idx of a sweep is estimate_switching_probability on the seed
-        derive_rng(seed, "sweep-point", idx) draws (T = 300 K, 1,220 steps)."""
-        curve = sweep_switching_curve(self.CURRENTS, 1e-10, 16, self.SHORT, 11,
-                                      workers=workers)
+        derive_rng(seed, "sweep-point", idx) draws (T = 300 K, 1,220 steps),
+        also when slabs of 12 trials cut across the points' 16 trials."""
+        expected = []
         for idx, current in enumerate(self.CURRENTS):
             point_seed = int(derive_rng(11, "sweep-point", idx).integers(0, 2**63))
-            p, ci = estimate_switching_probability(current, 1e-10, 16, self.SHORT,
-                                                   point_seed)
-            assert (curve.p_hat[idx], curve.ci_halfwidth[idx]) == (p, ci)
+            expected.append(estimate_switching_probability(
+                current, 1e-10, 16, self.SHORT, point_seed))
+        if batch is not None:
+            monkeypatch.setattr(mtj, "_BATCH_TRIALS", batch)
+        curve = sweep_switching_curve(self.CURRENTS, 1e-10, 16, self.SHORT, 11,
+                                      workers=workers)
+        assert list(zip(curve.p_hat, curve.ci_halfwidth)) == expected
         assert 0.0 < curve.p_hat.mean() < 1.0
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_points_equal_single_point_estimates(self, workers):
-        self.assert_points_match_estimates(workers)
+    @pytest.mark.parametrize("currents", [[1e-3, 2e-3, 3e-3, 4e-3, np.inf],
+                                          [-np.inf, 2e-3, 3e-3, 4e-3, 5e-3]])
+    def test_non_finite_current_rejected(self, currents):
+        with pytest.raises(DomainError, match="finite"):
+            sweep_switching_curve(currents, 5e-10, 2, default_mtj_params(), 1)
+
+    @pytest.mark.parametrize("width", [np.nan, np.inf])
+    def test_non_finite_pulse_width_rejected(self, width):
+        with pytest.raises(DomainError, match="pulse_width"):
+            estimate_switching_probability(1e-3, width, 2, default_mtj_params(), 1)
 
     def test_csv_export(self, tmp_path):
         curve = SwitchingCurve(np.array([1e-4, 2e-4]), np.array([0.1, 0.9]),
