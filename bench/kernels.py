@@ -117,6 +117,11 @@ def main(argv=None):
             for kernel in KERNELS:
                 for s in order:
                     runs[kernel][s].append(measure(trees[s], kernel))
+    kernels = {}
+    for k, (unit, _) in KERNELS.items():
+        sums = {s: summary(runs[k][s]) for s in sides}
+        kernels[k] = {"unit": unit, **sums, "head_over_base":
+                      sums["head"]["median"] / sums["base"]["median"]}
     import numpy
     doc = {
         "env": {"date": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -124,11 +129,7 @@ def main(argv=None):
                 "platform": platform.platform(), "cpu_count": os.cpu_count(),
                 "loadavg_at_end": os.getloadavg(), "repeats": args.repeats},
         "revisions": revs,
-        "kernels": {k: {"unit": KERNELS[k][0],
-                        **{s: summary(runs[k][s]) for s in sides},
-                        "head_over_base": (statistics.median(r["value"] for r in runs[k]["head"])
-                                           / statistics.median(r["value"] for r in runs[k]["base"]))}
-                    for k in KERNELS},
+        "kernels": kernels,
     }
     text = json.dumps(doc, indent=2) + "\n"
     if args.out:
