@@ -190,6 +190,9 @@ def cmd_train_decoder(v, seed, workers, out_dir):
 def cmd_ber(v, seed, workers, out_dir):
     spec = _code_from_config(v)
     decoder = v.get_str("ber", "decoder", "classical")
+    if decoder not in ("classical", "neural", "paired"):
+        raise ConfigError(f"[ber] decoder must be classical, neural or "
+                          f"paired, got {decoder!r}")
     snrs = v.get_float_list("ber", "snrs_db")
     if not snrs:
         raise ConfigError("[ber] snrs_db needs at least one SNR")
@@ -205,9 +208,9 @@ def cmd_ber(v, seed, workers, out_dir):
                 f"{model_path} (run train-decoder first)")
         model = load_model(model_path)
     # every decoder runs before any file is written: an error writes nothing
-    results = {name: polar.ber_experiment(spec, name, snrs, min_frames, seed,
-                                          model=model, window=window,
-                                          workers=workers)
+    results = {name: polar.ber_experiment(spec, snrs, min_frames, seed,
+                                          model if name == "neural" else None,
+                                          window, workers)
                for name in which}
     outputs = []
     for name, rows in results.items():

@@ -3,8 +3,10 @@
 Index convention: natural order throughout (no bit-reversal).  The
 encoder applies the [[1,0],[1,1]] kernel by in-place butterflies; the SC
 decoder uses the exact check-node rule in its numerically safe log form
-(min-sum available behind a flag).  Ties decode to bit 0.  Encoders and
-both decoders take one word (N,) or a block of words (..., N).
+(min-sum available behind a flag).  Ties decode to bit 0.  Encoders take
+one word (N,) or a block of words (..., N); the channel returns LLR arrays
+of the same shape (positive favours bit 0), and both decoders take those
+arrays directly.
 """
 
 from dataclasses import dataclass
@@ -23,7 +25,6 @@ FRAME_BLOCK = 512    # frames per ber_experiment block; bounds its memory
 
 __all__ = [
     "PolarCodeSpec",
-    "ChannelOutput",
     "DecodeResult",
     "construct_frozen_set",
     "polar_transform",
@@ -75,19 +76,6 @@ class PolarCodeSpec:
             return cls(N=doc["N"], K=doc["K"],
                        frozen=np.asarray(doc["frozen_mask"], dtype=bool),
                        design_snr_db=doc.get("design_snr_db", 0.0))
-
-
-@dataclass(frozen=True)
-class ChannelOutput:
-    llrs: np.ndarray             # positive favors bit 0
-    snr_db: float
-
-    def __post_init__(self):
-        llrs = np.asarray(self.llrs, dtype=float)
-        if not np.isfinite(llrs).all():
-            raise DomainError("channel LLRs must be finite")
-        llrs.setflags(write=False)
-        object.__setattr__(self, "llrs", llrs)
 
 
 @dataclass(frozen=True)
@@ -156,12 +144,12 @@ def _bpsk_llrs(codewords, snrs_db, rate, noise):
                   + np.sqrt(sigma2) * noise) / sigma2
 
 
-def bpsk_awgn(codeword, snr_db: float, seed: int, rate: float) -> ChannelOutput:
-    """BPSK over AWGN at Eb/N0 = snr_db for the given code rate."""
+def bpsk_awgn(codeword, snr_db: float, seed: int, rate: float) -> np.ndarray:
+    """Channel LLRs (N,) of one codeword sent by BPSK over AWGN at
+    Eb/N0 = snr_db for the given code rate."""
     codeword = np.asarray(codeword, dtype=np.uint8)
     noise = derive_rng(seed, "channel").standard_normal(codeword.size)
-    return ChannelOutput(llrs=_bpsk_llrs(codeword, [snr_db], rate, noise),
-                         snr_db=snr_db)
+    return _bpsk_llrs(codeword, [snr_db], rate, noise)
 
 
 def generate_frames(spec: PolarCodeSpec, seed: int, tags, frames, snrs_db):
@@ -205,16 +193,21 @@ def _sc_recurse(llr, frozen, min_sum):
             np.concatenate([x_left ^ x_right, x_right], axis=1))
 
 
-def sc_decode(out: ChannelOutput, spec: PolarCodeSpec,
-              min_sum: bool = False) -> DecodeResult:
-    """Classical successive-cancellation decoding (llr >= 0 decodes to 0) of
-    one frame, LLRs (N,), or of a block of frames at once, LLRs (..., N);
-    u_hat is (..., N), message_hat (..., K)."""
-    llr = np.asarray(out.llrs, dtype=float)
+def _llr_block(llrs, spec: PolarCodeSpec) -> np.ndarray:
+    """A decoder's input LLRs (..., N) as floats, checked finite."""
+    llr = np.asarray(llrs, dtype=float)
     if llr.shape[-1:] != (spec.N,):
         raise ShapeError(f"LLR length must be {spec.N}")
     if not np.isfinite(llr).all():
         raise DomainError("LLRs must be finite")
+    return llr
+
+
+def sc_decode(llrs, spec: PolarCodeSpec, min_sum: bool = False) -> DecodeResult:
+    """Classical successive-cancellation decoding (llr >= 0 decodes to 0) of
+    one frame, LLRs (N,), or of a block of frames at once, LLRs (..., N);
+    u_hat is (..., N), message_hat (..., K)."""
+    llr = _llr_block(llrs, spec)
     u_hat, _ = _sc_recurse(llr.reshape(-1, spec.N), spec.frozen, min_sum)
     u_hat = u_hat.reshape(llr.shape)
     return DecodeResult(u_hat=u_hat, message_hat=u_hat[..., ~spec.frozen])
@@ -225,16 +218,13 @@ def llr_features(llrs) -> np.ndarray:
     return np.tanh(np.asarray(llrs, dtype=float) / 2.0)
 
 
-def neural_sc_decode(out: ChannelOutput, model: NetworkModel,
-                     spec: PolarCodeSpec, window: int = 64,
-                     seed=0) -> DecodeResult:
+def neural_sc_decode(llrs, model: NetworkModel, spec: PolarCodeSpec,
+                     window: int = 64, seed=0) -> DecodeResult:
     """One-shot dense decoder of LLRs (..., N): llr_features, forward pass,
     outputs (..., K) thresholded at 0.5 (0.5 decodes to bit 0).  A
     stochastic-firing model averages spikes over `window` passes first,
     with a seed per frame (seed has shape llrs.shape[:-1])."""
-    llr = np.asarray(out.llrs, dtype=float)
-    if llr.shape[-1:] != (spec.N,):
-        raise ShapeError(f"LLR length must be {spec.N}")
+    llr = _llr_block(llrs, spec)
     if model.input_dim != spec.N or model.output_dim != spec.K:
         raise ShapeError("model dimensions do not match the code spec")
     x = llr_features(llr)
@@ -246,18 +236,16 @@ def neural_sc_decode(out: ChannelOutput, model: NetworkModel,
 
 
 def _ber_point(args):
-    (point_index, spec, decoder, snr_db, min_frames, seed,
-     model, window) = args
+    point_index, spec, snr_db, min_frames, seed, model, window = args
     bit_errors = frame_errors = 0
     decode_time = 0.0
     for start in range(0, min_frames, FRAME_BLOCK):
         block = range(start, min(start + FRAME_BLOCK, min_frames))
         messages, llrs, frame_seeds = generate_frames(
             spec, seed, ("ber", point_index), block, [snr_db] * len(block))
-        out = ChannelOutput(llrs=llrs, snr_db=snr_db)
         t0 = time.perf_counter()
-        result = (sc_decode(out, spec) if decoder == "classical" else
-                  neural_sc_decode(out, model, spec, window, frame_seeds))
+        result = (sc_decode(llrs, spec) if model is None else
+                  neural_sc_decode(llrs, model, spec, window, frame_seeds))
         message_hat = result.message_hat
         decode_time += time.perf_counter() - t0
         errs = np.count_nonzero(message_hat != messages, axis=1)
@@ -274,10 +262,11 @@ def _ber_point(args):
     }
 
 
-def ber_experiment(spec: PolarCodeSpec, decoder: str, snr_list, min_frames: int,
-                   seed: int, model: NetworkModel | None = None,
-                   window: int = 64, workers: int = 1) -> list:
-    """Monte Carlo BER/FER per SNR point; rows ordered like snr_list.
+def ber_experiment(spec: PolarCodeSpec, snr_list, min_frames: int, seed: int,
+                   model: NetworkModel | None = None, window: int = 64,
+                   workers: int = 1) -> list:
+    """Monte Carlo BER/FER per SNR point of the SC decoder, or of the neural
+    decoder when a model is given; rows ordered like snr_list.
 
     Every frame draws its message and noise from a dedicated substream of
     (seed, point index, frame index), so results do not depend on worker
@@ -286,11 +275,7 @@ def ber_experiment(spec: PolarCodeSpec, decoder: str, snr_list, min_frames: int,
     """
     if min_frames < 1:
         raise DomainError("min_frames must be >= 1")
-    if decoder not in ("classical", "neural"):
-        raise DomainError(f"unknown decoder {decoder!r}")
-    if decoder == "neural" and model is None:
-        raise DomainError("neural decoding requires a trained model")
-    jobs = [(i, spec, decoder, snr, min_frames, seed, model, window)
+    jobs = [(i, spec, snr, min_frames, seed, model, window)
             for i, snr in enumerate(snr_list)]
     return parallel_map(_ber_point, jobs, workers)
 

@@ -1,12 +1,12 @@
 """Backpropagation and the three gradient-descent variants.
 
 A dataset is inputs X (B, n_in) and targets Y (B, n_out), one example per
-row.  All three optimizers share one batch update: the gradient of the
-rows, summed in ascending row order and averaged; so minibatch(B=1) is
-bit-identical to SGD and minibatch(B=n) to full GD.  Losses are computed
-for a block at once too.  Only deterministic-sigmoid models are
-differentiated; stochastic-firing networks reuse weights trained in
-deterministic mode.
+row.  GD, SGD and minibatch are OptimizerConfig kinds that `train` runs
+through the one update, minibatch_step (row gradients summed in ascending
+row order, then averaged), on all rows, one row or batch_size rows at a
+time.  Losses are computed for a block at once too.  Only
+deterministic-sigmoid models are differentiated; stochastic-firing
+networks reuse weights trained in deterministic mode.
 """
 
 from dataclasses import dataclass, replace
@@ -26,8 +26,6 @@ __all__ = [
     "loss_value",
     "mean_loss",
     "backprop_gradient",
-    "gd_step",
-    "sgd_step",
     "minibatch_step",
     "train",
 ]
@@ -162,18 +160,6 @@ def minibatch_step(model: NetworkModel, X, Y, rate: float,
     return replace(model, layers=[
         Layer(layer.weights - rate * (dW / len(X)), layer.bias - rate * (db / len(X)))
         for layer, (dW, db) in zip(model.layers, grads)])
-
-
-def gd_step(model: NetworkModel, X, Y, rate: float,
-            loss: LossSpec) -> NetworkModel:
-    """Full-batch update over the whole dataset X (B, n_in), Y (B, n_out)."""
-    return minibatch_step(model, X, Y, rate, loss)
-
-
-def sgd_step(model: NetworkModel, x, y, rate: float,
-             loss: LossSpec) -> NetworkModel:
-    """Update from one example, input x (n_in,) and target y (n_out,)."""
-    return minibatch_step(model, [x], [y], rate, loss)
 
 
 def train(model: NetworkModel, X, Y, config: OptimizerConfig,

@@ -20,12 +20,12 @@ from spinsc.llgs import (Q_E, SpinCurrentPulse, default_device_params,
                          sample_thermal_field, simulate_pulse)
 from spinsc.mtj import default_mtj_params, fit_stochastic_sigmoid, sweep_switching_curve
 from spinsc.network import STOCHASTIC, NetworkModel, load_model
-from spinsc.polar import (ChannelOutput, PolarCodeSpec, bpsk_awgn,
+from spinsc.polar import (PolarCodeSpec, bpsk_awgn,
                           construct_frozen_set, encode, neural_sc_decode,
                           ber_experiment, polar_transform, sc_decode)
-from spinsc.training import (SQUARED_ERROR, LossSpec, backprop_gradient,
-                             gd_step, init_model, loss_value, minibatch_step,
-                             sgd_step)
+from spinsc.training import (SQUARED_ERROR, LossSpec, OptimizerConfig,
+                             backprop_gradient, init_model, loss_value,
+                             minibatch_step, train)
 from spinsc.rngtools import derive_rng
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -184,12 +184,16 @@ def test_criterion_06_optimizer_identities():
     model = init_model([3, 5, 2], 61)
     rows = [(rng.standard_normal(3), rng.uniform(0, 1, 2)) for _ in range(6)]
     X, Y = np.array([x for x, _ in rows]), np.array([y for _, y in rows])
-    exact = True
-    b1 = minibatch_step(model, X[:1], Y[:1], 0.3, loss)
-    s1 = sgd_step(model, X[0], Y[0], 0.3, loss)
-    bn = minibatch_step(model, X, Y, 0.3, loss)
-    gd = gd_step(model, X, Y, 0.3, loss)
-    for x, y in ((b1, s1), (bn, gd)):
+
+    def run(kind, epochs, batch_size=1):
+        cfg = OptimizerConfig(kind, 0.3, epochs, batch_size, shuffle_seed=6)
+        return train(model, X, Y, cfg, loss)
+
+    sgd, sgd_history = run("sgd", 2)
+    b1, b1_history = run("minibatch", 2, batch_size=1)
+    gd, _ = run("gd", 1)
+    exact = sgd_history == b1_history
+    for x, y in ((sgd, b1), (gd, minibatch_step(model, X, Y, 0.3, loss))):
         for lx, ly in zip(x.layers, y.layers):
             exact &= np.array_equal(lx.weights, ly.weights)
             exact &= np.array_equal(lx.bias, ly.bias)
@@ -198,13 +202,14 @@ def test_criterion_06_optimizer_identities():
         acc_w = np.zeros_like(layer.weights)
         acc_b = np.zeros_like(layer.bias)
         for x, y in zip(X, Y):
-            s = sgd_step(model, x, y, 0.3, loss)
+            s = minibatch_step(model, [x], [y], 0.3, loss)
             acc_w += s.layers[i].weights
             acc_b += s.layers[i].bias
         gap = max(gap, float(np.max(np.abs(acc_w / len(X) - layer.weights))))
         gap = max(gap, float(np.max(np.abs(acc_b / len(X) - layer.bias))))
     ok = exact and gap <= 1e-12
-    report(6, ok, f"B=1==SGD and B=n==GD bit-exact, "
+    report(6, ok, f"train: SGD==minibatch(B=1) over 2 epochs and GD epoch=="
+                  f"minibatch_step(all rows) bit-exact, "
                   f"SGD-mean vs GD gap {gap:.1e} (<=1e-12)")
 
 
@@ -255,9 +260,9 @@ def test_criterion_08_sc_decoder_oracle():
         msg = np.array(msg_bits, dtype=np.uint8)
         cw = encode(msg, spec)
         for noise_seed in range(20):
-            out = bpsk_awgn(cw, 1.0, noise_seed, spec.rate)
-            ok &= np.array_equal(sc_decode(out, spec).u_hat,
-                                 _oracle_sc(out.llrs, spec.frozen))
+            llrs = bpsk_awgn(cw, 1.0, noise_seed, spec.rate)
+            ok &= np.array_equal(sc_decode(llrs, spec).u_hat,
+                                 _oracle_sc(llrs, spec.frozen))
     elapsed = time.perf_counter() - t0
     report(8, ok and elapsed < 60,
            f"16 messages x 20 noise seeds bit-for-bit, {elapsed:.0f}s (<60s)")
@@ -271,8 +276,8 @@ def test_criterion_09_noiseless_invertibility():
         rng = derive_rng(9, "acc-inv", N)
         for _ in range(100):
             msg = rng.integers(0, 2, spec.K).astype(np.uint8)
-            out = bpsk_awgn(encode(msg, spec), 100.0, 1, spec.rate)
-            ok &= np.array_equal(sc_decode(out, spec).message_hat, msg)
+            llrs = bpsk_awgn(encode(msg, spec), 100.0, 1, spec.rate)
+            ok &= np.array_equal(sc_decode(llrs, spec).message_hat, msg)
     report(9, ok, "100/100 random messages recovered at every N in {2..1024}")
 
 
@@ -280,7 +285,7 @@ def test_criterion_10_coding_gain():
     t0 = time.perf_counter()
     spec = construct_frozen_set(128, 64)
     frames = 2000
-    rows = ber_experiment(spec, "classical", [2.0, 3.0, 4.0], frames, 7)
+    rows = ber_experiment(spec, [2.0, 3.0, 4.0], frames, 7)
     bers = [r["ber"] for r in rows]
     bits = frames * spec.K
 
@@ -315,9 +320,9 @@ def test_criterion_11_neural_decoder_pipeline(tmp_path):
     bit_errors = 0
     for _ in range(1000):
         msg = rng.integers(0, 2, spec.K).astype(np.uint8)
-        out = bpsk_awgn(encode(msg, spec), 100.0, int(rng.integers(0, 2 ** 31)),
-                        spec.rate)
-        res = neural_sc_decode(out, model, spec)
+        llrs = bpsk_awgn(encode(msg, spec), 100.0, int(rng.integers(0, 2 ** 31)),
+                         spec.rate)
+        res = neural_sc_decode(llrs, model, spec)
         bit_errors += int(np.count_nonzero(res.message_hat != msg))
     noiseless_rate = bit_errors / (1000 * spec.K)
 
@@ -326,10 +331,10 @@ def test_criterion_11_neural_decoder_pipeline(tmp_path):
     for i in range(1000):
         frng = derive_rng(20260824, "acc-agree", i)
         msg = frng.integers(0, 2, spec.K).astype(np.uint8)
-        out = bpsk_awgn(encode(msg, spec), 4.0, int(frng.integers(0, 2 ** 31)),
-                        spec.rate)
-        det = neural_sc_decode(out, model, spec)
-        sto = neural_sc_decode(out, spiking, spec, window=256,
+        llrs = bpsk_awgn(encode(msg, spec), 4.0, int(frng.integers(0, 2 ** 31)),
+                         spec.rate)
+        det = neural_sc_decode(llrs, model, spec)
+        sto = neural_sc_decode(llrs, spiking, spec, window=256,
                                seed=int(frng.integers(0, 2 ** 31)))
         agree += int(np.array_equal(det.message_hat, sto.message_hat))
     ok = final_loss < 0.2 and noiseless_rate < 0.01 and agree >= 950

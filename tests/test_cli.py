@@ -201,6 +201,15 @@ class TestBer:
         assert not (tmp_path / "ber_neural.csv").exists()
         assert not (tmp_path / "manifest.json").exists()
 
+    def test_unknown_decoder_fails_cleanly(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "b.cfg", BER_CFG.replace(
+            "decoder = classical", "decoder = magic"))
+        out = tmp_path / "out"
+        assert run("ber", cfg, out) == 2
+        assert "error: [ber] decoder must be classical, neural or paired, " \
+               "got 'magic'" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_paired_decoders(self, tmp_path):
         train_cfg = write_cfg(tmp_path / "t.cfg", TRAIN_CFG.replace(
             "n = 4\nk = 2", "n = 8\nk = 4"))

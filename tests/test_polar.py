@@ -14,7 +14,7 @@ from spinsc.errors import DomainError, FormatError, ShapeError
 from spinsc.mtj import SigmoidFit
 from spinsc.network import (DETERMINISTIC, STOCHASTIC, Layer, NetworkModel,
                             load_model, save_model)
-from spinsc.polar import (ChannelOutput, PolarCodeSpec, bpsk_awgn,
+from spinsc.polar import (PolarCodeSpec, bpsk_awgn,
                           construct_frozen_set, encode, generate_frames,
                           neural_sc_decode, ber_experiment, polar_transform,
                           sc_decode)
@@ -151,10 +151,10 @@ class TestEncode:
 class TestChannel:
     def test_noiseless_limit_preserves_signs(self):
         cw = derive_rng(0, "cw").integers(0, 2, 64).astype(np.uint8)
-        out = bpsk_awgn(cw, 100.0, 1, rate=0.5)
-        bits = (out.llrs < 0).astype(np.uint8)
+        llrs = bpsk_awgn(cw, 100.0, 1, rate=0.5)
+        bits = (llrs < 0).astype(np.uint8)
         assert np.array_equal(bits, cw)
-        assert np.all(np.abs(out.llrs) > 1e9)
+        assert np.all(np.abs(llrs) > 1e9)
 
     def test_llr_moments_match_closed_form(self):
         n = 100_000
@@ -162,7 +162,7 @@ class TestChannel:
         sigma2 = 1.0 / (2 * rate * 10 ** (snr_db / 10))
         reps = int(np.ceil(n / 64))
         llrs = np.concatenate([
-            bpsk_awgn(np.zeros(64, np.uint8), snr_db, s, rate).llrs
+            bpsk_awgn(np.zeros(64, np.uint8), snr_db, s, rate)
             for s in range(reps)])[:n]
         mean, var = 2 / sigma2, 4 / sigma2
         assert abs(llrs.mean() - mean) <= 3 * math.sqrt(var / n)
@@ -171,11 +171,17 @@ class TestChannel:
         cw = np.zeros(32, np.uint8)
         a = bpsk_awgn(cw, 3.0, 5, 0.5)
         b = bpsk_awgn(cw, 3.0, 5, 0.5)
-        assert np.array_equal(a.llrs, b.llrs)
+        assert np.array_equal(a, b)
 
-    def test_non_finite_llrs_rejected(self):
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_llrs_rejected(self, bad):
+        spec = construct_frozen_set(4, 2)
+        model = NetworkModel(layers=[Layer(np.zeros((2, 4)), np.zeros(2))])
+        llrs = np.array([[1.0, -2.0, 0.5, 3.0], [1.0, bad, 0.5, 3.0]])
         with pytest.raises(DomainError):
-            ChannelOutput(llrs=np.array([1.0, np.inf]), snr_db=0.0)
+            sc_decode(llrs, spec)
+        with pytest.raises(DomainError):
+            neural_sc_decode(llrs, model, spec)
 
 
 class TestScDecode:
@@ -185,21 +191,21 @@ class TestScDecode:
         rng = derive_rng(N, "msg")
         for _ in range(5):
             msg = rng.integers(0, 2, spec.K).astype(np.uint8)
-            out = bpsk_awgn(encode(msg, spec), 100.0, 3, spec.rate)
-            res = sc_decode(out, spec)
+            llrs = bpsk_awgn(encode(msg, spec), 100.0, 3, spec.rate)
+            res = sc_decode(llrs, spec)
             assert np.array_equal(res.message_hat, msg)
 
     def test_rate_zero_code(self):
         spec = construct_frozen_set(8, 0)
-        out = bpsk_awgn(np.zeros(8, np.uint8), 0.0, 1, rate=1.0)
-        res = sc_decode(out, spec)
+        llrs = bpsk_awgn(np.zeros(8, np.uint8), 0.0, 1, rate=1.0)
+        res = sc_decode(llrs, spec)
         assert res.message_hat.size == 0
         assert not res.u_hat.any()
 
     def test_frozen_positions_forced_zero(self):
         spec = construct_frozen_set(16, 4)
-        out = bpsk_awgn(encode(np.ones(4, np.uint8), spec), 0.0, 9, spec.rate)
-        res = sc_decode(out, spec)
+        llrs = bpsk_awgn(encode(np.ones(4, np.uint8), spec), 0.0, 9, spec.rate)
+        res = sc_decode(llrs, spec)
         assert not res.u_hat[spec.frozen].any()
 
     def test_matches_exhaustive_oracle(self):
@@ -208,12 +214,12 @@ class TestScDecode:
         rows = [np.zeros(8)]                  # all ties: decodes to all 0
         for trial in range(8):
             msg = rng.integers(0, 2, 4).astype(np.uint8)
-            out = bpsk_awgn(encode(msg, spec), 1.0, 100 + trial, spec.rate)
-            res = sc_decode(out, spec)
-            u_oracle = oracle_sc_decode(out.llrs, spec.frozen)
+            llrs = bpsk_awgn(encode(msg, spec), 1.0, 100 + trial, spec.rate)
+            res = sc_decode(llrs, spec)
+            u_oracle = oracle_sc_decode(llrs, spec.frozen)
             assert np.array_equal(res.u_hat, u_oracle)
-            rows.append(out.llrs)
-        block = sc_decode(ChannelOutput(np.array(rows), 1.0), spec)
+            rows.append(llrs)
+        block = sc_decode(np.array(rows), spec)
         for llrs, u_hat in zip(rows, block.u_hat):
             assert np.array_equal(u_hat, oracle_sc_decode(llrs, spec.frozen))
 
@@ -228,9 +234,8 @@ class TestScDecode:
         llrs[1] = 0.0                                 # a row of exact ties
         llrs[2, rng.integers(0, N, max(1, N // 4))] = 0.0
         llrs[3] = np.round(llrs[3])                   # many zeros, equal magnitudes
-        block = sc_decode(ChannelOutput(llrs, 2.0), spec, min_sum=min_sum)
-        rows = [sc_decode(ChannelOutput(row, 2.0), spec, min_sum=min_sum)
-                for row in llrs]
+        block = sc_decode(llrs, spec, min_sum=min_sum)
+        rows = [sc_decode(row, spec, min_sum=min_sum) for row in llrs]
         assert block.u_hat.shape == (6, N)
         assert block.message_hat.shape == (6, k)
         assert np.array_equal(block.u_hat, np.array([r.u_hat for r in rows]))
@@ -242,16 +247,16 @@ class TestScDecode:
     def test_min_sum_close_to_exact_at_high_snr(self):
         spec = construct_frozen_set(64, 32)
         msg = derive_rng(1, "ms").integers(0, 2, 32).astype(np.uint8)
-        out = bpsk_awgn(encode(msg, spec), 6.0, 2, spec.rate)
-        assert np.array_equal(sc_decode(out, spec, min_sum=True).message_hat,
-                              sc_decode(out, spec).message_hat)
+        llrs = bpsk_awgn(encode(msg, spec), 6.0, 2, spec.rate)
+        assert np.array_equal(sc_decode(llrs, spec, min_sum=True).message_hat,
+                              sc_decode(llrs, spec).message_hat)
 
     def test_wrong_length_rejected(self):
         spec = construct_frozen_set(8, 4)
         with pytest.raises(ShapeError):
-            sc_decode(ChannelOutput(np.zeros(4), 0.0), spec)
+            sc_decode(np.zeros(4), spec)
         with pytest.raises(ShapeError):
-            sc_decode(ChannelOutput(np.zeros((3, 4)), 0.0), spec)
+            sc_decode(np.zeros((3, 4)), spec)
 
 
 class TestGenerateFrames:
@@ -292,8 +297,8 @@ class TestNeuralDecode:
     def test_zero_weight_model_decodes_to_zero(self):
         spec = construct_frozen_set(8, 4)
         model = NetworkModel(layers=[Layer(np.zeros((4, 8)), np.zeros(4))])
-        out = bpsk_awgn(encode(np.ones(4, np.uint8), spec), 2.0, 3, spec.rate)
-        res = neural_sc_decode(out, model, spec)
+        llrs = bpsk_awgn(encode(np.ones(4, np.uint8), spec), 2.0, 3, spec.rate)
+        res = neural_sc_decode(llrs, model, spec)
         # every pre-threshold output is exactly 0.5; the tie maps to bit 0
         assert not res.message_hat.any()
 
@@ -310,10 +315,8 @@ class TestNeuralDecode:
             unit_current=1e-3 if mode == "device" else 0.0)
         _, llrs, seeds = generate_frames(spec, 4, ("nb",), range(40), [2.0] * 40)
         llrs[1] = 0.0                    # a frame of zero LLRs
-        block = neural_sc_decode(ChannelOutput(llrs, 2.0), model, spec,
-                                 window=16, seed=seeds)
-        rows = [neural_sc_decode(ChannelOutput(llr, 2.0), model, spec, window=16,
-                                 seed=int(seed))
+        block = neural_sc_decode(llrs, model, spec, window=16, seed=seeds)
+        rows = [neural_sc_decode(llr, model, spec, window=16, seed=int(seed))
                 for llr, seed in zip(llrs, seeds)]
         assert block.u_hat.shape == (40, 8) and block.message_hat.shape == (40, 4)
         assert np.array_equal(block.u_hat, np.array([r.u_hat for r in rows]))
@@ -324,48 +327,49 @@ class TestNeuralDecode:
     def test_dimension_mismatch(self):
         spec = construct_frozen_set(8, 4)
         model = NetworkModel(layers=[Layer(np.zeros((4, 16)), np.zeros(4))])
-        out = ChannelOutput(np.zeros(8), 0.0)
         with pytest.raises(ShapeError):
-            neural_sc_decode(out, model, spec)
+            neural_sc_decode(np.zeros(8), model, spec)
         fitting = NetworkModel(layers=[Layer(np.zeros((4, 8)), np.zeros(4))],
                                activation_mode=STOCHASTIC)
         with pytest.raises(ShapeError):            # LLR blocks of length 4
-            neural_sc_decode(ChannelOutput(np.zeros((3, 4)), 0.0), fitting, spec)
+            neural_sc_decode(np.zeros((3, 4)), fitting, spec)
         with pytest.raises(ShapeError):            # one seed for three frames
-            neural_sc_decode(ChannelOutput(np.zeros((3, 8)), 0.0), fitting, spec,
-                             seed=1)
+            neural_sc_decode(np.zeros((3, 8)), fitting, spec, seed=1)
 
 
 class TestBerExperiment:
     def test_noiseless_ber_zero(self):
         spec = construct_frozen_set(32, 16)
-        rows = ber_experiment(spec, "classical", [100.0], 20, 4)
+        rows = ber_experiment(spec, [100.0], 20, 4)
         assert rows[0]["ber"] == 0.0 and rows[0]["fer"] == 0.0
 
     def test_rate_one_n1_matches_uncoded_bpsk(self):
         spec = PolarCodeSpec(N=1, K=1, frozen=np.zeros(1, bool))
         snr_db = 2.0
-        rows = ber_experiment(spec, "classical", [snr_db], 20_000, 11)
+        rows = ber_experiment(spec, [snr_db], 20_000, 11)
         q = 0.5 * math.erfc(math.sqrt(10 ** (snr_db / 10)))
         se = math.sqrt(q * (1 - q) / 20_000)
         assert abs(rows[0]["ber"] - q) <= 3 * se
 
     def test_seed_and_worker_independence(self):
         spec = construct_frozen_set(16, 8)
-        a = ber_experiment(spec, "classical", [1.0, 3.0], 50, 21, workers=1)
-        b = ber_experiment(spec, "classical", [1.0, 3.0], 50, 21, workers=2)
+        a = ber_experiment(spec, [1.0, 3.0], 50, 21, workers=1)
+        b = ber_experiment(spec, [1.0, 3.0], 50, 21, workers=2)
         for ra, rb in zip(a, b):
             assert ra["bit_errors"] == rb["bit_errors"]
             assert ra["frame_errors"] == rb["frame_errors"]
 
-    def test_neural_requires_model(self):
+    def test_model_selects_neural_decoder(self):
+        # a zero-weight model decodes every bit to 0, so it errs on the
+        # ones that SC recovers without error at 100 dB
         spec = construct_frozen_set(8, 4)
-        with pytest.raises(DomainError):
-            ber_experiment(spec, "neural", [1.0], 5, 1)
-
-    def test_unknown_decoder_rejected(self):
-        with pytest.raises(DomainError):
-            ber_experiment(construct_frozen_set(8, 4), "magic", [1.0], 5, 1)
+        model = NetworkModel(layers=[Layer(np.zeros((4, 8)), np.zeros(4))])
+        sc = ber_experiment(spec, [100.0], 50, 3)
+        neural = ber_experiment(spec, [100.0], 50, 3, model=model)
+        messages, _, _ = generate_frames(spec, 3, ("ber", 0), range(50),
+                                         [100.0] * 50)
+        assert sc[0]["bit_errors"] == 0
+        assert neural[0]["bit_errors"] == int(messages.sum()) > 0
 
 
 with open(os.path.join(ROOT, "tests", "golden.json")) as _fh:

@@ -7,9 +7,8 @@ from spinsc.errors import (DivergenceError, DomainError, ShapeError,
                            UnsupportedModeError)
 from spinsc.network import STOCHASTIC, Layer, NetworkModel
 from spinsc.training import (CROSS_ENTROPY, SQUARED_ERROR, LossSpec,
-                             OptimizerConfig, backprop_gradient, gd_step,
-                             init_model, loss_value, mean_loss, minibatch_step,
-                             sgd_step, train)
+                             OptimizerConfig, backprop_gradient, init_model,
+                             loss_value, mean_loss, minibatch_step, train)
 from spinsc.rngtools import derive_rng
 
 
@@ -180,37 +179,37 @@ class TestSteps:
     def test_zero_rate_leaves_model_unchanged(self):
         model, x, y = scalar_quadratic_setup()
         # rate 0 is forbidden by config validation; step APIs take it directly
-        out = sgd_step(model, x, y, 0.0, self.loss)
+        out = minibatch_step(model, [x], [y], 0.0, self.loss)
         assert np.array_equal(out.layers[0].weights, model.layers[0].weights)
 
     def test_single_example_gd_equals_sgd(self):
         model = init_model([2, 2, 1], 3)
         x, y = [0.2, -0.5], [0.7]
-        a = gd_step(model, [x], [y], 0.3, self.loss)
-        b = sgd_step(model, x, y, 0.3, self.loss)
+        a, _ = train(model, [x], [y], OptimizerConfig("gd", 0.3, 2), self.loss)
+        b, _ = train(model, [x], [y], OptimizerConfig("sgd", 0.3, 2), self.loss)
         for la, lb in zip(a.layers, b.layers):
             assert np.array_equal(la.weights, lb.weights)
             assert np.array_equal(la.bias, lb.bias)
 
     def test_quadratic_toy_gd(self):
         model, x, y = scalar_quadratic_setup()
-        out = gd_step(model, [x, x], [y, y], 0.5, self.loss)
+        out = minibatch_step(model, [x, x], [y, y], 0.5, self.loss)
         assert out.layers[0].weights[0, 0] == pytest.approx(0.5, abs=1e-15)
 
     def test_quadratic_toy_sgd(self):
         model, x, y = scalar_quadratic_setup()
-        out = sgd_step(model, x, y, 0.1, self.loss)
+        out = minibatch_step(model, [x], [y], 0.1, self.loss)
         assert out.layers[0].weights[0, 0] == pytest.approx(0.1, abs=1e-15)
 
     def test_sgd_updates_average_to_gd_update(self):
         rng = derive_rng(1, "avg")
         model = init_model([2, 3, 2], 17)
         X, Y = random_dataset(rng, 5, 2, 2)
-        gd = gd_step(model, X, Y, 0.25, self.loss)
+        gd = minibatch_step(model, X, Y, 0.25, self.loss)
         acc = [np.zeros_like(l.weights) for l in model.layers]
         acc_b = [np.zeros_like(l.bias) for l in model.layers]
         for x, y in zip(X, Y):
-            stepped = sgd_step(model, x, y, 0.25, self.loss)
+            stepped = minibatch_step(model, [x], [y], 0.25, self.loss)
             for i, l in enumerate(stepped.layers):
                 acc[i] += l.weights
                 acc_b[i] += l.bias
@@ -219,14 +218,25 @@ class TestSteps:
             assert np.allclose(acc_b[i] / len(X), l.bias, atol=1e-12)
 
     def test_minibatch_degeneracies_bit_exact(self):
+        # train steps GD on all rows in order and SGD on one shuffled row at
+        # a time, each at the decayed rate of its step count
         rng = derive_rng(2, "deg")
         model = init_model([3, 4, 2], 23)
         X, Y = random_dataset(rng, 4, 3, 2)
-        b1 = minibatch_step(model, X[:1], Y[:1], 0.4, self.loss)
-        s1 = sgd_step(model, X[0], Y[0], 0.4, self.loss)
-        bn = minibatch_step(model, X, Y, 0.4, self.loss)
-        gd = gd_step(model, X, Y, 0.4, self.loss)
-        for x, y in ((b1, s1), (bn, gd)):
+        gd_cfg = OptimizerConfig("gd", 0.4, epochs=2, lr_decay=0.5)
+        gd, _ = train(model, X, Y, gd_cfg, self.loss)
+        gd_ref = model
+        for step in range(2):
+            gd_ref = minibatch_step(gd_ref, X, Y, gd_cfg.rate_at(step), self.loss)
+        sgd_cfg = OptimizerConfig("sgd", 0.4, epochs=1, lr_decay=0.5,
+                                  shuffle_seed=8)
+        sgd, _ = train(model, X, Y, sgd_cfg, self.loss)
+        sgd_ref = model
+        order = derive_rng(8, "shuffle").permutation(len(X))
+        for step, i in enumerate(order):
+            sgd_ref = minibatch_step(sgd_ref, X[i:i + 1], Y[i:i + 1],
+                                     sgd_cfg.rate_at(step), self.loss)
+        for x, y in ((gd, gd_ref), (sgd, sgd_ref)):
             for lx, ly in zip(x.layers, y.layers):
                 assert np.array_equal(lx.weights, ly.weights)
                 assert np.array_equal(lx.bias, ly.bias)
@@ -269,8 +279,7 @@ class TestSteps:
     def batch_calls(model, loss):
         """Every function that takes a dataset, as f(X, Y)."""
         cfg = OptimizerConfig(kind="gd", learning_rate=0.1, epochs=0)
-        return [lambda X, Y: gd_step(model, X, Y, 0.1, loss),
-                lambda X, Y: minibatch_step(model, X, Y, 0.1, loss),
+        return [lambda X, Y: minibatch_step(model, X, Y, 0.1, loss),
                 lambda X, Y: mean_loss(model, X, Y, loss),
                 lambda X, Y: train(model, X, Y, cfg, loss)]
 
