@@ -270,17 +270,26 @@ def _load_manifest(path):
         with open(path) as fh:
             doc = json.load(fh)
         _COMMANDS[doc["command"]]       # KeyError for an unknown command
-        return doc["command"], doc["config"], doc["master_seed"], doc["workers"]
+        cfg, seed, workers = doc["config"], doc["master_seed"], doc["workers"]
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"manifest {path} is unreadable or lacks an "
                           f"entry: {exc!r}") from None
+    if (isinstance(workers, bool) or not isinstance(workers, int)
+            or not isinstance(cfg, dict)
+            or not all(isinstance(table, dict) for table in cfg.values())):
+        raise ConfigError(f"manifest {path} needs an integer workers and a "
+                          f"config of sections, got {workers!r} and {cfg!r}")
+    return doc["command"], cfg, seed, workers
 
 
 def _run(command, cfg_dict, seed, workers, out_dir):
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError(f"master seed must be a non-negative integer, "
                           f"got {seed!r}")
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create out-dir {out_dir}: {exc}") from None
     view = ConfigView(cfg_dict)
     t0 = time.perf_counter()
     outputs, ok = _COMMANDS[command](view, seed, workers, out_dir)

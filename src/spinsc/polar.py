@@ -91,10 +91,15 @@ def construct_frozen_set(N: int, K: int, design_snr_db: float = 0.0) -> PolarCod
     (2z - z^2, z^2); the N-K least reliable (largest-z) indices are
     frozen, ties freezing the lower index first.
     """
+    if N < 1 or (N & (N - 1)) != 0:
+        raise DomainError(f"N must be a power of 2, got {N}")
     if K > N:
         raise DomainError("K must not exceed N")
     if K < 0:
         raise DomainError("K must be non-negative")
+    if not -math.inf < design_snr_db <= 3000.0:    # 10 ** 308.3 overflows
+        raise DomainError(f"design SNR must be finite and at most 3000 dB, "
+                          f"got {design_snr_db}")
     z = np.array([math.exp(-(10.0 ** (design_snr_db / 10.0)))])
     while z.size < N:
         nxt = np.empty(2 * z.size)
@@ -133,13 +138,23 @@ def encode(message, spec: PolarCodeSpec) -> np.ndarray:
     return polar_transform(u)
 
 
+def _noise_variance(snr_db, rate):
+    """BPSK noise variance per dimension at Eb/N0 = snr_db dB."""
+    try:
+        sigma2 = 1.0 / (2.0 * rate * 10.0 ** (float(snr_db) / 10.0))
+    except (OverflowError, ZeroDivisionError):
+        sigma2 = math.nan
+    if not 0.0 < sigma2 < math.inf:       # also rejects NaN
+        raise DomainError(f"Eb/N0 {snr_db} dB at code rate {rate} gives no "
+                          f"positive, finite noise variance")
+    return sigma2
+
+
 def _bpsk_llrs(codewords, snrs_db, rate, noise):
     """LLRs of BPSK codewords (..., N) plus unit-variance `noise` scaled for
     the code rate and one Eb/N0 per codeword."""
-    if rate <= 0:
-        raise DomainError("code rate must be positive")
-    sigma2 = np.reshape([1.0 / (2.0 * rate * 10.0 ** (float(s) / 10.0))
-                         for s in snrs_db], codewords.shape[:-1] + (1,))
+    sigma2 = np.reshape([_noise_variance(s, rate) for s in snrs_db],
+                        codewords.shape[:-1] + (1,))
     return 2.0 * (1.0 - 2.0 * codewords.astype(float)
                   + np.sqrt(sigma2) * noise) / sigma2
 
@@ -246,9 +261,8 @@ def _ber_point(args):
         t0 = time.perf_counter()
         result = (sc_decode(llrs, spec) if model is None else
                   neural_sc_decode(llrs, model, spec, window, frame_seeds))
-        message_hat = result.message_hat
         decode_time += time.perf_counter() - t0
-        errs = np.count_nonzero(message_hat != messages, axis=1)
+        errs = np.count_nonzero(result.message_hat != messages, axis=1)
         bit_errors += int(errs.sum())
         frame_errors += int(np.count_nonzero(errs))
     return {

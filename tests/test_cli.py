@@ -430,12 +430,69 @@ class TestErrors:
 
     def test_rerun_manifest_without_config(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.json"
-        manifest.write_text(json.dumps({"command": "gradcheck",
-                                        "master_seed": 1, "workers": 1}))
+        good = {"command": "gradcheck", "config": {"run": {"seed": "1"}},
+                "master_seed": 1, "workers": 1}
+        cases = [({"config": None}, "lacks an entry: KeyError('config')"),
+                 ({"workers": "x"}, "got 'x' and {'run'"),
+                 ({"workers": 2.5}, "got 2.5 and {'run'"),
+                 ({"workers": True}, "got True and {'run'"),
+                 ({"config": []}, "got 1 and []"),
+                 ({"config": {"run": 1}}, "got 1 and {'run': 1}")]
         out = tmp_path / "out"
-        assert main(["rerun", str(manifest), "--out-dir", str(out)]) == 2
-        assert "lacks an entry: KeyError('config')" in capsys.readouterr().err
-        assert not out.exists()
+        for change, message in cases:
+            doc = {k: v for k, v in {**good, **change}.items() if v is not None}
+            manifest.write_text(json.dumps(doc))
+            assert main(["rerun", str(manifest), "--out-dir", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert message in err
+            assert "lacks" in message or "an integer workers" in err
+            assert not out.exists()
+
+    def test_out_dir_is_a_file(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "g.cfg", GRADCHECK_CFG)
+        out = tmp_path / "taken"
+        out.write_text("not a directory")
+        assert run("gradcheck", cfg, out) == 2
+        assert "error: cannot create out-dir" in capsys.readouterr().err
+        assert out.read_text() == "not a directory"
+
+    @pytest.mark.parametrize("command", ["ber", "train-decoder"])
+    @pytest.mark.parametrize("code,message", [
+        ("n = 3", "N must be a power of 2, got 3"),
+        ("n = 6", "N must be a power of 2, got 6"),
+        ("n = 0", "N must be a power of 2, got 0"),
+        ("design_snr_db = nan", "design SNR must be finite and at most 3000 dB, "
+                                "got nan"),
+        ("design_snr_db = 10000", "design SNR must be finite and at most "
+                                  "3000 dB, got 10000.0"),
+    ], ids=["n3", "n6", "n0", "design-nan", "design-10000"])
+    def test_bad_code_writes_nothing(self, tmp_path, capsys, command, code,
+                                     message):
+        base = BER_CFG if command == "ber" else TRAIN_CFG
+        n_line = "n = 8" if command == "ber" else "n = 4"
+        if code.startswith("n ="):
+            text = base.replace(n_line, code)
+        else:
+            text = base.replace(n_line, f"{n_line}\n{code}")
+        cfg = write_cfg(tmp_path / "c.cfg", text)
+        out = tmp_path / "out"
+        assert run(command, cfg, out) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["ber", "train-decoder"])
+    @pytest.mark.parametrize("snr", ["4000", "nan", "-inf"])
+    def test_bad_eb_n0_writes_nothing(self, tmp_path, capsys, command, snr):
+        if command == "ber":
+            text = BER_CFG.replace("snrs_db = 1.0, 3.0", f"snrs_db = 1.0, {snr}")
+        else:
+            text = TRAIN_CFG.replace("snrs_db = 2.0", f"snrs_db = 2.0, {snr}")
+        cfg = write_cfg(tmp_path / "c.cfg", text)
+        out = tmp_path / "out"
+        assert run(command, cfg, out) == 2
+        assert "gives no positive, finite noise variance" in \
+            capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_bad_value_reports_section_and_key(self, tmp_path):
         cfg = write_cfg(tmp_path / "g.cfg",

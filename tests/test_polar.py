@@ -88,6 +88,15 @@ class TestConstruction:
     def test_non_power_of_two_rejected(self):
         with pytest.raises(DomainError):
             PolarCodeSpec(N=6, K=3, frozen=np.zeros(6, bool))
+        for n in (0, 3, 6):
+            with pytest.raises(DomainError, match="power of 2"):
+                construct_frozen_set(n, 0)
+
+    @pytest.mark.parametrize("design_snr_db",
+                             [math.nan, math.inf, -math.inf, 10000.0])
+    def test_design_snr_out_of_range_rejected(self, design_snr_db):
+        with pytest.raises(DomainError, match="design SNR"):
+            construct_frozen_set(8, 4, design_snr_db)
 
     def test_spec_json_round_trip(self, tmp_path):
         spec = construct_frozen_set(16, 8, design_snr_db=1.5)
@@ -288,6 +297,11 @@ class TestGenerateFrames:
         spec = construct_frozen_set(8, 4)
         with pytest.raises(ShapeError):
             generate_frames(spec, 0, ("x",), range(3), [1.0, 2.0])
+        for snr_db in (math.nan, math.inf, -math.inf, 4000.0, -4000.0):
+            with pytest.raises(DomainError, match="noise variance"):
+                generate_frames(spec, 0, ("x",), range(2), [1.0, snr_db])
+            with pytest.raises(DomainError, match="noise variance"):
+                bpsk_awgn(np.zeros(8, np.uint8), snr_db, 0, spec.rate)
         with pytest.raises(DomainError):
             generate_frames(construct_frozen_set(8, 0), 0, ("x",), range(3),
                             [1.0] * 3)
