@@ -12,8 +12,8 @@ median, min and max, plus the child's peak RSS, each tree's `src/spinsc`
 line count and an `env` record of the machine.  Compare base and head
 within one file, not across files.
 
-Later kernels add a `name: (unit, function)` entry to KERNELS; a function
-runs in the child, returns its throughput and must exist in both trees.
+Each kernel is a `name: (unit, function)` entry in KERNELS; a function
+runs in the child, returns its throughput and must work in both trees.
 """
 
 import argparse
@@ -52,8 +52,34 @@ def llgs_integrate(batch):
     return run
 
 
+def polar_block(kernel, N, frames=512):
+    """Frames/s of `polar.encode` on random messages or `polar._sc_recurse` on
+    their LLRs at Eb/N0 = 2 dB, in blocks of `frames` frames of the rate-1/2
+    length-N code, repeated for at least 1 s."""
+    def run():
+        import numpy as np
+        from spinsc import polar
+        spec = polar.construct_frozen_set(N, N // 2)
+        rng = np.random.default_rng(N)
+        messages = rng.integers(0, 2, (frames, spec.K), dtype=np.uint8)
+        sigma2 = 1.0 / (2.0 * spec.rate * 10.0 ** 0.2)
+        llrs = 2.0 * (1.0 - 2.0 * polar.encode(messages, spec)
+                      + math.sqrt(sigma2) * rng.standard_normal((frames, N))) / sigma2
+        calls, t0 = 0, time.perf_counter()
+        while time.perf_counter() - t0 < 1.0:
+            if kernel == "encode":
+                polar.encode(messages, spec)
+            else:
+                polar._sc_recurse(llrs, spec.frozen, False)
+            calls += 1
+        return calls * frames / (time.perf_counter() - t0)
+    return run
+
+
 KERNELS = {f"llgs._integrate B={b}": ("trial-steps/s", llgs_integrate(b))
            for b in (1, 500, 2000, 2500)}
+KERNELS.update({f"polar.{k} N={n}": ("frames/s", polar_block(k, n))
+                for k in ("_sc_recurse", "encode") for n in (128, 1024)})
 
 
 def child(kernel):
