@@ -63,8 +63,8 @@ def polar_block(kernel, N, frames=512):
         rng = np.random.default_rng(N)
         messages = rng.integers(0, 2, (frames, spec.K), dtype=np.uint8)
         sigma2 = 1.0 / (2.0 * spec.rate * 10.0 ** 0.2)
-        llrs = 2.0 * (1.0 - 2.0 * polar.encode(messages, spec)
-                      + math.sqrt(sigma2) * rng.standard_normal((frames, N))) / sigma2
+        noise = math.sqrt(sigma2) * rng.standard_normal((frames, N))
+        llrs = 2.0 * (1.0 - 2.0 * polar.encode(messages, spec) + noise) / sigma2
         calls, t0 = 0, time.perf_counter()
         while time.perf_counter() - t0 < 1.0:
             if kernel == "encode":

@@ -432,6 +432,7 @@ class TestErrors:
         manifest = tmp_path / "manifest.json"
         good = {"command": "gradcheck", "config": {"run": {"seed": "1"}},
                 "master_seed": 1, "workers": 1}
+        # each case changes one entry of `good`; None drops the entry
         cases = [({"config": None}, "lacks an entry: KeyError('config')"),
                  ({"workers": "x"}, "got 'x' and {'run'"),
                  ({"workers": 2.5}, "got 2.5 and {'run'"),
