@@ -2,15 +2,14 @@
 
     python3 bench/kernels.py --base REV [--head REV] [--repeats 5] [--out FILE]
 
-Each revision's committed tree is unpacked with `git archive` into a
-temporary directory, and every (kernel, revision, repeat) is timed in a
-fresh interpreter with that tree's `src` on the path.  The two revisions
-alternate within each repeat, base first on even repeats and head first
-on odd ones, so drift in a shared machine's speed falls on both alike.
-The JSON written holds, per kernel and revision, every run and their
-median, min and max, plus the child's peak RSS, each tree's `src/spinsc`
-line count and an `env` record of the machine.  Compare base and head
-within one file, not across files.
+Each revision's committed tree is unpacked with `git archive`, and every
+(kernel, revision, repeat) is timed in a fresh interpreter with that
+tree's `src` on the path.  The revisions alternate within each repeat,
+base first on even repeats, so drift in a shared machine's speed falls on
+both alike.  The JSON holds, per kernel and revision, every run, their
+median, min and max and the child's peak RSS, plus each tree's
+`src/spinsc` line count and an `env` record of the machine.  Compare
+base and head within one file, not across files.
 
 Each kernel is a `name: (unit, function)` entry in KERNELS; a function
 runs in the child, returns its throughput and must work in both trees.
@@ -18,6 +17,7 @@ runs in the child, returns its throughput and must work in both trees.
 
 import argparse
 import datetime
+from functools import partial
 import io
 import json
 import math
@@ -37,49 +37,56 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def llgs_integrate(batch):
     """LLGS trial-steps/s of `llgs._integrate` at T = 300 K: `batch` trials
     from 2 degrees off -z under a 4.5e-4 A spin current along +z."""
-    def run():
-        import numpy as np
-        from spinsc import llgs
-        from spinsc.rngtools import derive_rng
-        params = llgs.default_device_params()
-        steps = max(2100, 400_000 // batch)
-        th = math.radians(2.0)
-        m0 = np.tile([math.sin(th), 0.0, -math.cos(th)], (batch, 1))
-        rngs = [derive_rng(1, "bench", i) for i in range(batch)]
-        t0 = time.perf_counter()
-        llgs._integrate(m0, [(steps, np.array([0.0, 0.0, 4.5e-4]))], params, rngs)
-        return batch * steps / (time.perf_counter() - t0)
-    return run
+    import numpy as np
+    from spinsc import llgs
+    from spinsc.rngtools import derive_rng
+    params = llgs.default_device_params()
+    steps = max(2100, 400_000 // batch)
+    th = math.radians(2.0)
+    m0 = np.tile([math.sin(th), 0.0, -math.cos(th)], (batch, 1))
+    rngs = [derive_rng(1, "bench", i) for i in range(batch)]
+    t0 = time.perf_counter()
+    llgs._integrate(m0, [(steps, np.array([0.0, 0.0, 4.5e-4]))], params, rngs)
+    return batch * steps / (time.perf_counter() - t0)
+
+
+def repeat_for_1s(units, fn, *args):
+    """Units/s of fn(*args), each call doing `units`, called for at least 1 s."""
+    calls, t0 = 0, time.perf_counter()
+    while time.perf_counter() - t0 < 1.0:
+        fn(*args)
+        calls += 1
+    return calls * units / (time.perf_counter() - t0)
 
 
 def polar_block(kernel, N, frames=512):
-    """Frames/s of `polar.encode` on random messages or `polar._sc_recurse` on
-    their LLRs at Eb/N0 = 2 dB, in blocks of `frames` frames of the rate-1/2
-    length-N code, repeated for at least 1 s."""
-    def run():
-        import numpy as np
-        from spinsc import polar
-        spec = polar.construct_frozen_set(N, N // 2)
-        rng = np.random.default_rng(N)
-        messages = rng.integers(0, 2, (frames, spec.K), dtype=np.uint8)
-        sigma2 = 1.0 / (2.0 * spec.rate * 10.0 ** 0.2)
-        noise = math.sqrt(sigma2) * rng.standard_normal((frames, N))
-        llrs = 2.0 * (1.0 - 2.0 * polar.encode(messages, spec) + noise) / sigma2
-        calls, t0 = 0, time.perf_counter()
-        while time.perf_counter() - t0 < 1.0:
-            if kernel == "encode":
-                polar.encode(messages, spec)
-            else:
-                polar._sc_recurse(llrs, spec.frozen, False)
-            calls += 1
-        return calls * frames / (time.perf_counter() - t0)
-    return run
+    """Frames/s of `polar.encode` or `polar._sc_recurse` on blocks of `frames`
+    frames of the rate-1/2 length-N code from `generate_frames` at 2 dB."""
+    from spinsc import polar
+    spec = polar.construct_frozen_set(N, N // 2)
+    messages, llrs, _ = polar.generate_frames(
+        spec, N, ("bench",), range(frames), [2.0] * frames)
+    args = (messages, spec) if kernel == "encode" else (llrs, spec.frozen, False)
+    return repeat_for_1s(frames, getattr(polar, kernel), *args)
 
 
-KERNELS = {f"llgs._integrate B={b}": ("trial-steps/s", llgs_integrate(b))
+def bitstream_cell(L=10 ** 6):
+    """Stream bits/s of one `sc-arith-bench` cell on L-bit streams: encode
+    a, b and a select stream, AND-multiply and MUX-add them, decode both."""
+    from spinsc import bitstream as bs
+
+    def cell():
+        a, b = bs.encode(0.3, L, 1), bs.encode(0.7, L, 2)
+        bs.decode(bs.multiply_and(a, b))
+        bs.decode(bs.scaled_add_mux(a, b, bs.encode(0.5, L, 3)))
+    return repeat_for_1s(L, cell)
+
+
+KERNELS = {f"llgs._integrate B={b}": ("trial-steps/s", partial(llgs_integrate, b))
            for b in (1, 500, 2000, 2500)}
-KERNELS.update({f"polar.{k} N={n}": ("frames/s", polar_block(k, n))
+KERNELS.update({f"polar.{k} N={n}": ("frames/s", partial(polar_block, k, n))
                 for k in ("_sc_recurse", "encode") for n in (128, 1024)})
+KERNELS["bitstream cell L=1e6"] = ("bits/s", bitstream_cell)
 
 
 def child(kernel):
@@ -107,17 +114,9 @@ def src_loc(tree):
 
 def measure(tree, kernel):
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-    out = subprocess.run([sys.executable, os.path.abspath(__file__),
-                          "--child", kernel], env=env, check=True,
-                         stdout=subprocess.PIPE, text=True).stdout
-    return json.loads(out)
-
-
-def summary(runs):
-    values = [r["value"] for r in runs]
-    return {"median": statistics.median(values), "min": min(values),
-            "max": max(values), "runs": values,
-            "peak_rss_mb": max(r["peak_rss_mb"] for r in runs)}
+    return json.loads(subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--child", kernel],
+        env=env, check=True, stdout=subprocess.PIPE, text=True).stdout)
 
 
 def main(argv=None):
@@ -139,25 +138,26 @@ def main(argv=None):
                     "src_loc": src_loc(trees[s])} for s in sides}
         runs = {k: {s: [] for s in sides} for k in KERNELS}
         for rep in range(args.repeats):
-            order = sides if rep % 2 == 0 else sides[::-1]
             for kernel in KERNELS:
-                for s in order:
+                for s in (sides if rep % 2 == 0 else sides[::-1]):
                     runs[kernel][s].append(measure(trees[s], kernel))
     kernels = {}
     for k, (unit, _) in KERNELS.items():
-        sums = {s: summary(runs[k][s]) for s in sides}
-        kernels[k] = {"unit": unit, **sums, "head_over_base":
-                      sums["head"]["median"] / sums["base"]["median"]}
+        kernels[k] = {"unit": unit}
+        for s in sides:
+            values = [r["value"] for r in runs[k][s]]
+            kernels[k][s] = {"median": statistics.median(values), "min": min(values),
+                             "max": max(values), "runs": values, "peak_rss_mb":
+                             max(r["peak_rss_mb"] for r in runs[k][s])}
+        kernels[k]["head_over_base"] = (kernels[k]["head"]["median"]
+                                        / kernels[k]["base"]["median"])
     import numpy
-    doc = {
-        "env": {"date": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-                "python": platform.python_version(), "numpy": numpy.__version__,
-                "platform": platform.platform(), "cpu_count": os.cpu_count(),
-                "loadavg_at_end": os.getloadavg(), "repeats": args.repeats},
-        "revisions": revs,
-        "kernels": kernels,
-    }
-    text = json.dumps(doc, indent=2) + "\n"
+    env = {"date": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+           "python": platform.python_version(), "numpy": numpy.__version__,
+           "platform": platform.platform(), "cpu_count": os.cpu_count(),
+           "loadavg_at_end": os.getloadavg(), "repeats": args.repeats}
+    text = json.dumps({"env": env, "revisions": revs, "kernels": kernels},
+                      indent=2) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -127,28 +127,33 @@ def cmd_sc_arith_bench(v, seed, workers, out_dir):
     if L < 1 or not values or not all(0.0 <= p <= 1.0 for p in values):
         raise ConfigError(f"[scarith] needs length >= 1 and values in [0, 1], "
                           f"got length {L}, values {values}")
+    if n_seeds < 1:
+        raise ConfigError(f"[scarith] seeds must be >= 1, got {n_seeds}")
+    # a seed's three stream seeds do not depend on (p, q): encode sel once
+    # per seed, a once per p and b once per (p, q), holding one of each
+    est = np.empty((len(values), len(values), 2, n_seeds))   # AND, MUX values
+    for i in range(n_seeds):
+        root = derive_rng(seed, "sc-bench", i)
+        sa, sb, ss = (int(root.integers(0, 2 ** 63)) for _ in range(3))
+        sel = bitstream.encode(0.5, L, ss)
+        for j, p in enumerate(values):
+            a = bitstream.encode(p, L, sa)
+            for k, q in enumerate(values):
+                b = bitstream.encode(q, L, sb)
+                est[j, k, :, i] = (bitstream.decode(bitstream.multiply_and(a, b)),
+                                   bitstream.decode(bitstream.scaled_add_mux(a, b, sel)))
     rows = []
-    for p in values:
-        for q in values:
-            and_pass = mux_pass = 0
+    for j, p in enumerate(values):
+        for k, q in enumerate(values):
             target_and = p * q
-            target_mux = (p + q) / 2.0
-            bound_and = 3.0 * math.sqrt(target_and * (1 - target_and) / L)
             var_mux = (0.5 * (p * (1 - p) + q * (1 - q))
                        + 0.25 * (p - q) ** 2) / L
-            bound_mux = 3.0 * math.sqrt(var_mux)
-            for i in range(n_seeds):
-                root = derive_rng(seed, "sc-bench", i)
-                sa, sb, ss = (int(root.integers(0, 2 ** 63)) for _ in range(3))
-                a = bitstream.encode(p, L, sa)
-                b = bitstream.encode(q, L, sb)
-                sel = bitstream.encode(0.5, L, ss)
-                if abs(bitstream.decode(bitstream.multiply_and(a, b)) - target_and) <= bound_and:
-                    and_pass += 1
-                if abs(bitstream.decode(bitstream.scaled_add_mux(a, b, sel)) - target_mux) <= bound_mux:
-                    mux_pass += 1
-            rows.append(("and", p, q, L, n_seeds, and_pass, bound_and))
-            rows.append(("mux", p, q, L, n_seeds, mux_pass, bound_mux))
+            bounds = (3.0 * math.sqrt(target_and * (1 - target_and) / L),
+                      3.0 * math.sqrt(var_mux))
+            for op, x, target, bound in zip(("and", "mux"), est[j, k],
+                                            (target_and, (p + q) / 2.0), bounds):
+                passes = int(np.count_nonzero(np.abs(x - target) <= bound))
+                rows.append((op, p, q, L, n_seeds, passes, bound))
     header = ("op", "p", "q", "length", "seeds", "passes", "bound")
     return [_write(out_dir, "sc_arith.csv",
                    lambda path: write_csv(path, header, rows))], True
@@ -199,21 +204,19 @@ def cmd_ber(v, seed, workers, out_dir):
     min_frames = v.get_int("ber", "min_frames")
     window = v.get_int("ber", "window", 64)
     which = ["classical", "neural"] if decoder == "paired" else [decoder]
-    model = None
+    models = [None] * len(which)
     if "neural" in which:
         model_path = v.get_str("ber", "model_path")
         if not os.path.isfile(model_path):
             raise ConfigError(
                 f"neural decoding needs a trained model; expected file at "
                 f"{model_path} (run train-decoder first)")
-        model = load_model(model_path)
+        models[-1] = load_model(model_path)
     # every decoder runs before any file is written: an error writes nothing
-    results = {name: polar.ber_experiment(spec, snrs, min_frames, seed,
-                                          model if name == "neural" else None,
-                                          window, workers)
-               for name in which}
+    results = polar.ber_experiment(spec, snrs, min_frames, seed, models,
+                                   window, workers)
     outputs = []
-    for name, rows in results.items():
+    for name, rows in zip(which, results):
         outputs.append(_write(out_dir, f"ber_{name}.csv",
                               lambda p: polar.write_ber_csv(rows, p)))
         outputs.append(_write(out_dir, f"timing_{name}.csv",
@@ -227,6 +230,8 @@ def cmd_gradcheck(v, seed, workers, out_dir):
     if len(max_layers) < 2 or min(max_layers) < 1:
         raise ConfigError(f"[gradcheck] max_sizes needs at least two layer "
                           f"sizes, each >= 1, got {max_layers}")
+    if n_nets < 1:
+        raise ConfigError(f"[gradcheck] networks must be >= 1, got {n_nets}")
     loss = training.LossSpec(kind=v.get_str(
         "gradcheck", "loss", training.SQUARED_ERROR))
     rng = derive_rng(seed, "gradcheck")

@@ -89,7 +89,8 @@ def construct_frozen_set(N: int, K: int, design_snr_db: float = 0.0) -> PolarCod
 
     z0 = exp(-snr_linear); each polarization level maps z to the pair
     (2z - z^2, z^2); the N-K least reliable (largest-z) indices are
-    frozen, ties freezing the lower index first.
+    frozen, ties freezing the lower index first.  z is carried as log z:
+    from about 28 dB, z underflows to 0 and every index would tie.
     """
     if N < 1 or (N & (N - 1)) != 0:
         raise DomainError(f"N must be a power of 2, got {N}")
@@ -100,13 +101,10 @@ def construct_frozen_set(N: int, K: int, design_snr_db: float = 0.0) -> PolarCod
     if not -math.inf < design_snr_db <= 3000.0:    # 10 ** 308.3 overflows
         raise DomainError(f"design SNR must be finite and at most 3000 dB, "
                           f"got {design_snr_db}")
-    z = np.array([math.exp(-(10.0 ** (design_snr_db / 10.0)))])
-    while z.size < N:
-        nxt = np.empty(2 * z.size)
-        nxt[0::2] = 2.0 * z - z * z
-        nxt[1::2] = z * z
-        z = nxt
-    order = np.lexsort((np.arange(N), -z))   # by descending z, then index
+    lz = np.array([-(10.0 ** (design_snr_db / 10.0))])
+    while lz.size < N:     # log(2z - z^2) = log z + log(2 - z), log z^2
+        lz = np.column_stack([lz + np.log1p(-np.expm1(lz)), 2.0 * lz]).ravel()
+    order = np.lexsort((np.arange(N), -lz))   # by descending z, then index
     frozen = np.zeros(N, dtype=bool)
     frozen[order[:N - K]] = True
     return PolarCodeSpec(N=N, K=K, frozen=frozen, design_snr_db=design_snr_db)
@@ -251,47 +249,42 @@ def neural_sc_decode(llrs, model: NetworkModel, spec: PolarCodeSpec,
 
 
 def _ber_point(args):
-    point_index, spec, snr_db, min_frames, seed, model, window = args
-    bit_errors = frame_errors = 0
-    decode_time = 0.0
+    """One SNR point's row per model; each block is generated once."""
+    point_index, spec, snr_db, min_frames, seed, models, window = args
+    errors = np.zeros((len(models), 2), dtype=np.int64)   # bits, frames
+    decode_s = np.zeros(len(models))
     for start in range(0, min_frames, FRAME_BLOCK):
         block = range(start, min(start + FRAME_BLOCK, min_frames))
         messages, llrs, frame_seeds = generate_frames(
             spec, seed, ("ber", point_index), block, [snr_db] * len(block))
-        t0 = time.perf_counter()
-        result = (sc_decode(llrs, spec) if model is None else
-                  neural_sc_decode(llrs, model, spec, window, frame_seeds))
-        decode_time += time.perf_counter() - t0
-        errs = np.count_nonzero(result.message_hat != messages, axis=1)
-        bit_errors += int(errs.sum())
-        frame_errors += int(np.count_nonzero(errs))
-    return {
-        "snr_db": snr_db,
-        "frames": min_frames,
-        "bit_errors": bit_errors,
-        "frame_errors": frame_errors,
-        "ber": bit_errors / (min_frames * spec.K),
-        "fer": frame_errors / min_frames,
-        "mean_decode_us": 1e6 * decode_time / min_frames,
-    }
+        for m, model in enumerate(models):
+            t0 = time.perf_counter()
+            result = (sc_decode(llrs, spec) if model is None else
+                      neural_sc_decode(llrs, model, spec, window, frame_seeds))
+            decode_s[m] += time.perf_counter() - t0
+            errs = np.count_nonzero(result.message_hat != messages, axis=1)
+            errors[m] += errs.sum(), np.count_nonzero(errs)
+    return [{"snr_db": snr_db, "frames": min_frames, "bit_errors": bits,
+             "frame_errors": frames, "ber": bits / (min_frames * spec.K),
+             "fer": frames / min_frames,
+             "mean_decode_us": 1e6 * float(seconds) / min_frames}
+            for (bits, frames), seconds in zip(errors.tolist(), decode_s)]
 
 
 def ber_experiment(spec: PolarCodeSpec, snr_list, min_frames: int, seed: int,
-                   model: NetworkModel | None = None, window: int = 64,
-                   workers: int = 1) -> list:
-    """Monte Carlo BER/FER per SNR point of the SC decoder, or of the neural
-    decoder when a model is given; rows ordered like snr_list.
-
-    Every frame draws its message and noise from a dedicated substream of
-    (seed, point index, frame index), so results do not depend on worker
-    count, scheduling or block size.  Frames are generated and decoded in
-    blocks of at most FRAME_BLOCK.
-    """
+                   models=(None,), window: int = 64, workers: int = 1) -> list:
+    """Monte Carlo BER/FER per SNR point: one list of rows, ordered like
+    snr_list, per entry of `models` (None runs SC, a NetworkModel the
+    neural decoder), every decoder decoding the same frames.  Each frame
+    draws its message and noise from a substream of (seed, point index,
+    frame index), so results do not depend on worker count, scheduling or
+    block size (at most FRAME_BLOCK frames)."""
     if min_frames < 1:
         raise DomainError("min_frames must be >= 1")
-    jobs = [(i, spec, snr, min_frames, seed, model, window)
+    jobs = [(i, spec, snr, min_frames, seed, models, window)
             for i, snr in enumerate(snr_list)]
-    return parallel_map(_ber_point, jobs, workers)
+    points = parallel_map(_ber_point, jobs, workers)
+    return [[rows[m] for rows in points] for m in range(len(models))]
 
 
 def write_ber_csv(rows, path):

@@ -41,8 +41,9 @@ def derive_philox(master_seed: int, *tags) -> np.random.Generator:
 
 
 def parallel_map(fn, jobs, workers: int = 1) -> list:
-    """[fn(job) for job in jobs], on a pool of `workers` processes when
-    workers > 1; the results come back in job order either way."""
+    """[fn(job) for job in jobs], on a pool of min(workers, len(jobs))
+    processes when that exceeds 1; results come back in job order."""
+    workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, jobs))

@@ -285,7 +285,7 @@ def test_criterion_10_coding_gain():
     t0 = time.perf_counter()
     spec = construct_frozen_set(128, 64)
     frames = 2000
-    rows = ber_experiment(spec, [2.0, 3.0, 4.0], frames, 7)
+    rows, = ber_experiment(spec, [2.0, 3.0, 4.0], frames, 7)
     bers = [r["ber"] for r in rows]
     bits = frames * spec.K
 

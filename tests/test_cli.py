@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from spinsc import mtj
+from spinsc import bitstream, mtj
 from spinsc.cli import atomic_path, main
 from spinsc.errors import ConfigError, ConvergenceError
 from spinsc.config import ConfigView, load_config
@@ -128,6 +128,29 @@ class TestScArithBench:
             passes = int(line.split(",")[5])
             assert passes >= 4  # 3-sigma bound: at most rare misses
 
+    def test_encodes_each_stream_once_per_seed(self, tmp_path, monkeypatch):
+        # 5 seeds x (1 sel + 2 a + 4 b) streams with values 0.3, 0.7
+        calls = []
+        encode = bitstream.encode
+
+        def counting(*args):
+            calls.append(args)
+            return encode(*args)
+        monkeypatch.setattr(bitstream, "encode", counting)
+        cfg = write_cfg(tmp_path / "s.cfg", SC_ARITH_CFG)
+        assert run("sc-arith-bench", cfg, tmp_path) == 0
+        assert len(calls) == 5 * (1 + 2 + 2 * 2)
+
+    def test_repeated_value_repeats_its_rows(self, tmp_path):
+        cfg = write_cfg(tmp_path / "s.cfg", SC_ARITH_CFG.replace(
+            "values = 0.3, 0.7", "values = 0.3, 0.7, 0.3"))
+        assert run("sc-arith-bench", cfg, tmp_path) == 0
+        lines = (tmp_path / "sc_arith.csv").read_text().splitlines()[1:]
+        cell = {(j, k): lines[2 * (3 * j + k):2 * (3 * j + k) + 2]
+                for j in range(3) for k in range(3)}
+        for j in range(3):
+            assert cell[2, j] == cell[0, j] and cell[j, 2] == cell[j, 0]
+
     def test_env_override_changes_output(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path / "s.cfg", SC_ARITH_CFG)
         monkeypatch.setenv("SPINSC_SCARITH__SEEDS", "2")
@@ -223,6 +246,14 @@ class TestBer:
         for name in ("ber_classical.csv", "ber_neural.csv",
                      "timing_classical.csv", "timing_neural.csv"):
             assert (out / name).exists()
+        # one block decoded by both gives each decoder's own-run bytes
+        for name in ("classical", "neural"):
+            single = tmp_path / name
+            assert run("ber", write_cfg(tmp_path / f"{name}.cfg", BER_CFG.replace(
+                "decoder = classical", "decoder = %s\nmodel_path = %s"
+                % (name, train_dir / "model.json"))), single) == 0
+            assert (out / f"ber_{name}.csv").read_bytes() == \
+                (single / f"ber_{name}.csv").read_bytes()
 
     def test_paired_neural_failure_writes_nothing(self, tmp_path, capsys):
         # the model is trained for (4,2); decoding the (8,4) code with it
@@ -397,6 +428,24 @@ class TestErrors:
         out = tmp_path / "out"
         assert run("sc-arith-bench", cfg, out) == 2
         assert "values in [0, 1], got length 4096, values []" in \
+            capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_no_scarith_seeds(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "s.cfg",
+                        SC_ARITH_CFG.replace("seeds = 5", "seeds = -2"))
+        out = tmp_path / "out"
+        assert run("sc-arith-bench", cfg, out) == 2
+        assert "error: [scarith] seeds must be >= 1, got -2" in \
+            capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_no_gradcheck_networks(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "g.cfg",
+                        GRADCHECK_CFG.replace("networks = 10", "networks = 0"))
+        out = tmp_path / "out"
+        assert run("gradcheck", cfg, out) == 2
+        assert "error: [gradcheck] networks must be >= 1, got 0" in \
             capsys.readouterr().err
         assert list(out.iterdir()) == []
 

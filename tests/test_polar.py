@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinsc import polar
 from spinsc.cli import main as cli_main
 from spinsc.errors import DomainError, FormatError, ShapeError
 from spinsc.mtj import SigmoidFit
@@ -97,6 +98,34 @@ class TestConstruction:
     def test_design_snr_out_of_range_rejected(self, design_snr_db):
         with pytest.raises(DomainError, match="design SNR"):
             construct_frozen_set(8, 4, design_snr_db)
+
+    # (8,4) freezes this at 20 dB; linear z underflowed to 0 from about
+    # 28 dB, every index tied and the first four were frozen instead
+    @pytest.mark.parametrize("design_snr_db", [28.0, 29.0, 30.0, 40.0, 100.0, 300.0])
+    def test_high_snr_keeps_20_db_masks(self, design_snr_db):
+        assert construct_frozen_set(8, 4, design_snr_db).frozen.astype(int).tolist() \
+            == [1, 1, 1, 0, 1, 0, 0, 0]
+        for n in (8, 16, 32):
+            assert np.array_equal(construct_frozen_set(n, n // 2, design_snr_db).frozen,
+                                  construct_frozen_set(n, n // 2, 20.0).frozen)
+
+    @pytest.mark.parametrize("design_snr_db", [0.0, 3.0, 10.0])
+    def test_log_form_keeps_linear_masks_up_to_n256(self, design_snr_db):
+        def linear_mask(N, K):
+            z = np.array([math.exp(-(10.0 ** (design_snr_db / 10.0)))])
+            while z.size < N:
+                nxt = np.empty(2 * z.size)
+                nxt[0::2] = 2.0 * z - z * z
+                nxt[1::2] = z * z
+                z = nxt
+            frozen = np.zeros(N, dtype=bool)
+            frozen[np.lexsort((np.arange(N), -z))[:N - K]] = True
+            return frozen
+        for N in (1, 2, 4, 8, 16, 32, 64, 128, 256):
+            for K in range(N + 1):
+                assert np.array_equal(
+                    construct_frozen_set(N, K, design_snr_db).frozen,
+                    linear_mask(N, K)), (N, K)
 
     def test_spec_json_round_trip(self, tmp_path):
         spec = construct_frozen_set(16, 8, design_snr_db=1.5)
@@ -355,21 +384,21 @@ class TestNeuralDecode:
 class TestBerExperiment:
     def test_noiseless_ber_zero(self):
         spec = construct_frozen_set(32, 16)
-        rows = ber_experiment(spec, [100.0], 20, 4)
+        rows, = ber_experiment(spec, [100.0], 20, 4)
         assert rows[0]["ber"] == 0.0 and rows[0]["fer"] == 0.0
 
     def test_rate_one_n1_matches_uncoded_bpsk(self):
         spec = PolarCodeSpec(N=1, K=1, frozen=np.zeros(1, bool))
         snr_db = 2.0
-        rows = ber_experiment(spec, [snr_db], 20_000, 11)
+        rows, = ber_experiment(spec, [snr_db], 20_000, 11)
         q = 0.5 * math.erfc(math.sqrt(10 ** (snr_db / 10)))
         se = math.sqrt(q * (1 - q) / 20_000)
         assert abs(rows[0]["ber"] - q) <= 3 * se
 
     def test_seed_and_worker_independence(self):
         spec = construct_frozen_set(16, 8)
-        a = ber_experiment(spec, [1.0, 3.0], 50, 21, workers=1)
-        b = ber_experiment(spec, [1.0, 3.0], 50, 21, workers=2)
+        a, = ber_experiment(spec, [1.0, 3.0], 50, 21, workers=1)
+        b, = ber_experiment(spec, [1.0, 3.0], 50, 21, workers=2)
         for ra, rb in zip(a, b):
             assert ra["bit_errors"] == rb["bit_errors"]
             assert ra["frame_errors"] == rb["frame_errors"]
@@ -379,12 +408,32 @@ class TestBerExperiment:
         # ones that SC recovers without error at 100 dB
         spec = construct_frozen_set(8, 4)
         model = NetworkModel(layers=[Layer(np.zeros((4, 8)), np.zeros(4))])
-        sc = ber_experiment(spec, [100.0], 50, 3)
-        neural = ber_experiment(spec, [100.0], 50, 3, model=model)
+        sc, = ber_experiment(spec, [100.0], 50, 3)
+        neural, = ber_experiment(spec, [100.0], 50, 3, models=[model])
         messages, _, _ = generate_frames(spec, 3, ("ber", 0), range(50),
                                          [100.0] * 50)
         assert sc[0]["bit_errors"] == 0
         assert neural[0]["bit_errors"] == int(messages.sum()) > 0
+
+    def test_models_decode_the_same_frames(self, monkeypatch):
+        # two models in one run give the rows of one run per model, and
+        # each block is generated once: 2 points x 2 blocks of 700 frames
+        spec = construct_frozen_set(8, 4)
+        model = NetworkModel(layers=[Layer(np.zeros((4, 8)), np.zeros(4))])
+        singles = [ber_experiment(spec, [1.0, 3.0], 700, 5, models=[m])[0]
+                   for m in (None, model)]
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[3])
+            return generate_frames(*args, **kwargs)
+        monkeypatch.setattr(polar, "generate_frames", counting)
+        paired = ber_experiment(spec, [1.0, 3.0], 700, 5, models=[None, model])
+        assert len(calls) == 4
+        for got, want in zip(paired, singles):
+            for row, ref in zip(got, want):
+                del row["mean_decode_us"], ref["mean_decode_us"]
+                assert row == ref
 
 
 with open(os.path.join(ROOT, "tests", "golden.json")) as _fh:
