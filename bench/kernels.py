@@ -60,14 +60,28 @@ def repeat_for_1s(units, fn, *args):
 
 
 def polar_block(kernel, N, frames=512):
-    """Frames/s of `polar.encode` or `polar._sc_recurse` on blocks of `frames`
-    frames of the rate-1/2 length-N code from `generate_frames` at 2 dB."""
+    """Frames/s of `polar.encode`, `polar._sc_recurse` or
+    `polar.generate_frames` on blocks of `frames` frames of the rate-1/2
+    length-N code from `generate_frames` at 2 dB."""
     from spinsc import polar
     spec = polar.construct_frozen_set(N, N // 2)
-    messages, llrs, _ = polar.generate_frames(
-        spec, N, ("bench",), range(frames), [2.0] * frames)
-    args = (messages, spec) if kernel == "encode" else (llrs, spec.frozen, False)
+    gen_args = (spec, N, ("bench",), range(frames), [2.0] * frames)
+    messages, llrs, _ = polar.generate_frames(*gen_args)
+    args = {"encode": (messages, spec), "_sc_recurse": (llrs, spec.frozen, False),
+            "generate_frames": gen_args}[kernel]
     return repeat_for_1s(frames, getattr(polar, kernel), *args)
+
+
+def minibatch_step(batch=32):
+    """Examples/s of `training.minibatch_step` on the 8-32-4 net (the
+    `train-decoder` reference shape) with cross-entropy loss, `batch` rows
+    of normal inputs and 0/1 targets per step."""
+    import numpy as np
+    from spinsc import training
+    rng = np.random.default_rng(1)
+    X, Y = rng.standard_normal((batch, 8)), rng.integers(0, 2, (batch, 4)).astype(float)
+    return repeat_for_1s(batch, training.minibatch_step, training.init_model(
+        [8, 32, 4], 1), X, Y, 0.5, training.LossSpec(training.CROSS_ENTROPY))
 
 
 def bitstream_cell(L=10 ** 6):
@@ -86,7 +100,10 @@ KERNELS = {f"llgs._integrate B={b}": ("trial-steps/s", partial(llgs_integrate, b
            for b in (1, 500, 2000, 2500)}
 KERNELS.update({f"polar.{k} N={n}": ("frames/s", partial(polar_block, k, n))
                 for k in ("_sc_recurse", "encode") for n in (128, 1024)})
+KERNELS["polar.generate_frames N=128"] = (
+    "frames/s", partial(polar_block, "generate_frames", 128))
 KERNELS["bitstream cell L=1e6"] = ("bits/s", bitstream_cell)
+KERNELS["training.minibatch_step 8-32-4 B=32"] = ("examples/s", minibatch_step)
 
 
 def child(kernel):

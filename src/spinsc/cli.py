@@ -79,8 +79,6 @@ def _mtj_from_config(v: ConfigView) -> mtj.MtjParams:
     dev = _device_from_config(v)
     return mtj.MtjParams(
         device=dev,
-        R_p=v.get_float("device", "r_p_ohm", 5e3),
-        R_ap=v.get_float("device", "r_ap_ohm", 10e3),
         theta_sh=v.get_float("device", "theta_sh", 0.3),
         init_tilt=math.radians(v.get_float("device", "init_tilt_deg", 2.0)),
         equil_steps=v.get_int("device", "equil_steps", 100),
@@ -291,6 +289,8 @@ def _run(command, cfg_dict, seed, workers, out_dir):
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError(f"master seed must be a non-negative integer, "
                           f"got {seed!r}")
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:

@@ -19,10 +19,13 @@ __all__ = ["ENV_PREFIX", "load_config", "ConfigView"]
 def load_config(path, environ=None) -> dict:
     """Parse the file into {section: {key: raw-string}} with env overrides."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
+    try:
+        read = parser.read(path, encoding="utf-8")
+        cfg = {s: dict(parser.items(s)) for s in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"malformed config file {path}: {exc}") from None
     if not read:
         raise ConfigError(f"config file not found: {path}")
-    cfg = {s: dict(parser.items(s)) for s in parser.sections()}
     environ = os.environ if environ is None else environ
     for name, value in environ.items():
         if not name.startswith(ENV_PREFIX) or "__" not in name:

@@ -1,5 +1,5 @@
-"""MTJ device layer: two-state resistance, Monte Carlo switching
-probability, and the logistic fit of the stochastic-sigmoid curve.
+"""MTJ device layer: Monte Carlo switching probability and the logistic
+fit of the stochastic-sigmoid curve.
 
 Switching trials start from the antiparallel state (-z) with a small
 fixed tilt, equilibrate thermally for a short window, then see the
@@ -18,15 +18,13 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, FitDomainError
 from .formats import write_csv, write_json
 from .llgs import DeviceParams, _integrate, _pulse_phases, default_device_params
-from .rngtools import derive_rng, parallel_map
+from .rngtools import derive_rng, parallel_map, worker_count
 
 __all__ = [
     "MtjParams",
     "SwitchingCurve",
     "SigmoidFit",
     "default_mtj_params",
-    "resistance",
-    "tmr_ratio",
     "estimate_switching_probability",
     "sweep_switching_curve",
     "fit_stochastic_sigmoid",
@@ -40,16 +38,12 @@ class MtjParams:
     """Device stack parameters on top of the free-layer dynamics."""
 
     device: DeviceParams
-    R_p: float                  # parallel-state resistance, ohm
-    R_ap: float                 # antiparallel-state resistance, ohm
     theta_sh: float = 0.3       # heavy-metal spin Hall efficiency
     init_tilt: float = math.radians(2.0)   # fixed tilt of the start state, rad
     equil_steps: int = 100      # thermal equilibration steps before the pulse
     relax_time: float = 3e-10   # field-only window after the pulse, s
 
     def __post_init__(self):
-        if not (math.inf > self.R_ap > self.R_p > 0):
-            raise DomainError("need R_ap > R_p > 0")
         if not (0 < self.theta_sh <= 1):
             raise DomainError("theta_sh must be in (0, 1]")
         if not (self.equil_steps >= 0 and 0 <= self.relax_time < math.inf
@@ -59,21 +53,8 @@ class MtjParams:
 
 
 def default_mtj_params(T: float = 300.0) -> MtjParams:
-    """Shipped default stack: default free layer, 5k/10k ohm, theta_sh 0.3."""
-    return MtjParams(device=default_device_params(T=T), R_p=5e3, R_ap=10e3)
-
-
-def resistance(state: str, params: MtjParams) -> float:
-    """Resistance of the junction in state 'P' or 'AP'."""
-    if state == "P":
-        return params.R_p
-    if state == "AP":
-        return params.R_ap
-    raise DomainError(f"unknown MTJ state {state!r}")
-
-
-def tmr_ratio(params: MtjParams) -> float:
-    return (params.R_ap - params.R_p) / params.R_p
+    """Shipped default stack: default free layer, theta_sh 0.3."""
+    return MtjParams(device=default_device_params(T=T))
 
 
 @dataclass
@@ -137,6 +118,7 @@ def _switching_probabilities(currents, pulse_width, trials, params, seeds,
         raise DomainError("charge currents must be finite")
     flat = np.repeat(currents, trials)
     keys = [(s, i) for s in seeds for i in range(trials)]
+    workers = worker_count(workers)
     slab = -(-len(keys) // max(workers, -(-len(keys) // _BATCH_TRIALS)))
     switched = np.concatenate(parallel_map(_switched, [
         (flat[a:a + slab], keys[a:a + slab], pulse_width, params)

@@ -7,10 +7,11 @@ produce the same aggregate results regardless of execution order.
 
 from concurrent.futures import ProcessPoolExecutor
 import hashlib
+import os
 
 import numpy as np
 
-__all__ = ["derive_seedseq", "derive_rng", "derive_philox", "parallel_map"]
+__all__ = ["derive_rng", "derive_philox", "worker_count", "parallel_map"]
 
 
 def _tag_to_int(tag) -> int:
@@ -20,7 +21,7 @@ def _tag_to_int(tag) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def derive_seedseq(master_seed: int, *tags) -> np.random.SeedSequence:
+def _seedseq(master_seed: int, *tags) -> np.random.SeedSequence:
     """SeedSequence for the substream named by (master_seed, *tags).
 
     Tags may be strings (domain names) or integers (trial/point indices);
@@ -32,18 +33,23 @@ def derive_seedseq(master_seed: int, *tags) -> np.random.SeedSequence:
 
 def derive_rng(master_seed: int, *tags) -> np.random.Generator:
     """PCG64 generator on the named substream."""
-    return np.random.Generator(np.random.PCG64(derive_seedseq(master_seed, *tags)))
+    return np.random.Generator(np.random.PCG64(_seedseq(master_seed, *tags)))
 
 
 def derive_philox(master_seed: int, *tags) -> np.random.Generator:
     """Counter-based (Philox) generator, used for bitstream construction."""
-    return np.random.Generator(np.random.Philox(derive_seedseq(master_seed, *tags)))
+    return np.random.Generator(np.random.Philox(_seedseq(master_seed, *tags)))
+
+
+def worker_count(workers: int) -> int:
+    """Processes worth starting for `workers` requested: at most the CPU count."""
+    return min(workers, os.cpu_count() or 1)
 
 
 def parallel_map(fn, jobs, workers: int = 1) -> list:
-    """[fn(job) for job in jobs], on a pool of min(workers, len(jobs))
-    processes when that exceeds 1; results come back in job order."""
-    workers = min(workers, len(jobs))
+    """[fn(job) for job in jobs], on a pool of min(worker_count(workers),
+    len(jobs)) processes when that exceeds 1; results come back in job order."""
+    workers = min(worker_count(workers), len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, jobs))

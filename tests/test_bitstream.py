@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinsc.bitstream import (BitStream, decode, encode, encode_bipolar,
-                              multiply_and, multiply_xnor, mtj_rng_stream,
-                              scaled_add_mux)
+from spinsc.bitstream import (BitStream, decode, encode, multiply_and,
+                              mtj_rng_stream, scaled_add_mux)
 from spinsc.errors import DomainError, FormatError, ShapeError, SpinscError
 from spinsc.mtj import SigmoidFit
 
@@ -35,11 +34,6 @@ class TestEncodeDecode:
         L = 1_000_000
         v = decode(encode(0.3, L, 7))
         assert abs(v - 0.3) <= 3 * math.sqrt(0.3 * 0.7 / L)
-
-    def test_bipolar_round_trip_expectation(self):
-        L = 200_000
-        v = decode(encode_bipolar(-0.4, L, 3))
-        assert abs(v - (-0.4)) <= 3 * 2 * math.sqrt(0.3 * 0.7 / L)
 
     def test_seed_determinism(self):
         a = encode(0.37, 4096, 5)
@@ -76,19 +70,6 @@ class TestMultiplyAnd:
         assert np.array_equal(multiply_and(a, b).bits, multiply_and(b, a).bits)
         assert np.array_equal(multiply_and(multiply_and(a, b), c).bits,
                               multiply_and(a, multiply_and(b, c)).bits)
-
-
-class TestXnor:
-    def test_bipolar_product(self):
-        L = 500_000
-        a = encode_bipolar(0.6, L, 1)
-        b = encode_bipolar(-0.5, L, 2)
-        v = decode(multiply_xnor(a, b))
-        assert abs(v - (-0.3)) <= 0.01
-
-    def test_requires_bipolar(self):
-        with pytest.raises(DomainError):
-            multiply_xnor(encode(0.5, 64, 0), encode(0.5, 64, 1))
 
 
 class TestScaledAddMux:
@@ -144,29 +125,29 @@ class TestSerialization:
         s = encode(0.31, L, seed)
         back = BitStream.from_bytes(s.to_bytes())
         assert np.array_equal(back.bits, s.bits)
-        assert back.encoding == s.encoding
 
-    def test_bipolar_flag_round_trip(self):
-        s = encode_bipolar(0.5, 100, 1)
-        assert BitStream.from_bytes(s.to_bytes()).encoding == "bipolar"
+    def test_wire_bytes_pinned(self):
+        # u32 length 21, flag 0, 3 pad bytes, then the 21 bits packed MSB first
+        blob = bytes.fromhex("150000000000000094cd50")
+        assert encode(0.5, 21, 3).to_bytes() == blob
+        assert np.array_equal(BitStream.from_bytes(blob).bits,
+                              [1, 0, 0, 1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0, 1,
+                               0, 1, 0, 1, 0])
 
     def test_header_is_eight_bytes(self):
         s = encode(0.5, 8, 0)
         assert len(s.to_bytes()) == 8 + 1
-
-    def test_hex_dump(self):
-        s = BitStream(np.array([1, 1, 1, 1, 0, 0, 0, 0], dtype=np.uint8))
-        assert s.hex_dump() == "f0"
 
     def test_truncated_payload_rejected(self):
         blob = encode(0.5, 64, 0).to_bytes()
         with pytest.raises(FormatError, match="64 bits need 8"):
             BitStream.from_bytes(blob[:9])
 
-    def test_unknown_flag_rejected(self):
+    @pytest.mark.parametrize("flag", [1, 7], ids=["former-bipolar", "7"])
+    def test_unknown_flag_rejected(self, flag):
         blob = bytearray(encode(0.5, 8, 0).to_bytes())
-        blob[4] = 7
-        with pytest.raises(FormatError, match="flag 7"):
+        blob[4] = flag
+        with pytest.raises(FormatError, match=f"flag {flag}"):
             BitStream.from_bytes(bytes(blob))
 
     def test_length_beyond_header_rejected(self):

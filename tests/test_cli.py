@@ -498,6 +498,39 @@ class TestErrors:
             assert "lacks" in message or "an integer workers" in err
             assert not out.exists()
 
+    @pytest.mark.parametrize("text", [
+        b"seed = 1\n", b"[run]\nseed = 1\n[run]\nworkers = 1\n",
+        b"[run]\nseed = 1\nseed = 2\n", b"[run]\nseed = %(x)s\n",
+        b"[run]\nseed = 1  # caf\xe9\n"],
+        ids=["no-section", "duplicate-section", "duplicate-key",
+             "interpolation", "not-utf8"])
+    def test_malformed_ini_writes_nothing(self, tmp_path, capsys, text):
+        cfg = tmp_path / "g.cfg"
+        cfg.write_bytes(text)
+        out = tmp_path / "out"
+        assert run("gradcheck", str(cfg), out) == 2
+        assert f"error: malformed config file {cfg}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_workers_below_one_write_nothing(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "g.cfg", GRADCHECK_CFG)
+        zero = write_cfg(tmp_path / "z.cfg", GRADCHECK_CFG.replace(
+            "seed = 11", "seed = 11\nworkers = 0"))
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"command": "gradcheck", "config": {},
+                                        "master_seed": 1, "workers": 0}))
+        out = tmp_path / "out"
+        for argv, workers in [
+                (["gradcheck", "--config", cfg, "--workers", "0"], 0),
+                (["gradcheck", "--config", cfg, "--workers", "-3"], -3),
+                (["gradcheck", "--config", zero], 0),
+                (["rerun", str(manifest)], 0),
+                (["rerun", str(manifest), "--workers", "-1"], -1)]:
+            assert main(argv + ["--out-dir", str(out)]) == 2
+            assert f"error: workers must be >= 1, got {workers}" in \
+                capsys.readouterr().err
+            assert not out.exists()
+
     def test_out_dir_is_a_file(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "g.cfg", GRADCHECK_CFG)
         out = tmp_path / "taken"

@@ -9,7 +9,7 @@ from spinsc.errors import DomainError, FitDomainError
 from spinsc.llgs import default_device_params
 from spinsc.mtj import (MtjParams, SwitchingCurve, default_mtj_params,
                         estimate_switching_probability, fit_stochastic_sigmoid,
-                        resistance, sweep_switching_curve, tmr_ratio)
+                        sweep_switching_curve)
 from spinsc.rngtools import derive_rng
 
 
@@ -17,34 +17,16 @@ def critical_spin_current(dev):
     return dev.alpha * dev.gamma * dev.Hk * llgs.Q_E * dev.Ns
 
 
-class TestResistance:
-    params = default_mtj_params()
-
-    def test_states(self):
-        assert resistance("P", self.params) == 5e3
-        assert resistance("AP", self.params) == 10e3
-
-    def test_tmr_ratio(self):
-        assert tmr_ratio(self.params) == pytest.approx(1.0)
-
-    def test_unknown_state(self):
-        with pytest.raises(DomainError):
-            resistance("X", self.params)
-
+class TestMtjParams:
     def test_param_validation(self):
-        dev = default_device_params()
         with pytest.raises(DomainError):
-            MtjParams(device=dev, R_p=10e3, R_ap=5e3)
-        with pytest.raises(DomainError):
-            MtjParams(device=dev, R_p=5e3, R_ap=10e3, theta_sh=1.5)
+            MtjParams(device=default_device_params(), theta_sh=1.5)
 
-    @pytest.mark.parametrize("field", ["R_p", "R_ap", "theta_sh", "init_tilt",
-                                       "relax_time"])
+    @pytest.mark.parametrize("field", ["theta_sh", "init_tilt", "relax_time"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_param_rejected(self, field, value):
-        kwargs = {"R_p": 5e3, "R_ap": 10e3, field: value}
         with pytest.raises(DomainError):
-            MtjParams(device=default_device_params(), **kwargs)
+            MtjParams(device=default_device_params(), **{field: value})
 
 
 class TestEstimate:
@@ -130,8 +112,8 @@ class TestSweep:
             assert ci == 1.96 * math.sqrt(p * (1 - p) / n)
         assert np.all((curve.p_hat >= 0) & (curve.p_hat <= 1))
 
-    SHORT = MtjParams(device=default_device_params(), R_p=5e3, R_ap=10e3,
-                      equil_steps=20, relax_time=2e-11)
+    SHORT = MtjParams(device=default_device_params(), equil_steps=20,
+                      relax_time=2e-11)
     CURRENTS = [6.8e-3, 7.2e-3, 7.5e-3, 7.8e-3, 8.2e-3]
 
     @pytest.mark.parametrize("workers, batch", [(1, None), (2, None), (1, 12)],
