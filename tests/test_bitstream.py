@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -133,6 +134,9 @@ class TestSerialization:
         assert np.array_equal(BitStream.from_bytes(blob).bits,
                               [1, 0, 0, 1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0, 1,
                                0, 1, 0, 1, 0])
+
+    def test_bits_is_the_only_field(self):
+        assert [f.name for f in dataclasses.fields(BitStream)] == ["bits"]
 
     def test_header_is_eight_bytes(self):
         s = encode(0.5, 8, 0)

@@ -335,6 +335,20 @@ class TestDeviceSweep:
         assert (a / "sigmoid_fit.json").read_bytes() == \
                (b / "sigmoid_fit.json").read_bytes()
 
+    def test_legacy_resistance_keys_change_nothing(self, tmp_path):
+        """A manifest that still carries [device] r_p_ohm/r_ap_ohm reruns to
+        the bytes of the same sweep without them."""
+        cfg = write_cfg(tmp_path / "d.cfg", SWEEP_THERMAL_CFG)
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run("device-sweep", cfg, a) == 0
+        manifest = read_manifest(a)
+        manifest["config"]["device"] = {"r_p_ohm": "5e3", "r_ap_ohm": "10e3"}
+        legacy = tmp_path / "legacy.json"
+        legacy.write_text(json.dumps(manifest))
+        assert main(["rerun", str(legacy), "--out-dir", str(b)]) == 0
+        for name in ("switching_curve.csv", "sigmoid_fit.json"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
 
 class TestManifestFormat:
     @pytest.mark.parametrize("cmd, text", [
@@ -501,9 +515,10 @@ class TestErrors:
     @pytest.mark.parametrize("text", [
         b"seed = 1\n", b"[run]\nseed = 1\n[run]\nworkers = 1\n",
         b"[run]\nseed = 1\nseed = 2\n", b"[run]\nseed = %(x)s\n",
-        b"[run]\nseed = 1  # caf\xe9\n"],
+        b"[run]\nseed = 1  # caf\xe9\n", b"[run]\nseed\n",
+        b"[run]\nseed = 1%\n"],
         ids=["no-section", "duplicate-section", "duplicate-key",
-             "interpolation", "not-utf8"])
+             "interpolation", "not-utf8", "no-delimiter", "bare-percent"])
     def test_malformed_ini_writes_nothing(self, tmp_path, capsys, text):
         cfg = tmp_path / "g.cfg"
         cfg.write_bytes(text)
