@@ -96,6 +96,23 @@ def bitstream_cell(L=10 ** 6):
     return repeat_for_1s(L, cell)
 
 
+def sc_arith_bench(L=10 ** 6):
+    """Stream bits/s of `spinsc sc-arith-bench` run through `cli.main` on a
+    temporary config of 1 seed, L-bit streams and the values 0.1, 0.5, 0.9:
+    27 L-bit streams per run, an a, b and select stream for each of the 9
+    (p, q) cells."""
+    from spinsc import cli
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "sc_arith.cfg")
+        with open(cfg, "w") as fh:
+            fh.write(f"[run]\nseed = 1\n[scarith]\nlength = {L}\nseeds = 1\n"
+                     f"values = 0.1, 0.5, 0.9\n")
+
+        def run():
+            assert cli.main(["sc-arith-bench", "--config", cfg, "--out-dir", tmp]) == 0
+        return repeat_for_1s(27 * L, run)
+
+
 KERNELS = {f"llgs._integrate B={b}": ("trial-steps/s", partial(llgs_integrate, b))
            for b in (1, 500, 2000, 2500)}
 KERNELS.update({f"polar.{k} N={n}": ("frames/s", partial(polar_block, k, n))
@@ -104,6 +121,7 @@ KERNELS["polar.generate_frames N=128"] = (
     "frames/s", partial(polar_block, "generate_frames", 128))
 KERNELS["bitstream cell L=1e6"] = ("bits/s", bitstream_cell)
 KERNELS["training.minibatch_step 8-32-4 B=32"] = ("examples/s", minibatch_step)
+KERNELS["cli sc-arith-bench L=1e6 V=3"] = ("stream-bits/s", sc_arith_bench)
 
 
 def child(kernel):

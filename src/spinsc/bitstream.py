@@ -21,8 +21,11 @@ __all__ = [
     "decode",
     "multiply_and",
     "scaled_add_mux",
+    "and_mux_table",
     "mtj_rng_stream",
 ]
+
+_CHUNK = 1 << 16    # uniforms and_mux_table draws per stream at a time; bounds memory
 
 
 @dataclass(frozen=True)
@@ -103,6 +106,29 @@ def scaled_add_mux(a: BitStream, b: BitStream, select: BitStream) -> BitStream:
     when the select stream has probability 0.5."""
     _check_lengths(a, b, select)
     return BitStream(np.where(select.bits != 0, a.bits, b.bits).astype(np.uint8))
+
+
+def and_mux_table(values, L: int, seed_a: int, seed_b: int,
+                  seed_sel: int) -> np.ndarray:
+    """(V, V, 2) array of decode(multiply_and(a_j, b_k)) and decode(
+    scaled_add_mux(a_j, b_k, sel)) for a_j = encode(values[j], L, seed_a),
+    b_k = encode(values[k], L, seed_b), sel = encode(0.5, L, seed_sel).  All
+    a_j threshold one draw (likewise b_k), so cumulative sums of one joint
+    histogram of (rank of the a and b draws among the distinct values, sel
+    bit) count every cell's ones; the draws go _CHUNK at a time."""
+    if L < 1 or not all(0.0 <= p <= 1.0 for p in values):
+        raise DomainError(f"need L >= 1 and values in [0, 1], got {L}, {values}")
+    distinct, pos = np.unique(values, return_inverse=True)
+    m = distinct.size + 1
+    rngs = [derive_philox(s, "bitstream") for s in (seed_a, seed_b, seed_sel)]
+    hist = np.zeros(2 * m * m, dtype=np.int64)
+    for start in range(0, L, _CHUNK):
+        u_a, u_b, u_s = (g.random(min(_CHUNK, L - start)) for g in rngs)
+        rank_a, rank_b = (sum(u >= v for v in distinct) for u in (u_a, u_b))
+        hist += np.bincount((rank_a * m + rank_b) * 2 + (u_s < 0.5), minlength=hist.size)
+    C = hist.reshape(m, m, 2).cumsum(0).cumsum(1)
+    ones = np.stack([C[:-1, :-1].sum(-1), C[:-1, -1:, 1] + C[-1:, :-1, 0]], -1)
+    return ones[pos][:, pos] / L    # [..., 0]: a & b; [..., 1]: a & sel, plus b & ~sel
 
 
 def mtj_rng_stream(fit, bias_current: float, L: int, seed: int) -> BitStream:

@@ -127,19 +127,11 @@ def cmd_sc_arith_bench(v, seed, workers, out_dir):
                           f"got length {L}, values {values}")
     if n_seeds < 1:
         raise ConfigError(f"[scarith] seeds must be >= 1, got {n_seeds}")
-    # a seed's three stream seeds do not depend on (p, q): encode sel once
-    # per seed, a once per p and b once per (p, q), holding one of each
     est = np.empty((len(values), len(values), 2, n_seeds))   # AND, MUX values
     for i in range(n_seeds):
         root = derive_rng(seed, "sc-bench", i)
         sa, sb, ss = (int(root.integers(0, 2 ** 63)) for _ in range(3))
-        sel = bitstream.encode(0.5, L, ss)
-        for j, p in enumerate(values):
-            a = bitstream.encode(p, L, sa)
-            for k, q in enumerate(values):
-                b = bitstream.encode(q, L, sb)
-                est[j, k, :, i] = (bitstream.decode(bitstream.multiply_and(a, b)),
-                                   bitstream.decode(bitstream.scaled_add_mux(a, b, sel)))
+        est[..., i] = bitstream.and_mux_table(values, L, sa, sb, ss)
     rows = []
     for j, p in enumerate(values):
         for k, q in enumerate(values):
@@ -296,10 +288,14 @@ def _run(command, cfg_dict, seed, workers, out_dir):
     except OSError as exc:
         raise ConfigError(f"cannot create out-dir {out_dir}: {exc}") from None
     view = ConfigView(cfg_dict)
+    view.read |= {("run", "seed"), ("run", "workers")}  # main's; a rerun's manifest's
     t0 = time.perf_counter()
     outputs, ok = _COMMANDS[command](view, seed, workers, out_dir)
     duration = time.perf_counter() - t0
     _write_manifest(out_dir, command, seed, workers, cfg_dict, outputs, duration)
+    unread = [(s, k) for s in cfg_dict for k in cfg_dict[s] if (s, k) not in view.read]
+    for section, key in unread:
+        print(f"warning: unused config key [{section}] {key}", file=sys.stderr)
     return 0 if ok else 3
 
 

@@ -40,10 +40,12 @@ class ConfigView:
 
     def __init__(self, cfg: dict):
         self.cfg = cfg
+        self.read = set()       # each (section, key) asked for
 
     _MISSING = object()
 
     def _raw(self, section, key, default):
+        self.read.add((section, key))
         try:
             return self.cfg[section][key]
         except KeyError:

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinsc.bitstream import (BitStream, decode, encode, multiply_and,
-                              mtj_rng_stream, scaled_add_mux)
+from spinsc import bitstream
+from spinsc.bitstream import (BitStream, and_mux_table, decode, encode,
+                              multiply_and, mtj_rng_stream, scaled_add_mux)
 from spinsc.errors import DomainError, FormatError, ShapeError, SpinscError
 from spinsc.mtj import SigmoidFit
 
@@ -98,6 +99,51 @@ class TestScaledAddMux:
         with pytest.raises(ShapeError):
             scaled_add_mux(encode(0.5, 64, 0), encode(0.5, 64, 1),
                            encode(0.5, 32, 2))
+
+
+def stream_table(values, L, sa, sb, ss):
+    """and_mux_table's oracle: decode the AND and MUX of encoded streams."""
+    sel = encode(0.5, L, ss)
+    return np.array([[(decode(multiply_and(encode(p, L, sa), encode(q, L, sb))),
+                       decode(scaled_add_mux(encode(p, L, sa), encode(q, L, sb), sel)))
+                      for q in values] for p in values])
+
+
+class TestAndMuxTable:
+    @pytest.mark.parametrize("values, L, chunk", [
+        ([0.1, 0.5, 0.9], 3 * 4096 + 5, 4096),      # L not a multiple of chunk
+        ([0.3, 0.7, 0.3, 0.3], 1000, 4096),        # repeated values, L < chunk
+        ([0.0, 1.0, 0.5], 777, 100),               # the degenerate values
+        ([0.42], 5000, 1 << 16),                   # a single value
+        ([0.2, 0.8], 1, 1 << 16),                  # L = 1
+        ([0.6, 0.2, 0.6], 1 << 17, 1 << 16),       # whole chunks, default size
+    ])
+    def test_equals_decoded_streams(self, values, L, chunk, monkeypatch):
+        monkeypatch.setattr(bitstream, "_CHUNK", chunk)
+        got = and_mux_table(values, L, 11, 12, 13)
+        assert got.shape == (len(values), len(values), 2)
+        assert np.array_equal(got, stream_table(values, L, 11, 12, 13))
+
+    def test_default_chunk_not_dividing_L(self):
+        values = [0.1, 0.5, 0.9]
+        assert np.array_equal(and_mux_table(values, 200_003, 1, 2, 3),
+                              stream_table(values, 200_003, 1, 2, 3))
+
+    @given(st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.7, 1.0]), min_size=1,
+                    max_size=4),
+           st.integers(1, 300), st.integers(1, 64), st.integers(0, 2 ** 32))
+    @settings(max_examples=25, deadline=None)
+    def test_equals_decoded_streams_random(self, values, L, chunk, seed):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bitstream, "_CHUNK", chunk)
+            got = and_mux_table(values, L, seed, seed + 1, seed + 2)
+        assert np.array_equal(got, stream_table(values, L, seed, seed + 1, seed + 2))
+
+    @pytest.mark.parametrize("values, L", [([0.5, 1.2], 16), ([-0.1], 16),
+                                           ([float("nan")], 16), ([0.5], 0)])
+    def test_bad_input_rejected(self, values, L):
+        with pytest.raises(DomainError):
+            and_mux_table(values, L, 1, 2, 3)
 
 
 class TestMtjRng:

@@ -128,18 +128,24 @@ class TestScArithBench:
             passes = int(line.split(",")[5])
             assert passes >= 4  # 3-sigma bound: at most rare misses
 
-    def test_encodes_each_stream_once_per_seed(self, tmp_path, monkeypatch):
-        # 5 seeds x (1 sel + 2 a + 4 b) streams with values 0.3, 0.7
-        calls = []
-        encode = bitstream.encode
+    def test_draws_three_philox_streams_per_seed(self, tmp_path, monkeypatch):
+        # 5 seeds x (a, b, sel) streams, each drawing L = 4096 doubles in all
+        streams = []
+        derive_philox = bitstream.derive_philox
 
-        def counting(*args):
-            calls.append(args)
-            return encode(*args)
-        monkeypatch.setattr(bitstream, "encode", counting)
+        class Counting:
+            def __init__(self, *args):
+                self.rng, self.tags, self.drawn = derive_philox(*args), args[1:], 0
+                streams.append(self)
+
+            def random(self, n):
+                self.drawn += n
+                return self.rng.random(n)
+        monkeypatch.setattr(bitstream, "derive_philox", Counting)
         cfg = write_cfg(tmp_path / "s.cfg", SC_ARITH_CFG)
         assert run("sc-arith-bench", cfg, tmp_path) == 0
-        assert len(calls) == 5 * (1 + 2 + 2 * 2)
+        assert len(streams) == 5 * 3
+        assert all(s.tags == ("bitstream",) and s.drawn == 4096 for s in streams)
 
     def test_repeated_value_repeats_its_rows(self, tmp_path):
         cfg = write_cfg(tmp_path / "s.cfg", SC_ARITH_CFG.replace(
@@ -335,9 +341,9 @@ class TestDeviceSweep:
         assert (a / "sigmoid_fit.json").read_bytes() == \
                (b / "sigmoid_fit.json").read_bytes()
 
-    def test_legacy_resistance_keys_change_nothing(self, tmp_path):
+    def test_legacy_resistance_keys_change_nothing(self, tmp_path, capsys):
         """A manifest that still carries [device] r_p_ohm/r_ap_ohm reruns to
-        the bytes of the same sweep without them."""
+        the bytes of the same sweep without them, warning of both keys."""
         cfg = write_cfg(tmp_path / "d.cfg", SWEEP_THERMAL_CFG)
         a, b = tmp_path / "a", tmp_path / "b"
         assert run("device-sweep", cfg, a) == 0
@@ -345,7 +351,11 @@ class TestDeviceSweep:
         manifest["config"]["device"] = {"r_p_ohm": "5e3", "r_ap_ohm": "10e3"}
         legacy = tmp_path / "legacy.json"
         legacy.write_text(json.dumps(manifest))
+        capsys.readouterr()
         assert main(["rerun", str(legacy), "--out-dir", str(b)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: unused config key [device] r_p_ohm",
+            "warning: unused config key [device] r_ap_ohm"]
         for name in ("switching_curve.csv", "sigmoid_fit.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
@@ -600,6 +610,36 @@ class TestErrors:
             ConfigView(load_config(cfg)).get_int("gradcheck", "networks")
 
 
+class TestUnusedKeys:
+    def test_misspelled_key_warns(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "g.cfg", GRADCHECK_CFG.replace(
+            "networks = 10", "netwroks = 5"))
+        assert run("gradcheck", cfg, tmp_path) == 0
+        assert capsys.readouterr().err == \
+            "warning: unused config key [gradcheck] netwroks\n"
+        # the default of 100 networks ran; the manifest keeps the typo
+        assert len((tmp_path / "gradcheck.csv").read_text().splitlines()) == 101
+        assert read_manifest(tmp_path)["config"]["gradcheck"]["netwroks"] == "5"
+
+    def test_warning_changes_no_bytes(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "s.cfg", SC_ARITH_CFG)
+        extra = write_cfg(tmp_path / "x.cfg", SC_ARITH_CFG + "[extra]\nkey = 1\n")
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run("sc-arith-bench", cfg, a) == 0
+        assert capsys.readouterr().err == ""
+        assert run("sc-arith-bench", extra, b) == 0
+        assert capsys.readouterr().err == "warning: unused config key [extra] key\n"
+        assert (a / "sc_arith.csv").read_bytes() == (b / "sc_arith.csv").read_bytes()
+        assert main(["rerun", str(b / "manifest.json"), "--out-dir", str(a)]) == 0
+        assert capsys.readouterr().err == "warning: unused config key [extra] key\n"
+
+    def test_no_warning_on_error_exit(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "s.cfg", SC_ARITH_CFG.replace(
+            "seeds = 5", "seeds = 0\nsedes = 5"))
+        assert run("sc-arith-bench", cfg, tmp_path / "out") == 2
+        assert "warning" not in capsys.readouterr().err
+
+
 class TestShippedConfigs:
     """The configs shipped in configs/ must at least parse and resolve."""
 
@@ -615,3 +655,20 @@ class TestShippedConfigs:
         view = ConfigView(load_config(os.path.join(root, name)))
         assert view.get_int(section, key) > 0
         assert view.get_int("run", "seed") >= 0
+
+    @pytest.mark.parametrize("command, name, shrink", [
+        ("device-sweep", "device_sweep.cfg", {"SWEEP__POINTS": "5",
+                                              "SWEEP__TRIALS_PER_POINT": "1"}),
+        ("train-decoder", "train_decoder.cfg", {"DATASET__FRAMES": "64",
+                                                "TRAINING__EPOCHS": "1"}),
+        ("ber", "ber_classical.cfg", {"BER__MIN_FRAMES": "20"}),
+        ("sc-arith-bench", "sc_arith.cfg", {"SCARITH__SEEDS": "1"}),
+        ("gradcheck", "gradcheck.cfg", {"GRADCHECK__NETWORKS": "3"}),
+    ])
+    def test_every_key_is_read(self, tmp_path, capsys, monkeypatch, command,
+                               name, shrink):
+        for key, value in shrink.items():
+            monkeypatch.setenv("SPINSC_" + key, value)
+        root = os.path.join(os.path.dirname(__file__), "..", "configs")
+        assert run(command, os.path.join(root, name), tmp_path) in (0, 3)
+        assert "warning: unused config key" not in capsys.readouterr().err
