@@ -288,7 +288,7 @@ def _run(command, cfg_dict, seed, workers, out_dir):
     except OSError as exc:
         raise ConfigError(f"cannot create out-dir {out_dir}: {exc}") from None
     view = ConfigView(cfg_dict)
-    view.read |= {("run", "seed"), ("run", "workers")}  # main's; a rerun's manifest's
+    view.read |= {("run", "seed"), ("run", "workers")}  # main resolved these
     t0 = time.perf_counter()
     outputs, ok = _COMMANDS[command](view, seed, workers, out_dir)
     duration = time.perf_counter() - t0

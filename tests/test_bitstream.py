@@ -117,17 +117,13 @@ class TestAndMuxTable:
         ([0.42], 5000, 1 << 16),                   # a single value
         ([0.2, 0.8], 1, 1 << 16),                  # L = 1
         ([0.6, 0.2, 0.6], 1 << 17, 1 << 16),       # whole chunks, default size
+        ([0.1, 0.5, 0.9], 200_003, 1 << 16),       # default size, not dividing L
     ])
     def test_equals_decoded_streams(self, values, L, chunk, monkeypatch):
         monkeypatch.setattr(bitstream, "_CHUNK", chunk)
         got = and_mux_table(values, L, 11, 12, 13)
         assert got.shape == (len(values), len(values), 2)
         assert np.array_equal(got, stream_table(values, L, 11, 12, 13))
-
-    def test_default_chunk_not_dividing_L(self):
-        values = [0.1, 0.5, 0.9]
-        assert np.array_equal(and_mux_table(values, 200_003, 1, 2, 3),
-                              stream_table(values, 200_003, 1, 2, 3))
 
     @given(st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.7, 1.0]), min_size=1,
                     max_size=4),
