@@ -34,19 +34,19 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def llgs_integrate(batch):
-    """LLGS trial-steps/s of `llgs._integrate` at T = 300 K: `batch` trials
-    from 2 degrees off -z under a 4.5e-4 A spin current along +z."""
+def switched_slab(batch):
+    """LLGS trial-steps/s of one `mtj._switched` slab at T = 300 K: `batch`
+    trials from 2 degrees off -z under a 4.5e-4 A spin current along +z,
+    with no equilibration or relaxation steps; the time includes deriving
+    each trial's substream."""
     import numpy as np
-    from spinsc import llgs
-    from spinsc.rngtools import derive_rng
-    params = llgs.default_device_params()
+    from spinsc import mtj
+    params = mtj.MtjParams(mtj.default_mtj_params().device, theta_sh=1.0,
+                           equil_steps=0, relax_time=0.0)
     steps = max(2100, 400_000 // batch)
-    th = math.radians(2.0)
-    m0 = np.tile([math.sin(th), 0.0, -math.cos(th)], (batch, 1))
-    rngs = [derive_rng(1, "bench", i) for i in range(batch)]
+    keys = [(1, i) for i in range(batch)]
     t0 = time.perf_counter()
-    llgs._integrate(m0, [(steps, np.array([0.0, 0.0, 4.5e-4]))], params, rngs)
+    mtj._switched((np.full(batch, 4.5e-4), keys, steps * params.device.dt, params))
     return batch * steps / (time.perf_counter() - t0)
 
 
@@ -60,14 +60,14 @@ def repeat_for_1s(units, fn, *args):
 
 
 def polar_block(kernel, N, frames=512):
-    """Frames/s of `polar.encode`, `polar._sc_recurse` or
+    """Frames/s of `polar.encode`, `polar.sc_decode` or
     `polar.generate_frames` on blocks of `frames` frames of the rate-1/2
     length-N code from `generate_frames` at 2 dB."""
     from spinsc import polar
     spec = polar.construct_frozen_set(N, N // 2)
     gen_args = (spec, N, ("bench",), range(frames), [2.0] * frames)
     messages, llrs, _ = polar.generate_frames(*gen_args)
-    args = {"encode": (messages, spec), "_sc_recurse": (llrs, spec.frozen, False),
+    args = {"encode": (messages, spec), "sc_decode": (llrs, spec),
             "generate_frames": gen_args}[kernel]
     return repeat_for_1s(frames, getattr(polar, kernel), *args)
 
@@ -113,10 +113,10 @@ def sc_arith_bench(L=10 ** 6):
         return repeat_for_1s(27 * L, run)
 
 
-KERNELS = {f"llgs._integrate B={b}": ("trial-steps/s", partial(llgs_integrate, b))
+KERNELS = {f"mtj._switched B={b}": ("trial-steps/s", partial(switched_slab, b))
            for b in (1, 500, 2000, 2500)}
 KERNELS.update({f"polar.{k} N={n}": ("frames/s", partial(polar_block, k, n))
-                for k in ("_sc_recurse", "encode") for n in (128, 1024)})
+                for k in ("sc_decode", "encode") for n in (128, 1024)})
 KERNELS["polar.generate_frames N=128"] = (
     "frames/s", partial(polar_block, "generate_frames", 128))
 KERNELS["bitstream cell L=1e6"] = ("bits/s", bitstream_cell)

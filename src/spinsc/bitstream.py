@@ -44,10 +44,6 @@ class BitStream:
     def __len__(self) -> int:
         return self.bits.size
 
-    @property
-    def value(self) -> float:
-        return decode(self)
-
     def to_bytes(self) -> bytes:
         """Packed binary: 8-byte header (u32 length, u8 flag 0, 3 pad) + bits."""
         if self.bits.size > 0xFFFFFFFF:
@@ -134,5 +130,5 @@ def and_mux_table(values, L: int, seed_a: int, seed_b: int,
 def mtj_rng_stream(fit, bias_current: float, L: int, seed: int) -> BitStream:
     """Behavioral MTJ RNG: bits are 1 with the fitted switching probability
     at the bias current; bias at the fit offset gives exactly p = 0.5."""
-    p = 0.5 if bias_current == fit.b else float(fit.predict(bias_current))
-    return BitStream(_bernoulli_bits(p, L, seed, "mtj-rng"))
+    return BitStream(_bernoulli_bits(float(fit.predict(bias_current)), L, seed,
+                                     "mtj-rng"))

@@ -235,12 +235,10 @@ def cmd_gradcheck(v, seed, workers, out_dir):
         bp = training.backprop_gradient(model, x, y, loss)
         fd = training.finite_difference_gradient(model, x, y, loss)
         err = 0.0
-        for (bw, bb), (fw, fb) in zip(bp, fd):
-            scale_w = np.maximum(np.abs(fw), 1e-8)
-            scale_b = np.maximum(np.abs(fb), 1e-8)
-            err = max(err, float(np.max(np.abs(bw - fw) / scale_w)))
-            if model.bias_enabled:
-                err = max(err, float(np.max(np.abs(bb - fb) / scale_b)))
+        for pair in zip(bp, fd):
+            for b, f in zip(*pair):     # weights, then biases
+                rel = np.abs(b - f) / np.maximum(np.abs(f), 1e-8)
+                err = max(err, float(np.max(rel)))
         worst = max(worst, err)
         rows.append((i, "x".join(map(str, sizes)), err))
     header = ("net", "sizes", "max_rel_error")

@@ -4,7 +4,8 @@ Integrates
 
     dm/dt = -gamma (m x H_eff) + alpha (m x dm/dt) + (1/(q Ns)) (m x I_s x m)
 
-with the thermal field
+with the spin current I_s polarized along +z, the easy axis, and the
+thermal field
 
     H_th = sqrt( alpha/(1+alpha^2) * 2 kB T / (gamma mu0 Ms V dt) ) * G,
 
@@ -99,23 +100,15 @@ class DeviceParams:
 
 @dataclass(frozen=True)
 class SpinCurrentPulse:
-    """Constant spin current applied for a fixed duration."""
+    """Constant spin current along +z applied for a fixed duration."""
 
     magnitude: float                       # spin current Is, A
     duration: float                        # pulse width, s
-    polarization_axis: tuple = (0.0, 0.0, 1.0)
 
     def __post_init__(self):
         if not (0 < self.duration < np.inf and np.isfinite(self.magnitude)):
             raise DomainError("pulse magnitude and duration must be finite, "
                               "duration positive")
-        axis = np.asarray(self.polarization_axis, dtype=float)
-        if axis.shape != (3,) or abs(np.linalg.norm(axis) - 1.0) > 1e-12:
-            raise DomainError("polarization_axis must be a unit 3-vector")
-
-    @property
-    def vector(self) -> np.ndarray:
-        return self.magnitude * np.asarray(self.polarization_axis, dtype=float)
 
 
 @dataclass
@@ -183,15 +176,14 @@ def effective_field(m, params: DeviceParams, applied=None) -> np.ndarray:
     return np.stack(np.broadcast_arrays(*h), axis=-1)
 
 
-def _deriv(mx, my, mz, hx, hy, hz, isx, isy, isz, gamma, alpha, inv_qns, inv_1a2):
+def _deriv(mx, my, mz, hx, hy, hz, isz, gamma, alpha, inv_qns, inv_1a2):
     """Explicit LLGS right-hand side in component form (broadcasts)."""
-    # A = -gamma (m x H) + (1/(q Ns)) m x (Is x m)
-    tx = isy * mz - isz * my
-    ty = isz * mx - isx * mz
-    tz = isx * my - isy * mx
-    ax = -gamma * (my * hz - mz * hy) + inv_qns * (my * tz - mz * ty)
-    ay = -gamma * (mz * hx - mx * hz) + inv_qns * (mz * tx - mx * tz)
-    az = -gamma * (mx * hy - my * hx) + inv_qns * (mx * ty - my * tx)
+    # A = -gamma (m x H) + (1/(q Ns)) m x (Is x m), Is = (0, 0, isz)
+    u = isz * mx
+    v = isz * my
+    ax = -gamma * (my * hz - mz * hy) - inv_qns * (mz * u)
+    ay = -gamma * (mz * hx - mx * hz) - inv_qns * (mz * v)
+    az = -gamma * (mx * hy - my * hx) + inv_qns * (mx * u + my * v)
     # dm/dt = (A + alpha m x A) / (1 + alpha^2)
     dx = (ax + alpha * (my * az - mz * ay)) * inv_1a2
     dy = (ay + alpha * (mz * ax - mx * az)) * inv_1a2
@@ -202,10 +194,10 @@ def _deriv(mx, my, mz, hx, hy, hz, isx, isy, isz, gamma, alpha, inv_qns, inv_1a2
 def _integrate(m0, phases, params, rngs, record=False):
     """Advance a batch of trajectories through the given (n_steps, Is) phases.
 
-    m0 is (B, 3) with B = len(rngs); a phase's Is is (3,) or (3, B), one
-    column per trial.  Trial i draws its thermal field from rngs[i] (no
-    draws at T = 0) in chunks of min(_CHUNK_STEPS, _CHUNK_BYTES // (24 B))
-    steps, at least one.  The batch size picks the arithmetic once, on
+    m0 is (B, 3) with B = len(rngs); a phase's z spin current Is is a
+    float or (B,), one per trial.  Trial i draws its thermal field from
+    rngs[i] (no draws at T = 0) in chunks of min(_CHUNK_STEPS,
+    _CHUNK_BYTES // (24 B)) steps, at least one.  The batch size picks the arithmetic once, on
     entry: one trial runs on three Python floats with `math.sqrt`, more
     run on (B,) arrays with `np.sqrt`; both widths run the one step body
     below and give the same bits per trial, at any chunk length.  Returns
@@ -235,8 +227,9 @@ def _integrate(m0, phases, params, rngs, record=False):
     rec_t, rec_m = [0.0], [(mx, my, mz)]
     t = 0.0
     try:
-        for n_steps, is_vec in phases:
-            isx, isy, isz = is_vec.reshape(3, -1)[:, 0].tolist() if scalar else is_vec
+        for n_steps, isz in phases:
+            if scalar:
+                isz = np.asarray(isz, dtype=float).item(0)
             for done in range(0, n_steps, cl):
                 n = min(cl, n_steps - done)
                 if pref == 0.0:     # T = 0
@@ -250,13 +243,13 @@ def _integrate(m0, phases, params, rngs, record=False):
                 for nx, ny, nz in rows:
                     hx, hy, hz = _field(mx, my, mz, nx, ny, nz, Hk, Hd)
                     k1x, k1y, k1z = _deriv(mx, my, mz, hx, hy, hz,
-                                           isx, isy, isz, gamma, alpha, inv_qns, inv_1a2)
+                                           isz, gamma, alpha, inv_qns, inv_1a2)
                     px = mx + dt * k1x
                     py = my + dt * k1y
                     pz = mz + dt * k1z
                     hx, hy, hz = _field(px, py, pz, nx, ny, nz, Hk, Hd)
                     k2x, k2y, k2z = _deriv(px, py, pz, hx, hy, hz,
-                                           isx, isy, isz, gamma, alpha, inv_qns, inv_1a2)
+                                           isz, gamma, alpha, inv_qns, inv_1a2)
                     mx = mx + half * (k1x + k2x)
                     my = my + half * (k1y + k2y)
                     mz = mz + half * (k1z + k2z)
@@ -282,13 +275,13 @@ def _integrate(m0, phases, params, rngs, record=False):
             float(np.max(max_post)), recorded)
 
 
-def _pulse_phases(width, is_vec, relax_time, dt):
-    """The (n_steps, Is) phases of a pulse of spin current is_vec lasting
+def _pulse_phases(width, isz, relax_time, dt):
+    """The (n_steps, Is) phases of a pulse of z spin current isz lasting
     `width` (at least one step), then field-only relaxation for relax_time."""
-    phases = [(max(1, int(round(width / dt))), is_vec)]
+    phases = [(max(1, int(round(width / dt))), isz)]
     n_relax = int(round(relax_time / dt))
     if n_relax:
-        phases.append((n_relax, np.zeros(3)))
+        phases.append((n_relax, 0.0))
     return phases
 
 
@@ -302,7 +295,7 @@ def simulate_pulse(m0, pulse: SpinCurrentPulse, params: DeviceParams,
     m0 = np.asarray(m0, dtype=float)
     if m0.shape != (3,) or not abs(np.linalg.norm(m0) - 1.0) <= 1e-12:
         raise DomainError("m0 must be a finite unit 3-vector")
-    phases = _pulse_phases(pulse.duration, pulse.vector, relax_time, params.dt)
+    phases = _pulse_phases(pulse.duration, pulse.magnitude, relax_time, params.dt)
     rng = derive_rng(seed, "trajectory")
     m, pre, post, recorded = _integrate(m0[None], phases, params, [rng], record=record)
     n_steps = sum(n for n, _ in phases)

@@ -98,11 +98,9 @@ def _switched(job):
     th0 = params.init_tilt
     m0 = np.tile([math.sin(th0), 0.0, -math.cos(th0)], (len(keys), 1))
     rngs = [derive_rng(s, "switch-trial", i) for s, i in keys]
-    is_vec = np.zeros((3, len(keys)))
-    is_vec[2] = params.theta_sh * currents
-    phases = [(params.equil_steps, np.zeros(3))] if params.equil_steps else []
-    phases += _pulse_phases(pulse_width, is_vec, params.relax_time,
-                            params.device.dt)
+    phases = [(params.equil_steps, 0.0)] if params.equil_steps else []
+    phases += _pulse_phases(pulse_width, params.theta_sh * currents,
+                            params.relax_time, params.device.dt)
     return _integrate(m0, phases, params.device, rngs)[0][:, 2] > 0.0
 
 
@@ -154,9 +152,9 @@ def sweep_switching_curve(currents, pulse_width: float, trials_per_point: int,
                           ci_halfwidth=np.array(ci))
 
 
-def fit_stochastic_sigmoid(curve: SwitchingCurve,
-                           max_iter: int = 200) -> SigmoidFit:
-    """Least-squares logistic fit in (a, b) by damped Gauss-Newton."""
+def fit_stochastic_sigmoid(curve: SwitchingCurve) -> SigmoidFit:
+    """Least-squares logistic fit in (a, b) by at most 200 steps of
+    damped Gauss-Newton."""
     I = np.asarray(curve.currents, dtype=float)
     p = np.asarray(curve.p_hat, dtype=float)
     if len(I) < 5 or p.min() >= 0.2 or p.max() <= 0.8:
@@ -186,7 +184,7 @@ def fit_stochastic_sigmoid(curve: SwitchingCurve,
     r = _logistic(I, a, b) - p
     cost = float(r @ r)
     converged = False
-    for _ in range(max_iter):
+    for _ in range(200):
         J = jacobian(a, b)
         g = J.T @ r
         H = J.T @ J

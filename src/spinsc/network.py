@@ -16,7 +16,7 @@ import json
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, malformed_as_format_error
+from .errors import DomainError, FormatError, ShapeError, malformed_as_format_error
 from .formats import write_json
 from .mtj import SigmoidFit
 from .rngtools import derive_rng
@@ -67,7 +67,6 @@ class NetworkModel:
     neuron_fit: SigmoidFit | None = None   # device curve for stochastic firing
     unit_current: float = 0.0              # A per unit pre-activation (device mode)
     output_activation: str = "sigmoid"     # "sigmoid" | "identity"
-    bias_enabled: bool = True
 
     def __post_init__(self):
         if not self.layers:
@@ -173,7 +172,7 @@ def save_model(model: NetworkModel, path):
         "version": MODEL_FORMAT_VERSION,
         "activation_mode": model.activation_mode,
         "output_activation": model.output_activation,
-        "bias_enabled": model.bias_enabled,
+        "bias_enabled": True,
         "unit_current": model.unit_current,
         "neuron_fit": None if model.neuron_fit is None else {
             "a": model.neuron_fit.a, "b": model.neuron_fit.b,
@@ -195,6 +194,9 @@ def load_model(path) -> NetworkModel:
             doc = json.load(fh)
         if doc.get("version") != MODEL_FORMAT_VERSION:
             raise DomainError(f"unsupported model version {doc.get('version')}")
+        if doc.get("bias_enabled", True) is not True:
+            raise FormatError(f"model file {path} needs bias_enabled true, got "
+                              f"{doc['bias_enabled']!r}")
         layers = [
             Layer(np.asarray(l["weights"], dtype=float).reshape(l["n_out"], l["n_in"]),
                   np.asarray(l["bias"], dtype=float))
@@ -207,5 +209,4 @@ def load_model(path) -> NetworkModel:
             neuron_fit=None if fit is None else SigmoidFit(**fit),
             unit_current=doc.get("unit_current", 0.0),
             output_activation=doc.get("output_activation", "sigmoid"),
-            bias_enabled=doc.get("bias_enabled", True),
         )

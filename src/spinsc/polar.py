@@ -2,11 +2,10 @@
 
 Index convention: natural order throughout (no bit-reversal).  The
 encoder applies the [[1,0],[1,1]] kernel by in-place butterflies; the SC
-decoder uses the exact check-node rule in its numerically safe log form
-(min-sum available behind a flag).  Ties decode to bit 0.  Encoders take
-one word (N,) or a block of words (..., N); the channel returns LLR arrays
-of the same shape (positive favours bit 0), and both decoders take those
-arrays directly.
+decoder uses the exact check-node rule in its numerically safe log form.
+Ties decode to bit 0.  Encoders take one word (N,) or a block of words
+(..., N); the channel returns LLR arrays of the same shape (positive
+favours bit 0), and both decoders take those arrays directly.
 """
 
 from dataclasses import dataclass
@@ -185,13 +184,7 @@ def generate_frames(spec: PolarCodeSpec, seed: int, tags, frames, snrs_db):
     return messages, llrs, frame_seeds
 
 
-def _check_node(a, b, min_sum):
-    if min_sum:
-        return np.copysign(np.minimum(np.abs(a), np.abs(b)), a * b)
-    return np.logaddexp(0.0, a + b) - np.logaddexp(a, b)
-
-
-def _sc_recurse(llr, frozen, min_sum):
+def _sc_recurse(llr, frozen):
     """SC over a (frames, n) LLR block; returns (u, x), both (frames, n)."""
     n = llr.shape[1]
     if n == 1:
@@ -199,9 +192,10 @@ def _sc_recurse(llr, frozen, min_sum):
         return u, u.copy()
     h = n // 2
     a, b = llr[:, :h], llr[:, h:]
-    u_left, x_left = _sc_recurse(_check_node(a, b, min_sum), frozen[:h], min_sum)
+    check = np.logaddexp(0.0, a + b) - np.logaddexp(a, b)
+    u_left, x_left = _sc_recurse(check, frozen[:h])
     g = b + (1.0 - 2.0 * x_left.astype(float)) * a
-    u_right, x_right = _sc_recurse(g, frozen[h:], min_sum)
+    u_right, x_right = _sc_recurse(g, frozen[h:])
     return (np.concatenate([u_left, u_right], axis=1),
             np.concatenate([x_left ^ x_right, x_right], axis=1))
 
@@ -216,12 +210,12 @@ def _llr_block(llrs, spec: PolarCodeSpec) -> np.ndarray:
     return llr
 
 
-def sc_decode(llrs, spec: PolarCodeSpec, min_sum: bool = False) -> DecodeResult:
+def sc_decode(llrs, spec: PolarCodeSpec) -> DecodeResult:
     """Classical successive-cancellation decoding (llr >= 0 decodes to 0) of
     one frame, LLRs (N,), or of a block of frames at once, LLRs (..., N);
     u_hat is (..., N), message_hat (..., K)."""
     llr = _llr_block(llrs, spec)
-    u_hat, _ = _sc_recurse(llr.reshape(-1, spec.N), spec.frozen, min_sum)
+    u_hat, _ = _sc_recurse(llr.reshape(-1, spec.N), spec.frozen)
     u_hat = u_hat.reshape(llr.shape)
     return DecodeResult(u_hat=u_hat, message_hat=u_hat[..., ~spec.frozen])
 

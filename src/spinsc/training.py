@@ -66,7 +66,7 @@ class OptimizerConfig:
         return self.learning_rate / (1.0 + self.lr_decay * step)
 
 
-def init_model(layer_sizes, seed: int, bias_enabled: bool = True,
+def init_model(layer_sizes, seed: int,
                output_activation: str = "sigmoid") -> NetworkModel:
     """Uniform(-r, r) weights with r = sqrt(6/(fan_in+fan_out)), zero biases."""
     if min(layer_sizes) < 1:
@@ -78,7 +78,6 @@ def init_model(layer_sizes, seed: int, bias_enabled: bool = True,
         layers.append(Layer(rng.uniform(-r, r, size=(n_out, n_in)),
                             np.zeros(n_out)))
     return NetworkModel(layers=layers, activation_mode=DETERMINISTIC,
-                        bias_enabled=bias_enabled,
                         output_activation=output_activation)
 
 
@@ -135,9 +134,7 @@ def _gradient_sum(model: NetworkModel, X, Y, loss: LossSpec) -> list:
     for i in range(len(model.layers) - 1, -1, -1):
         # cumsum adds rows one after another; .sum() may add pairwise
         dW = np.cumsum(delta[:, :, None] * activations[i][:, None, :], axis=0)[-1]
-        db = (np.cumsum(delta, axis=0)[-1] if model.bias_enabled
-              else np.zeros(delta.shape[1]))
-        grads[i] = (dW, db)
+        grads[i] = (dW, np.cumsum(delta, axis=0)[-1])
         if i > 0:
             a = activations[i]
             # one matrix-vector product per row, as for a single example
@@ -196,10 +193,11 @@ def train(model: NetworkModel, X, Y, config: OptimizerConfig,
     return model, history
 
 
-def finite_difference_gradient(model: NetworkModel, x, y, loss: LossSpec,
-                               h: float = 1e-5) -> list:
-    """Central-difference gradient of one example, input x (n_in,) and
-    target y (n_out,), independent of backprop; for checking."""
+def finite_difference_gradient(model: NetworkModel, x, y, loss: LossSpec) -> list:
+    """Central-difference gradient, step 1e-5, of one example, input x
+    (n_in,) and target y (n_out,), independent of backprop; for checking."""
+    h = 1e-5
+
     def central(params, idx):
         base = params[idx]
         params[idx] = base + h
@@ -215,9 +213,8 @@ def finite_difference_gradient(model: NetworkModel, x, y, loss: LossSpec,
         db = np.zeros_like(layer.bias)
         for idx in np.ndindex(layer.weights.shape):
             dW[idx] = central(layer.weights, idx)
-        if model.bias_enabled:
-            for j in range(layer.bias.size):
-                db[j] = central(layer.bias, j)
+        for j in range(layer.bias.size):
+            db[j] = central(layer.bias, j)
         grads.append((dW, db))
     return grads
 

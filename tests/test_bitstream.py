@@ -11,6 +11,7 @@ from spinsc.bitstream import (BitStream, and_mux_table, decode, encode,
                               multiply_and, mtj_rng_stream, scaled_add_mux)
 from spinsc.errors import DomainError, FormatError, ShapeError, SpinscError
 from spinsc.mtj import SigmoidFit
+from spinsc.rngtools import derive_philox
 
 
 class TestEncodeDecode:
@@ -149,6 +150,14 @@ class TestMtjRng:
         L = 1_000_000
         v = decode(mtj_rng_stream(self.fit, self.fit.b, L, 8))
         assert abs(v - 0.5) <= 3 * math.sqrt(0.25 / L)
+
+    @pytest.mark.parametrize("a, b", [(1e4, 1.5e-3), (9359.17, 1.4753e-3),
+                                      (1e-3, -2.0), (1e12, 7e-9)])
+    def test_bias_at_offset_thresholds_at_half(self, a, b):
+        """Biased at the fit offset, the bits are the "mtj-rng" draws below
+        0.5 exactly, for any finite slope and offset."""
+        bits = mtj_rng_stream(SigmoidFit(a=a, b=b, r_squared=1.0), b, 4096, 5).bits
+        assert np.array_equal(bits, derive_philox(5, "mtj-rng").random(4096) < 0.5)
 
     def test_deep_tail_is_zero(self):
         bias = self.fit.b - 100.0 / self.fit.a

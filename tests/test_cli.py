@@ -289,6 +289,22 @@ class TestBer:
         assert list(out.iterdir()) == []
 
 
+    def test_bias_free_model_fails_cleanly(self, tmp_path, capsys):
+        train_dir = tmp_path / "train"
+        assert run("train-decoder", write_cfg(tmp_path / "t.cfg", TRAIN_CFG),
+                   train_dir) == 0
+        model = train_dir / "model.json"
+        model.write_text(model.read_text().replace('"bias_enabled": true',
+                                                   '"bias_enabled": false'))
+        cfg = write_cfg(tmp_path / "b.cfg", BER_CFG.replace(
+            "n = 8\nk = 4", "n = 4\nk = 2").replace(
+            "decoder = classical", "decoder = neural\nmodel_path = %s" % model))
+        out = tmp_path / "out"
+        assert run("ber", cfg, out) == 2
+        assert "needs bias_enabled true, got False" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+
 class TestDeviceSweep:
     def test_subcritical_fit_failure_keeps_curve(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "d.cfg", SWEEP_SUBCRITICAL_CFG)

@@ -82,18 +82,19 @@ class TestHeunStepOracle:
     def test_one_step_bit_for_bit(self, T):
         p = DeviceParams(alpha=0.05, Ms=1e6, V=40e-9 * 40e-9 * 2e-9, T=T,
                          dt=1e-13, Hk=2e5, Hd=3e4)
-        pulse = SpinCurrentPulse(3e-4, p.dt, (0.6, 0.0, 0.8))
+        pulse = SpinCurrentPulse(3e-4, p.dt)
         m0 = tilted(2.0, 0.7)
         # at T = 0 the integrator draws no noise, so no thermal field is added
         h_th = (sample_thermal_field(p, derive_rng(13, "trajectory"))
                 if T > 0 else None)
         inv_qns = 1.0 / (Q_E * p.Ns)
         inv_1a2 = 1.0 / (1.0 + p.alpha * p.alpha)
+        spin_current = np.array([0.0, 0.0, pulse.magnitude])   # along +z
 
         def rhs(m):
             h = effective_field(m, p, applied=h_th)
             a = (-p.gamma * np.cross(m, h)
-                 + inv_qns * np.cross(m, np.cross(pulse.vector, m)))
+                 + inv_qns * np.cross(m, np.cross(spin_current, m)))
             return (a + p.alpha * np.cross(m, a)) * inv_1a2
 
         k1 = rhs(m0)
@@ -171,7 +172,7 @@ class TestSimulatePulse:
     def test_deterministic_switching_matches_fine_dt_reference(self):
         p = default_device_params(T=0.0)
         ic = p.alpha * p.gamma * p.Hk * Q_E * p.Ns
-        pulse = SpinCurrentPulse(20 * ic, 2e-9, (0.0, 0.0, 1.0))
+        pulse = SpinCurrentPulse(20 * ic, 2e-9)
         m0 = -tilted(math.radians(2))  # near -z
         tr = simulate_pulse(m0, pulse, p, 2e-10, seed=1, record=False)
         assert tr.switched
@@ -207,8 +208,7 @@ class TestSimulatePulse:
         m0 = tilted(0.5) if start == "tilted" else np.zeros(3)
         rngs = [derive_rng(0, "trial", i) for i in range(trials)]
         with np.errstate(all="ignore"), pytest.raises(StepFaultError):
-            _integrate(np.tile(m0, (trials, 1)), [(1, np.array([0.0, 0.0, 1e-4]))],
-                       p, rngs)
+            _integrate(np.tile(m0, (trials, 1)), [(1, 1e-4)], p, rngs)
         if trials == 1:
             error = StepFaultError if start == "tilted" else DomainError
             with np.errstate(all="ignore"), pytest.raises(error):
@@ -235,8 +235,7 @@ class TestIntegratorWidths:
     equals row i of the batch, bit for bit (2,100 pulse steps cross a chunk
     boundary)."""
 
-    PHASES = [(100, np.zeros(3)), (2100, np.array([0.0, 0.0, 5e-4])),
-              (100, np.zeros(3))]
+    PHASES = [(100, 0.0), (2100, 5e-4), (100, 0.0)]
 
     @pytest.mark.parametrize("T", [300.0, 0.0])
     def test_single_trial_equals_batch_row(self, T):
@@ -264,9 +263,8 @@ class TestIntegratorWidths:
         p = default_device_params()
         m0 = np.array([tilted(math.radians(a), 0.3 * i)
                        for i, a in enumerate((178.0, 170.0, 150.0))])
-        currents = np.array([[0.0, 0.0, 0.0], [1e-5, 0.0, 0.0],
-                             [2e-4, 5e-4, 8e-4]])
-        phases = [(100, np.zeros(3)), (2100, currents), (100, np.zeros(3))]
+        currents = np.array([0.0, 1e-5, 8e-4])
+        phases = [(100, 0.0), (2100, currents), (100, 0.0)]
 
         def rngs():
             return [derive_rng(5, "chunk", i) for i in range(3)]
@@ -278,8 +276,8 @@ class TestIntegratorWidths:
             runs.append((m.tobytes(), pre, post))
         assert runs[0] == runs[1] == runs[2]
         for i, g in enumerate(rngs()):
-            alone = [(n, is_vec if is_vec.ndim == 1 else is_vec[:, i])
-                     for n, is_vec in phases]
+            alone = [(n, isz if np.ndim(isz) == 0 else isz[i:i + 1])
+                     for n, isz in phases]
             mi = _integrate(m0[i:i + 1], alone, p, [g])[0]
             assert mi[0].tobytes() == m[i].tobytes()
 
@@ -358,5 +356,3 @@ class TestParamsValidation:
     def test_pulse_validation(self):
         with pytest.raises(DomainError):
             SpinCurrentPulse(1e-4, 0.0)
-        with pytest.raises(DomainError):
-            SpinCurrentPulse(1e-4, 1e-9, (1.0, 1.0, 0.0))

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -239,6 +240,18 @@ class TestSerialization:
         assert len(acts) == 3
         assert [a.shape for a in acts] == [(2,), (2,), (1,)]
         assert np.array_equal(acts[-1], forward(model, np.array([0.1, 0.2])))
+
+    @pytest.mark.parametrize("value", [False, None, 1, "true"])
+    def test_bias_free_model_rejected(self, tmp_path, value):
+        """Every network has biases; a file saying otherwise is malformed."""
+        path = tmp_path / "model.json"
+        save_model(two_layer_model(), path)
+        doc = json.loads(path.read_text())
+        assert doc["bias_enabled"] is True
+        doc["bias_enabled"] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="bias_enabled"):
+            load_model(path)
 
     @pytest.mark.parametrize("text", [
         '{"version": 1, "activation_mode": "deterministic-sigmoid"}',

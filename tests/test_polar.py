@@ -264,8 +264,7 @@ class TestScDecode:
 
     @pytest.mark.parametrize("N", [1, 2, 8, 128, 1024])
     @pytest.mark.parametrize("K", ["none", "half", "all"])
-    @pytest.mark.parametrize("min_sum", [False, True])
-    def test_block_equals_row_by_row(self, N, K, min_sum):
+    def test_block_equals_row_by_row(self, N, K):
         k = {"none": 0, "half": N // 2, "all": N}[K]
         spec = construct_frozen_set(N, k)
         rng = derive_rng(N, "block", k)
@@ -273,8 +272,8 @@ class TestScDecode:
         llrs[1] = 0.0                                 # a row of exact ties
         llrs[2, rng.integers(0, N, max(1, N // 4))] = 0.0
         llrs[3] = np.round(llrs[3])                   # many zeros, equal magnitudes
-        block = sc_decode(llrs, spec, min_sum=min_sum)
-        rows = [sc_decode(row, spec, min_sum=min_sum) for row in llrs]
+        block = sc_decode(llrs, spec)
+        rows = [sc_decode(row, spec) for row in llrs]
         assert block.u_hat.shape == (6, N)
         assert block.message_hat.shape == (6, k)
         assert np.array_equal(block.u_hat, np.array([r.u_hat for r in rows]))
@@ -282,13 +281,6 @@ class TestScDecode:
                               np.array([r.message_hat for r in rows]).reshape(6, k))
         assert not block.u_hat[:, spec.frozen].any()
         assert not block.u_hat[1].any()
-
-    def test_min_sum_close_to_exact_at_high_snr(self):
-        spec = construct_frozen_set(64, 32)
-        msg = derive_rng(1, "ms").integers(0, 2, 32).astype(np.uint8)
-        llrs = bpsk_awgn(encode(msg, spec), 6.0, 2, spec.rate)
-        assert np.array_equal(sc_decode(llrs, spec, min_sum=True).message_hat,
-                              sc_decode(llrs, spec).message_hat)
 
     def test_wrong_length_rejected(self):
         spec = construct_frozen_set(8, 4)

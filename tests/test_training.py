@@ -17,9 +17,9 @@ def single_unit(w=0.0, b=0.0):
 
 
 def scalar_quadratic_setup():
-    """Identity-output unit without bias: Q = (w - 1)^2 / 2 for x=1, y=1."""
+    """Identity-output unit: Q = (w + b - 1)^2 / 2 for x=1, y=1."""
     model = NetworkModel(layers=[Layer(np.array([[0.0]]), np.array([0.0]))],
-                         output_activation="identity", bias_enabled=False)
+                         output_activation="identity")
     return model, np.array([1.0]), np.array([1.0])
 
 
@@ -86,8 +86,7 @@ def sequential_step(model, X, Y, rate, loss):
             delta = (y_hat - y) * y_hat * (1.0 - y_hat)
         grads = []
         for i in range(len(model.layers) - 1, -1, -1):
-            db = delta.copy() if model.bias_enabled else np.zeros_like(delta)
-            grads.insert(0, (np.outer(delta, acts[i]), db))
+            grads.insert(0, (np.outer(delta, acts[i]), delta.copy()))
             if i > 0:
                 back = model.layers[i].weights.T @ delta
                 delta = back * acts[i] * (1.0 - acts[i])
@@ -102,32 +101,31 @@ def sequential_step(model, X, Y, rate, loss):
             for layer, (dW, db) in zip(model.layers, grad_sum)]
 
 
-# (layer sizes, bias enabled, output activation, loss kind)
+# (layer sizes, output activation, loss kind)
 BATCH_CASES = [
-    ([3, 5, 2], True, "sigmoid", SQUARED_ERROR),
-    ([3, 5, 2], True, "sigmoid", CROSS_ENTROPY),
-    ([1, 1, 1], True, "sigmoid", SQUARED_ERROR),
-    ([1, 1, 1], True, "sigmoid", CROSS_ENTROPY),
-    ([4, 6, 3, 2], False, "sigmoid", SQUARED_ERROR),
-    ([2, 3, 2], True, "identity", SQUARED_ERROR),
+    ([3, 5, 2], "sigmoid", SQUARED_ERROR),
+    ([3, 5, 2], "sigmoid", CROSS_ENTROPY),
+    ([1, 1, 1], "sigmoid", SQUARED_ERROR),
+    ([1, 1, 1], "sigmoid", CROSS_ENTROPY),
+    ([4, 6, 3, 2], "sigmoid", SQUARED_ERROR),
+    ([2, 3, 2], "identity", SQUARED_ERROR),
 ]
 
 
 def batch_case_id(case):
-    sizes, bias, output, kind = case
-    return (f"{'-'.join(map(str, sizes))}-{'bias' if bias else 'nobias'}-"
-            f"{output}-{kind}")
+    sizes, output, kind = case
+    return f"{'-'.join(map(str, sizes))}-{output}-{kind}"
 
 
 def random_batch_case(case, size, tag):
-    sizes, bias, output, kind = case
+    sizes, output, kind = case
     rng = derive_rng(8, tag, *sizes, size)
     model = init_model(sizes, int(rng.integers(0, 2 ** 62)),
-                       bias_enabled=bias, output_activation=output)
+                       output_activation=output)
     # non-zero biases, so a dropped bias term would show
     model = NetworkModel(layers=[Layer(l.weights, rng.standard_normal(l.bias.size))
                                  for l in model.layers],
-                         bias_enabled=bias, output_activation=output)
+                         output_activation=output)
     rows = [(rng.standard_normal(sizes[0]) * 2, rng.uniform(0, 1, sizes[-1]))
             for _ in range(size)]
     X, Y = (np.array(column) for column in zip(*rows))
@@ -315,7 +313,9 @@ class TestTrain:
     def test_gd_quadratic_geometric_contraction(self):
         model, x, y = scalar_quadratic_setup()
         loss0 = mean_loss(model, [x], [y], self.loss)
-        cfg = OptimizerConfig(kind="gd", learning_rate=0.5, epochs=5)
+        # w and b both step by -rate * (w + b - 1), so the error contracts
+        # by 1 - 2 * rate = 0.5 and the loss by 0.25 per epoch
+        cfg = OptimizerConfig(kind="gd", learning_rate=0.25, epochs=5)
         _, history = train(model, [x, x], [y, y], cfg, self.loss)
         for t, lt in enumerate(history, start=1):
             assert lt == pytest.approx(0.25 ** t * loss0, rel=1e-12)
