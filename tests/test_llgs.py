@@ -111,6 +111,44 @@ class TestHeunStepOracle:
         assert tr.max_post_renorm_drift == post
 
 
+class TestDeriv:
+    """_deriv, whose spin current runs along +z, equals the general
+    m x (Is x m) torque with Is = (0, 0, isz) written out here, bit for bit."""
+
+    @staticmethod
+    def general(mx, my, mz, hx, hy, hz, isx, isy, isz, gamma, alpha,
+                inv_qns, inv_1a2):
+        tx = isy * mz - isz * my
+        ty = isz * mx - isx * mz
+        tz = isx * my - isy * mx
+        ax = -gamma * (my * hz - mz * hy) + inv_qns * (my * tz - mz * ty)
+        ay = -gamma * (mz * hx - mx * hz) + inv_qns * (mz * tx - mx * tz)
+        az = -gamma * (mx * hy - my * hx) + inv_qns * (mx * ty - my * tx)
+        dx = (ax + alpha * (my * az - mz * ay)) * inv_1a2
+        dy = (ay + alpha * (mz * ax - mx * az)) * inv_1a2
+        dz = (az + alpha * (mx * ay - my * ax)) * inv_1a2
+        return dx, dy, dz
+
+    @pytest.mark.parametrize("isz", [0.0, 3e-4, -8e-4, "per-trial"])
+    def test_equals_general_torque_with_z_current(self, isz):
+        p = default_device_params()
+        rng = derive_rng(5, "deriv")
+        m = rng.standard_normal((64, 3))
+        m /= np.linalg.norm(m, axis=1, keepdims=True)
+        h = 1e5 * rng.standard_normal((64, 3))
+        if isz == "per-trial":
+            isz = 1e-3 * rng.standard_normal(64)
+        consts = (p.gamma, p.alpha, 1.0 / (Q_E * p.Ns),
+                  1.0 / (1.0 + p.alpha * p.alpha))
+        got = llgs._deriv(*m.T, *h.T, isz, *consts)
+        want = self.general(*m.T, *h.T, 0.0, 0.0, isz, *consts)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        if np.any(np.asarray(isz) != 0.0):    # the torque term is exercised
+            no_torque = self.general(*m.T, *h.T, 0.0, 0.0, 0.0, *consts)
+            assert not np.array_equal(got[0], no_torque[0])
+
+
 class TestLlgsStep:
     def test_easy_axis_fixed_point(self):
         p = default_device_params(T=0.0)

@@ -262,6 +262,17 @@ class TestScDecode:
         for llrs, u_hat in zip(rows, block.u_hat):
             assert np.array_equal(u_hat, oracle_sc_decode(llrs, spec.frozen))
 
+    @pytest.mark.parametrize("N,K", [(4, 3), (8, 3), (8, 4), (8, 5), (8, 6),
+                                     (8, 7)])
+    def test_exact_check_node_matches_oracle(self, N, K):
+        """Random LLRs of mixed magnitude, where a min-sum check node would
+        change some decisions: SC equals the exhaustive posterior oracle."""
+        spec = construct_frozen_set(N, K)
+        llrs = 2.0 * derive_rng(N, "exact-check", K).standard_normal((48, N))
+        block = sc_decode(llrs, spec)
+        for row, u_hat in zip(llrs, block.u_hat):
+            assert np.array_equal(u_hat, oracle_sc_decode(row, spec.frozen))
+
     @pytest.mark.parametrize("N", [1, 2, 8, 128, 1024])
     @pytest.mark.parametrize("K", ["none", "half", "all"])
     def test_block_equals_row_by_row(self, N, K):
