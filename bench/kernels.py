@@ -84,6 +84,27 @@ def minibatch_step(batch=32):
         [8, 32, 4], 1), X, Y, 0.5, training.LossSpec(training.CROSS_ENTROPY))
 
 
+def forward_block(rows=512):
+    """Examples/s of deterministic `network.forward` on the 8-32-4 net (the
+    `train-decoder` reference shape), `rows` normal inputs per block."""
+    import numpy as np
+    from spinsc import network, training
+    X = np.random.default_rng(1).standard_normal((rows, 8))
+    return repeat_for_1s(rows, network.forward,
+                         training.init_model([8, 32, 4], 1), X)
+
+
+def derive_per_frame(frames=512):
+    """Derivations/s of `rngtools.derive_rng(seed, "ber", 0, f)`, one call
+    per frame f, as `ber` derives each frame's substream."""
+    from spinsc.rngtools import derive_rng
+
+    def block():
+        for f in range(frames):
+            derive_rng(1, "ber", 0, f)
+    return repeat_for_1s(frames, block)
+
+
 def bitstream_cell(L=10 ** 6):
     """Stream bits/s of one `sc-arith-bench` cell on L-bit streams: encode
     a, b and a select stream, AND-multiply and MUX-add them, decode both."""
@@ -121,6 +142,8 @@ KERNELS["polar.generate_frames N=128"] = (
     "frames/s", partial(polar_block, "generate_frames", 128))
 KERNELS["bitstream cell L=1e6"] = ("bits/s", bitstream_cell)
 KERNELS["training.minibatch_step 8-32-4 B=32"] = ("examples/s", minibatch_step)
+KERNELS["network.forward 8-32-4 B=512"] = ("examples/s", forward_block)
+KERNELS["rngtools.derive_rng per frame"] = ("derivations/s", derive_per_frame)
 KERNELS["cli sc-arith-bench L=1e6 V=3"] = ("stream-bits/s", sc_arith_bench)
 
 

@@ -232,7 +232,7 @@ def cmd_gradcheck(v, seed, workers, out_dir):
         model = training.init_model(sizes, int(rng.integers(0, 2 ** 63)))
         x = rng.standard_normal(sizes[0])
         y = rng.uniform(0.1, 0.9, sizes[-1])
-        bp = training.backprop_gradient(model, x, y, loss)
+        bp = training.backprop_gradient(model, [x], [y], loss)
         fd = training.finite_difference_gradient(model, x, y, loss)
         err = 0.0
         for pair in zip(bp, fd):

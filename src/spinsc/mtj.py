@@ -7,7 +7,7 @@ current pulse followed by a field-only relax window; a trial counts as
 switched when the final mz sign differs from the initial sign.
 A sweep steps all its points' trials as one batch, each trial with its
 point's current and its own substream, cut into slabs of at most
-_BATCH_TRIALS for the worker processes; one estimate is a one-point sweep.
+_BATCH_TRIALS for the worker processes.
 """
 
 from dataclasses import dataclass
@@ -25,7 +25,6 @@ __all__ = [
     "SwitchingCurve",
     "SigmoidFit",
     "default_mtj_params",
-    "estimate_switching_probability",
     "sweep_switching_curve",
     "fit_stochastic_sigmoid",
 ]
@@ -84,6 +83,11 @@ class SigmoidFit:
     b: float                    # offset current, A
     r_squared: float
 
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.a, self.b, self.r_squared))):
+            raise DomainError(f"a sigmoid fit needs finite a, b and r_squared, "
+                              f"got {self}")
+
     def predict(self, current):
         return _logistic(np.asarray(current, float), self.a, self.b)
 
@@ -104,52 +108,37 @@ def _switched(job):
     return _integrate(m0, phases, params.device, rngs)[0][:, 2] > 0.0
 
 
-def _switching_probabilities(currents, pulse_width, trials, params, seeds,
-                             workers=1):
-    """p_hat and 95% CI halfwidth lists, `trials` trials per current on the
-    matching point seed, all stepped as equal slabs of one flat batch."""
-    if trials < 1:
+def sweep_switching_curve(currents, pulse_width: float, trials_per_point: int,
+                          params: MtjParams, seed: int,
+                          workers: int = 1) -> SwitchingCurve:
+    """Fraction of seeded trials that switch at each current, with 95% CI
+    halfwidths.  Point i's trials run on the seed derive_rng(seed,
+    "sweep-point", i) draws, all points' trials stepped as equal slabs of
+    one flat batch."""
+    currents, n = np.asarray(currents, dtype=float), trials_per_point
+    if len(currents) < 5:
+        raise DomainError("need at least 5 sweep currents")
+    if not np.all(np.diff(currents) > 0):
+        raise DomainError("sweep currents must be strictly increasing")
+    if n < 1:
         raise DomainError("trials must be >= 1")
     if not params.device.dt <= pulse_width < math.inf:
         raise DomainError("pulse_width must be finite and at least one time-step")
     if not np.all(np.isfinite(currents)):
         raise DomainError("charge currents must be finite")
-    flat = np.repeat(currents, trials)
-    keys = [(s, i) for s in seeds for i in range(trials)]
+    seeds = [int(derive_rng(seed, "sweep-point", p).integers(0, 2**63))
+             for p in range(len(currents))]
+    keys = [(s, i) for s in seeds for i in range(n)]
+    flat = np.repeat(currents, n)
     workers = worker_count(workers)
     slab = -(-len(keys) // max(workers, -(-len(keys) // _BATCH_TRIALS)))
     switched = np.concatenate(parallel_map(_switched, [
         (flat[a:a + slab], keys[a:a + slab], pulse_width, params)
         for a in range(0, len(keys), slab)], workers))
-    p_hat = (np.count_nonzero(switched.reshape(-1, trials), axis=1) / trials).tolist()
-    return p_hat, [1.96 * math.sqrt(p * (1.0 - p) / trials) for p in p_hat]
-
-
-def estimate_switching_probability(charge_current: float, pulse_width: float,
-                                   trials: int, params: MtjParams,
-                                   seed: int) -> tuple[float, float]:
-    """Fraction of seeded trials that switch, with 95% CI halfwidth."""
-    p_hat, ci = _switching_probabilities([charge_current], pulse_width, trials,
-                                         params, [seed])
-    return p_hat[0], ci[0]
-
-
-def sweep_switching_curve(currents, pulse_width: float, trials_per_point: int,
-                          params: MtjParams, seed: int,
-                          workers: int = 1) -> SwitchingCurve:
-    """One switching-probability estimate per current, independent substreams."""
-    currents = np.asarray(currents, dtype=float)
-    if len(currents) < 5:
-        raise DomainError("need at least 5 sweep currents")
-    if not np.all(np.diff(currents) > 0):
-        raise DomainError("sweep currents must be strictly increasing")
-    seeds = [int(derive_rng(seed, "sweep-point", i).integers(0, 2**63))
-             for i in range(len(currents))]
-    p_hat, ci = _switching_probabilities(currents, pulse_width, trials_per_point,
-                                         params, seeds, workers)
-    return SwitchingCurve(currents=currents, p_hat=np.array(p_hat),
-                          trials=np.full(len(currents), trials_per_point),
-                          ci_halfwidth=np.array(ci))
+    p_hat = np.count_nonzero(switched.reshape(-1, n), axis=1) / n
+    ci = [1.96 * math.sqrt(p * (1.0 - p) / n) for p in p_hat.tolist()]
+    return SwitchingCurve(currents=currents, p_hat=p_hat,
+                          trials=np.full(len(currents), n), ci_halfwidth=np.array(ci))
 
 
 def fit_stochastic_sigmoid(curve: SwitchingCurve) -> SigmoidFit:

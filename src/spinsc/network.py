@@ -13,6 +13,7 @@ and the spikes are averaged over a window of passes batched as rows.
 
 from dataclasses import dataclass
 import json
+import math
 
 import numpy as np
 
@@ -78,6 +79,11 @@ class NetworkModel:
         for prev, nxt in zip(self.layers, self.layers[1:]):
             if nxt.weights.shape[1] != prev.weights.shape[0]:
                 raise ShapeError("adjacent layer dimensions are incompatible")
+        if not 0.0 <= self.unit_current < math.inf:
+            raise DomainError(f"unit_current must be finite and non-negative, "
+                              f"got {self.unit_current}")
+        if self.unit_current > 0.0 and self.neuron_fit is None:
+            raise DomainError("a positive unit_current needs a neuron_fit")
 
     @property
     def input_dim(self) -> int:

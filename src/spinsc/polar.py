@@ -4,8 +4,9 @@ Index convention: natural order throughout (no bit-reversal).  The
 encoder applies the [[1,0],[1,1]] kernel by in-place butterflies; the SC
 decoder uses the exact check-node rule in its numerically safe log form.
 Ties decode to bit 0.  Encoders take one word (N,) or a block of words
-(..., N); the channel returns LLR arrays of the same shape (positive
-favours bit 0), and both decoders take those arrays directly.
+(..., N); generate_frames returns a block of channel LLRs (positive
+favours bit 0), and both decoders take LLR arrays (..., N) and return
+the decoded message bits (..., K).
 """
 
 from dataclasses import dataclass
@@ -24,11 +25,9 @@ FRAME_BLOCK = 512    # frames per ber_experiment block; bounds its memory
 
 __all__ = [
     "PolarCodeSpec",
-    "DecodeResult",
     "construct_frozen_set",
     "polar_transform",
     "encode",
-    "bpsk_awgn",
     "generate_frames",
     "sc_decode",
     "llr_features",
@@ -75,12 +74,6 @@ class PolarCodeSpec:
             return cls(N=doc["N"], K=doc["K"],
                        frozen=np.asarray(doc["frozen_mask"], dtype=bool),
                        design_snr_db=doc.get("design_snr_db", 0.0))
-
-
-@dataclass(frozen=True)
-class DecodeResult:
-    u_hat: np.ndarray            # full length-N estimate, frozen positions 0
-    message_hat: np.ndarray      # K information bits
 
 
 def construct_frozen_set(N: int, K: int, design_snr_db: float = 0.0) -> PolarCodeSpec:
@@ -147,31 +140,16 @@ def _noise_variance(snr_db, rate):
     return sigma2
 
 
-def _bpsk_llrs(codewords, snrs_db, rate, noise):
-    """LLRs of BPSK codewords (..., N) plus unit-variance `noise` scaled for
-    the code rate and one Eb/N0 per codeword."""
-    sigma2 = np.reshape([_noise_variance(s, rate) for s in snrs_db],
-                        codewords.shape[:-1] + (1,))
-    return 2.0 * (1.0 - 2.0 * codewords.astype(float)
-                  + np.sqrt(sigma2) * noise) / sigma2
-
-
-def bpsk_awgn(codeword, snr_db: float, seed: int, rate: float) -> np.ndarray:
-    """Channel LLRs (N,) of one codeword sent by BPSK over AWGN at
-    Eb/N0 = snr_db for the given code rate."""
-    codeword = np.asarray(codeword, dtype=np.uint8)
-    noise = derive_rng(seed, "channel").standard_normal(codeword.size)
-    return _bpsk_llrs(codeword, [snr_db], rate, noise)
-
-
 def generate_frames(spec: PolarCodeSpec, seed: int, tags, frames, snrs_db):
     """Messages (F, K), channel LLRs (F, N) and frame seeds (F,) for the F
-    frame indices in `frames`, frame i sent at Eb/N0 snrs_db[i].  Frame f
-    draws its message, then its noise, then the seed a stochastic decoder
-    uses for it from its own substream derive_rng(seed, *tags, f): its
-    values depend neither on its block nor on whether the seed is used."""
+    frame indices in `frames`, frame i sent by BPSK over AWGN at Eb/N0
+    snrs_db[i].  Frame f draws its message, then its unit-variance noise,
+    then the seed a stochastic decoder uses for it from its own substream
+    derive_rng(seed, *tags, f): its values depend neither on its block nor
+    on whether the seed is used."""
     if len(snrs_db) != len(frames):
         raise ShapeError("need one Eb/N0 per frame")
+    sigma2 = np.array([_noise_variance(s, spec.rate) for s in snrs_db])[:, None]
     messages = np.empty((len(frames), spec.K), dtype=np.uint8)
     noise = np.empty((len(frames), spec.N))
     frame_seeds = np.empty(len(frames), dtype=np.int64)
@@ -180,7 +158,8 @@ def generate_frames(spec: PolarCodeSpec, seed: int, tags, frames, snrs_db):
         messages[j] = rng.integers(0, 2, size=spec.K)
         noise[j] = rng.standard_normal(spec.N)
         frame_seeds[j] = rng.integers(0, 2 ** 63)
-    llrs = _bpsk_llrs(encode(messages, spec), snrs_db, spec.rate, noise)
+    llrs = 2.0 * (1.0 - 2.0 * encode(messages, spec).astype(float)
+                  + np.sqrt(sigma2) * noise) / sigma2
     return messages, llrs, frame_seeds
 
 
@@ -210,14 +189,12 @@ def _llr_block(llrs, spec: PolarCodeSpec) -> np.ndarray:
     return llr
 
 
-def sc_decode(llrs, spec: PolarCodeSpec) -> DecodeResult:
+def sc_decode(llrs, spec: PolarCodeSpec) -> np.ndarray:
     """Classical successive-cancellation decoding (llr >= 0 decodes to 0) of
-    one frame, LLRs (N,), or of a block of frames at once, LLRs (..., N);
-    u_hat is (..., N), message_hat (..., K)."""
+    a block of frames at once, LLRs (..., N), to message bits (..., K)."""
     llr = _llr_block(llrs, spec)
     u_hat, _ = _sc_recurse(llr.reshape(-1, spec.N), spec.frozen)
-    u_hat = u_hat.reshape(llr.shape)
-    return DecodeResult(u_hat=u_hat, message_hat=u_hat[..., ~spec.frozen])
+    return u_hat[:, ~spec.frozen].reshape(llr.shape[:-1] + (spec.K,))
 
 
 def llr_features(llrs) -> np.ndarray:
@@ -226,20 +203,18 @@ def llr_features(llrs) -> np.ndarray:
 
 
 def neural_sc_decode(llrs, model: NetworkModel, spec: PolarCodeSpec,
-                     window: int = 64, seed=0) -> DecodeResult:
-    """One-shot dense decoder of LLRs (..., N): llr_features, forward pass,
-    outputs (..., K) thresholded at 0.5 (0.5 decodes to bit 0).  A
-    stochastic-firing model averages spikes over `window` passes first,
-    with a seed per frame (seed has shape llrs.shape[:-1])."""
+                     window: int = 64, seed=0) -> np.ndarray:
+    """One-shot dense decoder of LLRs (..., N) to message bits (..., K):
+    llr_features, forward pass, outputs thresholded at 0.5 (0.5 decodes to
+    bit 0).  A stochastic-firing model averages spikes over `window` passes
+    first, with a seed per frame (seed has shape llrs.shape[:-1])."""
     llr = _llr_block(llrs, spec)
     if model.input_dim != spec.N or model.output_dim != spec.K:
         raise ShapeError("model dimensions do not match the code spec")
     x = llr_features(llr)
     y = (forward(model, x) if model.activation_mode == DETERMINISTIC
          else forward_rate(model, x, window, seed))
-    u_hat = np.zeros(llr.shape, dtype=np.uint8)
-    u_hat[..., ~spec.frozen] = y > 0.5
-    return DecodeResult(u_hat=u_hat, message_hat=u_hat[..., ~spec.frozen])
+    return (y > 0.5).astype(np.uint8)
 
 
 def _ber_point(args):
@@ -253,10 +228,10 @@ def _ber_point(args):
             spec, seed, ("ber", point_index), block, [snr_db] * len(block))
         for m, model in enumerate(models):
             t0 = time.perf_counter()
-            result = (sc_decode(llrs, spec) if model is None else
-                      neural_sc_decode(llrs, model, spec, window, frame_seeds))
+            decoded = (sc_decode(llrs, spec) if model is None else
+                       neural_sc_decode(llrs, model, spec, window, frame_seeds))
             decode_s[m] += time.perf_counter() - t0
-            errs = np.count_nonzero(result.message_hat != messages, axis=1)
+            errs = np.count_nonzero(decoded != messages, axis=1)
             errors[m] += errs.sum(), np.count_nonzero(errs)
     return [{"snr_db": snr_db, "frames": min_frames, "bit_errors": bits,
              "frame_errors": frames, "ber": bits / (min_frames * spec.K),

@@ -23,7 +23,6 @@ __all__ = [
     "LossSpec",
     "OptimizerConfig",
     "init_model",
-    "loss_value",
     "mean_loss",
     "backprop_gradient",
     "minibatch_step",
@@ -104,11 +103,6 @@ def _row_losses(model: NetworkModel, X, Y, loss: LossSpec) -> np.ndarray:
     return -np.sum(Y * np.log(y_hat) + (1.0 - Y) * np.log(1.0 - y_hat), axis=-1)
 
 
-def loss_value(model: NetworkModel, x, y, loss: LossSpec) -> float:
-    """Loss of one example: input x (n_in,) against target y (n_out,)."""
-    return float(_row_losses(model, [x], [y], loss)[0])
-
-
 def mean_loss(model: NetworkModel, X, Y, loss: LossSpec) -> float:
     """Mean of the losses of the rows of X (B, n_in) against Y (B, n_out),
     added in row order."""
@@ -116,7 +110,7 @@ def mean_loss(model: NetworkModel, X, Y, loss: LossSpec) -> float:
     return sum(losses.tolist()) / len(losses)
 
 
-def _gradient_sum(model: NetworkModel, X, Y, loss: LossSpec) -> list:
+def backprop_gradient(model: NetworkModel, X, Y, loss: LossSpec) -> list:
     """Exact reverse-mode gradient summed over the rows of X (B, n_in) and
     Y (B, n_out), added in ascending row order; one (dW, db) per layer."""
     if model.activation_mode != DETERMINISTIC:
@@ -143,17 +137,11 @@ def _gradient_sum(model: NetworkModel, X, Y, loss: LossSpec) -> list:
     return grads
 
 
-def backprop_gradient(model: NetworkModel, x, y, loss: LossSpec) -> list:
-    """Exact reverse-mode gradient of one example, input x (n_in,) and
-    target y (n_out,); one (dW, db) pair per layer."""
-    return _gradient_sum(model, [x], [y], loss)
-
-
 def minibatch_step(model: NetworkModel, X, Y, rate: float,
                    loss: LossSpec) -> NetworkModel:
     """One update with the mean gradient over the rows of X (B, n_in) and
     Y (B, n_out), added in ascending row order."""
-    grads = _gradient_sum(model, X, Y, loss)
+    grads = backprop_gradient(model, X, Y, loss)
     return replace(model, layers=[
         Layer(layer.weights - rate * (dW / len(X)), layer.bias - rate * (db / len(X)))
         for layer, (dW, db) in zip(model.layers, grads)])
@@ -201,9 +189,9 @@ def finite_difference_gradient(model: NetworkModel, x, y, loss: LossSpec) -> lis
     def central(params, idx):
         base = params[idx]
         params[idx] = base + h
-        up = loss_value(model, x, y, loss)
+        up = mean_loss(model, [x], [y], loss)
         params[idx] = base - h
-        down = loss_value(model, x, y, loss)
+        down = mean_loss(model, [x], [y], loss)
         params[idx] = base
         return (up - down) / (2.0 * h)
 

@@ -20,11 +20,11 @@ from spinsc.llgs import (Q_E, SpinCurrentPulse, default_device_params,
                          sample_thermal_field, simulate_pulse)
 from spinsc.mtj import default_mtj_params, fit_stochastic_sigmoid, sweep_switching_curve
 from spinsc.network import STOCHASTIC, NetworkModel, load_model
-from spinsc.polar import (PolarCodeSpec, bpsk_awgn,
-                          construct_frozen_set, encode, neural_sc_decode,
-                          ber_experiment, polar_transform, sc_decode)
+from spinsc.polar import (PolarCodeSpec, construct_frozen_set, encode,
+                          generate_frames, neural_sc_decode, ber_experiment,
+                          polar_transform, sc_decode)
 from spinsc.training import (SQUARED_ERROR, LossSpec, OptimizerConfig,
-                             backprop_gradient, init_model, loss_value,
+                             backprop_gradient, init_model, mean_loss,
                              minibatch_step, train)
 from spinsc.rngtools import derive_rng
 
@@ -141,17 +141,17 @@ def _fd_gradient(model, x, y, loss, h=1e-6):
         for idx in np.ndindex(layer.weights.shape):
             orig = layer.weights[idx]
             layer.weights[idx] = orig + h
-            lp = loss_value(model, x, y, loss)
+            lp = mean_loss(model, [x], [y], loss)
             layer.weights[idx] = orig - h
-            lm = loss_value(model, x, y, loss)
+            lm = mean_loss(model, [x], [y], loss)
             layer.weights[idx] = orig
             dW[idx] = (lp - lm) / (2 * h)
         for j in range(layer.bias.size):
             orig = layer.bias[j]
             layer.bias[j] = orig + h
-            lp = loss_value(model, x, y, loss)
+            lp = mean_loss(model, [x], [y], loss)
             layer.bias[j] = orig - h
-            lm = loss_value(model, x, y, loss)
+            lm = mean_loss(model, [x], [y], loss)
             layer.bias[j] = orig
             db[j] = (lp - lm) / (2 * h)
         grads.append((dW, db))
@@ -167,7 +167,7 @@ def test_criterion_05_gradient_correctness():
         model = init_model(sizes, int(rng.integers(0, 2 ** 63)))
         x = rng.standard_normal(sizes[0])
         y = rng.uniform(0.1, 0.9, sizes[-1])
-        bp = backprop_gradient(model, x, y, loss)
+        bp = backprop_gradient(model, [x], [y], loss)
         fd = _fd_gradient(model, x, y, loss)
         for (bw, bb), (fw, fb) in zip(bp, fd):
             worst = max(worst, float(np.max(
@@ -255,14 +255,14 @@ def _oracle_sc(llrs, frozen):
 def test_criterion_08_sc_decoder_oracle():
     t0 = time.perf_counter()
     spec = construct_frozen_set(8, 4)
+    cw = encode(np.array(list(itertools.product([0, 1], repeat=4))), spec)
+    # BPSK over AWGN at Eb/N0 = 1 dB, 20 noise draws per codeword
+    sigma2 = 1.0 / (2.0 * spec.rate * 10.0 ** 0.1)
+    noise = derive_rng(8, "acc-oracle").standard_normal((16, 20, 8))
+    llrs = 2.0 * (1.0 - 2.0 * cw[:, None, :] + math.sqrt(sigma2) * noise) / sigma2
     ok = True
-    for msg_bits in itertools.product([0, 1], repeat=4):
-        msg = np.array(msg_bits, dtype=np.uint8)
-        cw = encode(msg, spec)
-        for noise_seed in range(20):
-            llrs = bpsk_awgn(cw, 1.0, noise_seed, spec.rate)
-            ok &= np.array_equal(sc_decode(llrs, spec).u_hat,
-                                 _oracle_sc(llrs, spec.frozen))
+    for row, message in zip(llrs.reshape(-1, 8), sc_decode(llrs, spec).reshape(-1, 4)):
+        ok &= np.array_equal(message, _oracle_sc(row, spec.frozen)[~spec.frozen])
     elapsed = time.perf_counter() - t0
     report(8, ok and elapsed < 60,
            f"16 messages x 20 noise seeds bit-for-bit, {elapsed:.0f}s (<60s)")
@@ -273,11 +273,9 @@ def test_criterion_09_noiseless_invertibility():
     for n in range(1, 11):
         N = 2 ** n
         spec = construct_frozen_set(N, N // 2)
-        rng = derive_rng(9, "acc-inv", N)
-        for _ in range(100):
-            msg = rng.integers(0, 2, spec.K).astype(np.uint8)
-            llrs = bpsk_awgn(encode(msg, spec), 100.0, 1, spec.rate)
-            ok &= np.array_equal(sc_decode(llrs, spec).message_hat, msg)
+        messages, llrs, _ = generate_frames(spec, 9, ("acc-inv", N), range(100),
+                                            [100.0] * 100)
+        ok &= np.array_equal(sc_decode(llrs, spec), messages)
     report(9, ok, "100/100 random messages recovered at every N in {2..1024}")
 
 
@@ -316,27 +314,17 @@ def test_criterion_11_neural_decoder_pipeline(tmp_path):
     history = (tmp_path / "history.csv").read_text().splitlines()
     final_loss = float(history[-1].split(",")[1])
 
-    rng = derive_rng(20260824, "acc-neural")
-    bit_errors = 0
-    for _ in range(1000):
-        msg = rng.integers(0, 2, spec.K).astype(np.uint8)
-        llrs = bpsk_awgn(encode(msg, spec), 100.0, int(rng.integers(0, 2 ** 31)),
-                         spec.rate)
-        res = neural_sc_decode(llrs, model, spec)
-        bit_errors += int(np.count_nonzero(res.message_hat != msg))
+    messages, llrs, _ = generate_frames(spec, 20260824, ("acc-neural",),
+                                        range(1000), [100.0] * 1000)
+    bit_errors = int(np.count_nonzero(neural_sc_decode(llrs, model, spec) != messages))
     noiseless_rate = bit_errors / (1000 * spec.K)
 
     spiking = NetworkModel(layers=model.layers, activation_mode=STOCHASTIC)
-    agree = 0
-    for i in range(1000):
-        frng = derive_rng(20260824, "acc-agree", i)
-        msg = frng.integers(0, 2, spec.K).astype(np.uint8)
-        llrs = bpsk_awgn(encode(msg, spec), 4.0, int(frng.integers(0, 2 ** 31)),
-                         spec.rate)
-        det = neural_sc_decode(llrs, model, spec)
-        sto = neural_sc_decode(llrs, spiking, spec, window=256,
-                               seed=int(frng.integers(0, 2 ** 31)))
-        agree += int(np.array_equal(det.message_hat, sto.message_hat))
+    _, llrs, seeds = generate_frames(spec, 20260824, ("acc-agree",),
+                                     range(1000), [4.0] * 1000)
+    det = neural_sc_decode(llrs, model, spec)
+    sto = neural_sc_decode(llrs, spiking, spec, window=256, seed=seeds)
+    agree = int(np.count_nonzero((det == sto).all(axis=1)))
     ok = final_loss < 0.2 and noiseless_rate < 0.01 and agree >= 950
     report(11, ok, f"final loss {final_loss:.3f} (<0.2), noiseless per-bit "
                    f"error {noiseless_rate:.3%} (<1%), W=256 agreement "

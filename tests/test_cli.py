@@ -305,6 +305,34 @@ class TestBer:
         assert list(out.iterdir()) == []
 
 
+    FIT = {"a": 1.2e3, "b": 1e-4, "r_squared": 0.99}
+
+    @pytest.mark.parametrize("unit_current, fit, message", [
+        (1e-3, dict(FIT, a=float("nan")), "a sigmoid fit needs finite"),
+        (1e-3, dict(FIT, b=float("inf")), "a sigmoid fit needs finite"),
+        (1e-3, dict(FIT, r_squared=float("nan")), "a sigmoid fit needs finite"),
+        (1e-3, None, "a positive unit_current needs a neuron_fit"),
+        (-1e-3, FIT, "unit_current must be finite and non-negative"),
+        (float("nan"), FIT, "unit_current must be finite and non-negative")],
+        ids=["nan-a", "inf-b", "nan-r_squared", "no-fit", "negative", "nan-unit"])
+    def test_bad_device_fields_fail_cleanly(self, tmp_path, capsys, unit_current,
+                                            fit, message):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "version": 1, "activation_mode": "stochastic-firing",
+            "output_activation": "sigmoid", "bias_enabled": True,
+            "unit_current": unit_current, "neuron_fit": fit,
+            "layers": [{"n_out": 2, "n_in": 4, "weights": [0.0] * 8,
+                        "bias": [0.0, 0.0]}]}))
+        cfg = write_cfg(tmp_path / "b.cfg", BER_CFG.replace(
+            "n = 8\nk = 4", "n = 4\nk = 2").replace(
+            "decoder = classical", "decoder = neural\nmodel_path = %s" % model))
+        out = tmp_path / "out"
+        assert run("ber", cfg, out) == 2
+        assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+
 class TestDeviceSweep:
     def test_subcritical_fit_failure_keeps_curve(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "d.cfg", SWEEP_SUBCRITICAL_CFG)

@@ -7,9 +7,8 @@ import pytest
 from spinsc import llgs, mtj
 from spinsc.errors import DomainError, FitDomainError
 from spinsc.llgs import default_device_params
-from spinsc.mtj import (MtjParams, SwitchingCurve, default_mtj_params,
-                        estimate_switching_probability, fit_stochastic_sigmoid,
-                        sweep_switching_curve)
+from spinsc.mtj import (MtjParams, SigmoidFit, SwitchingCurve, default_mtj_params,
+                        fit_stochastic_sigmoid, sweep_switching_curve)
 from spinsc.rngtools import derive_rng
 
 
@@ -30,33 +29,37 @@ class TestMtjParams:
 
 
 class TestEstimate:
+    """Single points of a 5-current sweep."""
+
     def test_zero_current_zero_temperature(self):
         params = default_mtj_params(T=0.0)
-        p_hat, ci = estimate_switching_probability(0.0, 5e-10, 20, params, 1)
-        assert p_hat == 0.0
-        assert ci == 0.0
+        curve = sweep_switching_curve([0.0, 1e-6, 2e-6, 3e-6, 4e-6], 5e-10, 20,
+                                      params, 1)
+        assert curve.p_hat[0] == 0.0
+        assert curve.ci_halfwidth[0] == 0.0
 
     def test_large_current_zero_temperature_switches(self):
         params = default_mtj_params(T=0.0)
         ic = critical_spin_current(params.device) / params.theta_sh
-        p_hat, _ = estimate_switching_probability(20 * ic, 2e-9, 5, params, 1)
-        assert p_hat == 1.0
+        curve = sweep_switching_curve([20 * ic, 25 * ic, 30 * ic, 35 * ic, 40 * ic],
+                                      2e-9, 5, params, 1)
+        assert curve.p_hat[0] == 1.0
 
     def test_pulse_shorter_than_dt_rejected(self):
         params = default_mtj_params()
         with pytest.raises(DomainError):
-            estimate_switching_probability(1e-3, 1e-14, 10, params, 1)
+            sweep_switching_curve(TestSweep.CURRENTS, 1e-14, 10, params, 1)
 
     def test_seed_determinism(self):
-        params = default_mtj_params()
-        a = estimate_switching_probability(1.5e-3, 3e-10, 50, params, 9)
-        b = estimate_switching_probability(1.5e-3, 3e-10, 50, params, 9)
-        assert a == b
-
+        a = sweep_switching_curve(TestSweep.CURRENTS, 1e-10, 10, TestSweep.SHORT, 9)
+        b = sweep_switching_curve(TestSweep.CURRENTS, 1e-10, 10, TestSweep.SHORT, 9)
+        assert np.array_equal(a.p_hat, b.p_hat)
+        assert np.array_equal(a.ci_halfwidth, b.ci_halfwidth)
 
     def test_single_trial_runs_float_width_and_matches_batch_row(self, monkeypatch):
-        """trials=1 integrates on Python floats (math.sqrt once per step) and
-        ends where trial 0 of a 3-trial batch ends, bit for bit."""
+        """One key integrates on Python floats (math.sqrt once per step) and
+        ends where the same key, first of three, ends in a 3-trial batch,
+        bit for bit."""
         ends, roots = [], []
 
         def spy(*args, **kwargs):
@@ -72,15 +75,16 @@ class TestEstimate:
         monkeypatch.setattr(llgs, "math", SimpleNamespace(sqrt=counted_sqrt))
         params = default_mtj_params()
         steps = params.equil_steps + 500 + round(params.relax_time / params.device.dt)
-        p1, _ = estimate_switching_probability(1.6e-3, 5e-11, 1, params, seed=3)
+        keys = [(3, 0), (3, 1), (3, 2)]
+        single = mtj._switched((np.full(1, 1.6e-3), keys[:1], 5e-11, params))
         single_roots = len(roots)
-        estimate_switching_probability(1.6e-3, 5e-11, 3, params, seed=3)
+        mtj._switched((np.full(3, 1.6e-3), keys, 5e-11, params))
         assert single_roots >= steps
         # the batch takes np.sqrt; math.sqrt gives only its noise prefactors
         assert len(roots) - single_roots < steps // 100
         assert ends[0].shape == (1, 3) and ends[1].shape == (3, 3)
         assert ends[0][0].tobytes() == ends[1][0].tobytes()
-        assert p1 == float(ends[1][0, 2] > 0.0)
+        assert single.tolist() == [bool(ends[1][0, 2] > 0.0)]
 
 
 class TestSweep:
@@ -120,14 +124,17 @@ class TestSweep:
                              ids=["1-worker", "2-workers", "12-trial-slabs"])
     def test_points_equal_single_point_estimates(self, workers, batch,
                                                  monkeypatch):
-        """Point idx of a sweep is estimate_switching_probability on the seed
-        derive_rng(seed, "sweep-point", idx) draws (T = 300 K, 1,220 steps),
-        also when slabs of 12 trials cut across the points' 16 trials."""
+        """Point idx of a sweep is an `mtj._switched` run of its 16 trials on
+        the seed derive_rng(seed, "sweep-point", idx) draws (T = 300 K,
+        1,220 steps), also when slabs of 12 trials cut across the points."""
         expected = []
         for idx, current in enumerate(self.CURRENTS):
             point_seed = int(derive_rng(11, "sweep-point", idx).integers(0, 2**63))
-            expected.append(estimate_switching_probability(
-                current, 1e-10, 16, self.SHORT, point_seed))
+            switched = mtj._switched((np.full(16, current),
+                                      [(point_seed, i) for i in range(16)],
+                                      1e-10, self.SHORT))
+            p = np.count_nonzero(switched) / 16
+            expected.append((p, 1.96 * math.sqrt(p * (1 - p) / 16)))
         if batch is not None:
             monkeypatch.setattr(mtj, "_BATCH_TRIALS", batch)
         curve = sweep_switching_curve(self.CURRENTS, 1e-10, 16, self.SHORT, 11,
@@ -144,7 +151,7 @@ class TestSweep:
     @pytest.mark.parametrize("width", [np.nan, np.inf])
     def test_non_finite_pulse_width_rejected(self, width):
         with pytest.raises(DomainError, match="pulse_width"):
-            estimate_switching_probability(1e-3, width, 2, default_mtj_params(), 1)
+            sweep_switching_curve(self.CURRENTS, width, 2, default_mtj_params(), 1)
 
     def test_csv_export(self, tmp_path):
         curve = SwitchingCurve(np.array([1e-4, 2e-4]), np.array([0.1, 0.9]),
@@ -199,6 +206,12 @@ class TestSigmoidFit:
         fit = fit_stochastic_sigmoid(curve)
         assert I[2] < fit.b < I[3]
         assert fit.a > 0 and fit.r_squared > 0.999
+
+    @pytest.mark.parametrize("field", ["a", "b", "r_squared"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_fit_rejected(self, field, value):
+        with pytest.raises(DomainError, match="finite"):
+            SigmoidFit(**{"a": 3.2e4, "b": 1.5e-3, "r_squared": 1.0, field: value})
 
     def test_fit_json_export(self, tmp_path):
         fit = fit_stochastic_sigmoid(self.make_exact_curve())

@@ -213,6 +213,17 @@ class TestModelStructure:
         with pytest.raises(DomainError):
             Layer(np.array([[np.inf]]), np.zeros(1))
 
+    @pytest.mark.parametrize("unit_current, fit", [
+        (1e-3, None), (-1e-3, SigmoidFit(a=2e4, b=1e-3, r_squared=1.0)),
+        (math.nan, SigmoidFit(a=2e4, b=1e-3, r_squared=1.0)),
+        (math.inf, SigmoidFit(a=2e4, b=1e-3, r_squared=1.0))],
+        ids=["no-fit", "negative", "nan", "inf"])
+    def test_device_mode_without_device_rejected(self, unit_current, fit):
+        with pytest.raises(DomainError, match="unit_current"):
+            NetworkModel(layers=[Layer(np.eye(2), np.zeros(2))],
+                         activation_mode=STOCHASTIC, neuron_fit=fit,
+                         unit_current=unit_current)
+
     def test_device_fit_scaling(self):
         fit = SigmoidFit(a=2e4, b=1e-3, r_squared=1.0)
         model = NetworkModel(layers=[Layer(np.eye(1), np.zeros(1))],

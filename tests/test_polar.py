@@ -15,8 +15,7 @@ from spinsc.errors import DomainError, FormatError, ShapeError
 from spinsc.mtj import SigmoidFit
 from spinsc.network import (DETERMINISTIC, STOCHASTIC, Layer, NetworkModel,
                             load_model, save_model)
-from spinsc.polar import (PolarCodeSpec, bpsk_awgn,
-                          construct_frozen_set, encode, generate_frames,
+from spinsc.polar import (PolarCodeSpec, construct_frozen_set, encode, generate_frames,
                           neural_sc_decode, ber_experiment, polar_transform,
                           sc_decode)
 from spinsc.rngtools import derive_rng
@@ -188,28 +187,30 @@ class TestEncode:
 
 class TestChannel:
     def test_noiseless_limit_preserves_signs(self):
-        cw = derive_rng(0, "cw").integers(0, 2, 64).astype(np.uint8)
-        llrs = bpsk_awgn(cw, 100.0, 1, rate=0.5)
+        spec = construct_frozen_set(64, 32)
+        messages, llrs, _ = generate_frames(spec, 1, ("cw",), range(4), [100.0] * 4)
         bits = (llrs < 0).astype(np.uint8)
-        assert np.array_equal(bits, cw)
+        assert np.array_equal(bits, encode(messages, spec))
         assert np.all(np.abs(llrs) > 1e9)
 
     def test_llr_moments_match_closed_form(self):
-        n = 100_000
-        snr_db, rate = 2.0, 0.5
-        sigma2 = 1.0 / (2 * rate * 10 ** (snr_db / 10))
-        reps = int(np.ceil(n / 64))
-        llrs = np.concatenate([
-            bpsk_awgn(np.zeros(64, np.uint8), snr_db, s, rate)
-            for s in range(reps)])[:n]
+        spec = construct_frozen_set(64, 32)
+        frames, snr_db = 1563, 2.0
+        sigma2 = 1.0 / (2 * spec.rate * 10 ** (snr_db / 10))
+        messages, llrs, _ = generate_frames(spec, 0, ("moments",), range(frames),
+                                            [snr_db] * frames)
+        # sign-corrected to the all-zero codeword
+        llrs = (llrs * (1.0 - 2.0 * encode(messages, spec))).ravel()
         mean, var = 2 / sigma2, 4 / sigma2
-        assert abs(llrs.mean() - mean) <= 3 * math.sqrt(var / n)
+        assert abs(llrs.mean() - mean) <= 3 * math.sqrt(var / llrs.size)
+        assert abs(llrs.var() - var) <= 0.05 * var
 
     def test_seed_determinism(self):
-        cw = np.zeros(32, np.uint8)
-        a = bpsk_awgn(cw, 3.0, 5, 0.5)
-        b = bpsk_awgn(cw, 3.0, 5, 0.5)
-        assert np.array_equal(a, b)
+        spec = construct_frozen_set(32, 16)
+        a = generate_frames(spec, 5, ("det",), range(3), [3.0] * 3)
+        b = generate_frames(spec, 5, ("det",), range(3), [3.0] * 3)
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y)
 
     def test_non_finite_llrs_rejected(self):
         # both decoders check the channel's LLRs
@@ -227,40 +228,26 @@ class TestScDecode:
     @pytest.mark.parametrize("N", [2, 8, 64, 256, 1024])
     def test_noiseless_invertibility(self, N):
         spec = construct_frozen_set(N, N // 2)
-        rng = derive_rng(N, "msg")
-        for _ in range(5):
-            msg = rng.integers(0, 2, spec.K).astype(np.uint8)
-            llrs = bpsk_awgn(encode(msg, spec), 100.0, 3, spec.rate)
-            res = sc_decode(llrs, spec)
-            assert np.array_equal(res.message_hat, msg)
+        messages, llrs, _ = generate_frames(spec, N, ("msg",), range(5), [100.0] * 5)
+        decoded = sc_decode(llrs, spec)
+        assert decoded.dtype == np.uint8
+        assert np.array_equal(decoded, messages)
 
     def test_rate_zero_code(self):
         spec = construct_frozen_set(8, 0)
-        llrs = bpsk_awgn(np.zeros(8, np.uint8), 0.0, 1, rate=1.0)
-        res = sc_decode(llrs, spec)
-        assert res.message_hat.size == 0
-        assert not res.u_hat.any()
-
-    def test_frozen_positions_forced_zero(self):
-        spec = construct_frozen_set(16, 4)
-        llrs = bpsk_awgn(encode(np.ones(4, np.uint8), spec), 0.0, 9, spec.rate)
-        res = sc_decode(llrs, spec)
-        assert not res.u_hat[spec.frozen].any()
+        llrs = derive_rng(1, "rate-zero").standard_normal((3, 8))
+        assert sc_decode(llrs[0], spec).shape == (0,)
+        assert sc_decode(llrs, spec).shape == (3, 0)
 
     def test_matches_exhaustive_oracle(self):
         spec = construct_frozen_set(8, 4)
-        rng = derive_rng(0, "oracle")
-        rows = [np.zeros(8)]                  # all ties: decodes to all 0
-        for trial in range(8):
-            msg = rng.integers(0, 2, 4).astype(np.uint8)
-            llrs = bpsk_awgn(encode(msg, spec), 1.0, 100 + trial, spec.rate)
-            res = sc_decode(llrs, spec)
-            u_oracle = oracle_sc_decode(llrs, spec.frozen)
-            assert np.array_equal(res.u_hat, u_oracle)
-            rows.append(llrs)
-        block = sc_decode(np.array(rows), spec)
-        for llrs, u_hat in zip(rows, block.u_hat):
-            assert np.array_equal(u_hat, oracle_sc_decode(llrs, spec.frozen))
+        _, llrs, _ = generate_frames(spec, 0, ("oracle",), range(8), [1.0] * 8)
+        rows = np.concatenate([np.zeros((1, 8)), llrs])   # all ties: all 0
+        block = sc_decode(rows, spec)
+        for row, message in zip(rows, block):
+            oracle_message = oracle_sc_decode(row, spec.frozen)[~spec.frozen]
+            assert np.array_equal(sc_decode(row, spec), oracle_message)
+            assert np.array_equal(message, oracle_message)
 
     @pytest.mark.parametrize("N,K", [(4, 3), (8, 3), (8, 4), (8, 5), (8, 6),
                                      (8, 7)])
@@ -270,8 +257,9 @@ class TestScDecode:
         spec = construct_frozen_set(N, K)
         llrs = 2.0 * derive_rng(N, "exact-check", K).standard_normal((48, N))
         block = sc_decode(llrs, spec)
-        for row, u_hat in zip(llrs, block.u_hat):
-            assert np.array_equal(u_hat, oracle_sc_decode(row, spec.frozen))
+        for row, message in zip(llrs, block):
+            assert np.array_equal(message,
+                                  oracle_sc_decode(row, spec.frozen)[~spec.frozen])
 
     @pytest.mark.parametrize("N", [1, 2, 8, 128, 1024])
     @pytest.mark.parametrize("K", ["none", "half", "all"])
@@ -285,13 +273,9 @@ class TestScDecode:
         llrs[3] = np.round(llrs[3])                   # many zeros, equal magnitudes
         block = sc_decode(llrs, spec)
         rows = [sc_decode(row, spec) for row in llrs]
-        assert block.u_hat.shape == (6, N)
-        assert block.message_hat.shape == (6, k)
-        assert np.array_equal(block.u_hat, np.array([r.u_hat for r in rows]))
-        assert np.array_equal(block.message_hat,
-                              np.array([r.message_hat for r in rows]).reshape(6, k))
-        assert not block.u_hat[:, spec.frozen].any()
-        assert not block.u_hat[1].any()
+        assert block.shape == (6, k) and block.dtype == np.uint8
+        assert np.array_equal(block, np.array(rows).reshape(6, k))
+        assert not block[1].any()
 
     def test_wrong_length_rejected(self):
         spec = construct_frozen_set(8, 4)
@@ -333,8 +317,6 @@ class TestGenerateFrames:
         for snr_db in (math.nan, math.inf, -math.inf, 4000.0, -4000.0):
             with pytest.raises(DomainError, match="noise variance"):
                 generate_frames(spec, 0, ("x",), range(2), [1.0, snr_db])
-            with pytest.raises(DomainError, match="noise variance"):
-                bpsk_awgn(np.zeros(8, np.uint8), snr_db, 0, spec.rate)
         with pytest.raises(DomainError):
             generate_frames(construct_frozen_set(8, 0), 0, ("x",), range(3),
                             [1.0] * 3)
@@ -344,10 +326,11 @@ class TestNeuralDecode:
     def test_zero_weight_model_decodes_to_zero(self):
         spec = construct_frozen_set(8, 4)
         model = NetworkModel(layers=[Layer(np.zeros((4, 8)), np.zeros(4))])
-        llrs = bpsk_awgn(encode(np.ones(4, np.uint8), spec), 2.0, 3, spec.rate)
-        res = neural_sc_decode(llrs, model, spec)
+        _, llrs, _ = generate_frames(spec, 3, ("zero",), range(4), [2.0] * 4)
+        decoded = neural_sc_decode(llrs, model, spec)
         # every pre-threshold output is exactly 0.5; the tie maps to bit 0
-        assert not res.message_hat.any()
+        assert decoded.shape == (4, 4) and decoded.dtype == np.uint8
+        assert not decoded.any()
 
     @pytest.mark.parametrize("mode", ["deterministic", "stochastic", "device"])
     def test_block_equals_frame_by_frame(self, mode):
@@ -365,11 +348,8 @@ class TestNeuralDecode:
         block = neural_sc_decode(llrs, model, spec, window=16, seed=seeds)
         rows = [neural_sc_decode(llr, model, spec, window=16, seed=int(seed))
                 for llr, seed in zip(llrs, seeds)]
-        assert block.u_hat.shape == (40, 8) and block.message_hat.shape == (40, 4)
-        assert np.array_equal(block.u_hat, np.array([r.u_hat for r in rows]))
-        assert np.array_equal(block.message_hat,
-                              np.array([r.message_hat for r in rows]))
-        assert not block.u_hat[:, spec.frozen].any()
+        assert block.shape == (40, 4) and block.dtype == np.uint8
+        assert np.array_equal(block, np.array(rows))
 
     def test_dimension_mismatch(self):
         spec = construct_frozen_set(8, 4)

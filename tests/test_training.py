@@ -8,7 +8,7 @@ from spinsc.errors import (DivergenceError, DomainError, ShapeError,
 from spinsc.network import STOCHASTIC, Layer, NetworkModel
 from spinsc.training import (CROSS_ENTROPY, SQUARED_ERROR, LossSpec,
                              OptimizerConfig, backprop_gradient, init_model,
-                             loss_value, mean_loss, minibatch_step, train)
+                             mean_loss, minibatch_step, train)
 from spinsc.rngtools import derive_rng
 
 
@@ -33,17 +33,17 @@ def fd_gradient(model, x, y, loss, h=1e-6):
         for idx in np.ndindex(layer.weights.shape):
             orig = layer.weights[idx]
             layer.weights[idx] = orig + h
-            lp = loss_value(model, x, y, loss)
+            lp = mean_loss(model, [x], [y], loss)
             layer.weights[idx] = orig - h
-            lm = loss_value(model, x, y, loss)
+            lm = mean_loss(model, [x], [y], loss)
             layer.weights[idx] = orig
             dW[idx] = (lp - lm) / (2 * h)
         for j in range(layer.bias.size):
             orig = layer.bias[j]
             layer.bias[j] = orig + h
-            lp = loss_value(model, x, y, loss)
+            lp = mean_loss(model, [x], [y], loss)
             layer.bias[j] = orig - h
-            lm = loss_value(model, x, y, loss)
+            lm = mean_loss(model, [x], [y], loss)
             layer.bias[j] = orig
             db[j] = (lp - lm) / (2 * h)
         grads.append((dW, db))
@@ -143,11 +143,11 @@ class TestBackprop:
     loss = LossSpec(SQUARED_ERROR)
 
     def test_zero_gradient_at_optimum(self):
-        g = backprop_gradient(single_unit(), [1.0], [0.5], self.loss)
+        g = backprop_gradient(single_unit(), [[1.0]], [[0.5]], self.loss)
         assert np.allclose(g[0][0], 0.0) and np.allclose(g[0][1], 0.0)
 
     def test_hand_chain_rule(self):
-        g = backprop_gradient(single_unit(), [1.0], [1.0], self.loss)
+        g = backprop_gradient(single_unit(), [[1.0]], [[1.0]], self.loss)
         assert g[0][0][0, 0] == pytest.approx(-0.125, abs=1e-15)
         assert g[0][1][0] == pytest.approx(-0.125, abs=1e-15)
 
@@ -158,7 +158,7 @@ class TestBackprop:
         for trial in range(10):
             model = init_model([2, 3, 1], int(rng.integers(0, 2 ** 62)))
             x, y = rng.standard_normal(2), rng.uniform(0.2, 0.8, 1)
-            bp = backprop_gradient(model, x, y, loss)
+            bp = backprop_gradient(model, [x], [y], loss)
             fd = fd_gradient(model, x, y, loss)
             for (bw, bb), (fw, fb) in zip(bp, fd):
                 assert np.allclose(bw, fw, rtol=1e-5, atol=1e-8)
@@ -168,7 +168,7 @@ class TestBackprop:
         model = NetworkModel(layers=[Layer(np.eye(1), np.zeros(1))],
                              activation_mode=STOCHASTIC)
         with pytest.raises(UnsupportedModeError):
-            backprop_gradient(model, [1.0], [0.5], self.loss)
+            backprop_gradient(model, [[1.0]], [[0.5]], self.loss)
 
 
 class TestSteps:
@@ -257,7 +257,7 @@ class TestSteps:
         model, X, Y, loss = random_batch_case(case, 33, "mean-loss")
         total = 0.0
         for x, y in zip(X, Y):
-            value = loss_value(model, x, y, loss)
+            value = mean_loss(model, [x], [y], loss)
             assert value == reference_loss(model, x, y, loss)
             total += value
         assert mean_loss(model, X, Y, loss) == total / len(X)
