@@ -265,7 +265,7 @@ def test_criterion_08_sc_decoder_oracle():
         ok &= np.array_equal(message, _oracle_sc(row, spec.frozen)[~spec.frozen])
     elapsed = time.perf_counter() - t0
     report(8, ok and elapsed < 60,
-           f"16 messages x 20 noise seeds bit-for-bit, {elapsed:.0f}s (<60s)")
+           f"16 messages x 20 noise draws bit-for-bit, {elapsed:.0f}s (<60s)")
 
 
 def test_criterion_09_noiseless_invertibility():
