@@ -27,10 +27,6 @@ class ConvergenceError(SpinscError, RuntimeError):
     """An iterative solver failed to converge within its iteration budget."""
 
 
-class UnsupportedModeError(SpinscError, ValueError):
-    """The operation does not support the model's activation mode."""
-
-
 class DivergenceError(SpinscError, RuntimeError):
     """Training loss exceeded the divergence guard."""
 

@@ -43,6 +43,7 @@ __all__ = [
     "MU_B",
     "HBAR",
     "Q_E",
+    "GAMMA",
     "DeviceParams",
     "SpinCurrentPulse",
     "Trajectory",
@@ -59,6 +60,8 @@ MU_0 = 1.25663706212e-6   # T m/A
 MU_B = 9.2740100783e-24   # J/T
 HBAR = 1.054571817e-34    # J s
 Q_E = 1.602176634e-19     # C
+# gyromagnetic ratio with mu0 absorbed, m/(A s): GAMMA * H is in 1/s, H in A/m
+GAMMA = 2.0 * MU_B * MU_0 / HBAR
 
 _CHUNK_STEPS = 2048       # most thermal-field steps drawn per trial at a time
 _CHUNK_BYTES = 4 << 20    # bound on a batch's (B, steps, 3) block of draws
@@ -67,10 +70,7 @@ _CHUNK_BYTES = 4 << 20    # bound on a batch's (B, steps, 3) block of draws
 @dataclass(frozen=True)
 class DeviceParams:
     """Free-layer geometry and dynamics of one device; the physical
-    constants are the module's CODATA values.
-
-    `gamma` absorbs mu0, so gamma * H has units 1/s with H in A/m.
-    """
+    constants, GAMMA included, are the module's CODATA values."""
 
     alpha: float              # Gilbert damping ratio
     Ms: float                 # saturation magnetization, A/m
@@ -79,18 +79,17 @@ class DeviceParams:
     dt: float                 # integration time-step, s
     Hk: float                 # uniaxial anisotropy field along z, A/m
     Hd: float = 0.0           # hard-axis (y) demagnetization field, A/m
-    gamma: float = 2.0 * MU_B * MU_0 / HBAR   # gyromagnetic ratio, m/(A s)
 
     def __post_init__(self):
         if not np.all(np.isfinite([self.alpha, self.Ms, self.V, self.T, self.dt,
-                                   self.Hk, self.Hd, self.gamma])):
+                                   self.Hk, self.Hd])):
             raise DomainError("device parameters must be finite")
         if not (self.alpha > 0 and self.Ms > 0 and self.V > 0 and self.dt > 0):
             raise DomainError("alpha, Ms, V, dt must be positive")
         if self.T < 0:
             raise DomainError("temperature must be non-negative")
-        if self.gamma <= 0 or self.Hk < 0 or self.Hd < 0:
-            raise DomainError("gamma must be positive; Hk, Hd non-negative")
+        if self.Hk < 0 or self.Hd < 0:
+            raise DomainError("Hk and Hd must be non-negative")
 
     @property
     def Ns(self) -> float:
@@ -142,7 +141,7 @@ def thermal_prefactor(params: DeviceParams) -> float:
     """Standard deviation (A/m) of each thermal-field component per step."""
     a = params.alpha
     num = 2.0 * K_B * params.T
-    den = params.gamma * MU_0 * params.Ms * params.V * params.dt
+    den = GAMMA * MU_0 * params.Ms * params.V * params.dt
     return math.sqrt(a / (1.0 + a * a) * num / den)
 
 
@@ -206,7 +205,6 @@ def _integrate(m0, phases, params, rngs, record=False):
     pair when record=True (B must be 1).
     """
     alpha = params.alpha
-    gamma = params.gamma
     dt = params.dt
     half = 0.5 * dt
     Hk = params.Hk
@@ -243,13 +241,13 @@ def _integrate(m0, phases, params, rngs, record=False):
                 for nx, ny, nz in rows:
                     hx, hy, hz = _field(mx, my, mz, nx, ny, nz, Hk, Hd)
                     k1x, k1y, k1z = _deriv(mx, my, mz, hx, hy, hz,
-                                           isz, gamma, alpha, inv_qns, inv_1a2)
+                                           isz, GAMMA, alpha, inv_qns, inv_1a2)
                     px = mx + dt * k1x
                     py = my + dt * k1y
                     pz = mz + dt * k1z
                     hx, hy, hz = _field(px, py, pz, nx, ny, nz, Hk, Hd)
                     k2x, k2y, k2z = _deriv(px, py, pz, hx, hy, hz,
-                                           isz, gamma, alpha, inv_qns, inv_1a2)
+                                           isz, GAMMA, alpha, inv_qns, inv_1a2)
                     mx = mx + half * (k1x + k2x)
                     my = my + half * (k1y + k2y)
                     mz = mz + half * (k1z + k2z)

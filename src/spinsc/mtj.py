@@ -25,6 +25,7 @@ __all__ = [
     "SwitchingCurve",
     "SigmoidFit",
     "default_mtj_params",
+    "sigmoid",
     "sweep_switching_curve",
     "fit_stochastic_sigmoid",
 ]
@@ -71,8 +72,10 @@ class SwitchingCurve:
                    in zip(self.currents, self.p_hat, self.trials, self.ci_halfwidth)])
 
 
-def _logistic(current, a, b):
-    return 1.0 / (1.0 + np.exp(-a * (current - b)))
+def sigmoid(x):
+    """The logistic 1/(1+exp(-x)): a neuron's firing probability, and the
+    shape of the switching curve."""
+    return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -89,7 +92,7 @@ class SigmoidFit:
                               f"got {self}")
 
     def predict(self, current):
-        return _logistic(np.asarray(current, float), self.a, self.b)
+        return sigmoid(self.a * (np.asarray(current, float) - self.b))
 
     def to_json(self, path):
         write_json(path, {"a": self.a, "b": self.b, "r_squared": self.r_squared})
@@ -118,14 +121,14 @@ def sweep_switching_curve(currents, pulse_width: float, trials_per_point: int,
     currents, n = np.asarray(currents, dtype=float), trials_per_point
     if len(currents) < 5:
         raise DomainError("need at least 5 sweep currents")
+    if not np.all(np.isfinite(currents)):
+        raise DomainError("charge currents must be finite")
     if not np.all(np.diff(currents) > 0):
         raise DomainError("sweep currents must be strictly increasing")
     if n < 1:
         raise DomainError("trials must be >= 1")
     if not params.device.dt <= pulse_width < math.inf:
         raise DomainError("pulse_width must be finite and at least one time-step")
-    if not np.all(np.isfinite(currents)):
-        raise DomainError("charge currents must be finite")
     seeds = [int(derive_rng(seed, "sweep-point", p).integers(0, 2**63))
              for p in range(len(currents))]
     keys = [(s, i) for s in seeds for i in range(n)]
@@ -166,11 +169,11 @@ def fit_stochastic_sigmoid(curve: SwitchingCurve) -> SigmoidFit:
     lam = 1e-3
 
     def jacobian(a, b):         # of the logistic wrt (a, b)
-        s = _logistic(I, a, b)
+        s = sigmoid(a * (I - b))
         w = s * (1.0 - s)
         return np.column_stack([w * (I - b), -a * w])
 
-    r = _logistic(I, a, b) - p
+    r = sigmoid(a * (I - b)) - p
     cost = float(r @ r)
     converged = False
     for _ in range(200):
@@ -179,7 +182,7 @@ def fit_stochastic_sigmoid(curve: SwitchingCurve) -> SigmoidFit:
         H = J.T @ J
         step = np.linalg.solve(H + lam * np.diag(np.diag(H) + 1e-300), -g)
         a_new, b_new = a + step[0], b + step[1]
-        r_new = _logistic(I, a_new, b_new) - p
+        r_new = sigmoid(a_new * (I - b_new)) - p
         cost_new = float(r_new @ r_new)
         if cost_new <= cost:
             rel = abs(cost - cost_new) / max(cost, 1e-300)

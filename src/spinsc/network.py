@@ -3,12 +3,13 @@
 Each layer is a weight matrix (rows = outputs) plus a bias vector; the
 weighted sum accumulates columns in ascending input index, so repeated
 runs are bit-identical and a batch of inputs gives each row the bits it
-gets alone.  Deterministic models run `forward` / `forward_trace` over
-(..., n_in) batches and apply the mathematical sigmoid.  Stochastic
-models run `forward_rate` on (..., n_in) batches, one seed per input:
-each neuron emits a 0/1 spike with the sigmoid as its firing probability
-(optionally routed through a fitted device curve via a current scale),
-and the spikes are averaged over a window of passes batched as rows.
+gets alone.  Every layer, the output layer included, is a layer of
+sigmoid neurons.  Deterministic models run `forward` / `forward_trace`
+over (..., n_in) batches and apply the sigmoid.  Stochastic models run
+`forward_rate` on (..., n_in) batches, one seed per input: each neuron
+emits a 0/1 spike with the sigmoid as its firing probability (optionally
+routed through a fitted device curve via a current scale), and the spikes
+are averaged over a window of passes batched as rows.
 """
 
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, FormatError, ShapeError, malformed_as_format_error
 from .formats import write_json
-from .mtj import SigmoidFit
+from .mtj import SigmoidFit, sigmoid
 from .rngtools import derive_rng
 
 __all__ = [
@@ -43,10 +44,6 @@ MODEL_FORMAT_VERSION = 1
 _CHUNK_BYTES = 1 << 18    # uniform draws forward_rate holds at a time
 
 
-def sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
-
-
 @dataclass
 class Layer:
     weights: np.ndarray         # (n_out, n_in)
@@ -67,15 +64,12 @@ class NetworkModel:
     activation_mode: str = DETERMINISTIC
     neuron_fit: SigmoidFit | None = None   # device curve for stochastic firing
     unit_current: float = 0.0              # A per unit pre-activation (device mode)
-    output_activation: str = "sigmoid"     # "sigmoid" | "identity"
 
     def __post_init__(self):
         if not self.layers:
             raise ShapeError("a network needs at least one layer")
         if self.activation_mode not in (DETERMINISTIC, STOCHASTIC):
             raise DomainError(f"unknown activation mode {self.activation_mode!r}")
-        if self.output_activation not in ("sigmoid", "identity"):
-            raise DomainError(f"unknown output activation {self.output_activation!r}")
         for prev, nxt in zip(self.layers, self.layers[1:]):
             if nxt.weights.shape[1] != prev.weights.shape[0]:
                 raise ShapeError("adjacent layer dimensions are incompatible")
@@ -125,11 +119,9 @@ def forward_trace(model: NetworkModel, x):
     if x.shape[-1:] != (model.input_dim,):
         raise ShapeError(f"input shape {x.shape} != (..., {model.input_dim})")
     activations = [x]
-    for i, layer in enumerate(model.layers):
-        a = weighted_sum(activations[-1], layer.weights, layer.bias)
-        if i < len(model.layers) - 1 or model.output_activation == "sigmoid":
-            a = sigmoid(a)
-        activations.append(a)
+    for layer in model.layers:
+        activations.append(sigmoid(weighted_sum(activations[-1], layer.weights,
+                                                layer.bias)))
     return activations
 
 
@@ -177,7 +169,7 @@ def save_model(model: NetworkModel, path):
     doc = {
         "version": MODEL_FORMAT_VERSION,
         "activation_mode": model.activation_mode,
-        "output_activation": model.output_activation,
+        "output_activation": "sigmoid",
         "bias_enabled": True,
         "unit_current": model.unit_current,
         "neuron_fit": None if model.neuron_fit is None else {
@@ -203,6 +195,9 @@ def load_model(path) -> NetworkModel:
         if doc.get("bias_enabled", True) is not True:
             raise FormatError(f"model file {path} needs bias_enabled true, got "
                               f"{doc['bias_enabled']!r}")
+        if doc.get("output_activation", "sigmoid") != "sigmoid":
+            raise FormatError(f"model file {path} needs output_activation "
+                              f"\"sigmoid\", got {doc['output_activation']!r}")
         layers = [
             Layer(np.asarray(l["weights"], dtype=float).reshape(l["n_out"], l["n_in"]),
                   np.asarray(l["bias"], dtype=float))
@@ -214,5 +209,4 @@ def load_model(path) -> NetworkModel:
             activation_mode=doc["activation_mode"],
             neuron_fit=None if fit is None else SigmoidFit(**fit),
             unit_current=doc.get("unit_current", 0.0),
-            output_activation=doc.get("output_activation", "sigmoid"),
         )

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, ShapeError, UnsupportedModeError
+from .errors import DivergenceError, DomainError, ShapeError
 from .formats import write_csv
 from .network import DETERMINISTIC, Layer, NetworkModel, forward_trace
 from .rngtools import derive_rng
@@ -65,8 +65,7 @@ class OptimizerConfig:
         return self.learning_rate / (1.0 + self.lr_decay * step)
 
 
-def init_model(layer_sizes, seed: int,
-               output_activation: str = "sigmoid") -> NetworkModel:
+def init_model(layer_sizes, seed: int) -> NetworkModel:
     """Uniform(-r, r) weights with r = sqrt(6/(fan_in+fan_out)), zero biases."""
     if min(layer_sizes) < 1:
         raise DomainError(f"layer sizes must be >= 1, got {list(layer_sizes)}")
@@ -76,8 +75,7 @@ def init_model(layer_sizes, seed: int,
         r = math.sqrt(6.0 / (n_in + n_out))
         layers.append(Layer(rng.uniform(-r, r, size=(n_out, n_in)),
                             np.zeros(n_out)))
-    return NetworkModel(layers=layers, activation_mode=DETERMINISTIC,
-                        output_activation=output_activation)
+    return NetworkModel(layers=layers, activation_mode=DETERMINISTIC)
 
 
 def _rows(model: NetworkModel, X, Y):
@@ -91,22 +89,19 @@ def _rows(model: NetworkModel, X, Y):
     return X, Y
 
 
-def _row_losses(model: NetworkModel, X, Y, loss: LossSpec) -> np.ndarray:
-    """Loss of each row of inputs X (B, n_in) against targets Y (B, n_out)."""
+def mean_loss(model: NetworkModel, X, Y, loss: LossSpec) -> float:
+    """Mean of the losses of the rows of X (B, n_in) against Y (B, n_out),
+    added in row order."""
     X, Y = _rows(model, X, Y)
     y_hat = forward_trace(model, X)[-1]
     if loss.kind == SQUARED_ERROR:
         d = y_hat - Y
-        return 0.5 * (d[..., None, :] @ d[..., :, None])[..., 0, 0]
-    eps = 1e-12
-    y_hat = np.clip(y_hat, eps, 1.0 - eps)
-    return -np.sum(Y * np.log(y_hat) + (1.0 - Y) * np.log(1.0 - y_hat), axis=-1)
-
-
-def mean_loss(model: NetworkModel, X, Y, loss: LossSpec) -> float:
-    """Mean of the losses of the rows of X (B, n_in) against Y (B, n_out),
-    added in row order."""
-    losses = _row_losses(model, X, Y, loss)
+        losses = 0.5 * (d[..., None, :] @ d[..., :, None])[..., 0, 0]
+    else:
+        eps = 1e-12
+        y_hat = np.clip(y_hat, eps, 1.0 - eps)
+        losses = -np.sum(Y * np.log(y_hat) + (1.0 - Y) * np.log(1.0 - y_hat),
+                         axis=-1)
     return sum(losses.tolist()) / len(losses)
 
 
@@ -114,15 +109,12 @@ def backprop_gradient(model: NetworkModel, X, Y, loss: LossSpec) -> list:
     """Exact reverse-mode gradient summed over the rows of X (B, n_in) and
     Y (B, n_out), added in ascending row order; one (dW, db) per layer."""
     if model.activation_mode != DETERMINISTIC:
-        raise UnsupportedModeError("stochastic firing is not differentiated")
+        raise DomainError("stochastic firing is not differentiated")
     X, Y = _rows(model, X, Y)
     activations = forward_trace(model, X)
     y_hat = activations[-1]
-    sigmoid_output = model.output_activation == "sigmoid"
-    if loss.kind == CROSS_ENTROPY and not sigmoid_output:
-        raise DomainError("cross-entropy requires a sigmoid output")
     delta = y_hat - Y
-    if sigmoid_output and loss.kind == SQUARED_ERROR:
+    if loss.kind == SQUARED_ERROR:
         delta = delta * y_hat * (1.0 - y_hat)
     grads = [None] * len(model.layers)
     for i in range(len(model.layers) - 1, -1, -1):

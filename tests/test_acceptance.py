@@ -16,8 +16,9 @@ import numpy as np
 
 from spinsc import bitstream
 from spinsc.cli import main as cli_main
-from spinsc.llgs import (Q_E, SpinCurrentPulse, default_device_params,
-                         sample_thermal_field, simulate_pulse)
+from spinsc.llgs import (GAMMA, Q_E, SpinCurrentPulse,
+                         default_device_params, sample_thermal_field,
+                         simulate_pulse)
 from spinsc.mtj import default_mtj_params, fit_stochastic_sigmoid, sweep_switching_curve
 from spinsc.network import STOCHASTIC, NetworkModel, load_model
 from spinsc.polar import (PolarCodeSpec, construct_frozen_set, encode,
@@ -42,7 +43,7 @@ def tilted(theta):
 
 def critical_charge_current(params):
     dev = params.device
-    spin = dev.alpha * dev.gamma * dev.Hk * Q_E * dev.Ns
+    spin = dev.alpha * GAMMA * dev.Hk * Q_E * dev.Ns
     return spin / params.theta_sh
 
 
@@ -51,7 +52,7 @@ def test_criterion_01_thermal_field_variance():
     p = default_device_params()
     # closed form, written out from scratch
     pref2 = (p.alpha / (1 + p.alpha ** 2)) * 2 * 1.380649e-23 * p.T / (
-        p.gamma * 1.25663706212e-6 * p.Ms * p.V * p.dt)
+        GAMMA * 1.25663706212e-6 * p.Ms * p.V * p.dt)
     draws = sample_thermal_field(p, derive_rng(2026, "acc-thermal"),
                                  size=1_000_000)
     rel = np.abs(draws.var(axis=0) / pref2 - 1.0)

@@ -289,19 +289,26 @@ class TestBer:
         assert list(out.iterdir()) == []
 
 
-    def test_bias_free_model_fails_cleanly(self, tmp_path, capsys):
+    @pytest.mark.parametrize("old, new, message", [
+        ('"bias_enabled": true', '"bias_enabled": false',
+         "needs bias_enabled true, got False"),
+        ('"output_activation": "sigmoid"', '"output_activation": "identity"',
+         "needs output_activation \"sigmoid\", got 'identity'")],
+        ids=["bias_enabled", "output_activation"])
+    def test_bias_free_model_fails_cleanly(self, tmp_path, capsys, old, new,
+                                           message):
         train_dir = tmp_path / "train"
         assert run("train-decoder", write_cfg(tmp_path / "t.cfg", TRAIN_CFG),
                    train_dir) == 0
         model = train_dir / "model.json"
-        model.write_text(model.read_text().replace('"bias_enabled": true',
-                                                   '"bias_enabled": false'))
+        assert old in model.read_text()
+        model.write_text(model.read_text().replace(old, new))
         cfg = write_cfg(tmp_path / "b.cfg", BER_CFG.replace(
             "n = 8\nk = 4", "n = 4\nk = 2").replace(
             "decoder = classical", "decoder = neural\nmodel_path = %s" % model))
         out = tmp_path / "out"
         assert run("ber", cfg, out) == 2
-        assert "needs bias_enabled true, got False" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
 
@@ -364,6 +371,8 @@ class TestDeviceSweep:
         ("DEVICE__HK_A_PER_M", "nan", "device parameters must be finite"),
         ("DEVICE__HD_A_PER_M", "inf", "device parameters must be finite"),
         ("SWEEP__CURRENTS_A", "1e-5, 2e-5, 3e-5, 4e-5, inf",
+         "charge currents must be finite"),
+        ("SWEEP__CURRENTS_A", "1e-5, 2e-5, nan, 4e-5, 5e-5",
          "charge currents must be finite")])
     def test_non_finite_input_writes_nothing(self, tmp_path, capsys, monkeypatch,
                                              key, value, message):

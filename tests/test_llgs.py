@@ -6,8 +6,8 @@ import pytest
 
 from spinsc import llgs
 from spinsc.errors import DomainError, StepFaultError
-from spinsc.llgs import (MU_B, Q_E, DeviceParams, SpinCurrentPulse, _integrate,
-                         default_device_params, effective_field,
+from spinsc.llgs import (GAMMA, MU_B, Q_E, DeviceParams, SpinCurrentPulse,
+                         _integrate, default_device_params, effective_field,
                          sample_thermal_field, simulate_pulse, thermal_prefactor)
 from spinsc.rngtools import derive_rng
 
@@ -50,7 +50,7 @@ class TestThermalField:
         p = default_device_params()
         # oracle: evaluate the closed-form prefactor from scratch
         pref2 = (p.alpha / (1 + p.alpha ** 2)) * 2 * KB * 300.0 / (
-            p.gamma * MU0 * p.Ms * p.V * p.dt)
+            GAMMA * MU0 * p.Ms * p.V * p.dt)
         draws = sample_thermal_field(p, derive_rng(5, "var"), size=100_000)
         var = draws.var(axis=0)
         assert np.all(np.abs(var / pref2 - 1.0) < 0.03)
@@ -93,7 +93,7 @@ class TestHeunStepOracle:
 
         def rhs(m):
             h = effective_field(m, p, applied=h_th)
-            a = (-p.gamma * np.cross(m, h)
+            a = (-GAMMA * np.cross(m, h)
                  + inv_qns * np.cross(m, np.cross(spin_current, m)))
             return (a + p.alpha * np.cross(m, a)) * inv_1a2
 
@@ -138,7 +138,7 @@ class TestDeriv:
         h = 1e5 * rng.standard_normal((64, 3))
         if isz == "per-trial":
             isz = 1e-3 * rng.standard_normal(64)
-        consts = (p.gamma, p.alpha, 1.0 / (Q_E * p.Ns),
+        consts = (GAMMA, p.alpha, 1.0 / (Q_E * p.Ns),
                   1.0 / (1.0 + p.alpha * p.alpha))
         got = llgs._deriv(*m.T, *h.T, isz, *consts)
         want = self.general(*m.T, *h.T, 0.0, 0.0, isz, *consts)
@@ -209,7 +209,7 @@ class TestSimulatePulse:
 
     def test_deterministic_switching_matches_fine_dt_reference(self):
         p = default_device_params(T=0.0)
-        ic = p.alpha * p.gamma * p.Hk * Q_E * p.Ns
+        ic = p.alpha * GAMMA * p.Hk * Q_E * p.Ns
         pulse = SpinCurrentPulse(20 * ic, 2e-9)
         m0 = -tilted(math.radians(2))  # near -z
         tr = simulate_pulse(m0, pulse, p, 2e-10, seed=1, record=False)
@@ -366,8 +366,7 @@ class TestParamsValidation:
         with pytest.raises(DomainError):
             DeviceParams(alpha=0.01, Ms=1e6, V=1e-24, T=-1, dt=1e-13, Hk=1e4)
 
-    @pytest.mark.parametrize("field", ["alpha", "Ms", "V", "T", "dt", "Hk", "Hd",
-                                       "gamma"])
+    @pytest.mark.parametrize("field", ["alpha", "Ms", "V", "T", "dt", "Hk", "Hd"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_params_rejected(self, field, value):
         kwargs = dict(alpha=0.01, Ms=1e6, V=1e-24, T=300.0, dt=1e-13, Hk=1e4)

@@ -13,7 +13,7 @@ from spinsc.rngtools import derive_rng
 
 
 def critical_spin_current(dev):
-    return dev.alpha * dev.gamma * dev.Hk * llgs.Q_E * dev.Ns
+    return dev.alpha * llgs.GAMMA * dev.Hk * llgs.Q_E * dev.Ns
 
 
 class TestMtjParams:

@@ -162,8 +162,7 @@ class TestForward:
         rng = derive_rng(5, "trace-block", *batch)
         model = NetworkModel(
             layers=[Layer(rng.standard_normal((4, 3)), rng.standard_normal(4)),
-                    Layer(rng.standard_normal((2, 4)), rng.standard_normal(2))],
-            output_activation="identity")
+                    Layer(rng.standard_normal((2, 4)), rng.standard_normal(2))])
         X = rng.standard_normal(batch + (3,))
         acts = forward_trace(model, X)
         for idx in np.ndindex(batch):
@@ -252,17 +251,32 @@ class TestSerialization:
         assert [a.shape for a in acts] == [(2,), (2,), (1,)]
         assert np.array_equal(acts[-1], forward(model, np.array([0.1, 0.2])))
 
-    @pytest.mark.parametrize("value", [False, None, 1, "true"])
-    def test_bias_free_model_rejected(self, tmp_path, value):
-        """Every network has biases; a file saying otherwise is malformed."""
+    @pytest.mark.parametrize("key, value", [
+        pytest.param("bias_enabled", value, id=str(value))
+        for value in (False, None, 1, "true")] + [
+        pytest.param("output_activation", value, id=f"output_activation-{value}")
+        for value in ("identity", None, 1)])
+    def test_bias_free_model_rejected(self, tmp_path, key, value):
+        """Every network has biases and a sigmoid output layer; a file saying
+        otherwise is malformed."""
         path = tmp_path / "model.json"
         save_model(two_layer_model(), path)
         doc = json.loads(path.read_text())
-        assert doc["bias_enabled"] is True
-        doc["bias_enabled"] = value
+        assert doc["bias_enabled"] is True and doc["output_activation"] == "sigmoid"
+        doc[key] = value
         path.write_text(json.dumps(doc))
-        with pytest.raises(FormatError, match="bias_enabled"):
+        with pytest.raises(FormatError, match=key):
             load_model(path)
+
+    def test_missing_output_activation_reads_as_sigmoid(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(two_layer_model(), path)
+        doc = json.loads(path.read_text())
+        del doc["output_activation"]
+        path.write_text(json.dumps(doc))
+        x = np.array([0.1, 0.2])
+        assert np.array_equal(forward(load_model(path), x),
+                              forward(two_layer_model(), x))
 
     @pytest.mark.parametrize("text", [
         '{"version": 1, "activation_mode": "deterministic-sigmoid"}',
