@@ -72,6 +72,22 @@ def polar_block(kernel, N, frames=512):
     return repeat_for_1s(frames, getattr(polar, kernel), *args)
 
 
+def stochastic_decode(window=64, frames=512):
+    """Frames/s of `polar.neural_sc_decode` with a stochastic-firing 8-32-4
+    net (the `train-decoder` reference shape, as the `decoder` workload
+    relabels it) on the (8,4) code: blocks of `frames` frames at 3 dB from
+    `generate_frames`, each decoded with its frame seed over `window`
+    passes."""
+    from spinsc import network, polar, training
+    spec = polar.construct_frozen_set(8, 4)
+    _, llrs, seeds = polar.generate_frames(spec, 8, ("bench",), range(frames),
+                                           [3.0] * frames)
+    model = network.NetworkModel(training.init_model([8, 32, 4], 1).layers,
+                                 activation_mode=network.STOCHASTIC)
+    return repeat_for_1s(frames, polar.neural_sc_decode, llrs, model, spec,
+                         window, seeds)
+
+
 def minibatch_step(batch=32):
     """Examples/s of `training.minibatch_step` on the 8-32-4 net (the
     `train-decoder` reference shape) with cross-entropy loss, `batch` rows
@@ -138,8 +154,10 @@ KERNELS = {f"mtj._switched B={b}": ("trial-steps/s", partial(switched_slab, b))
            for b in (1, 500, 2000, 2500)}
 KERNELS.update({f"polar.{k} N={n}": ("frames/s", partial(polar_block, k, n))
                 for k in ("sc_decode", "encode") for n in (128, 1024)})
-KERNELS["polar.generate_frames N=128"] = (
-    "frames/s", partial(polar_block, "generate_frames", 128))
+KERNELS.update({f"polar.generate_frames N={n}": (
+    "frames/s", partial(polar_block, "generate_frames", n)) for n in (8, 128)})
+KERNELS["polar.neural_sc_decode stochastic (8,4) window=64"] = (
+    "frames/s", stochastic_decode)
 KERNELS["bitstream cell L=1e6"] = ("bits/s", bitstream_cell)
 KERNELS["training.minibatch_step 8-32-4 B=32"] = ("examples/s", minibatch_step)
 KERNELS["network.forward 8-32-4 B=512"] = ("examples/s", forward_block)

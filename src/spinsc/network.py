@@ -13,6 +13,7 @@ are averaged over a window of passes batched as rows.
 """
 
 from dataclasses import dataclass
+from itertools import islice
 import json
 import math
 
@@ -21,7 +22,8 @@ import numpy as np
 from .errors import DomainError, FormatError, ShapeError, malformed_as_format_error
 from .formats import write_json
 from .mtj import SigmoidFit, sigmoid
-from .rngtools import derive_rng
+# derive_rng is unused here but stays bound: perfbench traces it per module
+from .rngtools import derive_rng, derive_rngs
 
 __all__ = [
     "DETERMINISTIC",
@@ -136,7 +138,11 @@ def forward_rate(model: NetworkModel, x, window: int, seed) -> np.ndarray:
     (..., n_in), seed of shape x.shape[:-1] (a scalar for one input); every
     neuron spikes with its firing probability.  Input i's pass w uses row w
     of derive_rng(seed[i], "rate-window").random((window, sum of widths)),
-    whatever the other inputs; passes run batched, _CHUNK_BYTES of draws at once."""
+    whatever the other inputs.  Layer 1's firing probabilities are computed
+    once per input and compared with every pass's draws; later layers run
+    their passes batched as rows.  At most _CHUNK_BYTES of draws are held at
+    once: a block of inputs, or a block of one input's passes when its window
+    alone is larger, drawn in order from the input's generator."""
     if model.activation_mode != STOCHASTIC:
         raise DomainError("forward_rate needs a stochastic-firing model")
     if window < 1:
@@ -147,22 +153,29 @@ def forward_rate(model: NetworkModel, x, window: int, seed) -> np.ndarray:
                          f"each, got x{x.shape}, seed{np.shape(seed)}")
     sizes = [layer.weights.shape[0] for layer in model.layers]
     fit = model.neuron_fit if model.unit_current > 0.0 else None
-    inputs, seeds = x.reshape(-1, x.shape[-1]), np.reshape(seed, -1)
-    out = np.empty((len(inputs), sizes[-1]))
-    chunk = max(1, _CHUNK_BYTES // (8 * window * sum(sizes)))
+
+    def firing(layer, a):
+        pre = weighted_sum(a, layer.weights, layer.bias)
+        return sigmoid(pre) if fit is None else fit.predict(pre * model.unit_current)
+
+    inputs = x.reshape(-1, x.shape[-1])
+    rngs = derive_rngs(np.reshape(seed, -1), "rate-window")
+    spikes = np.zeros((len(inputs), sizes[-1]))
+    passes = max(1, _CHUNK_BYTES // (8 * sum(sizes)))    # per block of draws
+    chunk = max(1, passes // window)                      # inputs per block
     for lo in range(0, len(inputs), chunk):
-        part = inputs[lo:lo + chunk]
-        draws = np.empty((len(part), window, sum(sizes)))
-        for row, s in zip(draws, seeds[lo:lo + chunk]):
-            derive_rng(int(s), "rate-window").random(out=row)
-        a = np.broadcast_to(part[:, None], draws.shape[:2] + part.shape[1:])
-        for layer, d in zip(model.layers,
-                            np.split(draws, np.cumsum(sizes)[:-1], axis=-1)):
-            pre = weighted_sum(a, layer.weights, layer.bias)
-            p = sigmoid(pre) if fit is None else fit.predict(pre * model.unit_current)
-            a = (d < p).astype(float)
-        out[lo:lo + chunk] = a.sum(axis=1) / window
-    return out.reshape(x.shape[:-1] + (sizes[-1],))
+        p_first = firing(model.layers[0], inputs[lo:lo + chunk, None])
+        block_rngs = list(islice(rngs, len(p_first)))
+        for w in range(0, window, passes):
+            draws = np.empty((len(p_first), min(passes, window - w), sum(sizes)))
+            for row, rng in zip(draws, block_rngs):
+                rng.random(out=row)
+            d = np.split(draws, np.cumsum(sizes)[:-1], axis=-1)
+            a = (d[0] < p_first).astype(float)
+            for layer, d_layer in zip(model.layers[1:], d[1:]):
+                a = (d_layer < firing(layer, a)).astype(float)
+            spikes[lo:lo + chunk] += a.sum(axis=1)
+    return (spikes / window).reshape(x.shape[:-1] + (sizes[-1],))
 
 
 def save_model(model: NetworkModel, path):

@@ -19,7 +19,8 @@ import numpy as np
 from .errors import DomainError, ShapeError, malformed_as_format_error
 from .formats import write_csv, write_json
 from .network import DETERMINISTIC, NetworkModel, forward, forward_rate
-from .rngtools import derive_rng, parallel_map
+# derive_rng is unused here but stays bound: perfbench traces it per module
+from .rngtools import derive_rng, derive_rngs, parallel_map
 
 FRAME_BLOCK = 512    # frames per ber_experiment block; bounds its memory
 
@@ -153,8 +154,7 @@ def generate_frames(spec: PolarCodeSpec, seed: int, tags, frames, snrs_db):
     messages = np.empty((len(frames), spec.K), dtype=np.uint8)
     noise = np.empty((len(frames), spec.N))
     frame_seeds = np.empty(len(frames), dtype=np.int64)
-    for j, frame in enumerate(frames):
-        rng = derive_rng(seed, *tags, frame)
+    for j, rng in enumerate(derive_rngs(seed, *tags, frames)):
         messages[j] = rng.integers(0, 2, size=spec.K)
         noise[j] = rng.standard_normal(spec.N)
         frame_seeds[j] = rng.integers(0, 2 ** 63)

@@ -20,6 +20,25 @@ def two_layer_model():
     ])
 
 
+RATE_MODELS = [
+    ([2, 2, 1], None, 1), ([2, 2, 1], None, 7), ([1, 1, 1], None, 5),
+    ([5, 9, 3], None, 64), ([5, 9, 3], (2e4, 1e-3, 1e-3), 64),
+    ([3, 4], (2e4, 1e-3, 1e-3), 33), ([3, 4], (2e4, 1e-3, 0.0), 9)]
+
+
+def rate_model(sizes, device, window):
+    """A seeded stochastic model of layer widths `sizes`, firing through the
+    device curve (a, b, unit current) when `device` is given, and an input."""
+    rng = derive_rng(4, "rate-ref", *sizes, window)
+    layers = [Layer(rng.standard_normal((m, n)) * 2, rng.standard_normal(m))
+              for n, m in zip(sizes, sizes[1:])]
+    fit, unit = (None, 0.0) if device is None else (
+        SigmoidFit(a=device[0], b=device[1], r_squared=1.0), device[2])
+    model = NetworkModel(layers=layers, activation_mode=STOCHASTIC,
+                         neuron_fit=fit, unit_current=unit)
+    return model, rng.standard_normal(sizes[0])
+
+
 class TestWeightedSum:
     def test_identity(self):
         x = np.array([0.3, -0.7, 2.0])
@@ -105,19 +124,10 @@ class TestForward:
         b = forward_rate(model, np.array([0.1, 0.2]), 16, seed=8)
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("sizes,device,window", [
-        ([2, 2, 1], None, 1), ([2, 2, 1], None, 7), ([1, 1, 1], None, 5),
-        ([5, 9, 3], None, 64), ([5, 9, 3], (2e4, 1e-3, 1e-3), 64),
-        ([3, 4], (2e4, 1e-3, 1e-3), 33), ([3, 4], (2e4, 1e-3, 0.0), 9)])
+    @pytest.mark.parametrize("sizes,device,window", RATE_MODELS)
     def test_rate_matches_per_pass_reference(self, sizes, device, window):
-        rng = derive_rng(4, "rate-ref", *sizes, window)
-        layers = [Layer(rng.standard_normal((m, n)) * 2, rng.standard_normal(m))
-                  for n, m in zip(sizes, sizes[1:])]
-        fit, unit = (None, 0.0) if device is None else (
-            SigmoidFit(a=device[0], b=device[1], r_squared=1.0), device[2])
-        model = NetworkModel(layers=layers, activation_mode=STOCHASTIC,
-                             neuron_fit=fit, unit_current=unit)
-        x = rng.standard_normal(sizes[0])
+        model, x = rate_model(sizes, device, window)
+        layers, fit, unit = model.layers, model.neuron_fit, model.unit_current
         # per-pass oracle: one pass after another, one column at a time
         draws = derive_rng(11, "rate-window")
         acc = np.zeros(sizes[-1])
@@ -135,6 +145,18 @@ class TestForward:
             acc += a
         assert np.array_equal(forward_rate(model, x, window, seed=11),
                               acc / window)
+
+    @pytest.mark.parametrize("sizes,device,window", RATE_MODELS)
+    @pytest.mark.parametrize("passes", [1, 3])
+    def test_window_larger_than_a_chunk(self, sizes, device, window, passes,
+                                        monkeypatch):
+        """With room for fewer passes than one input's window, the passes
+        are drawn in blocks and give the same rates."""
+        model, x = rate_model(sizes, device, window)
+        X, seeds = np.stack([x, -x, 0.5 * x]), np.array([11, 2 ** 40, 3])
+        expected = forward_rate(model, X, window, seeds)
+        monkeypatch.setattr(network, "_CHUNK_BYTES", 8 * sum(sizes[1:]) * passes)
+        assert np.array_equal(forward_rate(model, X, window, seeds), expected)
 
     @pytest.mark.parametrize("device", [None, (2e4, 1e-3, 1e-3)],
                              ids=["sigmoid", "device"])

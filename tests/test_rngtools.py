@@ -1,9 +1,73 @@
 import os
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+import numpy as np
 import pytest
 
 from spinsc import mtj, rngtools
+from spinsc.errors import DomainError, ShapeError
 from spinsc.llgs import default_device_params
+from spinsc.rngtools import derive_rng, derive_rngs
+
+# integers at SeedSequence's word boundaries, and beyond 64 bits
+INTS = st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1,
+                                  2**64, 2**96 + 7]),
+                 st.integers(0, 2**64 - 1), st.integers(2**64, 2**130))
+TAGS = st.one_of(INTS, st.text(max_size=8))
+
+
+@st.composite
+def blocks(draw):
+    """(n, master seed, tags): each a scalar, or an integer list of n."""
+    n = draw(st.integers(1, 6))
+    per_entry = st.lists(INTS, min_size=n, max_size=n)
+    master = draw(st.one_of(INTS, per_entry))
+    tags = draw(st.lists(st.one_of(TAGS, per_entry), max_size=6))
+    return n, master, tags
+
+
+def entry(arg, i):
+    return arg[i] if isinstance(arg, list) else arg
+
+
+@settings(max_examples=300, deadline=None)
+@given(blocks())
+def test_block_derivation_matches_derive_rng(block):
+    """Entry i of a block is derive_rng on entry i's names, state for state."""
+    n, master, tags = block
+    rngs = list(derive_rngs(master, *tags))
+    assert len(rngs) == (n if any(isinstance(a, list) for a in [master, *tags])
+                         else 1)
+    for i, rng in enumerate(rngs):
+        one = derive_rng(entry(master, i), *(entry(t, i) for t in tags))
+        assert rng.bit_generator.state == one.bit_generator.state
+
+
+def test_block_mixing_word_counts_keeps_each_entrys_bits():
+    """int64 seed arrays as forward_rate passes them: entries below 2**32
+    take one word, the rest two, and each keeps its own stream."""
+    seeds = np.array([5, 2**40 + 3, 2**32 - 1, 2**32, 0, 2**63 - 1])
+    rngs = derive_rngs(seeds, "rate-window")
+    for seed, rng in zip(seeds, rngs):
+        assert np.array_equal(rng.random(8),
+                              derive_rng(int(seed), "rate-window").random(8))
+
+
+@pytest.mark.parametrize("master, tags", [
+    (-1, ()), ([3, -2], ("x",)), (1, ("x", [0, -5]))])
+def test_block_rejects_negative_names(master, tags):
+    with pytest.raises(ValueError):
+        derive_rng(entry(master, -1), *(entry(t, -1) for t in tags))
+    with pytest.raises(DomainError):
+        derive_rngs(master, *tags)
+
+
+def test_block_arrays_need_one_length():
+    with pytest.raises(ShapeError):
+        derive_rngs([1, 2], "x", [1, 2, 3])
+    with pytest.raises(ShapeError):
+        derive_rngs(np.zeros((2, 2), dtype=int))
 
 
 class FakePool:
