@@ -7,12 +7,15 @@ produce the same aggregate results regardless of execution order.
 A substream is named by (master_seed, *tags): strings are hashed to stable
 64-bit integers, and the integers' 32-bit words seed numpy's SeedSequence.
 There are two entry points to that one derivation.  `derive_rng` names one
-substream and builds numpy's SeedSequence for it, the cheaper way for one
-item.  `derive_rngs` names a block of substreams (any of its arguments may
-be a 1-D array of integers) and runs SeedSequence's entropy mix and
-`generate_state` for the whole block in numpy uint32 arithmetic; each
-PCG64 is then seeded by numpy from those words, so the block's generators
-are the one-item generators, bit for bit, at a few microseconds each.
+substream and builds numpy's SeedSequence for it.  `derive_rngs` names a
+block of substreams (any of its arguments may be a 1-D array of integers)
+and runs SeedSequence's entropy mix and `generate_state` for the whole
+block in numpy uint32 arithmetic; each PCG64 is then seeded by numpy from
+those words, so the block's generators are the one-item generators, bit
+for bit.  The block pass has a fixed cost of a few dozen numpy calls, so
+one item stays on SeedSequence: on a 2-vCPU x86-64 VM with numpy 2.4,
+derive_rng took about 27 us, a one-entry block about 280 us, and a block
+of 512 entries 2-4 us per entry.
 """
 
 from concurrent.futures import ProcessPoolExecutor
