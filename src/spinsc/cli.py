@@ -162,9 +162,6 @@ def cmd_train_decoder(v, seed, workers, out_dir):
     snrs = v.get_float_list("dataset", "snrs_db")
     if not snrs:
         raise ConfigError("[dataset] snrs_db needs at least one SNR")
-    X, Y = _build_decoder_dataset(spec, frames, snrs, seed)
-    hidden = v.get_int_list("network", "hidden", [16])
-    model = training.init_model([spec.N] + hidden + [spec.K], seed)
     cfg = training.OptimizerConfig(
         kind=v.get_str("training", "kind", "minibatch"),
         learning_rate=v.get_float("training", "learning_rate", 0.5),
@@ -175,6 +172,9 @@ def cmd_train_decoder(v, seed, workers, out_dir):
     )
     loss = training.LossSpec(kind=v.get_str(
         "training", "loss", training.CROSS_ENTROPY))
+    X, Y = _build_decoder_dataset(spec, frames, snrs, seed)
+    hidden = v.get_int_list("network", "hidden", [16])
+    model = training.init_model([spec.N] + hidden + [spec.K], seed)
     model, history = training.train(model, X, Y, cfg, loss)
     return [_write(out_dir, "code_spec.json", spec.to_json),
             _write(out_dir, "model.json", lambda p: save_model(model, p)),

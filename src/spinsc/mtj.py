@@ -75,8 +75,14 @@ class SwitchingCurve:
 
 def sigmoid(x):
     """The logistic 1/(1+exp(-x)): a neuron's firing probability, and the
-    shape of the switching curve."""
-    return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
+    shape of the switching curve.  Each step runs in place on one copy of
+    x, so a block needs twice its size at most; the bits are those of
+    1.0 / (1.0 + np.exp(-x))."""
+    p = np.array(x, dtype=float)
+    np.negative(p, out=p)
+    np.exp(p, out=p)
+    np.add(1.0, p, out=p)
+    return np.divide(1.0, p, out=p)[()]
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,14 @@
 """Layered crossbar network with sigmoid or stochastic-firing neurons.
 
 Each layer is a weight matrix (rows = outputs) plus a bias vector; the
-weighted sum accumulates columns in ascending input index, so repeated
-runs are bit-identical and a batch of inputs gives each row the bits it
-gets alone.  Every layer, the output layer included, is a layer of
+weighted sum starts from the bias and adds the weight * input terms in
+ascending input index, so repeated runs are bit-identical and a batch of
+inputs gives each row the bits it gets alone.  A block of rows is one
+(n_in + 1, n_out, rows) array of the bias and the products, summed in
+that order by one ordered reduce (`ordered_sum`); a gemm or `.sum()`
+would add in another order and change bits.  The block holds at most
+_TERMS_BYTES of products, a block of rows at a time.  Every layer, the
+output layer included, is a layer of
 sigmoid neurons.  Deterministic models run `forward` / `forward_trace`
 over (..., n_in) batches and apply the sigmoid.  Stochastic models run
 `forward_rate` on (..., n_in) batches, one seed per input: each neuron
@@ -31,6 +36,7 @@ __all__ = [
     "Layer",
     "NetworkModel",
     "sigmoid",
+    "ordered_sum",
     "weighted_sum",
     "forward",
     "forward_trace",
@@ -44,6 +50,7 @@ STOCHASTIC = "stochastic-firing"
 
 MODEL_FORMAT_VERSION = 1
 _CHUNK_BYTES = 1 << 18    # uniform draws forward_rate holds at a time
+_TERMS_BYTES = 1 << 20    # products weighted_sum holds at a time
 
 
 @dataclass
@@ -90,12 +97,32 @@ class NetworkModel:
         return self.layers[-1].weights.shape[0]
 
 
+def ordered_sum(a) -> np.ndarray:
+    """a[0] + a[1] + ... over axis 0, one term after another: (n, ...) -> (...).
+
+    One np.add.reduce over a C-contiguous (n, cols) block: numpy adds term
+    by term along the slow axis but pairwise along the fast one, so a lone
+    column is widened to two and one kept.  The reduce starts from -0.0,
+    which adds exactly (numpy's own start, 0.0, turns a -0.0 sum into 0.0).
+    """
+    a = np.asarray(a, dtype=float)
+    cols = math.prod(a.shape[1:])
+    flat = np.ascontiguousarray(a).reshape(len(a), cols)
+    if cols == 1:
+        flat = np.repeat(flat, 2, axis=1)
+    return np.add.reduce(flat, axis=0, initial=-0.0)[:cols].reshape(a.shape[1:])
+
+
 def weighted_sum(x, weights, bias) -> np.ndarray:
     """Weights times x plus bias over the last axis: (..., n_in) -> (..., n_out).
 
     Each output starts from its bias and adds weight * input terms in
     ascending input index, so every row of a batch gets the same bits as
-    that row on its own.
+    that row on its own.  The bias and every column's products, from one
+    multiply, fill an (n_in + 1, n_out, rows) block that ordered_sum adds
+    term by term; a gemm or .sum() would add in another order.  Rows go in
+    blocks of at most _TERMS_BYTES of products, so a large batch needs its
+    output plus _TERMS_BYTES, not n_in + 1 times its output.
     """
     x = np.asarray(x, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -104,10 +131,17 @@ def weighted_sum(x, weights, bias) -> np.ndarray:
             or bias.shape != weights.shape[:1]):
         raise ShapeError(
             f"weighted_sum shapes: x{x.shape}, W{weights.shape}, b{bias.shape}")
-    out = np.broadcast_to(bias, x.shape[:-1] + bias.shape).copy()
-    for j in range(weights.shape[1]):
-        out += x[..., j, None] * weights[:, j]
-    return out
+    n_out, n_in = weights.shape
+    cols = x.reshape(math.prod(x.shape[:-1]), n_in).T
+    out = np.empty((n_out, cols.shape[1]))
+    step = max(1, _TERMS_BYTES // (8 * (n_in + 1) * n_out))
+    for lo in range(0, cols.shape[1], step):
+        terms = cols[:, None, lo:lo + step]
+        block = np.empty((n_in + 1, n_out, terms.shape[-1]))
+        block[0] = bias[:, None]
+        np.multiply(terms, weights.T[:, :, None], out=block[1:])
+        out[:, lo:lo + step] = ordered_sum(block)
+    return out.T.reshape(x.shape[:-1] + (n_out,))
 
 
 def forward_trace(model: NetworkModel, x):

@@ -4,7 +4,9 @@ A dataset is inputs X (B, n_in) and targets Y (B, n_out), one example per
 row.  GD, SGD and minibatch are OptimizerConfig kinds that `train` runs
 through the one update, minibatch_step (row gradients summed in ascending
 row order, then averaged), on all rows, one row or batch_size rows at a
-time.  Losses are computed for a block at once too.  Only
+time.  A gradient's rows are added by network.ordered_sum, one numpy
+reduce that adds one row after another, so a block sums to the bits of
+its rows added in turn.  Losses are computed for a block at once too.  Only
 deterministic-sigmoid models are differentiated; stochastic-firing
 networks reuse weights trained in deterministic mode.
 """
@@ -16,7 +18,8 @@ import numpy as np
 
 from .errors import DivergenceError, DomainError, ShapeError
 from .formats import write_csv
-from .network import DETERMINISTIC, Layer, NetworkModel, forward_trace
+from .network import (DETERMINISTIC, Layer, NetworkModel, forward_trace,
+                      ordered_sum)
 from .rngtools import derive_rng
 
 __all__ = [
@@ -56,9 +59,13 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.kind not in ("gd", "sgd", "minibatch"):
             raise DomainError(f"unknown optimizer kind {self.kind!r}")
-        if self.learning_rate <= 0:
-            raise DomainError("learning_rate must be positive")
-        if self.epochs < 0 or self.batch_size < 1 or self.lr_decay < 0:
+        if not 0 < self.learning_rate < math.inf:
+            raise DomainError(f"learning_rate must be finite and positive, "
+                              f"got {self.learning_rate}")
+        if not 0 <= self.lr_decay < math.inf:
+            raise DomainError(f"lr_decay must be finite and non-negative, "
+                              f"got {self.lr_decay}")
+        if self.epochs < 0 or self.batch_size < 1:
             raise DomainError("invalid optimizer configuration")
 
     def rate_at(self, step: int) -> float:
@@ -118,9 +125,9 @@ def backprop_gradient(model: NetworkModel, X, Y, loss: LossSpec) -> list:
         delta = delta * y_hat * (1.0 - y_hat)
     grads = [None] * len(model.layers)
     for i in range(len(model.layers) - 1, -1, -1):
-        # cumsum adds rows one after another; .sum() may add pairwise
-        dW = np.cumsum(delta[:, :, None] * activations[i][:, None, :], axis=0)[-1]
-        grads[i] = (dW, np.cumsum(delta, axis=0)[-1])
+        # ordered_sum adds rows one after another; .sum() adds pairwise
+        grads[i] = (ordered_sum(delta[:, :, None] * activations[i][:, None, :]),
+                    ordered_sum(delta))
         if i > 0:
             a = activations[i]
             # one matrix-vector product per row, as for a single example

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from spinsc import bitstream, mtj
+from spinsc import bitstream, cli, mtj
 from spinsc.cli import atomic_path, main
 from spinsc.errors import ConfigError, ConvergenceError
 from spinsc.config import ConfigView, load_config
@@ -524,6 +524,21 @@ class TestErrors:
         assert run("gradcheck", cfg, out) == 2
         assert "error: [gradcheck] networks must be >= 1, got 0" in \
             capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("key, value", [
+        ("learning_rate", "nan"), ("learning_rate", "inf"),
+        ("lr_decay", "nan"), ("lr_decay", "inf")])
+    def test_non_finite_learning_rate(self, tmp_path, capsys, monkeypatch, key,
+                                      value):
+        """Rejected before the dataset is built, naming the key."""
+        rates = dict({"learning_rate": "0.5", "lr_decay": "0.0"}, **{key: value})
+        cfg = write_cfg(tmp_path / "t.cfg", TRAIN_CFG.replace(
+            "learning_rate = 0.5", "\n".join(f"{k} = {v}" for k, v in rates.items())))
+        monkeypatch.setattr(cli, "_build_decoder_dataset", None)
+        out = tmp_path / "out"
+        assert run("train-decoder", cfg, out) == 2
+        assert f"error: {key} must be finite" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     def test_empty_dataset_snrs(self, tmp_path, capsys):

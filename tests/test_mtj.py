@@ -163,6 +163,25 @@ class TestSweep:
         assert len(lines) == 3
 
 
+class TestSigmoid:
+    @pytest.mark.parametrize("layout", ["contiguous", "strided", "column"])
+    def test_in_place_steps_keep_the_bits(self, layout):
+        """The same bytes and types as 1.0 / (1.0 + np.exp(-x)), on arrays
+        with +-0.0, +-inf, NaN and overflowing entries, and on scalars."""
+        rng = derive_rng(2, "sigmoid", layout)
+        x = rng.standard_normal(1001) * 10.0 ** rng.uniform(-3, 3, 1001)
+        x[::7] = np.resize([0.0, -0.0, math.inf, -math.inf, math.nan, 800.0, -800.0], 143)
+        x = {"contiguous": x, "strided": x[::2], "column": x[:, None]}[layout]
+        with np.errstate(over="ignore"):
+            want = 1.0 / (1.0 + np.exp(-x))
+            got = mtj.sigmoid(x)
+            assert got.tobytes() == want.tobytes() and got.shape == x.shape
+            for v in (0.3, -2, np.float64(-0.0), np.array(1.5), 800.0):
+                scalar = mtj.sigmoid(v)
+                assert type(scalar) is np.float64
+                assert scalar.tobytes() == (1.0 / (1.0 + np.exp(-np.float64(v)))).tobytes()
+
+
 class TestSigmoidFit:
     def make_exact_curve(self, a0=3.2e4, b0=1.5e-3, n=15):
         I = np.linspace(1.1e-3, 2.1e-3, n)

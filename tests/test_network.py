@@ -1,6 +1,9 @@
 import json
 import math
+import tracemalloc
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
@@ -9,8 +12,12 @@ from spinsc.errors import DomainError, FormatError, ShapeError
 from spinsc.mtj import SigmoidFit
 from spinsc.network import (STOCHASTIC, Layer, NetworkModel, forward,
                             forward_rate, forward_trace, load_model,
-                            save_model, sigmoid, weighted_sum)
+                            ordered_sum, save_model, sigmoid, weighted_sum)
 from spinsc.rngtools import derive_rng
+from spinsc.training import CROSS_ENTROPY, LossSpec, backprop_gradient, init_model
+
+SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan]
+LAYOUTS = ["contiguous", "transposed", "strided"]
 
 
 def two_layer_model():
@@ -39,7 +46,95 @@ def rate_model(sizes, device, window):
     return model, rng.standard_normal(sizes[0])
 
 
+def column_loop(x, weights, bias):
+    """The column loop weighted_sum replaced: the bias, then one input
+    column at a time in ascending index."""
+    out = np.broadcast_to(bias, x.shape[:-1] + bias.shape).copy()
+    for j in range(weights.shape[1]):
+        out += x[..., j, None] * weights[:, j]
+    return out
+
+
+def sprinkled(rng, shape, share):
+    """Normal entries scaled over twelve decades, about `share` of them
+    replaced by +-0.0, +-inf or NaN."""
+    a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6, shape)
+    hit = rng.random(shape) < share
+    a[hit] = rng.choice(SPECIALS, hit.sum())
+    return a
+
+
+def same_bits(got, want):
+    """Equal shapes and bytes, NaNs compared as one value: numpy's add
+    loops do not fix which of two NaN operands propagates, so its reduce
+    and cumsum differ in the sign of NaN where inf - inf meets a NaN."""
+    def canonical(a):
+        return np.where(np.isnan(a), np.nan, a).tobytes()
+    return got.shape == want.shape and canonical(got) == canonical(want)
+
+
+def laid_out(a, layout):
+    """The values of `a` in a C-contiguous, transposed (a view of a
+    contiguous reversed-axes copy) or strided (every other entry of the
+    last axis) array."""
+    if layout == "transposed":
+        return np.ascontiguousarray(a.T).T
+    if layout == "strided":
+        return np.repeat(a, 2, axis=-1)[..., ::2]
+    return a
+
+
+class TestOrderedSum:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40),
+           rest=st.one_of(st.sampled_from([(), (1,), (1, 1)]),
+                          st.lists(st.integers(0, 4), max_size=2).map(tuple)),
+           layout=st.sampled_from(LAYOUTS), share=st.sampled_from([0.0, 0.1, 0.5]))
+    @example(seed=1, n=20, rest=(), layout="contiguous", share=0.0)
+    @example(seed=1, n=20, rest=(1,), layout="strided", share=0.0)
+    @example(seed=1, n=20, rest=(2, 3), layout="transposed", share=0.0)
+    def test_matches_cumsum(self, seed, n, rest, layout, share):
+        """Byte for byte (NaNs as one value) the last row of cumsum, which
+        adds one term after another: lone columns, empty rows, any layout,
+        signed zeros, infinities and NaN."""
+        a = laid_out(sprinkled(np.random.default_rng(seed), (n,) + rest, share),
+                     layout)
+        with np.errstate(all="ignore"):     # inf - inf is NaN, as intended
+            got, want = ordered_sum(a), np.cumsum(a, axis=0)[-1]
+        assert got.shape == a.shape[1:] and same_bits(got, want)
+
+    def test_empty_sum_is_zero(self):
+        assert np.array_equal(ordered_sum(np.ones((0, 3))), np.zeros(3))
+
+
 class TestWeightedSum:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), lone=st.booleans(),
+           n_in=st.integers(0, 12), n_out=st.integers(1, 5),
+           lead=st.lists(st.integers(0, 4), max_size=3).map(tuple),
+           layout=st.sampled_from(LAYOUTS), share=st.sampled_from([0.0, 0.1, 0.5]))
+    @example(seed=2, lone=True, n_in=0, n_out=1, lead=(), layout="contiguous",
+             share=0.0)
+    @example(seed=3, lone=False, n_in=0, n_out=3, lead=(2,), layout="contiguous",
+             share=0.5)
+    @example(seed=4, lone=False, n_in=5, n_out=2, lead=(3, 0), layout="transposed",
+             share=0.0)
+    def test_matches_column_loop(self, seed, lone, n_in, n_out, lead, layout,
+                                 share):
+        """Byte for byte (NaNs as one value) the column loop: one row into
+        one output over 8 to 64 inputs, zero rows, no inputs, leading axes,
+        transposed or strided x, and +-0.0, +-inf and NaN in x, weights and
+        bias."""
+        rng = np.random.default_rng(seed)
+        if lone:
+            n_in, n_out, lead = int(rng.integers(8, 65)), 1, (1,) if lead else ()
+        x = laid_out(sprinkled(rng, lead + (n_in,), share), layout)
+        weights = sprinkled(rng, (n_out, n_in), share)
+        bias = sprinkled(rng, (n_out,), share)
+        with np.errstate(all="ignore"):
+            got, want = weighted_sum(x, weights, bias), column_loop(x, weights, bias)
+        assert got.shape == lead + (n_out,) and same_bits(got, want)
+
     def test_identity(self):
         x = np.array([0.3, -0.7, 2.0])
         out = weighted_sum(x, np.eye(3), np.zeros(3))
@@ -220,6 +315,43 @@ class TestForward:
             Layer(permuted.layers[1].weights[:, inv], permuted.layers[1].bias),
         ])
         assert np.array_equal(forward(model, x), forward(restored, x))
+
+
+class TestRowBound:
+    @pytest.mark.parametrize("sizes,device,window", RATE_MODELS)
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_row_blocks_keep_the_bits(self, sizes, device, window, rows,
+                                      monkeypatch):
+        """With room for 1 or 3 rows of the widest layer's products at a
+        time, forward, forward_rate and backprop_gradient give the bits of
+        the default bound."""
+        model, x = rate_model(sizes, device, window)
+        X = np.stack([x, -x, 0.5 * x, 2 * x, x - 1])
+        seeds = np.array([11, 2 ** 40, 3, 4, 5])
+        Y = derive_rng(9, "row-bound", *sizes).uniform(0, 1, (len(X), sizes[-1]))
+        det, loss = NetworkModel(layers=model.layers), LossSpec(CROSS_ENTROPY)
+
+        def run():
+            return [forward(det, X), forward_rate(model, X, window, seeds),
+                    *(g for pair in backprop_gradient(det, X, Y, loss) for g in pair)]
+        expected = run()
+        widest = max(l.weights.size + l.weights.shape[0] for l in model.layers)
+        monkeypatch.setattr(network, "_TERMS_BYTES", 8 * widest * rows)
+        for got, want in zip(run(), expected):
+            assert np.array_equal(got, want)
+
+    def test_forward_peak_memory(self):
+        """An 8-32-4 forward on 65,536 rows holds the layer-1 sums and one
+        copy of them inside the sigmoid, plus one block of products."""
+        model = init_model([8, 32, 4], 1)
+        X = derive_rng(1, "peak").standard_normal((65536, 8))
+        tracemalloc.start()
+        try:
+            forward(model, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (65536 * 32 * 8) + network._TERMS_BYTES
 
 
 class TestModelStructure:

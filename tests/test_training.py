@@ -1,5 +1,7 @@
 import math
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from spinsc.training import (CROSS_ENTROPY, SQUARED_ERROR, LossSpec,
                              OptimizerConfig, backprop_gradient, init_model,
                              mean_loss, minibatch_step, train)
 from spinsc.rngtools import derive_rng
+from test_network import column_loop, same_bits, sprinkled
 
 
 def single_unit(w=0.0, b=0.0):
@@ -92,6 +95,27 @@ def sequential_step(model, X, Y, rate, loss):
             for layer, (dW, db) in zip(model.layers, grad_sum)]
 
 
+def cumsum_backprop(model, X, Y, loss):
+    """The block backprop before ordered_sum: the column-loop forward, one
+    matrix-vector product per row, rows summed by cumsum(...)[-1]."""
+    acts = [X]
+    for layer in model.layers:
+        pre = column_loop(acts[-1], layer.weights, layer.bias)
+        acts.append(1.0 / (1.0 + np.exp(-pre)))
+    y_hat = acts[-1]
+    delta = y_hat - Y
+    if loss.kind == SQUARED_ERROR:
+        delta = delta * y_hat * (1.0 - y_hat)
+    grads = [None] * len(model.layers)
+    for i in range(len(model.layers) - 1, -1, -1):
+        dW = np.cumsum(delta[:, :, None] * acts[i][:, None, :], axis=0)[-1]
+        grads[i] = (dW, np.cumsum(delta, axis=0)[-1])
+        if i > 0:
+            back = np.matmul(model.layers[i].weights.T, delta[:, :, None])[:, :, 0]
+            delta = back * acts[i] * (1.0 - acts[i])
+    return grads
+
+
 # (layer sizes, loss kind)
 BATCH_CASES = [
     ([3, 5, 2], SQUARED_ERROR),
@@ -151,6 +175,32 @@ class TestBackprop:
             for (bw, bb), (fw, fb) in zip(bp, fd):
                 assert np.allclose(bw, fw, rtol=1e-5, atol=1e-8)
                 assert np.allclose(bb, fb, rtol=1e-5, atol=1e-8)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           sizes=st.one_of(st.sampled_from([[1, 1], [1, 1, 1], [8, 1], [1, 4, 1]]),
+                           st.lists(st.integers(1, 6), min_size=2, max_size=4)),
+           rows=st.integers(1, 40), kind=st.sampled_from([SQUARED_ERROR, CROSS_ENTROPY]),
+           share=st.sampled_from([0.0, 0.1, 0.5]))
+    @example(seed=3, sizes=[1, 1, 1], rows=20, kind=SQUARED_ERROR, share=0.0)
+    def test_matches_cumsum_reference(self, seed, sizes, rows, kind, share):
+        """Byte for byte (NaNs as one value) the cumsum reference: lone
+        columns, one to 40 rows, and +-0.0, +-inf and NaN in the inputs and
+        targets."""
+        rng = np.random.default_rng(seed)
+        model = NetworkModel(layers=[
+            Layer(sprinkled(rng, (m, n), 0.0), sprinkled(rng, m, 0.0))
+            for n, m in zip(sizes, sizes[1:])])
+        X = sprinkled(rng, (rows, sizes[0]), share)
+        Y = np.where(rng.random((rows, sizes[-1])) < share,
+                     sprinkled(rng, (rows, sizes[-1]), 1.0),
+                     rng.uniform(0, 1, (rows, sizes[-1])))
+        loss = LossSpec(kind)
+        with np.errstate(all="ignore"):
+            got = backprop_gradient(model, X, Y, loss)
+            want = cumsum_backprop(model, X, Y, loss)
+        for (dW, db), (rW, rb) in zip(got, want):
+            assert same_bits(dW, rW) and same_bits(db, rb)
 
     @pytest.mark.parametrize("mode, call", [
         (STOCHASTIC, lambda model: forward_trace(model, [1.0])),
@@ -359,6 +409,15 @@ class TestTrain:
             OptimizerConfig(kind="adam", learning_rate=0.1, epochs=1)
         with pytest.raises(DomainError):
             OptimizerConfig(kind="gd", learning_rate=0.0, epochs=1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("learning_rate", math.nan), ("learning_rate", math.inf),
+        ("learning_rate", -math.inf), ("lr_decay", math.nan),
+        ("lr_decay", math.inf), ("lr_decay", -0.5)])
+    def test_non_finite_rate_rejected(self, field, value):
+        kwargs = dict(kind="minibatch", learning_rate=0.5, epochs=1, lr_decay=0.0)
+        with pytest.raises(DomainError, match=f"^{field} must be finite"):
+            OptimizerConfig(**dict(kwargs, **{field: value}))
 
 
 class TestInitModel:
