@@ -1,20 +1,18 @@
 """Layered crossbar network with sigmoid or stochastic-firing neurons.
 
-Each layer is a weight matrix (rows = outputs) plus a bias vector; the
-weighted sum starts from the bias and adds the weight * input terms in
-ascending input index, so repeated runs are bit-identical and a batch of
-inputs gives each row the bits it gets alone.  A block of rows is one
-(n_in + 1, n_out, rows) array of the bias and the products, summed in
-that order by one ordered reduce (`ordered_sum`); a gemm or `.sum()`
-would add in another order and change bits.  The block holds at most
-_TERMS_BYTES of products, a block of rows at a time.  Every layer, the
-output layer included, is a layer of
-sigmoid neurons.  Deterministic models run `forward` / `forward_trace`
-over (..., n_in) batches and apply the sigmoid.  Stochastic models run
-`forward_rate` on (..., n_in) batches, one seed per input: each neuron
-emits a 0/1 spike with the sigmoid as its firing probability (optionally
-routed through a fitted device curve via a current scale), and the spikes
-are averaged over a window of passes batched as rows.
+Each layer is a weight matrix (rows = outputs) plus a bias vector.  A
+block of rows fills one (n_in + 1, n_out, rows) array with the bias and
+the weight * input products, at most _TERMS_BYTES at a time, and adds it
+in ascending input index by one ordered reduce (a gemm or .sum() would
+add in another order), so repeated runs are bit-identical and a batch of
+inputs gives each row the bits it gets alone.  Every layer, the output
+layer included, is a layer of sigmoid neurons.  Deterministic models run
+`forward` / `forward_trace` over (..., n_in) batches and apply the
+sigmoid.  Stochastic models run `forward_rate` on (..., n_in) batches,
+one seed per input: each neuron emits a 0/1 spike with the sigmoid as
+its firing probability (optionally routed through a fitted device curve
+via a current scale), and the spikes are averaged over a window of
+passes batched as rows.
 """
 
 from dataclasses import dataclass
@@ -100,10 +98,10 @@ class NetworkModel:
 def ordered_sum(a) -> np.ndarray:
     """a[0] + a[1] + ... over axis 0, one term after another: (n, ...) -> (...).
 
-    One np.add.reduce over a C-contiguous (n, cols) block: numpy adds term
-    by term along the slow axis but pairwise along the fast one, so a lone
-    column is widened to two and one kept.  The reduce starts from -0.0,
-    which adds exactly (numpy's own start, 0.0, turns a -0.0 sum into 0.0).
+    np.add.reduce adds term by term along the slow axis of a C-contiguous
+    (n, cols) block, but pairwise down a lone column, so one is widened to
+    two.  It starts from -0.0, which adds exactly; numpy's own start, 0.0,
+    turns a sum of -0.0 terms into 0.0.
     """
     a = np.asarray(a, dtype=float)
     cols = math.prod(a.shape[1:])
@@ -118,11 +116,9 @@ def weighted_sum(x, weights, bias) -> np.ndarray:
 
     Each output starts from its bias and adds weight * input terms in
     ascending input index, so every row of a batch gets the same bits as
-    that row on its own.  The bias and every column's products, from one
-    multiply, fill an (n_in + 1, n_out, rows) block that ordered_sum adds
-    term by term; a gemm or .sum() would add in another order.  Rows go in
-    blocks of at most _TERMS_BYTES of products, so a large batch needs its
-    output plus _TERMS_BYTES, not n_in + 1 times its output.
+    that row on its own: ordered_sum adds an (n_in + 1, n_out, rows) block
+    of the bias and one multiply's products, at most _TERMS_BYTES of rows
+    at a time, not a gemm or .sum(), which add in another order.
     """
     x = np.asarray(x, dtype=float)
     weights = np.asarray(weights, dtype=float)

@@ -4,9 +4,8 @@ A dataset is inputs X (B, n_in) and targets Y (B, n_out), one example per
 row.  GD, SGD and minibatch are OptimizerConfig kinds that `train` runs
 through the one update, minibatch_step (row gradients summed in ascending
 row order, then averaged), on all rows, one row or batch_size rows at a
-time.  A gradient's rows are added by network.ordered_sum, one numpy
-reduce that adds one row after another, so a block sums to the bits of
-its rows added in turn.  Losses are computed for a block at once too.  Only
+time; network.ordered_sum adds a gradient's rows in turn, in one numpy
+reduce.  Losses are computed for a block at once too.  Only
 deterministic-sigmoid models are differentiated; stochastic-firing
 networks reuse weights trained in deterministic mode.
 """
@@ -109,7 +108,7 @@ def mean_loss(model: NetworkModel, X, Y, loss: LossSpec) -> float:
         y_hat = np.clip(y_hat, eps, 1.0 - eps)
         losses = -np.sum(Y * np.log(y_hat) + (1.0 - Y) * np.log(1.0 - y_hat),
                          axis=-1)
-    return sum(losses.tolist()) / len(losses)
+    return float(ordered_sum(losses)) / len(losses)
 
 
 def backprop_gradient(model: NetworkModel, X, Y, loss: LossSpec) -> list:
