@@ -160,8 +160,8 @@ KERNELS["polar.neural_sc_decode stochastic (8,4) window=64"] = (
     "frames/s", stochastic_decode)
 KERNELS["bitstream cell L=1e6"] = ("bits/s", bitstream_cell)
 KERNELS["training.minibatch_step 8-32-4 B=32"] = ("examples/s", minibatch_step)
-KERNELS.update({f"network.forward 8-32-4 B={b}": ("examples/s", partial(forward_block, b))
-                for b in (512, 65536)})
+KERNELS.update({f"network.forward 8-32-4 B={b}": (
+    "examples/s", partial(forward_block, b)) for b in (512, 65536)})
 KERNELS["rngtools.derive_rng per frame"] = ("derivations/s", derive_per_frame)
 KERNELS["cli sc-arith-bench L=1e6 V=3"] = ("stream-bits/s", sc_arith_bench)
 
