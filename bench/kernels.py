@@ -151,7 +151,7 @@ def sc_arith_bench(L=10 ** 6):
 
 
 KERNELS = {f"mtj._switched B={b}": ("trial-steps/s", partial(switched_slab, b))
-           for b in (1, 500, 2000, 2500)}
+           for b in (1, 500, 2000, 2500, 3750)}
 KERNELS.update({f"polar.{k} N={n}": ("frames/s", partial(polar_block, k, n))
                 for k in ("sc_decode", "encode") for n in (128, 1024)})
 KERNELS.update({f"polar.generate_frames N={n}": (

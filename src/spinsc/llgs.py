@@ -16,10 +16,13 @@ A collecting the explicit torques), and each step is advanced with the
 stochastic Heun scheme, the noise held fixed within the step.  The state
 is renormalized to unit length after every step.  The integrator picks
 its arithmetic from the batch size: a single trial (`simulate_pulse`)
-steps three Python floats, a batch of trials (`mtj`) steps (B,) arrays,
-and both run the same step body with the same bits per trial.  Each trial
-may have its own spin current, and the thermal field is drawn in chunks
-whose size, bounded in bytes per batch, never changes the bits.
+steps three Python floats through `_field` and `_deriv`, a batch of
+trials (`mtj`) steps a (3, B) state through `_field_into` and
+`_deriv_into`, the same operations in the same order as ufunc calls
+writing into preallocated buffers.  A trial has the same bits at either
+width (tests/test_llgs.py: TestHeunStepOracle, TestIntegratorWidths).
+Each trial may have its own spin current, and the thermal field is drawn
+in chunks whose size, bounded in bytes per batch, never changes the bits.
 
 The effective field is the minimal bistable composition: uniaxial
 anisotropy Hk along +z (easy axis) and a single demagnetization penalty
@@ -86,6 +89,11 @@ class DeviceParams:
             raise DomainError("device parameters must be finite")
         if not (self.alpha > 0 and self.Ms > 0 and self.V > 0 and self.dt > 0):
             raise DomainError("alpha, Ms, V, dt must be positive")
+        # the integrator divides by both (thermal_prefactor, 1/(q Ns))
+        if not (0.0 < GAMMA * MU_0 * self.Ms * self.V * self.dt < np.inf
+                and 0.0 < self.Ns < np.inf):
+            raise DomainError("GAMMA*MU_0*Ms*V*dt and Ns = Ms*V/MU_B must be "
+                              "finite and positive: Ms, V or dt is out of range")
         if self.T < 0:
             raise DomainError("temperature must be non-negative")
         if self.Hk < 0 or self.Hd < 0:
@@ -190,19 +198,83 @@ def _deriv(mx, my, mz, hx, hy, hz, isz, gamma, alpha, inv_qns, inv_1a2):
     return dx, dy, dz
 
 
+def _cross_into(a, b, out, tmp):
+    """out = a x b on (x, y, z) triples of (B,) rows, each component
+    (ay bz - az by, az bx - ax bz, ax by - ay bx) as `_deriv` writes it; tmp
+    is a (B,) scratch row."""
+    (ax, ay, az), (bx, by, bz), (ox, oy, oz) = a, b, out
+    np.multiply(ay, bz, out=ox)
+    np.multiply(az, by, out=tmp)
+    np.subtract(ox, tmp, out=ox)
+    np.multiply(az, bx, out=oy)
+    np.multiply(ax, bz, out=tmp)
+    np.subtract(oy, tmp, out=oy)
+    np.multiply(ax, by, out=oz)
+    np.multiply(ay, bx, out=tmp)
+    np.subtract(oz, tmp, out=oz)
+
+
+def _field_into(m, n, Hk, Hd, h):
+    """`_field` of the (3, B) state m and base field n, its y and z rows
+    written into h's; returns the three field rows."""
+    hy, hz = h[1], h[2]
+    np.multiply(Hd, m[1], out=hy)
+    np.subtract(n[1], hy, out=hy)
+    np.multiply(Hk, m[2], out=hz)
+    np.add(n[2], hz, out=hz)
+    return n[0], hy, hz
+
+
+def _deriv_into(m, h, isz, gamma, alpha, inv_qns, inv_1a2, k, w):
+    """`_deriv` of the (3, B) state m in the field rows h into the (3, B)
+    rate k: the same operations in the same order, each a ufunc call with
+    out=.  w is a (7, B) scratch."""
+    mr = m[0], m[1], m[2]
+    a, uv, t = w[:3], w[3:5], w[5:]
+    ar = a[0], a[1], a[2]
+    s = t[0]
+    np.multiply(isz, m[:2], out=uv)                 # u, v
+    _cross_into(mr, h, ar, s)
+    np.multiply(-gamma, a, out=a)
+    np.multiply(mr[2], uv, out=t)
+    np.multiply(inv_qns, t, out=t)
+    np.subtract(a[:2], t, out=a[:2])                # ax, ay
+    np.multiply(m[:2], uv, out=t)
+    np.add(s, t[1], out=s)
+    np.multiply(inv_qns, s, out=s)
+    np.add(ar[2], s, out=ar[2])                     # az
+    _cross_into(mr, ar, (k[0], k[1], k[2]), s)
+    np.multiply(alpha, k, out=k)
+    np.add(a, k, out=k)
+    np.multiply(k, inv_1a2, out=k)
+
+
+def _sum_of_squares_into(m, sq, out):
+    """mx*mx + my*my + mz*mz of the (3, B) state m into out, sq a (3, B)
+    scratch."""
+    np.multiply(m, m, out=sq)
+    np.add(sq[0], sq[1], out=out)
+    np.add(out, sq[2], out=out)
+
+
 def _integrate(m0, phases, params, rngs, record=False):
     """Advance a batch of trajectories through the given (n_steps, Is) phases.
 
     m0 is (B, 3) with B = len(rngs); a phase's z spin current Is is a
     float or (B,), one per trial.  Trial i draws its thermal field from
     rngs[i] (no draws at T = 0) in chunks of min(_CHUNK_STEPS,
-    _CHUNK_BYTES // (24 B)) steps, at least one.  The batch size picks the arithmetic once, on
-    entry: one trial runs on three Python floats with `math.sqrt`, more
-    run on (B,) arrays with `np.sqrt`; both widths run the one step body
-    below and give the same bits per trial, at any chunk length.  Returns
-    (m, max_pre_drift, max_post_drift, recorded): the (B, 3) end state, the
-    largest |norm - 1| before and after renormalization, and a (times, m)
-    pair when record=True (B must be 1).
+    _CHUNK_BYTES // (24 B)) steps, at least one.  The batch size picks the
+    arithmetic once, on entry: one trial steps three Python floats through
+    `_field` and `_deriv` with `math.sqrt`; more step a (3, B) copy of m0
+    in place through `_field_into` and `_deriv_into`, every operation a
+    ufunc call with out= into buffers allocated here, the noise of a chunk
+    scaled into one contiguous (steps, 3, B) block.  Both widths do the
+    same operations in the same order, so trial i has the same bits alone
+    as in a batch, at any chunk length (TestIntegratorWidths,
+    TestHeunStepOracle).  Returns (m, max_pre_drift, max_post_drift,
+    recorded): the (B, 3) end state, the largest |norm - 1| before and
+    after renormalization, and a (times, m) pair when record=True (B must
+    be 1).
     """
     alpha = params.alpha
     dt = params.dt
@@ -212,55 +284,83 @@ def _integrate(m0, phases, params, rngs, record=False):
     inv_qns = 1.0 / (Q_E * params.Ns)
     inv_1a2 = 1.0 / (1.0 + alpha * alpha)
     pref = thermal_prefactor(params)
-    scalar = len(rngs) == 1
-    cl = min(_CHUNK_STEPS, max(1, _CHUNK_BYTES // (24 * len(rngs))))
-    draws = np.empty((len(rngs), cl, 3))    # reused by every chunk
-    if scalar:
+    B = len(rngs)
+    cl = min(_CHUNK_STEPS, max(1, _CHUNK_BYTES // (24 * B)))
+    draws = np.empty((B, cl, 3))    # reused by every chunk
+    if B == 1:
         (mx, my, mz), = np.asarray(m0, dtype=float).tolist()
-        sqrt, vmax = math.sqrt, max
+        sqrt = math.sqrt
+        max_pre = max_post = 0.0
+        zero = (0.0, 0.0, 0.0)
+        t, rec_t, rec_m = 0.0, [0.0], [(mx, my, mz)]
     else:
-        mx, my, mz = np.array(m0, dtype=float).T
-        sqrt, vmax = np.sqrt, np.maximum
-    max_pre = max_post = 0.0    # per-trial running maxima of the drift
-    rec_t, rec_m = [0.0], [(mx, my, mz)]
-    t = 0.0
+        m = np.array(np.asarray(m0, dtype=float).T, order="C")
+        mx, my, mz = m      # rows of m, updated in place
+        max_pre, max_post = np.zeros(B), np.zeros(B)   # per-trial running maxima
+        zero = np.zeros((3, B))
+        noise = np.empty((cl, 3, B)) if pref else None
+        p, k1, k2, h = np.empty((4, 3, B))
+        w, s = np.empty((7, B)), np.empty(B)
     try:
         for n_steps, isz in phases:
-            if scalar:
+            if B == 1:
                 isz = np.asarray(isz, dtype=float).item(0)
             for done in range(0, n_steps, cl):
                 n = min(cl, n_steps - done)
                 if pref == 0.0:     # T = 0
-                    rows = [(0.0, 0.0, 0.0)] * n
+                    rows = [zero] * n
                 else:   # floats, or (n, 3, B): step k's components as (B,) rows
                     block = draws[:, :n]
                     for g, row in zip(rngs, block):
                         g.standard_normal(out=row)
-                    rows = ((pref * block[0]).tolist() if scalar
-                            else pref * block.transpose(1, 2, 0))
-                for nx, ny, nz in rows:
-                    hx, hy, hz = _field(mx, my, mz, nx, ny, nz, Hk, Hd)
-                    k1x, k1y, k1z = _deriv(mx, my, mz, hx, hy, hz,
-                                           isz, GAMMA, alpha, inv_qns, inv_1a2)
-                    px = mx + dt * k1x
-                    py = my + dt * k1y
-                    pz = mz + dt * k1z
-                    hx, hy, hz = _field(px, py, pz, nx, ny, nz, Hk, Hd)
-                    k2x, k2y, k2z = _deriv(px, py, pz, hx, hy, hz,
-                                           isz, GAMMA, alpha, inv_qns, inv_1a2)
-                    mx = mx + half * (k1x + k2x)
-                    my = my + half * (k1y + k2y)
-                    mz = mz + half * (k1z + k2z)
-                    norm = sqrt(mx * mx + my * my + mz * mz)
-                    max_pre = vmax(max_pre, abs(norm - 1.0))
-                    mx = mx / norm
-                    my = my / norm
-                    mz = mz / norm
-                    max_post = vmax(max_post, abs(mx * mx + my * my + mz * mz - 1.0))
-                    t += dt
-                    if record:
-                        rec_t.append(t)
-                        rec_m.append((mx, my, mz))
+                    rows = (np.multiply(block[0], pref, out=block[0]).tolist()
+                            if B == 1 else
+                            np.multiply(block.transpose(1, 2, 0), pref, out=noise[:n]))
+                if B > 1:
+                    for nrow in rows:
+                        hrows = _field_into(m, nrow, Hk, Hd, h)
+                        _deriv_into(m, hrows, isz, GAMMA, alpha, inv_qns, inv_1a2, k1, w)
+                        np.multiply(dt, k1, out=p)
+                        np.add(m, p, out=p)
+                        hrows = _field_into(p, nrow, Hk, Hd, h)
+                        _deriv_into(p, hrows, isz, GAMMA, alpha, inv_qns, inv_1a2, k2, w)
+                        np.add(k1, k2, out=k2)
+                        np.multiply(half, k2, out=k2)
+                        np.add(m, k2, out=m)
+                        _sum_of_squares_into(m, k2, s)
+                        np.sqrt(s, out=s)
+                        np.subtract(s, 1.0, out=k1[0])
+                        np.abs(k1[0], out=k1[0])
+                        np.maximum(max_pre, k1[0], out=max_pre)
+                        np.divide(m, s, out=m)
+                        _sum_of_squares_into(m, k2, s)
+                        np.subtract(s, 1.0, out=s)
+                        np.abs(s, out=s)
+                        np.maximum(max_post, s, out=max_post)
+                else:
+                    for nx, ny, nz in rows:
+                        hx, hy, hz = _field(mx, my, mz, nx, ny, nz, Hk, Hd)
+                        k1x, k1y, k1z = _deriv(mx, my, mz, hx, hy, hz,
+                                               isz, GAMMA, alpha, inv_qns, inv_1a2)
+                        px = mx + dt * k1x
+                        py = my + dt * k1y
+                        pz = mz + dt * k1z
+                        hx, hy, hz = _field(px, py, pz, nx, ny, nz, Hk, Hd)
+                        k2x, k2y, k2z = _deriv(px, py, pz, hx, hy, hz,
+                                               isz, GAMMA, alpha, inv_qns, inv_1a2)
+                        mx = mx + half * (k1x + k2x)
+                        my = my + half * (k1y + k2y)
+                        mz = mz + half * (k1z + k2z)
+                        norm = sqrt(mx * mx + my * my + mz * mz)
+                        max_pre = max(max_pre, abs(norm - 1.0))
+                        mx = mx / norm
+                        my = my / norm
+                        mz = mz / norm
+                        max_post = max(max_post, abs(mx * mx + my * my + mz * mz - 1.0))
+                        t += dt
+                        if record:
+                            rec_t.append(t)
+                            rec_m.append((mx, my, mz))
                 finite = np.isfinite(mx) & np.isfinite(my) & np.isfinite(mz)
                 if not finite.all():
                     raise StepFaultError(f"non-finite magnetization in trial(s) "

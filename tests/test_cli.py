@@ -383,6 +383,18 @@ class TestDeviceSweep:
         assert f"error: {message}" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("key, value", [
+        ("ms_a_per_m", "1e-300"), ("volume_m3", "1e-320"), ("dt_s", "1e-320")])
+    def test_underflowing_device_writes_nothing(self, tmp_path, capsys, key, value):
+        """Positive device values whose products round to 0 exit 2, not with a
+        ZeroDivisionError traceback, and write nothing."""
+        cfg = write_cfg(tmp_path / "d.cfg",
+                        SWEEP_THERMAL_CFG + f"[device]\n{key} = {value}\n")
+        out = tmp_path / "out"
+        assert run("device-sweep", cfg, out) == 2
+        assert "must be finite and positive" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_thermal_sweep_rerun_byte_identical(self, tmp_path):
         cfg = write_cfg(tmp_path / "d.cfg", SWEEP_THERMAL_CFG)
         a, b = tmp_path / "a", tmp_path / "b"

@@ -74,22 +74,25 @@ class TestEffectiveField:
 
 
 class TestHeunStepOracle:
-    """A 1-step simulate_pulse equals one stochastic Heun step written out
-    here from effective_field, sample_thermal_field on the "trajectory"
-    substream and renormalization, bit for bit."""
+    """One stochastic Heun step written out here from effective_field,
+    sample_thermal_field and renormalization: a 1-step simulate_pulse (the
+    float width) and every row of a 1-step 3-trial _integrate (the array
+    width) equal it bit for bit, drifts included."""
 
-    @pytest.mark.parametrize("T", [300.0, 0.0])
-    def test_one_step_bit_for_bit(self, T):
-        p = DeviceParams(alpha=0.05, Ms=1e6, V=40e-9 * 40e-9 * 2e-9, T=T,
-                         dt=1e-13, Hk=2e5, Hd=3e4)
-        pulse = SpinCurrentPulse(3e-4, p.dt)
-        m0 = tilted(2.0, 0.7)
-        # at T = 0 the integrator draws no noise, so no thermal field is added
-        h_th = (sample_thermal_field(p, derive_rng(13, "trajectory"))
-                if T > 0 else None)
+    @staticmethod
+    def params(T):
+        return DeviceParams(alpha=0.05, Ms=1e6, V=40e-9 * 40e-9 * 2e-9, T=T,
+                            dt=1e-13, Hk=2e5, Hd=3e4)
+
+    @staticmethod
+    def oracle_step(p, m0, isz, rng):
+        """(m, pre, post) after one step from m0 at z spin current isz, the
+        thermal field drawn from rng; at T = 0 the integrator draws no noise,
+        so no thermal field is added."""
+        h_th = sample_thermal_field(p, rng) if p.T > 0 else None
         inv_qns = 1.0 / (Q_E * p.Ns)
         inv_1a2 = 1.0 / (1.0 + p.alpha * p.alpha)
-        spin_current = np.array([0.0, 0.0, pulse.magnitude])   # along +z
+        spin_current = np.array([0.0, 0.0, isz])   # along +z
 
         def rhs(m):
             h = effective_field(m, p, applied=h_th)
@@ -103,12 +106,42 @@ class TestHeunStepOracle:
         norm = np.sqrt(m[0] * m[0] + m[1] * m[1] + m[2] * m[2])
         m = m / norm
         post = abs(m[0] * m[0] + m[1] * m[1] + m[2] * m[2] - 1.0)
+        return m, abs(norm - 1.0), post
 
+    @pytest.mark.parametrize("T", [300.0, 0.0])
+    def test_one_step_bit_for_bit(self, T):
+        p = self.params(T)
+        pulse = SpinCurrentPulse(3e-4, p.dt)
+        m0 = tilted(2.0, 0.7)
+        m, pre, post = self.oracle_step(p, m0, pulse.magnitude,
+                                        derive_rng(13, "trajectory"))
         tr = simulate_pulse(m0, pulse, p, 0.0, seed=13)
         assert tr.m.shape == (2, 3)
         assert tr.m[1].tobytes() == m.tobytes()
-        assert tr.max_pre_renorm_drift == abs(norm - 1.0)
+        assert tr.max_pre_renorm_drift == pre
         assert tr.max_post_renorm_drift == post
+
+    @pytest.mark.parametrize("T", [300.0, 0.0])
+    def test_batch_step_bit_for_bit(self, T):
+        """Distinct starts and one spin current per trial; the caller's m0
+        is left as it was."""
+        p = self.params(T)
+        m0 = np.array([tilted(2.0, 0.7), tilted(0.4, -1.9), tilted(3.0, 2.6)])
+        currents = np.array([3e-4, -6e-4, 0.0])
+
+        def rngs():
+            return [derive_rng(13, "batch", i) for i in range(3)]
+
+        rows = [self.oracle_step(p, m0[i], currents[i], g)
+                for i, g in enumerate(rngs())]
+        before = m0.tobytes()
+        m, pre, post, _ = _integrate(m0, [(1, currents)], p, rngs())
+        assert m0.tobytes() == before
+        assert m.shape == (3, 3) and len({row.tobytes() for row in m}) == 3
+        for mi, (want, _, _) in zip(m, rows):
+            assert mi.tobytes() == want.tobytes()
+        assert pre == max(r[1] for r in rows)
+        assert post == max(r[2] for r in rows)
 
 
 class TestDeriv:
@@ -372,6 +405,20 @@ class TestParamsValidation:
         kwargs = dict(alpha=0.01, Ms=1e6, V=1e-24, T=300.0, dt=1e-13, Hk=1e4)
         kwargs[field] = value
         with pytest.raises(DomainError, match="finite"):
+            DeviceParams(**kwargs)
+
+    @pytest.mark.parametrize("override", [
+        dict(Ms=1e-300), dict(V=1e-320), dict(dt=1e-320),
+        dict(Ms=1e-200, V=1e-125, dt=1.0), dict(V=1e300)],
+        ids=["Ms", "V", "dt", "Ns-only", "Ns-overflow"])
+    def test_out_of_range_products_rejected(self, override):
+        """Positive finite Ms, V and dt whose products the integrator divides
+        by round to 0 or overflow: GAMMA*MU_0*Ms*V*dt (thermal_prefactor)
+        or Ns = Ms*V/MU_B (1/(q Ns)); the "Ns-only" case leaves the first
+        positive."""
+        kwargs = dict(alpha=0.01, Ms=1e6, V=1e-24, T=300.0, dt=1e-13, Hk=1e4)
+        kwargs.update(override)
+        with pytest.raises(DomainError, match="finite and positive"):
             DeviceParams(**kwargs)
 
     @pytest.mark.parametrize("magnitude, duration", [
