@@ -91,9 +91,10 @@ class DeviceParams:
             raise DomainError("alpha, Ms, V, dt must be positive")
         # the integrator divides by both (thermal_prefactor, 1/(q Ns))
         if not (0.0 < GAMMA * MU_0 * self.Ms * self.V * self.dt < np.inf
-                and 0.0 < self.Ns < np.inf):
+                and 0.0 < self.Ns < np.inf and 1.0 / (Q_E * self.Ns) < np.inf):
             raise DomainError("GAMMA*MU_0*Ms*V*dt and Ns = Ms*V/MU_B must be "
-                              "finite and positive: Ms, V or dt is out of range")
+                              "finite and positive, and 1/(q Ns) finite: Ms, V "
+                              "or dt is out of range")
         if self.T < 0:
             raise DomainError("temperature must be non-negative")
         if self.Hk < 0 or self.Hd < 0:
@@ -319,11 +320,13 @@ def _integrate(m0, phases, params, rngs, record=False):
                 if B > 1:
                     for nrow in rows:
                         hrows = _field_into(m, nrow, Hk, Hd, h)
-                        _deriv_into(m, hrows, isz, GAMMA, alpha, inv_qns, inv_1a2, k1, w)
+                        _deriv_into(m, hrows, isz, GAMMA, alpha, inv_qns, inv_1a2,
+                                    k1, w)
                         np.multiply(dt, k1, out=p)
                         np.add(m, p, out=p)
                         hrows = _field_into(p, nrow, Hk, Hd, h)
-                        _deriv_into(p, hrows, isz, GAMMA, alpha, inv_qns, inv_1a2, k2, w)
+                        _deriv_into(p, hrows, isz, GAMMA, alpha, inv_qns, inv_1a2,
+                                    k2, w)
                         np.add(k1, k2, out=k2)
                         np.multiply(half, k2, out=k2)
                         np.add(m, k2, out=m)

@@ -409,13 +409,15 @@ class TestParamsValidation:
 
     @pytest.mark.parametrize("override", [
         dict(Ms=1e-300), dict(V=1e-320), dict(dt=1e-320),
-        dict(Ms=1e-200, V=1e-125, dt=1.0), dict(V=1e300)],
-        ids=["Ms", "V", "dt", "Ns-only", "Ns-overflow"])
+        dict(Ms=1e-200, V=1e-125, dt=1.0), dict(V=1e300),
+        dict(Ms=1e-300, V=1e-14, dt=1.0)],
+        ids=["Ms", "V", "dt", "Ns-only", "Ns-overflow", "inv-qNs-overflow"])
     def test_out_of_range_products_rejected(self, override):
         """Positive finite Ms, V and dt whose products the integrator divides
         by round to 0 or overflow: GAMMA*MU_0*Ms*V*dt (thermal_prefactor)
-        or Ns = Ms*V/MU_B (1/(q Ns)); the "Ns-only" case leaves the first
-        positive."""
+        or Ns = Ms*V/MU_B (1/(q Ns)).  "Ns-only" leaves the first positive;
+        in "inv-qNs-overflow" both are positive, but 1/(q Ns) is inf and
+        would end the run with a misleading "reduce dt"."""
         kwargs = dict(alpha=0.01, Ms=1e6, V=1e-24, T=300.0, dt=1e-13, Hk=1e4)
         kwargs.update(override)
         with pytest.raises(DomainError, match="finite and positive"):
