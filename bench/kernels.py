@@ -8,8 +8,9 @@ tree's `src` on the path.  The revisions alternate within each repeat,
 base first on even repeats, so drift in a shared machine's speed falls on
 both alike.  The JSON holds, per kernel and revision, every run, their
 median, min and max and the child's peak RSS, plus each tree's
-`src/spinsc` line count and an `env` record of the machine.  Compare
-base and head within one file, not across files.
+`src/spinsc` line count and an `env` record of the machine, its CPU model
+and numpy's SIMD extensions included.  Compare base and head within one
+file, not across files.
 
 Each kernel is a `name: (unit, function)` entry in KERNELS; a function
 runs in the child, returns its throughput and must work in both trees.
@@ -189,6 +190,26 @@ def src_loc(tree):
                for name in sorted(os.listdir(pkg)) if name.endswith(".py"))
 
 
+def cpu_model():
+    """The CPU's model name from /proc/cpuinfo, else platform.processor()."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor()
+
+
+def numpy_simd():
+    """numpy's SIMD baseline and the dispatched extensions this CPU has, as
+    `numpy.show_runtime` reports them: the store width a kernel gets."""
+    from numpy._core import _multiarray_umath as umath
+    return {"baseline": list(umath.__cpu_baseline__),
+            "found": [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__[f]]}
+
+
 def measure(tree, kernel):
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
     return json.loads(subprocess.run(
@@ -231,7 +252,8 @@ def main(argv=None):
     import numpy
     env = {"date": datetime.datetime.now(datetime.timezone.utc).isoformat(),
            "python": platform.python_version(), "numpy": numpy.__version__,
-           "platform": platform.platform(), "cpu_count": os.cpu_count(),
+           "platform": platform.platform(), "cpu_model": cpu_model(),
+           "numpy_simd": numpy_simd(), "cpu_count": os.cpu_count(),
            "loadavg_at_end": os.getloadavg(), "repeats": args.repeats}
     text = json.dumps({"env": env, "revisions": revs, "kernels": kernels},
                       indent=2) + "\n"

@@ -19,10 +19,16 @@ its arithmetic from the batch size: a single trial (`simulate_pulse`)
 steps three Python floats through `_field` and `_deriv`, a batch of
 trials (`mtj`) steps a (3, B) state through `_field_into` and
 `_deriv_into`, the same operations in the same order as ufunc calls
-writing into preallocated buffers.  A trial has the same bits at either
-width (tests/test_llgs.py: TestHeunStepOracle, TestIntegratorWidths).
-Each trial may have its own spin current, and the thermal field is drawn
-in chunks whose size, bounded in bytes per batch, never changes the bits.
+writing into preallocated buffers.  Those buffers start on 64-byte
+boundaries and the batch is padded to a multiple of 8 trials, so every
+(B,) row starts on a cache line; the idle pad trials sit at +z with no
+noise or current, a fixed point.  Each trial may have its own spin
+current.  The thermal field is drawn in chunks, a few trials at a time
+into a small staging buffer whose scaled transpose fills those trials'
+columns of one contiguous (steps, 3, B) noise block; neither the chunk
+length nor the group size changes the bits.  A trial has the same bits at
+either width, in a batch of any size (tests/test_llgs.py:
+TestHeunStepOracle, TestIntegratorWidths).
 
 The effective field is the minimal bistable composition: uniaxial
 anisotropy Hk along +z (easy axis) and a single demagnetization penalty
@@ -67,7 +73,8 @@ Q_E = 1.602176634e-19     # C
 GAMMA = 2.0 * MU_B * MU_0 / HBAR
 
 _CHUNK_STEPS = 2048       # most thermal-field steps drawn per trial at a time
-_CHUNK_BYTES = 4 << 20    # bound on a batch's (B, steps, 3) block of draws
+_CHUNK_BYTES = 15 << 19   # bound on a batch's (steps, 3, B) noise block, 7.5 MiB
+_STAGE_BYTES = 1 << 18    # bound on the (trials, steps, 3) draws of one group
 
 
 @dataclass(frozen=True)
@@ -258,24 +265,39 @@ def _sum_of_squares_into(m, sq, out):
     np.add(out, sq[2], out=out)
 
 
+def _aligned(shape):
+    """A zeroed C-order float array whose data starts on a 64-byte
+    boundary; with a last axis a multiple of 8, every row does."""
+    n = math.prod(shape)
+    raw = np.zeros(n + 7)
+    start = -raw.ctypes.data % 64 // 8
+    return raw[start:start + n].reshape(shape)
+
+
 def _integrate(m0, phases, params, rngs, record=False):
     """Advance a batch of trajectories through the given (n_steps, Is) phases.
 
     m0 is (B, 3) with B = len(rngs); a phase's z spin current Is is a
     float or (B,), one per trial.  Trial i draws its thermal field from
     rngs[i] (no draws at T = 0) in chunks of min(_CHUNK_STEPS,
-    _CHUNK_BYTES // (24 B)) steps, at least one.  The batch size picks the
-    arithmetic once, on entry: one trial steps three Python floats through
-    `_field` and `_deriv` with `math.sqrt`; more step a (3, B) copy of m0
-    in place through `_field_into` and `_deriv_into`, every operation a
-    ufunc call with out= into buffers allocated here, the noise of a chunk
-    scaled into one contiguous (steps, 3, B) block.  Both widths do the
-    same operations in the same order, so trial i has the same bits alone
-    as in a batch, at any chunk length (TestIntegratorWidths,
-    TestHeunStepOracle).  Returns (m, max_pre_drift, max_post_drift,
-    recorded): the (B, 3) end state, the largest |norm - 1| before and
-    after renormalization, and a (times, m) pair when record=True (B must
-    be 1).
+    _CHUNK_BYTES // (24 Bp)) steps, at least one, with Bp = B rounded up
+    to a multiple of 8.  The batch size picks the arithmetic once, on
+    entry: one trial steps three Python floats through `_field` and
+    `_deriv` with `math.sqrt`; more step a (3, Bp) copy of m0 in place
+    through `_field_into` and `_deriv_into`, every operation a ufunc call
+    with out= into buffers allocated here by `_aligned`, so each (Bp,) row
+    starts on a cache line.  Trials B..Bp-1 are idle: m = (0, 0, 1), zero
+    noise and zero current, a fixed point, dropped from the end state, the
+    drift maxima and the finite check.  A chunk's draws are filled per
+    trial into a staging buffer of at most _STAGE_BYTES, a group of trials
+    at a time, and each group is scaled and transposed into its trials'
+    columns of one contiguous (steps, 3, Bp) noise block.  Both widths do
+    the same operations in the same order, so trial i has the same bits
+    alone as in a batch of any size, at any chunk length and group size
+    (TestIntegratorWidths, TestHeunStepOracle).  Returns (m,
+    max_pre_drift, max_post_drift, recorded): the (B, 3) end state, the
+    largest |norm - 1| before and after renormalization, and a (times, m)
+    pair when record=True (B must be 1).
     """
     alpha = params.alpha
     dt = params.dt
@@ -286,46 +308,56 @@ def _integrate(m0, phases, params, rngs, record=False):
     inv_1a2 = 1.0 / (1.0 + alpha * alpha)
     pref = thermal_prefactor(params)
     B = len(rngs)
-    cl = min(_CHUNK_STEPS, max(1, _CHUNK_BYTES // (24 * B)))
-    draws = np.empty((B, cl, 3))    # reused by every chunk
+    Bp = -(-B // 8) * 8     # B padded to whole 64-byte rows of floats
+    cl = min(_CHUNK_STEPS, max(1, _CHUNK_BYTES // (24 * Bp)))
+    group = max(1, min(B, _STAGE_BYTES // (24 * cl)))
+    stage = np.empty((group, cl, 3))    # one group's draws, reused by every chunk
     if B == 1:
         (mx, my, mz), = np.asarray(m0, dtype=float).tolist()
         sqrt = math.sqrt
         max_pre = max_post = 0.0
         zero = (0.0, 0.0, 0.0)
         t, rec_t, rec_m = 0.0, [0.0], [(mx, my, mz)]
-    else:
-        m = np.array(np.asarray(m0, dtype=float).T, order="C")
-        mx, my, mz = m      # rows of m, updated in place
-        max_pre, max_post = np.zeros(B), np.zeros(B)   # per-trial running maxima
-        zero = np.zeros((3, B))
-        noise = np.empty((cl, 3, B)) if pref else None
-        p, k1, k2, h = np.empty((4, 3, B))
-        w, s = np.empty((7, B)), np.empty(B)
+    else:   # trials B.. idle at +z with no noise or current: a fixed point
+        m, p, k1, k2, h = _aligned((5, 3, Bp))
+        m[:, :B] = np.asarray(m0, dtype=float).T
+        m[2, B:] = 1.0
+        mx, my, mz = m[:, :B]   # the trials' rows of m, updated in place
+        s, max_pre, max_post = _aligned((3, Bp))    # per-trial running maxima
+        w, cur = _aligned((7, Bp)), _aligned((Bp,))
+        noise = _aligned((cl if pref else 1, 3, Bp))
+        zero = noise[0]
     try:
         for n_steps, isz in phases:
             if B == 1:
                 isz = np.asarray(isz, dtype=float).item(0)
+            else:
+                cur[:B] = isz
             for done in range(0, n_steps, cl):
                 n = min(cl, n_steps - done)
                 if pref == 0.0:     # T = 0
                     rows = [zero] * n
-                else:   # floats, or (n, 3, B): step k's components as (B,) rows
-                    block = draws[:, :n]
-                    for g, row in zip(rngs, block):
-                        g.standard_normal(out=row)
-                    rows = (np.multiply(block[0], pref, out=block[0]).tolist()
-                            if B == 1 else
-                            np.multiply(block.transpose(1, 2, 0), pref, out=noise[:n]))
+                elif B == 1:        # step k's components as floats
+                    block = stage[0, :n]
+                    rngs[0].standard_normal(out=block)
+                    rows = np.multiply(block, pref, out=block).tolist()
+                else:   # (n, 3, Bp): step k's components as (Bp,) rows
+                    for a in range(0, B, group):
+                        block = stage[:B - a, :n]
+                        for g, row in zip(rngs[a:a + group], block):
+                            g.standard_normal(out=row)
+                        np.multiply(block.transpose(1, 2, 0), pref,
+                                    out=noise[:n, :, a:a + len(block)])
+                    rows = noise[:n]
                 if B > 1:
                     for nrow in rows:
                         hrows = _field_into(m, nrow, Hk, Hd, h)
-                        _deriv_into(m, hrows, isz, GAMMA, alpha, inv_qns, inv_1a2,
+                        _deriv_into(m, hrows, cur, GAMMA, alpha, inv_qns, inv_1a2,
                                     k1, w)
                         np.multiply(dt, k1, out=p)
                         np.add(m, p, out=p)
                         hrows = _field_into(p, nrow, Hk, Hd, h)
-                        _deriv_into(p, hrows, isz, GAMMA, alpha, inv_qns, inv_1a2,
+                        _deriv_into(p, hrows, cur, GAMMA, alpha, inv_qns, inv_1a2,
                                     k2, w)
                         np.add(k1, k2, out=k2)
                         np.multiply(half, k2, out=k2)
@@ -371,6 +403,8 @@ def _integrate(m0, phases, params, rngs, record=False):
     except ZeroDivisionError:   # a zero norm at the float width; numpy gives nan
         raise StepFaultError("non-finite magnetization in trial(s) [0]; "
                              "reduce dt") from None
+    if B > 1:   # the trials' maxima, without the idle pad
+        max_pre, max_post = max_pre[:B], max_post[:B]
     recorded = (np.asarray(rec_t), np.asarray(rec_m)) if record else None
     return (np.column_stack((mx, my, mz)), float(np.max(max_pre)),
             float(np.max(max_post)), recorded)

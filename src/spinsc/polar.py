@@ -83,7 +83,12 @@ def construct_frozen_set(N: int, K: int, design_snr_db: float = 0.0) -> PolarCod
     z0 = exp(-snr_linear); each polarization level maps z to the pair
     (2z - z^2, z^2); the N-K least reliable (largest-z) indices are
     frozen, ties freezing the lower index first.  z is carried as log z:
-    from about 28 dB, z underflows to 0 and every index would tie.
+    from about 28 dB, z underflows to 0 and every index would tie.  An
+    index squared k times has log z = -snr_linear 2^k + q log 2, q in
+    [0, N) its log(2 - z) terms in units of log 2, each doubled by the
+    later squarings.  So from snr_linear >= N log 2 on, z falls with k and,
+    within one k, rises with q: the order is (k, -q) exactly, where float
+    log z loses q to rounding (at 154-156 dB it froze another (16,8) mask).
     """
     if N < 1 or (N & (N - 1)) != 0:
         raise DomainError(f"N must be a power of 2, got {N}")
@@ -94,10 +99,15 @@ def construct_frozen_set(N: int, K: int, design_snr_db: float = 0.0) -> PolarCod
     if not -math.inf < design_snr_db <= 3000.0:    # 10 ** 308.3 overflows
         raise DomainError(f"design SNR must be finite and at most 3000 dB, "
                           f"got {design_snr_db}")
-    lz = np.array([-(10.0 ** (design_snr_db / 10.0))])
+    snr = 10.0 ** (design_snr_db / 10.0)
+    lz, k, q = np.array([-snr]), np.zeros(1), np.zeros(1)
     while lz.size < N:     # log(2z - z^2) = log z + log(2 - z), log z^2
-        lz = np.column_stack([lz + np.log1p(-np.expm1(lz)), 2.0 * lz]).ravel()
-    order = np.lexsort((np.arange(N), -lz))   # by descending z, then index
+        t = np.log1p(-np.expm1(lz))
+        lz = np.column_stack([lz + t, 2.0 * lz]).ravel()
+        k = np.column_stack([k, k + 1.0]).ravel()
+        q = np.column_stack([q + t / math.log(2.0), 2.0 * q]).ravel()
+    by_z = (-q, k) if snr >= N * math.log(2.0) else (-lz,)
+    order = np.lexsort((np.arange(N),) + by_z)  # by descending z, then index
     frozen = np.zeros(N, dtype=bool)
     frozen[order[:N - K]] = True
     return PolarCodeSpec(N=N, K=K, frozen=frozen, design_snr_db=design_snr_db)

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 
@@ -341,8 +342,8 @@ class TestIntegratorWidths:
             return [derive_rng(5, "chunk", i) for i in range(3)]
 
         runs = []
-        for chunk in (1, 7, 2048):
-            monkeypatch.setattr(llgs, "_CHUNK_BYTES", 24 * 3 * chunk)
+        for chunk in (1, 7, 2048):     # 3 trials are padded to 8
+            monkeypatch.setattr(llgs, "_CHUNK_BYTES", 24 * 8 * chunk)
             m, pre, post, _ = _integrate(m0, phases, p, rngs())
             runs.append((m.tobytes(), pre, post))
         assert runs[0] == runs[1] == runs[2]
@@ -351,6 +352,85 @@ class TestIntegratorWidths:
                      for n, isz in phases]
             mi = _integrate(m0[i:i + 1], alone, p, [g])[0]
             assert mi[0].tobytes() == m[i].tobytes()
+
+    # the batches below take the first B of these trials
+    STARTS = [tilted(math.radians(178.0 - 9.0 * i), 0.4 * i) for i in range(17)]
+    CURRENTS = np.linspace(-2e-4, 8e-4, 17)
+
+    @classmethod
+    def batch(cls, B, T):
+        """(m0, phases, params, rngs) of the first B trials: distinct starts,
+        one spin current each, and 2,100 pulse steps crossing a chunk."""
+        phases = [(100, 0.0), (2100, cls.CURRENTS[:B]), (100, 0.0)]
+        return (np.array(cls.STARTS[:B]), phases, default_device_params(T=T),
+                [derive_rng(5, "pad", i) for i in range(B)])
+
+    @staticmethod
+    @functools.cache
+    def alone(T):
+        """(end state bytes, pre, post) of each of the 17 trials run alone."""
+        m0, phases, p, rngs = TestIntegratorWidths.batch(17, T)
+        ends = []
+        for i, g in enumerate(rngs):
+            own = [(n, isz if np.ndim(isz) == 0 else isz[i:i + 1])
+                   for n, isz in phases]
+            m, pre, post, _ = _integrate(m0[i:i + 1], own, p, [g])
+            ends.append((m[0].tobytes(), pre, post))
+        return ends
+
+    def assert_trials_alone(self, B, T):
+        m, pre, post, _ = _integrate(*self.batch(B, T))
+        alone = self.alone(T)[:B]
+        assert m.shape == (B, 3)
+        assert [row.tobytes() for row in m] == [a[0] for a in alone]
+        assert pre == max(a[1] for a in alone)
+        assert post == max(a[2] for a in alone)
+
+    @pytest.mark.parametrize("T", [300.0, 0.0])
+    @pytest.mark.parametrize("B", [2, 3, 4, 5, 6, 7, 8, 9, 17])
+    def test_every_pad_count_keeps_trial_bits(self, B, T):
+        """Batches of 2..9 and 17 trials carry 6, 5, .., 0, 7 and 7 idle pad
+        trials; trial i ends where it ends alone, and the batch drifts are
+        the maxima of its trials' drifts."""
+        self.assert_trials_alone(B, T)
+
+    @pytest.mark.parametrize("group", [1, 3, 40])
+    def test_staging_group_keeps_trial_bits(self, monkeypatch, group):
+        """Chunks of 7 steps whose draws are staged 1, 3 or 40 trials at a
+        time (40: the whole batch in one group) keep every trial's bits."""
+        monkeypatch.setattr(llgs, "_CHUNK_STEPS", 7)
+        monkeypatch.setattr(llgs, "_STAGE_BYTES", 24 * 7 * group)
+        for B in (2, 3, 4, 5, 6, 7, 8, 9, 17):
+            self.assert_trials_alone(B, 300.0)
+
+    def test_batch_layout_aligned_and_pad_idle(self, monkeypatch):
+        """A 5-trial batch returns (5, 3) without its 3 pad rows and leaves
+        m0's bytes as they were.  Every buffer `_aligned` gives it is C-order
+        from a 64-byte boundary with rows of 8 floats, and the idle trials
+        keep m = (0, 0, 1), zero noise, zero current and zero drift."""
+        made = []
+
+        def spy(shape):
+            made.append(aligned(shape))
+            return made[-1]
+
+        aligned = llgs._aligned
+        monkeypatch.setattr(llgs, "_aligned", spy)
+        m0, phases, p, rngs = self.batch(5, 300.0)
+        before = m0.tobytes()
+        m = _integrate(m0, phases, p, rngs)[0]
+        assert m.shape == (5, 3) and m0.tobytes() == before
+        assert {a.shape for a in made} == {(5, 3, 8), (3, 8), (7, 8), (8,),
+                                            (llgs._CHUNK_STEPS, 3, 8)}
+        for a in made:
+            assert a.flags.c_contiguous and a.ctypes.data % 64 == 0
+        by_shape = {a.shape: a for a in made}
+        state = by_shape[5, 3, 8][0]
+        assert state[:, :5].T.tobytes() == m.tobytes()
+        assert state[:, 5:].tolist() == [[0.0] * 3, [0.0] * 3, [1.0] * 3]
+        assert not by_shape[llgs._CHUNK_STEPS, 3, 8][:, :, 5:].any()
+        assert not by_shape[8,][5:].any()
+        assert not by_shape[3, 8][1:, 5:].any()     # the drift maxima
 
 
 class TestPinnedTrajectories:

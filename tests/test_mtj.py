@@ -72,7 +72,9 @@ class TestEstimate:
             return math.sqrt(x)
 
         monkeypatch.setattr(mtj, "_integrate", spy)
-        monkeypatch.setattr(llgs, "math", SimpleNamespace(sqrt=counted_sqrt))
+        # every math name, only sqrt counted
+        monkeypatch.setattr(llgs, "math", SimpleNamespace(**{**vars(math),
+                                                             "sqrt": counted_sqrt}))
         params = default_mtj_params()
         steps = params.equil_steps + 500 + round(params.relax_time / params.device.dt)
         keys = [(3, 0), (3, 1), (3, 2)]

@@ -108,6 +108,13 @@ class TestConstruction:
             assert np.array_equal(construct_frozen_set(n, n // 2, design_snr_db).frozen,
                                   construct_frozen_set(n, n // 2, 20.0).frozen)
 
+    def test_16_8_keeps_20_db_mask_at_every_integer_db_to_300(self):
+        """From about 150 dB float log z loses the log(2 - z) terms, and
+        (16,8) froze another mask at 154-156 dB before they were kept."""
+        want = construct_frozen_set(16, 8, 20.0).frozen.tolist()
+        assert [d for d in range(20, 301)
+                if construct_frozen_set(16, 8, float(d)).frozen.tolist() != want] == []
+
     @pytest.mark.parametrize("design_snr_db", [0.0, 3.0, 10.0])
     def test_log_form_keeps_linear_masks_up_to_n256(self, design_snr_db):
         def linear_mask(N, K):
