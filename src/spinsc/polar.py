@@ -88,7 +88,7 @@ def construct_frozen_set(N: int, K: int, design_snr_db: float = 0.0) -> PolarCod
     [0, N) its log(2 - z) terms in units of log 2, each doubled by the
     later squarings.  So from snr_linear >= N log 2 on, z falls with k and,
     within one k, rises with q: the order is (k, -q) exactly, where float
-    log z loses q to rounding (at 154-156 dB it froze another (16,8) mask).
+    log z loses q to rounding (from about 150 dB at N = 16).
     """
     if N < 1 or (N & (N - 1)) != 0:
         raise DomainError(f"N must be a power of 2, got {N}")

@@ -109,8 +109,8 @@ class TestConstruction:
                                   construct_frozen_set(n, n // 2, 20.0).frozen)
 
     def test_16_8_keeps_20_db_mask_at_every_integer_db_to_300(self):
-        """From about 150 dB float log z loses the log(2 - z) terms, and
-        (16,8) froze another mask at 154-156 dB before they were kept."""
+        """From about 150 dB float log z loses the log(2 - z) terms; the
+        order comes from the squarings and those terms."""
         want = construct_frozen_set(16, 8, 20.0).frozen.tolist()
         assert [d for d in range(20, 301)
                 if construct_frozen_set(16, 8, float(d)).frozen.tolist() != want] == []
