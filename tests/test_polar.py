@@ -115,6 +115,15 @@ class TestConstruction:
         assert [d for d in range(20, 301)
                 if construct_frozen_set(16, 8, float(d)).frozen.tolist() != want] == []
 
+    @pytest.mark.parametrize("design_snr_db", [50.0, 154.0, 155.0, 156.0, 300.0, 3000.0])
+    def test_every_mask_up_to_n256_fixed_from_30_db(self, design_snr_db):
+        """From 30 dB, z0 = exp(-1000) and every log(2 - z) term is log 2 in
+        floats, so the order (k, q) and with it every mask stay fixed."""
+        for N in (2, 4, 8, 16, 32, 64, 128, 256):
+            for K in range(N + 1):
+                assert np.array_equal(construct_frozen_set(N, K, design_snr_db).frozen,
+                                      construct_frozen_set(N, K, 30.0).frozen), (N, K)
+
     @pytest.mark.parametrize("design_snr_db", [0.0, 3.0, 10.0])
     def test_log_form_keeps_linear_masks_up_to_n256(self, design_snr_db):
         def linear_mask(N, K):
