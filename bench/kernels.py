@@ -7,7 +7,9 @@ Each revision's committed tree is unpacked with `git archive`, and every
 tree's `src` on the path.  The revisions alternate within each repeat,
 base first on even repeats, so drift in a shared machine's speed falls on
 both alike.  The JSON holds, per kernel and revision, every run, their
-median, min and max and the child's peak RSS, plus each tree's
+median, min and max and the child's peak RSS; per kernel, the ratio of
+the medians and each repeat's head/base ratio of the two runs timed next
+to each other, with their median, min and max; plus each tree's
 `src/spinsc` line count and an `env` record of the machine, its CPU model
 and numpy's SIMD extensions included.  Compare base and head within one
 file, not across files.
@@ -249,6 +251,11 @@ def main(argv=None):
                              max(r["peak_rss_mb"] for r in runs[k][s])}
         kernels[k]["head_over_base"] = (kernels[k]["head"]["median"]
                                         / kernels[k]["base"]["median"])
+        paired = [h["value"] / b["value"] for b, h in zip(runs[k]["base"],
+                                                          runs[k]["head"])]
+        kernels[k]["paired_head_over_base"] = {
+            "median": statistics.median(paired), "min": min(paired),
+            "max": max(paired), "runs": paired}
     import numpy
     env = {"date": datetime.datetime.now(datetime.timezone.utc).isoformat(),
            "python": platform.python_version(), "numpy": numpy.__version__,

@@ -16,8 +16,8 @@ A collecting the explicit torques), and each step is advanced with the
 stochastic Heun scheme, the noise held fixed within the step.  The state
 is renormalized to unit length after every step.  The integrator picks
 its arithmetic from the batch size: a single trial (`simulate_pulse`)
-steps three Python floats through `_field` and `_deriv`, a batch of
-trials (`mtj`) steps a (3, B) state through `_field_into` and
+steps three Python floats, `_field` and the rate written out inline, a
+batch of trials (`mtj`) steps a (3, B) state through `_field_into` and
 `_deriv_into`, the same operations in the same order as ufunc calls
 writing into preallocated buffers.  Those buffers start on 64-byte
 boundaries and the batch is padded to a multiple of 8 trials, so every
@@ -191,25 +191,10 @@ def effective_field(m, params: DeviceParams, applied=None) -> np.ndarray:
     return np.stack(np.broadcast_arrays(*h), axis=-1)
 
 
-def _deriv(mx, my, mz, hx, hy, hz, isz, gamma, alpha, inv_qns, inv_1a2):
-    """Explicit LLGS right-hand side in component form (broadcasts)."""
-    # A = -gamma (m x H) + (1/(q Ns)) m x (Is x m), Is = (0, 0, isz)
-    u = isz * mx
-    v = isz * my
-    ax = -gamma * (my * hz - mz * hy) - inv_qns * (mz * u)
-    ay = -gamma * (mz * hx - mx * hz) - inv_qns * (mz * v)
-    az = -gamma * (mx * hy - my * hx) + inv_qns * (mx * u + my * v)
-    # dm/dt = (A + alpha m x A) / (1 + alpha^2)
-    dx = (ax + alpha * (my * az - mz * ay)) * inv_1a2
-    dy = (ay + alpha * (mz * ax - mx * az)) * inv_1a2
-    dz = (az + alpha * (mx * ay - my * ax)) * inv_1a2
-    return dx, dy, dz
-
-
 def _cross_into(a, b, out, tmp):
     """out = a x b on (x, y, z) triples of (B,) rows, each component
-    (ay bz - az by, az bx - ax bz, ax by - ay bx) as `_deriv` writes it; tmp
-    is a (B,) scratch row."""
+    (ay bz - az by, az bx - ax bz, ax by - ay bx) as the float width of
+    `_integrate` writes it; tmp is a (B,) scratch row."""
     (ax, ay, az), (bx, by, bz), (ox, oy, oz) = a, b, out
     np.multiply(ay, bz, out=ox)
     np.multiply(az, by, out=tmp)
@@ -234,9 +219,11 @@ def _field_into(m, n, Hk, Hd, h):
 
 
 def _deriv_into(m, h, isz, gamma, alpha, inv_qns, inv_1a2, k, w):
-    """`_deriv` of the (3, B) state m in the field rows h into the (3, B)
-    rate k: the same operations in the same order, each a ufunc call with
-    out=.  w is a (7, B) scratch."""
+    """The explicit LLGS rate of the (3, B) state m in the field rows h into
+    the (3, B) rate k, the spin current (0, 0, isz): A = -gamma (m x h) +
+    inv_qns m x (Is x m), then (A + alpha m x A) inv_1a2, each operation a
+    ufunc call with out=, in the float width's order.  w is a (7, B)
+    scratch."""
     mr = m[0], m[1], m[2]
     a, uv, t = w[:3], w[3:5], w[5:]
     ar = a[0], a[1], a[2]
@@ -282,22 +269,23 @@ def _integrate(m0, phases, params, rngs, record=False):
     rngs[i] (no draws at T = 0) in chunks of min(_CHUNK_STEPS,
     _CHUNK_BYTES // (24 Bp)) steps, at least one, with Bp = B rounded up
     to a multiple of 8.  The batch size picks the arithmetic once, on
-    entry: one trial steps three Python floats through `_field` and
-    `_deriv` with `math.sqrt`; more step a (3, Bp) copy of m0 in place
-    through `_field_into` and `_deriv_into`, every operation a ufunc call
-    with out= into buffers allocated here by `_aligned`, so each (Bp,) row
-    starts on a cache line.  Trials B..Bp-1 are idle: m = (0, 0, 1), zero
-    noise and zero current, a fixed point, dropped from the end state, the
-    drift maxima and the finite check.  A chunk's draws are filled per
-    trial into a staging buffer of at most _STAGE_BYTES, a group of trials
-    at a time, and each group is scaled and transposed into its trials'
-    columns of one contiguous (steps, 3, Bp) noise block.  Both widths do
-    the same operations in the same order, so trial i has the same bits
-    alone as in a batch of any size, at any chunk length and group size
-    (TestIntegratorWidths, TestHeunStepOracle).  Returns (m,
-    max_pre_drift, max_post_drift, recorded): the (B, 3) end state, the
-    largest |norm - 1| before and after renormalization, and a (times, m)
-    pair when record=True (B must be 1).
+    entry: one trial steps three Python floats, `_field` and the rate
+    written out inline, with no call per step but `math.sqrt` and `abs`;
+    more step a (3, Bp) copy of m0 in place through `_field_into` and
+    `_deriv_into`, every operation a ufunc call with out= into buffers
+    allocated here by `_aligned`, so each (Bp,) row starts on a cache line.
+    Trials B..Bp-1 are idle: m = (0, 0, 1), zero noise and zero current, a
+    fixed point, dropped from the end state, the drift maxima and the finite
+    check.  A chunk's draws are filled per trial into a staging buffer of at
+    most _STAGE_BYTES, a group of trials at a time, and each group is scaled
+    and transposed into its trials' columns of one contiguous (steps, 3, Bp)
+    noise block.  Both widths do the same operations in the same order, so
+    trial i has the same bits alone as in a batch of any size, at any chunk
+    length and group size (TestIntegratorWidths, TestHeunStepOracle).
+    Returns (m, max_pre_drift, max_post_drift, recorded): the (B, 3) end
+    state, the largest |norm - 1| before and after renormalization, and a
+    (times, m) pair of views of one (n, 4) array of every step's (t, mx, my,
+    mz) when record=True (B must be 1).
     """
     alpha = params.alpha
     dt = params.dt
@@ -315,9 +303,10 @@ def _integrate(m0, phases, params, rngs, record=False):
     if B == 1:
         (mx, my, mz), = np.asarray(m0, dtype=float).tolist()
         sqrt = math.sqrt
+        ng = -GAMMA
         max_pre = max_post = 0.0
         zero = (0.0, 0.0, 0.0)
-        t, rec_t, rec_m = 0.0, [0.0], [(mx, my, mz)]
+        t, rec = 0.0, [0.0, mx, my, mz]     # (t, mx, my, mz) of every step
     else:   # trials B.. idle at +z with no noise or current: a fixed point
         m, p, k1, k2, h = _aligned((5, 3, Bp))
         m[:, :B] = np.asarray(m0, dtype=float).T
@@ -372,30 +361,47 @@ def _integrate(m0, phases, params, rngs, record=False):
                         np.subtract(s, 1.0, out=s)
                         np.abs(s, out=s)
                         np.maximum(max_post, s, out=max_post)
-                else:
+                else:   # _field and the rate written out on floats, twice
                     for nx, ny, nz in rows:
-                        hx, hy, hz = _field(mx, my, mz, nx, ny, nz, Hk, Hd)
-                        k1x, k1y, k1z = _deriv(mx, my, mz, hx, hy, hz,
-                                               isz, GAMMA, alpha, inv_qns, inv_1a2)
+                        hy = ny - Hd * my
+                        hz = nz + Hk * mz
+                        u = isz * mx
+                        v = isz * my
+                        ax = ng * (my * hz - mz * hy) - inv_qns * (mz * u)
+                        ay = ng * (mz * nx - mx * hz) - inv_qns * (mz * v)
+                        az = ng * (mx * hy - my * nx) + inv_qns * (mx * u + my * v)
+                        k1x = (ax + alpha * (my * az - mz * ay)) * inv_1a2
+                        k1y = (ay + alpha * (mz * ax - mx * az)) * inv_1a2
+                        k1z = (az + alpha * (mx * ay - my * ax)) * inv_1a2
                         px = mx + dt * k1x
                         py = my + dt * k1y
                         pz = mz + dt * k1z
-                        hx, hy, hz = _field(px, py, pz, nx, ny, nz, Hk, Hd)
-                        k2x, k2y, k2z = _deriv(px, py, pz, hx, hy, hz,
-                                               isz, GAMMA, alpha, inv_qns, inv_1a2)
+                        hy = ny - Hd * py
+                        hz = nz + Hk * pz
+                        u = isz * px
+                        v = isz * py
+                        ax = ng * (py * hz - pz * hy) - inv_qns * (pz * u)
+                        ay = ng * (pz * nx - px * hz) - inv_qns * (pz * v)
+                        az = ng * (px * hy - py * nx) + inv_qns * (px * u + py * v)
+                        k2x = (ax + alpha * (py * az - pz * ay)) * inv_1a2
+                        k2y = (ay + alpha * (pz * ax - px * az)) * inv_1a2
+                        k2z = (az + alpha * (px * ay - py * ax)) * inv_1a2
                         mx = mx + half * (k1x + k2x)
                         my = my + half * (k1y + k2y)
                         mz = mz + half * (k1z + k2z)
                         norm = sqrt(mx * mx + my * my + mz * mz)
-                        max_pre = max(max_pre, abs(norm - 1.0))
+                        d = abs(norm - 1.0)
+                        if d > max_pre:
+                            max_pre = d
                         mx = mx / norm
                         my = my / norm
                         mz = mz / norm
-                        max_post = max(max_post, abs(mx * mx + my * my + mz * mz - 1.0))
+                        d = abs(mx * mx + my * my + mz * mz - 1.0)
+                        if d > max_post:
+                            max_post = d
                         t += dt
                         if record:
-                            rec_t.append(t)
-                            rec_m.append((mx, my, mz))
+                            rec += (t, mx, my, mz)
                 finite = np.isfinite(mx) & np.isfinite(my) & np.isfinite(mz)
                 if not finite.all():
                     raise StepFaultError(f"non-finite magnetization in trial(s) "
@@ -405,7 +411,10 @@ def _integrate(m0, phases, params, rngs, record=False):
                              "reduce dt") from None
     if B > 1:   # the trials' maxima, without the idle pad
         max_pre, max_post = max_pre[:B], max_post[:B]
-    recorded = (np.asarray(rec_t), np.asarray(rec_m)) if record else None
+    recorded = None
+    if record:  # times and states: views of one (n, 4) array
+        rec = np.array(rec).reshape(-1, 4)
+        recorded = rec[:, 0], rec[:, 1:]
     return (np.column_stack((mx, my, mz)), float(np.max(max_pre)),
             float(np.max(max_post)), recorded)
 

@@ -146,8 +146,9 @@ class TestHeunStepOracle:
 
 
 class TestDeriv:
-    """_deriv, whose spin current runs along +z, equals the general
-    m x (Is x m) torque with Is = (0, 0, isz) written out here, bit for bit."""
+    """_deriv_into, whose spin current runs along +z, equals the general
+    m x (Is x m) torque with Is = (0, 0, isz) written out here, bit for bit,
+    on (3, B) rows with one current for all trials or one per trial."""
 
     @staticmethod
     def general(mx, my, mz, hx, hy, hz, isx, isy, isz, gamma, alpha,
@@ -167,19 +168,20 @@ class TestDeriv:
     def test_equals_general_torque_with_z_current(self, isz):
         p = default_device_params()
         rng = derive_rng(5, "deriv")
-        m = rng.standard_normal((64, 3))
-        m /= np.linalg.norm(m, axis=1, keepdims=True)
-        h = 1e5 * rng.standard_normal((64, 3))
+        m = rng.standard_normal((3, 64))
+        m /= np.linalg.norm(m, axis=0)
+        h = 1e5 * rng.standard_normal((3, 64))
         if isz == "per-trial":
             isz = 1e-3 * rng.standard_normal(64)
         consts = (GAMMA, p.alpha, 1.0 / (Q_E * p.Ns),
                   1.0 / (1.0 + p.alpha * p.alpha))
-        got = llgs._deriv(*m.T, *h.T, isz, *consts)
-        want = self.general(*m.T, *h.T, 0.0, 0.0, isz, *consts)
+        got = np.empty((3, 64))
+        llgs._deriv_into(m, (h[0], h[1], h[2]), isz, *consts, got, np.empty((7, 64)))
+        want = self.general(*m, *h, 0.0, 0.0, isz, *consts)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
         if np.any(np.asarray(isz) != 0.0):    # the torque term is exercised
-            no_torque = self.general(*m.T, *h.T, 0.0, 0.0, 0.0, *consts)
+            no_torque = self.general(*m, *h, 0.0, 0.0, 0.0, *consts)
             assert not np.array_equal(got[0], no_torque[0])
 
 
@@ -285,6 +287,23 @@ class TestSimulatePulse:
             error = StepFaultError if start == "tilted" else DomainError
             with np.errstate(all="ignore"), pytest.raises(error):
                 simulate_pulse(m0, SpinCurrentPulse(1e-4, 1e300), p, 0.0, seed=0)
+
+    @pytest.mark.parametrize("T", [300.0, 0.0])
+    def test_recording_keeps_end_state_and_drifts(self, T):
+        """A recorded run ends in the same state bytes and drifts as the
+        unrecorded one across a chunk boundary (2,100 pulse steps) and the
+        pulse-to-relax boundary, and records every step as (n, 3) floats."""
+        p = default_device_params(T=T)
+        pulse = SpinCurrentPulse(5e-4, 2100 * p.dt)
+        runs = [simulate_pulse(tilted(math.radians(178)), pulse, p, 100 * p.dt,
+                               seed=11, record=record) for record in (True, False)]
+        rec, end = runs
+        assert rec.m.shape == (2201, 3) and rec.m.dtype == float
+        assert rec.times.shape == (2201,)
+        assert rec.m[-1].tobytes() == end.m[0].tobytes()
+        assert rec.max_pre_renorm_drift == end.max_pre_renorm_drift
+        assert rec.max_post_renorm_drift == end.max_post_renorm_drift
+        assert rec.switched == end.switched
 
     def test_trajectory_csv_export(self, tmp_path):
         p = default_device_params(T=0.0)
