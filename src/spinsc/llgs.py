@@ -16,8 +16,8 @@ A collecting the explicit torques), and each step is advanced with the
 stochastic Heun scheme, the noise held fixed within the step.  The state
 is renormalized to unit length after every step.  The integrator picks
 its arithmetic from the batch size: a single trial (`simulate_pulse`)
-steps three Python floats, `_field` and the rate written out inline, a
-batch of trials (`mtj`) steps a (3, B) state through `_field_into` and
+steps three Python floats with `_field` and the rate written out inline;
+a batch (`mtj`) steps a (3, B) state through `_field_into` and
 `_deriv_into`, the same operations in the same order as ufunc calls
 writing into preallocated buffers.  Those buffers start on 64-byte
 boundaries and the batch is padded to a multiple of 8 trials, so every
@@ -269,8 +269,8 @@ def _integrate(m0, phases, params, rngs, record=False):
     rngs[i] (no draws at T = 0) in chunks of min(_CHUNK_STEPS,
     _CHUNK_BYTES // (24 Bp)) steps, at least one, with Bp = B rounded up
     to a multiple of 8.  The batch size picks the arithmetic once, on
-    entry: one trial steps three Python floats, `_field` and the rate
-    written out inline, with no call per step but `math.sqrt` and `abs`;
+    entry: one trial steps three Python floats with `_field` and the rate
+    written out inline, no call per step but `math.sqrt` and `abs`;
     more step a (3, Bp) copy of m0 in place through `_field_into` and
     `_deriv_into`, every operation a ufunc call with out= into buffers
     allocated here by `_aligned`, so each (Bp,) row starts on a cache line.
@@ -361,7 +361,7 @@ def _integrate(m0, phases, params, rngs, record=False):
                         np.subtract(s, 1.0, out=s)
                         np.abs(s, out=s)
                         np.maximum(max_post, s, out=max_post)
-                else:   # _field and the rate written out on floats, twice
+                else:   # _field and the rate inlined for each Heun stage
                     for nx, ny, nz in rows:
                         hy = ny - Hd * my
                         hz = nz + Hk * mz

@@ -295,9 +295,8 @@ class TestSimulatePulse:
         pulse-to-relax boundary, and records every step as (n, 3) floats."""
         p = default_device_params(T=T)
         pulse = SpinCurrentPulse(5e-4, 2100 * p.dt)
-        runs = [simulate_pulse(tilted(math.radians(178)), pulse, p, 100 * p.dt,
-                               seed=11, record=record) for record in (True, False)]
-        rec, end = runs
+        rec, end = [simulate_pulse(tilted(math.radians(178)), pulse, p, 100 * p.dt,
+                                   seed=11, record=record) for record in (True, False)]
         assert rec.m.shape == (2201, 3) and rec.m.dtype == float
         assert rec.times.shape == (2201,)
         assert rec.m[-1].tobytes() == end.m[0].tobytes()
