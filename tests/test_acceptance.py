@@ -110,28 +110,25 @@ def test_criterion_03_stochastic_sigmoid_sweep():
 
 def test_criterion_04_sc_arithmetic_concentration():
     L = 1_000_000
-    values = (0.1, 0.5, 0.9)
+    values = np.array([0.1, 0.5, 0.9])
     n_seeds = 100
-    passes = {("and", p, q): 0 for p in values for q in values}
-    passes.update({("mux", p, q): 0 for p in values for q in values})
+    targets = np.stack([np.outer(values, values),                # AND: p * q
+                        (values[:, None] + values[None]) / 2])   # MUX: (p + q) / 2
+    bound = 3 * np.sqrt(targets * (1 - targets) / L)
+    passes = np.zeros(targets.shape, dtype=int)    # (op, p, q) cells
     for i in range(n_seeds):
         root = derive_rng(3, "sc-bench", i)
         seeds = [int(root.integers(0, 2 ** 63)) for _ in range(7)]
-        a = {p: bitstream.encode(p, L, s) for p, s in zip(values, seeds[:3])}
-        b = {q: bitstream.encode(q, L, s) for q, s in zip(values, seeds[3:6])}
+        a = np.stack([bitstream.encode(p, L, s) for p, s in zip(values, seeds[:3])])
+        b = np.stack([bitstream.encode(q, L, s) for q, s in zip(values, seeds[3:6])])
         sel = bitstream.encode(0.5, L, seeds[6])
-        for p, q in itertools.product(values, values):
-            t_and = p * q
-            v = bitstream.decode(bitstream.multiply_and(a[p], b[q]))
-            if abs(v - t_and) <= 3 * math.sqrt(t_and * (1 - t_and) / L):
-                passes[("and", p, q)] += 1
-            t_mux = (p + q) / 2
-            v = bitstream.decode(bitstream.scaled_add_mux(a[p], b[q], sel))
-            if abs(v - t_mux) <= 3 * math.sqrt(t_mux * (1 - t_mux) / L):
-                passes[("mux", p, q)] += 1
-    worst = min(passes.values())
+        a, b = a[:, None], b[None]
+        got = np.stack([bitstream.decode(bitstream.multiply_and(a, b)),
+                        bitstream.decode(bitstream.scaled_add_mux(a, b, sel))])
+        passes += np.abs(got - targets) <= bound
+    worst = passes.min()
     report(4, worst >= 99, f"min pass count {worst}/100 over "
-                           f"{len(passes)} (op, p, q) cells (>=99)")
+                           f"{passes.size} (op, p, q) cells (>=99)")
 
 
 def _fd_gradient(model, x, y, loss, h=1e-6):

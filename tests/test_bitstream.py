@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -7,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinsc import bitstream
-from spinsc.bitstream import (BitStream, and_mux_table, decode, encode,
-                              multiply_and, mtj_rng_stream, scaled_add_mux)
-from spinsc.errors import DomainError, FormatError, ShapeError, SpinscError
+from spinsc.bitstream import (and_mux_table, decode, encode, multiply_and,
+                              scaled_add_mux)
+from spinsc.errors import DomainError, ShapeError
 from spinsc.mtj import SigmoidFit
 from spinsc.rngtools import derive_philox
 
@@ -17,11 +16,11 @@ from spinsc.rngtools import derive_philox
 class TestEncodeDecode:
     def test_degenerate_zero(self):
         for seed in (0, 1, 99):
-            assert not np.any(encode(0.0, 256, seed).bits)
+            assert not np.any(encode(0.0, 256, seed))
 
     def test_degenerate_one(self):
         for seed in (0, 1, 99):
-            assert np.all(encode(1.0, 256, seed).bits)
+            assert np.all(encode(1.0, 256, seed))
 
     def test_out_of_range_probability(self):
         with pytest.raises(DomainError):
@@ -30,8 +29,7 @@ class TestEncodeDecode:
             encode(-0.1, 16, 0)
 
     def test_decode_is_ones_fraction(self):
-        s = BitStream(np.array([1, 0, 1, 1], dtype=np.uint8))
-        assert decode(s) == 0.75
+        assert decode(np.array([1, 0, 1, 1], dtype=np.uint8)) == 0.75
 
     def test_concentration(self):
         L = 1_000_000
@@ -41,8 +39,32 @@ class TestEncodeDecode:
     def test_seed_determinism(self):
         a = encode(0.37, 4096, 5)
         b = encode(0.37, 4096, 5)
-        assert np.array_equal(a.bits, b.bits)
+        assert np.array_equal(a, b)
 
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 5)])
+    def test_batched_equals_single(self, shape):
+        """Each stream of one batched call has the bits of its own call."""
+        ps = np.random.default_rng(3).random(shape)
+        ps.flat[0], ps.flat[-1] = 0.0, 1.0
+        bits = encode(ps, 333, 9)
+        assert bits.shape == shape + (333,) and bits.dtype == np.uint8
+        values = decode(bits)
+        assert values.shape == shape
+        for idx in np.ndindex(shape):
+            assert np.array_equal(bits[idx], encode(ps[idx], 333, 9))
+            assert values[idx] == decode(bits[idx]) == np.count_nonzero(bits[idx]) / 333
+
+    @pytest.mark.parametrize("p", [float("nan"), [0.5, float("nan")],
+                                   [[0.1], [1.5]]])
+    def test_bad_probability_rejected(self, p):
+        with pytest.raises(DomainError):
+            encode(p, 16, 0)
+
+    @pytest.mark.parametrize("shape", [(0,), (3, 0), ()])
+    def test_decode_of_no_bits_rejected(self, shape):
+        with pytest.raises(ShapeError):
+            decode(np.zeros(shape, dtype=np.uint8))
 
 class TestMultiplyAnd:
     def test_all_ones_identity(self):
@@ -64,15 +86,26 @@ class TestMultiplyAnd:
         with pytest.raises(ShapeError):
             multiply_and(encode(0.5, 64, 0), encode(0.5, 128, 1))
 
+    def test_broadcastable_length_rejected(self):
+        with pytest.raises(ShapeError):
+            multiply_and(encode(0.5, 64, 0), encode(0.5, 1, 1))
+
+    def test_outer_product_shape(self):
+        values = [0.1, 0.5, 0.9, 0.3]
+        a, b = encode(values, 100, 1), encode(values, 100, 2)
+        out = multiply_and(a[:, None], b[None])
+        assert out.shape == (4, 4, 100)
+        assert np.array_equal(out[2, 1], multiply_and(a[2], b[1]))
+
     @given(st.integers(0, 2 ** 32), st.integers(0, 2 ** 32), st.integers(0, 2 ** 32))
     @settings(max_examples=25, deadline=None)
     def test_commutative_associative(self, s1, s2, s3):
         a = encode(0.3, 128, s1)
         b = encode(0.6, 128, s2)
         c = encode(0.9, 128, s3)
-        assert np.array_equal(multiply_and(a, b).bits, multiply_and(b, a).bits)
-        assert np.array_equal(multiply_and(multiply_and(a, b), c).bits,
-                              multiply_and(a, multiply_and(b, c)).bits)
+        assert np.array_equal(multiply_and(a, b), multiply_and(b, a))
+        assert np.array_equal(multiply_and(multiply_and(a, b), c),
+                              multiply_and(a, multiply_and(b, c)))
 
 
 class TestScaledAddMux:
@@ -85,7 +118,7 @@ class TestScaledAddMux:
         a = encode(0.2, 1024, 1)
         b = encode(0.8, 1024, 2)
         sel = encode(1.0, 1024, 3)
-        assert np.array_equal(scaled_add_mux(a, b, sel).bits, a.bits)
+        assert np.array_equal(scaled_add_mux(a, b, sel), a)
 
     def test_expectation(self):
         L = 1_000_000
@@ -103,11 +136,11 @@ class TestScaledAddMux:
 
 
 def stream_table(values, L, sa, sb, ss):
-    """and_mux_table's oracle: decode the AND and MUX of encoded streams."""
-    sel = encode(0.5, L, ss)
-    return np.array([[(decode(multiply_and(encode(p, L, sa), encode(q, L, sb))),
-                       decode(scaled_add_mux(encode(p, L, sa), encode(q, L, sb), sel)))
-                      for q in values] for p in values])
+    """and_mux_table's oracle: decode the AND and MUX of encoded streams, the
+    a streams as rows and the b streams as columns, one batched encode each."""
+    a, b = encode(values, L, sa)[:, None], encode(values, L, sb)[None]
+    return np.stack([decode(multiply_and(a, b)),
+                     decode(scaled_add_mux(a, b, encode(0.5, L, ss)))], -1)
 
 
 class TestAndMuxTable:
@@ -143,71 +176,34 @@ class TestAndMuxTable:
             and_mux_table(values, L, 1, 2, 3)
 
 
+def device_stream(fit, bias_current, L, seed):
+    """A device-biased stream: bits 1 with the fitted switching probability
+    at the bias current."""
+    return encode(float(fit.predict(bias_current)), L, seed)
+
+
 class TestMtjRng:
     fit = SigmoidFit(a=1e4, b=1.5e-3, r_squared=0.99)
 
     def test_midpoint_is_half(self):
         L = 1_000_000
-        v = decode(mtj_rng_stream(self.fit, self.fit.b, L, 8))
+        v = decode(device_stream(self.fit, self.fit.b, L, 8))
         assert abs(v - 0.5) <= 3 * math.sqrt(0.25 / L)
 
     @pytest.mark.parametrize("a, b", [(1e4, 1.5e-3), (9359.17, 1.4753e-3),
                                       (1e-3, -2.0), (1e12, 7e-9)])
     def test_bias_at_offset_thresholds_at_half(self, a, b):
-        """Biased at the fit offset, the bits are the "mtj-rng" draws below
+        """Biased at the fit offset, the bits are the "bitstream" draws below
         0.5 exactly, for any finite slope and offset."""
-        bits = mtj_rng_stream(SigmoidFit(a=a, b=b, r_squared=1.0), b, 4096, 5).bits
-        assert np.array_equal(bits, derive_philox(5, "mtj-rng").random(4096) < 0.5)
+        bits = device_stream(SigmoidFit(a=a, b=b, r_squared=1.0), b, 4096, 5)
+        assert np.array_equal(bits, derive_philox(5, "bitstream").random(4096) < 0.5)
 
     def test_deep_tail_is_zero(self):
         bias = self.fit.b - 100.0 / self.fit.a
-        v = decode(mtj_rng_stream(self.fit, bias, 1_000_000, 8))
+        v = decode(device_stream(self.fit, bias, 1_000_000, 8))
         assert v <= 1e-6
 
     def test_reproducible(self):
-        a = mtj_rng_stream(self.fit, self.fit.b, 4096, 3)
-        b = mtj_rng_stream(self.fit, self.fit.b, 4096, 3)
-        assert np.array_equal(a.bits, b.bits)
-
-
-class TestSerialization:
-    @given(st.integers(0, 2 ** 32), st.sampled_from([1, 7, 64, 1000]))
-    @settings(max_examples=20, deadline=None)
-    def test_round_trip(self, seed, L):
-        s = encode(0.31, L, seed)
-        back = BitStream.from_bytes(s.to_bytes())
-        assert np.array_equal(back.bits, s.bits)
-
-    def test_wire_bytes_pinned(self):
-        # u32 length 21, flag 0, 3 pad bytes, then the 21 bits packed MSB first
-        blob = bytes.fromhex("150000000000000094cd50")
-        assert encode(0.5, 21, 3).to_bytes() == blob
-        assert np.array_equal(BitStream.from_bytes(blob).bits,
-                              [1, 0, 0, 1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 1, 0, 1,
-                               0, 1, 0, 1, 0])
-
-    def test_bits_is_the_only_field(self):
-        assert [f.name for f in dataclasses.fields(BitStream)] == ["bits"]
-
-    def test_header_is_eight_bytes(self):
-        s = encode(0.5, 8, 0)
-        assert len(s.to_bytes()) == 8 + 1
-
-    def test_truncated_payload_rejected(self):
-        blob = encode(0.5, 64, 0).to_bytes()
-        with pytest.raises(FormatError, match="64 bits need 8"):
-            BitStream.from_bytes(blob[:9])
-
-    @pytest.mark.parametrize("flag", [1, 7], ids=["former-bipolar", "7"])
-    def test_unknown_flag_rejected(self, flag):
-        blob = bytearray(encode(0.5, 8, 0).to_bytes())
-        blob[4] = flag
-        with pytest.raises(FormatError, match=f"flag {flag}"):
-            BitStream.from_bytes(bytes(blob))
-
-    def test_length_beyond_header_rejected(self):
-        # a zero-stride view: 2**32 bits without allocating them
-        s = BitStream(np.broadcast_to(np.zeros(1, np.uint8), (2 ** 32,)))
-        with pytest.raises(FormatError, match="u32"):
-            s.to_bytes()
-        assert issubclass(FormatError, SpinscError)
+        a = device_stream(self.fit, self.fit.b, 4096, 3)
+        b = device_stream(self.fit, self.fit.b, 4096, 3)
+        assert np.array_equal(a, b)
