@@ -41,7 +41,6 @@ class TestEncodeDecode:
         b = encode(0.37, 4096, 5)
         assert np.array_equal(a, b)
 
-
     @pytest.mark.parametrize("shape", [(5,), (2, 5)])
     def test_batched_equals_single(self, shape):
         """Each stream of one batched call has the bits of its own call."""
@@ -65,6 +64,7 @@ class TestEncodeDecode:
     def test_decode_of_no_bits_rejected(self, shape):
         with pytest.raises(ShapeError):
             decode(np.zeros(shape, dtype=np.uint8))
+
 
 class TestMultiplyAnd:
     def test_all_ones_identity(self):
