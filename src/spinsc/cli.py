@@ -8,6 +8,7 @@ bit-exactly with `spinsc rerun <manifest>` (wall-clock duration aside).
 
 import argparse
 from contextlib import contextmanager
+from dataclasses import replace
 import json
 import math
 import os
@@ -21,7 +22,6 @@ from . import bitstream, mtj, polar, training
 from .config import ConfigView, load_config
 from .errors import ConfigError, FitDomainError, SpinscError
 from .formats import write_csv, write_json
-from .llgs import DeviceParams, default_device_params
 from .network import save_model, load_model
 from .rngtools import derive_rng
 
@@ -62,28 +62,22 @@ def _write_manifest(out_dir, command, seed, workers, cfg, outputs, duration):
     _write(out_dir, MANIFEST_NAME, lambda p: write_json(p, doc))
 
 
-def _device_from_config(v: ConfigView) -> DeviceParams:
-    base = default_device_params(T=v.get_float("device", "temperature_k", 300.0))
-    return DeviceParams(
-        alpha=v.get_float("device", "alpha", base.alpha),
-        Ms=v.get_float("device", "ms_a_per_m", base.Ms),
-        V=v.get_float("device", "volume_m3", base.V),
-        T=base.T,
-        dt=v.get_float("device", "dt_s", base.dt),
-        Hk=v.get_float("device", "hk_a_per_m", base.Hk),
-        Hd=v.get_float("device", "hd_a_per_m", base.Hd),
-    )
+# each [device] key and the DeviceParams field it sets
+_DEVICE_KEYS = {"temperature_k": "T", "alpha": "alpha", "ms_a_per_m": "Ms",
+                "volume_m3": "V", "dt_s": "dt", "hk_a_per_m": "Hk",
+                "hd_a_per_m": "Hd"}
 
 
 def _mtj_from_config(v: ConfigView) -> mtj.MtjParams:
-    dev = _device_from_config(v)
-    return mtj.MtjParams(
-        device=dev,
-        theta_sh=v.get_float("device", "theta_sh", 0.3),
-        init_tilt=math.radians(v.get_float("device", "init_tilt_deg", 2.0)),
-        equil_steps=v.get_int("device", "equil_steps", 100),
-        relax_time=v.get_float("device", "relax_time_s", 3e-10),
-    )
+    """mtj.default_mtj_params() with each field its [device] key sets."""
+    base = mtj.default_mtj_params()
+    dev = replace(base.device, **{
+        field: v.get_float("device", key, getattr(base.device, field))
+        for key, field in _DEVICE_KEYS.items()})
+    return replace(base, device=dev,
+                   theta_sh=v.get_float("device", "theta_sh", base.theta_sh),
+                   equil_steps=v.get_int("device", "equil_steps", base.equil_steps),
+                   relax_time=v.get_float("device", "relax_time_s", base.relax_time))
 
 
 def _code_from_config(v: ConfigView) -> polar.PolarCodeSpec:
@@ -97,9 +91,11 @@ def cmd_device_sweep(v, seed, workers, out_dir):
     params = _mtj_from_config(v)
     currents = v.get_float_list("sweep", "currents_a", None)
     if currents is None:
+        points = v.get_int("sweep", "points")
+        if points < 5:      # the sweep needs 5; np.linspace raises below 0
+            raise ConfigError(f"[sweep] points must be >= 5, got {points}")
         currents = np.linspace(v.get_float("sweep", "current_start_a"),
-                               v.get_float("sweep", "current_stop_a"),
-                               v.get_int("sweep", "points")).tolist()
+                               v.get_float("sweep", "current_stop_a"), points).tolist()
     curve = mtj.sweep_switching_curve(
         currents,
         v.get_float("sweep", "pulse_width_s"),

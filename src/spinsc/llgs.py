@@ -14,27 +14,19 @@ G a vector of independent standard normals resampled once per step
 usual algebraic rearrangement (dm/dt = (A + alpha m x A)/(1+alpha^2) with
 A collecting the explicit torques), and each step is advanced with the
 stochastic Heun scheme, the noise held fixed within the step.  The state
-is renormalized to unit length after every step.  The integrator picks
-its arithmetic from the batch size: a single trial (`simulate_pulse`)
-steps three Python floats with `_field` and the rate written out inline;
-a batch (`mtj`) steps a (3, B) state through `_field_into` and
-`_deriv_into`, the same operations in the same order as ufunc calls
-writing into preallocated buffers.  Those buffers start on 64-byte
-boundaries and the batch is padded to a multiple of 8 trials, so every
-(B,) row starts on a cache line; the idle pad trials sit at +z with no
-noise or current, a fixed point.  Each trial may have its own spin
-current.  The thermal field is drawn in chunks, a few trials at a time
-into a small staging buffer whose scaled transpose fills those trials'
-columns of one contiguous (steps, 3, B) noise block; neither the chunk
-length nor the group size changes the bits.  A trial has the same bits at
-either width, in a batch of any size (tests/test_llgs.py:
-TestHeunStepOracle, TestIntegratorWidths).
+is renormalized to unit length after every step.  Each trial may have
+its own spin current.  The integrator has two widths, picked from the
+batch size: a single trial (`simulate_pulse`) steps Python floats, a
+batch (`mtj`) steps (3, B) rows by ufunc calls into preallocated
+buffers (`_integrate` gives the layout).  Both do the same operations in
+the same order, so a trial has the same bits at either width, in a batch
+of any size (tests/test_llgs.py: TestHeunStepOracle, TestIntegratorWidths).
 
 The effective field is the minimal bistable composition: uniaxial
 anisotropy Hk along +z (easy axis) and a single demagnetization penalty
-Hd along the hard axis y.  One formula gives it: `effective_field` adds
-an optional applied field, and both Heun stages of the integrator add the
-step's thermal field.
+Hd along the hard axis y.  `effective_field` gives it with an optional
+applied field; each width of the integrator writes the formula out
+itself, with the step's thermal field in the place of the applied one.
 """
 
 from dataclasses import dataclass
@@ -173,22 +165,16 @@ def sample_thermal_field(params: DeviceParams, rng: np.random.Generator,
     return pref * rng.standard_normal((int(size), 3))
 
 
-def _field(mx, my, mz, bx, by, bz, Hk, Hd):
-    """Effective field in component form: the base field b plus the
-    anisotropy Hk along z and the hard-axis penalty Hd along y (A/m)."""
-    return bx, by - Hd * my, bz + Hk * mz
-
-
 def effective_field(m, params: DeviceParams, applied=None) -> np.ndarray:
-    """Anisotropy + hard-axis + applied field at magnetization m (A/m).
+    """Anisotropy + hard-axis + applied field at magnetization m (A/m): the
+    applied field b plus Hk mz along z and -Hd my along y.
 
-    The integrator evaluates the same formula, with the per-step thermal
-    field in the place of `applied`."""
+    Each width of `_integrate` writes this formula out itself, with the
+    step's thermal field in the place of `applied`."""
     m = np.asarray(m, dtype=float)
     b = np.zeros(3) if applied is None else np.asarray(applied, dtype=float)
-    h = _field(m[..., 0], m[..., 1], m[..., 2], b[..., 0], b[..., 1], b[..., 2],
-               params.Hk, params.Hd)
-    return np.stack(np.broadcast_arrays(*h), axis=-1)
+    return np.stack(np.broadcast_arrays(b[..., 0], b[..., 1] - params.Hd * m[..., 1],
+                                        b[..., 2] + params.Hk * m[..., 2]), axis=-1)
 
 
 def _cross_into(a, b, out, tmp):
@@ -208,8 +194,8 @@ def _cross_into(a, b, out, tmp):
 
 
 def _field_into(m, n, Hk, Hd, h):
-    """`_field` of the (3, B) state m and base field n, its y and z rows
-    written into h's; returns the three field rows."""
+    """`effective_field` of the (3, B) state m and base field n, its y and
+    z rows written into h's; returns the three field rows."""
     hy, hz = h[1], h[2]
     np.multiply(Hd, m[1], out=hy)
     np.subtract(n[1], hy, out=hy)
@@ -269,7 +255,7 @@ def _integrate(m0, phases, params, rngs, record=False):
     rngs[i] (no draws at T = 0) in chunks of min(_CHUNK_STEPS,
     _CHUNK_BYTES // (24 Bp)) steps, at least one, with Bp = B rounded up
     to a multiple of 8.  The batch size picks the arithmetic once, on
-    entry: one trial steps three Python floats with `_field` and the rate
+    entry: one trial steps three Python floats with the field and the rate
     written out inline, no call per step but `math.sqrt` and `abs`;
     more step a (3, Bp) copy of m0 in place through `_field_into` and
     `_deriv_into`, every operation a ufunc call with out= into buffers
@@ -361,7 +347,7 @@ def _integrate(m0, phases, params, rngs, record=False):
                         np.subtract(s, 1.0, out=s)
                         np.abs(s, out=s)
                         np.maximum(max_post, s, out=max_post)
-                else:   # _field and the rate inlined for each Heun stage
+                else:   # the field and the rate inlined for each Heun stage
                     for nx, ny, nz in rows:
                         hy = ny - Hd * my
                         hz = nz + Hk * mz

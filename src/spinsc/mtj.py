@@ -10,7 +10,7 @@ point's current and its own substream, cut into slabs of at most
 _BATCH_TRIALS for the worker processes.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 import math
 
 import numpy as np
@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _BATCH_TRIALS = 4096      # most trials stepped together in one LLGS batch
+_START_TILT = math.radians(2.0)   # tilt of every trial's start state from -z
 
 
 @dataclass(frozen=True)
@@ -40,17 +41,15 @@ class MtjParams:
 
     device: DeviceParams
     theta_sh: float = 0.3       # heavy-metal spin Hall efficiency
-    init_tilt: float = math.radians(2.0)   # fixed tilt of the start state, rad
     equil_steps: int = 100      # thermal equilibration steps before the pulse
     relax_time: float = 3e-10   # field-only window after the pulse, s
 
     def __post_init__(self):
         if not (0 < self.theta_sh <= 1):
             raise DomainError("theta_sh must be in (0, 1]")
-        if not (self.equil_steps >= 0 and 0 <= self.relax_time < math.inf
-                and math.isfinite(self.init_tilt)):
+        if not (self.equil_steps >= 0 and 0 <= self.relax_time < math.inf):
             raise DomainError("relax_time must be finite and non-negative, "
-                              "equil_steps non-negative, init_tilt finite")
+                              "equil_steps non-negative")
 
 
 def default_mtj_params(T: float = 300.0) -> MtjParams:
@@ -102,15 +101,14 @@ class SigmoidFit:
         return sigmoid(self.a * (np.asarray(current, float) - self.b))
 
     def to_json(self, path):
-        write_json(path, {"a": self.a, "b": self.b, "r_squared": self.r_squared})
+        write_json(path, asdict(self))
 
 
 def _switched(job):
     """Switched flags of one slab: trial i of the point seeded s, at the
     charge current in the same place, for each (s, i) in keys."""
     currents, keys, pulse_width, params = job
-    th0 = params.init_tilt
-    m0 = np.tile([math.sin(th0), 0.0, -math.cos(th0)], (len(keys), 1))
+    m0 = np.tile([math.sin(_START_TILT), 0.0, -math.cos(_START_TILT)], (len(keys), 1))
     seeds, trials = np.asarray(keys).T
     rngs = list(derive_rngs(seeds, "switch-trial", trials))
     phases = [(params.equil_steps, 0.0)] if params.equil_steps else []

@@ -10,12 +10,13 @@ layer included, is a layer of sigmoid neurons.  Deterministic models run
 `forward` / `forward_trace` over (..., n_in) batches and apply the
 sigmoid.  Stochastic models run `forward_rate` on (..., n_in) batches,
 one seed per input: each neuron emits a 0/1 spike with the sigmoid as
-its firing probability (optionally routed through a fitted device curve
-via a current scale), and the spikes are averaged over a window of
-passes batched as rows.
+its firing probability (optionally that of a fitted device curve p(I),
+driven at I = b + unit_current * pre-activation so that a zero
+pre-activation fires at the curve's midpoint), and the spikes are
+averaged over a window of passes batched as rows.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import islice
 import json
 import math
@@ -186,7 +187,9 @@ def forward_rate(model: NetworkModel, x, window: int, seed) -> np.ndarray:
 
     def firing(layer, a):
         pre = weighted_sum(a, layer.weights, layer.bias)
-        return sigmoid(pre) if fit is None else fit.predict(pre * model.unit_current)
+        if fit is None:
+            return sigmoid(pre)
+        return fit.predict(fit.b + model.unit_current * pre)
 
     inputs = x.reshape(-1, x.shape[-1])
     rngs = derive_rngs(np.reshape(seed, -1), "rate-window")
@@ -215,9 +218,7 @@ def save_model(model: NetworkModel, path):
         "output_activation": "sigmoid",
         "bias_enabled": True,
         "unit_current": model.unit_current,
-        "neuron_fit": None if model.neuron_fit is None else {
-            "a": model.neuron_fit.a, "b": model.neuron_fit.b,
-            "r_squared": model.neuron_fit.r_squared},
+        "neuron_fit": None if model.neuron_fit is None else asdict(model.neuron_fit),
         "layers": [
             {"n_out": int(l.weights.shape[0]), "n_in": int(l.weights.shape[1]),
              "weights": l.weights.ravel().tolist(),   # row-major

@@ -6,6 +6,7 @@ applicable, the runtime budget.  Criteria that depend on randomness use
 committed seeds, so every run is deterministic.
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -94,18 +95,33 @@ def test_criterion_02_llgs_sanity():
                   f"monotone damping, dt-halving gap {dt_gap:.1e} (<=1e-4)")
 
 
-def test_criterion_03_stochastic_sigmoid_sweep():
+# the reference device-sweep's switching_curve.csv and sigmoid_fit.json
+REFERENCE_SWEEP_SHA256 = (
+    "2206069a0f5b80d6d1110ebea1bc69285fbb20bd15870e03a9a7426a52ea1d0e",
+    "cb268633003305fb426c2137ab5e6367ca46fa76cb56a32fb412e36f3961fac0")
+
+
+def test_criterion_03_stochastic_sigmoid_sweep(tmp_path):
+    """The reference sweep (configs/device_sweep.cfg), on 2 workers: a sweep
+    has the same bits at any worker count."""
     t0 = time.perf_counter()
     params = default_mtj_params()
     currents = np.linspace(1.15e-3, 2.05e-3, 15)
-    curve = sweep_switching_curve(currents, 5e-10, 2000, params, seed=42)
+    curve = sweep_switching_curve(currents, 5e-10, 2000, params, seed=42,
+                                  workers=2)
     slack = curve.ci_halfwidth[:-1] + curve.ci_halfwidth[1:]
     monotone = np.all(np.diff(curve.p_hat) >= -slack)
     fit = fit_stochastic_sigmoid(curve)
     elapsed = time.perf_counter() - t0
-    ok = monotone and fit.r_squared >= 0.98 and elapsed < 300
+    paths = tmp_path / "switching_curve.csv", tmp_path / "sigmoid_fit.json"
+    curve.to_csv(paths[0])
+    fit.to_json(paths[1])
+    pinned = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths)
+    ok = (monotone and fit.r_squared >= 0.98 and elapsed < 300
+          and pinned == REFERENCE_SWEEP_SHA256)
     report(3, ok, f"monotone within CI, r^2={fit.r_squared:.4f} (>=0.98), "
-                  f"{elapsed:.0f}s (<300s)")
+                  f"{elapsed:.0f}s (<300s), reference bytes "
+                  f"{pinned == REFERENCE_SWEEP_SHA256}")
 
 
 def test_criterion_04_sc_arithmetic_concentration():

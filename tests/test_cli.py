@@ -529,6 +529,23 @@ class TestErrors:
             capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("points", [-1, 4])
+    def test_too_few_sweep_points(self, tmp_path, capsys, points):
+        """Checked before np.linspace, which raises ValueError below 0."""
+        cfg = write_cfg(tmp_path / "d.cfg", f"""
+[sweep]
+current_start_a = 1e-3
+current_stop_a = 2e-3
+points = {points}
+pulse_width_s = 5e-10
+trials_per_point = 2
+""")
+        out = tmp_path / "out"
+        assert run("device-sweep", cfg, out) == 2
+        assert f"error: [sweep] points must be >= 5, got {points}" in \
+            capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_no_gradcheck_networks(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "g.cfg",
                         GRADCHECK_CFG.replace("networks = 10", "networks = 0"))

@@ -21,7 +21,7 @@ class TestMtjParams:
         with pytest.raises(DomainError):
             MtjParams(device=default_device_params(), theta_sh=1.5)
 
-    @pytest.mark.parametrize("field", ["theta_sh", "init_tilt", "relax_time"])
+    @pytest.mark.parametrize("field", ["theta_sh", "relax_time"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_param_rejected(self, field, value):
         with pytest.raises(DomainError):

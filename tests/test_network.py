@@ -233,7 +233,7 @@ class TestForward:
                 for j in range(layer.weights.shape[1]):
                     pre += layer.weights[:, j] * a[j]
                 if unit > 0.0:
-                    p = 1.0 / (1.0 + np.exp(-fit.a * (pre * unit - fit.b)))
+                    p = 1.0 / (1.0 + np.exp(-fit.a * ((fit.b + unit * pre) - fit.b)))
                 else:
                     p = 1.0 / (1.0 + np.exp(-pre))
                 a = (draws.random(p.shape) < p).astype(float)
@@ -382,9 +382,32 @@ class TestModelStructure:
         model = NetworkModel(layers=[Layer(np.eye(1), np.zeros(1))],
                              activation_mode=STOCHASTIC, neuron_fit=fit,
                              unit_current=1e-3)
-        # pre-activation 1.0 maps to 1 mA, the fit midpoint: rate 0.5
-        rate = forward_rate(model, np.array([1.0]), 40_000, seed=2)
-        assert abs(rate[0] - 0.5) <= 3 * math.sqrt(0.25 / 40_000)
+        # pre-activation x drives b + 1 mA * x: the fit midpoint at x = 0, rate
+        # 1/2, and a (1 mA) x = 1 at x = 0.05, rate sigmoid(1)
+        window = 40_000
+        rate = forward_rate(model, np.array([[0.0], [0.05]]), window,
+                            seed=np.array([2, 3]))
+        expected = np.array([0.5, 1.0 / (1.0 + math.exp(-1.0))])
+        se = np.sqrt(expected * (1.0 - expected) / window)
+        assert np.all(np.abs(rate[:, 0] - expected) <= 3 * se)
+
+    def test_device_at_inverse_slope_fires_as_sigmoid(self):
+        """At unit_current = 1/a the device curve, driven at its midpoint b,
+        is the sigmoid to rounding, and gives the stochastic-sigmoid rates."""
+        fit = SigmoidFit(a=9359.0, b=1.475e-3, r_squared=0.994)
+        x = np.linspace(-8.0, 8.0, 1601)
+        assert np.max(np.abs(fit.predict(fit.b + x / fit.a) - sigmoid(x))) <= 1e-15
+        rng = derive_rng(9, "device-sigmoid")
+        sizes = [5, 9, 3]
+        layers = [Layer(rng.standard_normal((m, n)) * 2, rng.standard_normal(m))
+                  for n, m in zip(sizes, sizes[1:])]
+        X = rng.standard_normal((2000, sizes[0]))
+        seeds = rng.integers(0, 2 ** 63, 2000)
+        device = NetworkModel(layers=layers, activation_mode=STOCHASTIC,
+                              neuron_fit=fit, unit_current=1.0 / fit.a)
+        plain = NetworkModel(layers=layers, activation_mode=STOCHASTIC)
+        assert np.array_equal(forward_rate(device, X, 64, seeds),
+                              forward_rate(plain, X, 64, seeds))
 
 
 class TestSerialization:
