@@ -153,6 +153,23 @@ def sc_arith_bench(L=10 ** 6):
         return repeat_for_1s(27 * L, run)
 
 
+def ber_cli(workers=2):
+    """Frames/s of `spinsc ber` run through `cli.main` on a temporary config
+    of perfbench's `ber` inputs: classical SC on the (128,64) code at 2, 3
+    and 4 dB, 400 frames per point, on `workers` workers."""
+    from spinsc import cli
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "ber.cfg")
+        with open(cfg, "w") as fh:
+            fh.write(f"[run]\nseed = 1\nworkers = {workers}\n[code]\nn = 128\n"
+                     f"k = 64\n[ber]\ndecoder = classical\nsnrs_db = 2, 3, 4\n"
+                     f"min_frames = 400\n")
+
+        def run():
+            assert cli.main(["ber", "--config", cfg, "--out-dir", tmp]) == 0
+        return repeat_for_1s(3 * 400, run)
+
+
 def device_sweep():
     """Sweeps/s of `spinsc device-sweep` run through `cli.main` on the
     config of perfbench's `sweep` workload at seed 1 (its unread resistance
@@ -187,6 +204,7 @@ KERNELS.update({f"network.forward 8-32-4 B={b}": (
 KERNELS["rngtools.derive_rng per frame"] = ("derivations/s", derive_per_frame)
 KERNELS["cli sc-arith-bench L=1e6 V=3"] = ("stream-bits/s", sc_arith_bench)
 KERNELS["cli device-sweep 5x500"] = ("sweeps/s", device_sweep)
+KERNELS["cli ber (128,64) 3x400 workers=2"] = ("frames/s", ber_cli)
 
 
 def child(kernel):

@@ -268,6 +268,9 @@ def _load_manifest(path):
             or not all(isinstance(table, dict) for table in cfg.values())):
         raise ConfigError(f"manifest {path} needs an integer workers and a "
                           f"config of sections, got {workers!r} and {cfg!r}")
+    if doc.get("artifact_version") != __version__:   # its defaults may differ
+        print(f"warning: manifest {path} was written by spinsc "
+              f"{doc.get('artifact_version')}, rerun by {__version__}", file=sys.stderr)
     return doc["command"], cfg, seed, workers
 
 

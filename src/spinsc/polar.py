@@ -2,8 +2,8 @@
 
 Index convention: natural order throughout (no bit-reversal).  The
 encoder applies the [[1,0],[1,1]] kernel by in-place butterflies; the SC
-decoder uses the exact check-node rule in its numerically safe log form.
-Ties decode to bit 0.  Encoders take one word (N,) or a block of words
+decoder uses the exact check-node rule in its numerically safe log form,
+and skips rate-0 (all-frozen) subtrees bit-exactly.  Ties decode to bit 0.  Encoders take one word (N,) or a block of words
 (..., N); generate_frames returns a block of channel LLRs (positive
 favours bit 0), and both decoders take LLR arrays (..., N) and return
 the decoded message bits (..., K).
@@ -20,7 +20,7 @@ from .errors import DomainError, ShapeError, malformed_as_format_error
 from .formats import write_csv, write_json
 from .network import DETERMINISTIC, NetworkModel, forward, forward_rate
 # derive_rng is unused here but stays bound: perfbench traces it per module
-from .rngtools import derive_rng, derive_rngs, parallel_map
+from .rngtools import derive_rng, derive_rngs, parallel_map, worker_count
 
 FRAME_BLOCK = 512    # frames per ber_experiment block; bounds its memory
 
@@ -173,18 +173,26 @@ def generate_frames(spec: PolarCodeSpec, seed: int, tags, frames, snrs_db):
     return messages, llrs, frame_seeds
 
 
-def _sc_recurse(llr, frozen):
-    """SC over a (frames, n) LLR block; returns (u, x), both (frames, n)."""
+def _sc_recurse(llr, info, lo=0):
+    """SC over (frames, n) LLRs of u positions lo..lo+n-1, info[i] counting
+    the information positions below i; returns (u, x), both (frames, n).  A
+    rate-0 (all-frozen) node gives zeros without reading the LLRs it gets,
+    so they are not computed: after a rate-0 left half, g = b + a."""
     n = llr.shape[1]
+    if info[lo] == info[lo + n]:
+        u = np.zeros(llr.shape, dtype=np.uint8)
+        return u, u
     if n == 1:
-        u = np.logical_not(frozen[0] | (llr >= 0.0)).astype(np.uint8)
-        return u, u.copy()
+        u = np.logical_not(llr >= 0.0).astype(np.uint8)
+        return u, u
     h = n // 2
     a, b = llr[:, :h], llr[:, h:]
-    check = np.logaddexp(0.0, a + b) - np.logaddexp(a, b)
-    u_left, x_left = _sc_recurse(check, frozen[:h])
-    g = b + (1.0 - 2.0 * x_left.astype(float)) * a
-    u_right, x_right = _sc_recurse(g, frozen[h:])
+    zero_left, zero_right = info[lo] == info[lo + h], info[lo + h] == info[lo + n]
+    u_left, x_left = _sc_recurse(
+        a if zero_left else np.logaddexp(0.0, a + b) - np.logaddexp(a, b), info, lo)
+    g = (b if zero_right else b + a if zero_left
+         else b + (1.0 - 2.0 * x_left.astype(float)) * a)
+    u_right, x_right = _sc_recurse(g, info, lo + h)
     return (np.concatenate([u_left, u_right], axis=1),
             np.concatenate([x_left ^ x_right, x_right], axis=1))
 
@@ -203,7 +211,8 @@ def sc_decode(llrs, spec: PolarCodeSpec) -> np.ndarray:
     """Classical successive-cancellation decoding (llr >= 0 decodes to 0) of
     a block of frames at once, LLRs (..., N), to message bits (..., K)."""
     llr = _llr_block(llrs, spec)
-    u_hat, _ = _sc_recurse(llr.reshape(-1, spec.N), spec.frozen)
+    info = [0] + np.cumsum(~spec.frozen).tolist()
+    u_hat, _ = _sc_recurse(llr.reshape(-1, spec.N), info)
     return u_hat[:, ~spec.frozen].reshape(llr.shape[:-1] + (spec.K,))
 
 
@@ -227,27 +236,26 @@ def neural_sc_decode(llrs, model: NetworkModel, spec: PolarCodeSpec,
     return (y > 0.5).astype(np.uint8)
 
 
-def _ber_point(args):
-    """One SNR point's row per model; each block is generated once."""
-    point_index, spec, snr_db, min_frames, seed, models, window = args
-    errors = np.zeros((len(models), 2), dtype=np.int64)   # bits, frames
-    decode_s = np.zeros(len(models))
-    for start in range(0, min_frames, FRAME_BLOCK):
-        block = range(start, min(start + FRAME_BLOCK, min_frames))
+def _ber_shard(args):
+    """Bit errors, frame errors and decode seconds (3, models, points) of
+    flat frames start..stop-1, in blocks of at most FRAME_BLOCK frames each
+    generated once; a block's decode time is split by its points' frames."""
+    spec, snrs, min_frames, seed, models, window, start, stop = args
+    totals = np.zeros((3, len(models), len(snrs)))
+    for lo in range(start, stop, FRAME_BLOCK):
+        points, frames = np.divmod(np.arange(lo, min(lo + FRAME_BLOCK, stop)),
+                                   min_frames)
         messages, llrs, frame_seeds = generate_frames(
-            spec, seed, ("ber", point_index), block, [snr_db] * len(block))
+            spec, seed, ("ber", points), frames, [snrs[p] for p in points])
+        share = np.bincount(points, minlength=len(snrs)) / len(points)
         for m, model in enumerate(models):
             t0 = time.perf_counter()
             decoded = (sc_decode(llrs, spec) if model is None else
                        neural_sc_decode(llrs, model, spec, window, frame_seeds))
-            decode_s[m] += time.perf_counter() - t0
+            totals[2, m] += (time.perf_counter() - t0) * share
             errs = np.count_nonzero(decoded != messages, axis=1)
-            errors[m] += errs.sum(), np.count_nonzero(errs)
-    return [{"snr_db": snr_db, "frames": min_frames, "bit_errors": bits,
-             "frame_errors": frames, "ber": bits / (min_frames * spec.K),
-             "fer": frames / min_frames,
-             "mean_decode_us": 1e6 * float(seconds) / min_frames}
-            for (bits, frames), seconds in zip(errors.tolist(), decode_s)]
+            totals[:2, m] += [np.bincount(points, e, len(snrs)) for e in (errs, errs > 0)]
+    return totals
 
 
 def ber_experiment(spec: PolarCodeSpec, snr_list, min_frames: int, seed: int,
@@ -257,13 +265,21 @@ def ber_experiment(spec: PolarCodeSpec, snr_list, min_frames: int, seed: int,
     neural decoder), every decoder decoding the same frames.  Each frame
     draws its message and noise from a substream of (seed, point index,
     frame index), so results do not depend on worker count, scheduling or
-    block size (at most FRAME_BLOCK frames)."""
+    block size.  Flat frame j is frame j % min_frames of point
+    j // min_frames; that axis is cut into equal contiguous shards, at most
+    one per worker and per FRAME_BLOCK frames."""
     if min_frames < 1:
         raise DomainError("min_frames must be >= 1")
-    jobs = [(i, spec, snr, min_frames, seed, models, window)
-            for i, snr in enumerate(snr_list)]
-    points = parallel_map(_ber_point, jobs, workers)
-    return [[rows[m] for rows in points] for m in range(len(models))]
+    total = len(snr_list) * min_frames
+    shards = max(1, min(worker_count(workers), -(-total // FRAME_BLOCK)))
+    jobs = [(spec, list(snr_list), min_frames, seed, models, window,
+             total * s // shards, total * (s + 1) // shards) for s in range(shards)]
+    totals = sum(parallel_map(_ber_shard, jobs, workers))
+    per_model = zip(*totals[:2].astype(np.int64).tolist(), totals[2].tolist())
+    return [[{"snr_db": snr, "frames": min_frames, "bit_errors": b,
+              "frame_errors": f, "ber": b / (min_frames * spec.K),
+              "fer": f / min_frames, "mean_decode_us": 1e6 * s / min_frames}
+             for snr, b, f, s in zip(snr_list, *rows)] for rows in per_model]
 
 
 def write_ber_csv(rows, path):

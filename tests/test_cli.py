@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from spinsc import bitstream, cli, mtj
+from spinsc import __version__, bitstream, cli, mtj
 from spinsc.cli import atomic_path, main
 from spinsc.errors import ConfigError, ConvergenceError
 from spinsc.config import ConfigView, load_config
@@ -115,6 +115,27 @@ class TestGradcheck:
                      "--out-dir", str(b)]) == 0
         assert (a / "gradcheck.csv").read_bytes() == \
                (b / "gradcheck.csv").read_bytes()
+
+    def test_rerun_of_another_version_warns(self, tmp_path, capsys):
+        """A manifest written by another version reruns as before, with a
+        warning naming both versions; one of this version reruns silently."""
+        cfg = write_cfg(tmp_path / "g.cfg", GRADCHECK_CFG)
+        a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+        assert run("gradcheck", cfg, a) == 0
+        capsys.readouterr()
+        assert main(["rerun", str(a / "manifest.json"), "--out-dir", str(b)]) == 0
+        assert capsys.readouterr().err == ""
+        manifest = read_manifest(a)
+        manifest["artifact_version"] = "0.1.0"
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(manifest))
+        assert main(["rerun", str(old), "--out-dir", str(c)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: manifest {old} was written by spinsc 0.1.0, "
+            f"rerun by {__version__}"]
+        assert (a / "gradcheck.csv").read_bytes() == \
+               (c / "gradcheck.csv").read_bytes()
+        assert read_manifest(c)["outputs"] == manifest["outputs"]
 
 
 class TestScArithBench:

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -240,6 +241,23 @@ class TestChannel:
                 neural_sc_decode(llrs, model, spec)
 
 
+def unpruned_sc(llr, frozen):
+    """Oracle: SC over a (frames, n) LLR block with the check-node rule at
+    every node, frozen subtrees included; returns (u, x), both (frames, n)."""
+    n = llr.shape[1]
+    if n == 1:
+        u = np.logical_not(frozen[0] | (llr >= 0.0)).astype(np.uint8)
+        return u, u.copy()
+    h = n // 2
+    a, b = llr[:, :h], llr[:, h:]
+    check = np.logaddexp(0.0, a + b) - np.logaddexp(a, b)
+    u_left, x_left = unpruned_sc(check, frozen[:h])
+    g = b + (1.0 - 2.0 * x_left.astype(float)) * a
+    u_right, x_right = unpruned_sc(g, frozen[h:])
+    return (np.concatenate([u_left, u_right], axis=1),
+            np.concatenate([x_left ^ x_right, x_right], axis=1))
+
+
 class TestScDecode:
     @pytest.mark.parametrize("N", [2, 8, 64, 256, 1024])
     def test_noiseless_invertibility(self, N):
@@ -292,6 +310,28 @@ class TestScDecode:
         assert block.shape == (6, k) and block.dtype == np.uint8
         assert np.array_equal(block, np.array(rows).reshape(6, k))
         assert not block[1].any()
+
+    @pytest.mark.parametrize("N", [2 ** k for k in range(11)])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_pruning_matches_unpruned_recursion(self, N):
+        """Skipping rate-0 subtrees changes no u or x bit, on Gaussian LLRs
+        and on tie-heavy ones, for random, all-frozen, no-frozen and
+        designed masks."""
+        rng = derive_rng(N, "pruning")
+        ties = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 1.0, -1.0,
+                1e308, -1e308]                   # 1e308 overflows: NaN leaves
+        blocks = [3.0 * rng.standard_normal((16, N)), rng.choice(ties, (16, N))]
+        masks = ([rng.random(N) < p for p in (0.2, 0.5, 0.8)]
+                 + [np.ones(N, bool), np.zeros(N, bool),
+                    construct_frozen_set(N, N // 2).frozen])
+        for frozen in masks:
+            spec = PolarCodeSpec(N=N, K=int(np.count_nonzero(~frozen)), frozen=frozen)
+            for llrs in blocks:
+                u, x = unpruned_sc(llrs, frozen)
+                decoded = sc_decode(llrs, spec)
+                assert not u[:, frozen].any()
+                assert np.array_equal(decoded, u[:, ~frozen])
+                assert np.array_equal(encode(decoded, spec), x)
 
     def test_wrong_length_rejected(self):
         spec = construct_frozen_set(8, 4)
@@ -416,7 +456,8 @@ class TestBerExperiment:
 
     def test_models_decode_the_same_frames(self, monkeypatch):
         # two models in one run give the rows of one run per model, and
-        # each block is generated once: 2 points x 2 blocks of 700 frames
+        # each block is generated once: 2 points x 700 frames on one flat
+        # axis are ceil(1400 / FRAME_BLOCK) = 3 blocks, not one per model
         spec = construct_frozen_set(8, 4)
         model = NetworkModel(layers=[Layer(np.zeros((4, 8)), np.zeros(4))])
         singles = [ber_experiment(spec, [1.0, 3.0], 700, 5, models=[m])[0]
@@ -428,11 +469,57 @@ class TestBerExperiment:
             return generate_frames(*args, **kwargs)
         monkeypatch.setattr(polar, "generate_frames", counting)
         paired = ber_experiment(spec, [1.0, 3.0], 700, 5, models=[None, model])
-        assert len(calls) == 4
+        assert [len(frames) for frames in calls] == [512, 512, 376]
         for got, want in zip(paired, singles):
             for row, ref in zip(got, want):
                 del row["mean_decode_us"], ref["mean_decode_us"]
                 assert row == ref
+
+    def test_block_decode_time_split_by_frames(self, monkeypatch):
+        # a clock that ticks once per read times every block decode at 1 s:
+        # 3 points x 171 frames are a block of 171/171/170 frames and one
+        # of point 2's last frame
+        clock = itertools.count()
+        monkeypatch.setattr(polar, "time",
+                            SimpleNamespace(perf_counter=lambda: float(next(clock))))
+        rows, = ber_experiment(construct_frozen_set(8, 4), [1.0, 2.0, 3.0], 171, 2)
+        seconds = [row["mean_decode_us"] * 171 / 1e6 for row in rows]
+        assert seconds == pytest.approx([171 / 512, 171 / 512, 170 / 512 + 1.0])
+
+    @pytest.mark.parametrize("decoder", ["classical", "neural", "paired"])
+    @pytest.mark.parametrize("points,frames", [(3, 171), (1, 1), (2, 700)])
+    def test_rows_independent_of_workers_and_shards(self, decoder, points, frames):
+        """Totals that divide neither by the shard count nor by FRAME_BLOCK
+        give the same rows at 1, 2 and 3 workers as point-by-point,
+        frame-by-frame decoding."""
+        spec = construct_frozen_set(8, 4)
+        rng = derive_rng(3, "shards")
+        model = NetworkModel(layers=[Layer(rng.standard_normal((4, 8)),
+                                           rng.standard_normal(4))],
+                             activation_mode=STOCHASTIC)
+        models = {"classical": [None], "neural": [model],
+                  "paired": [None, model]}[decoder]
+        snrs = [1.0, 2.0, 4.0][:points]
+        want = []
+        for m in models:
+            rows = []
+            for p, snr in enumerate(snrs):
+                messages, llrs, seeds = generate_frames(
+                    spec, 9, ("ber", p), range(frames), [snr] * frames)
+                decoded = (sc_decode(llrs, spec) if m is None
+                           else neural_sc_decode(llrs, m, spec, 16, seeds))
+                errs = np.count_nonzero(decoded != messages, axis=1)
+                bits, errors = int(errs.sum()), int(np.count_nonzero(errs))
+                rows.append({"snr_db": snr, "frames": frames, "bit_errors": bits,
+                             "frame_errors": errors, "ber": bits / (frames * 4),
+                             "fer": errors / frames})
+            want.append(rows)
+        for workers in (1, 2, 3):
+            got = ber_experiment(spec, snrs, frames, 9, models, 16, workers)
+            for rows in got:
+                for row in rows:
+                    assert row.pop("mean_decode_us") >= 0.0
+            assert got == want
 
 
 with open(os.path.join(ROOT, "tests", "golden.json")) as _fh:
