@@ -2,11 +2,11 @@
 
 Index convention: natural order throughout (no bit-reversal).  The
 encoder applies the [[1,0],[1,1]] kernel by in-place butterflies; the SC
-decoder uses the exact check-node rule in its numerically safe log form,
-and skips rate-0 (all-frozen) subtrees bit-exactly.  Ties decode to bit 0.  Encoders take one word (N,) or a block of words
-(..., N); generate_frames returns a block of channel LLRs (positive
-favours bit 0), and both decoders take LLR arrays (..., N) and return
-the decoded message bits (..., K).
+decoder uses the exact check-node rule in its numerically safe log form
+and skips rate-0 (all-frozen) subtrees bit-exactly.  Ties decode to bit 0.
+Encoders take one word (N,) or a block (..., N); generate_frames returns
+a block of channel LLRs (positive favours bit 0), and both decoders take
+LLR arrays (..., N) and return the decoded message bits (..., K).
 """
 
 from dataclasses import dataclass
@@ -156,8 +156,8 @@ def generate_frames(spec: PolarCodeSpec, seed: int, tags, frames, snrs_db):
     frame indices in `frames`, frame i sent by BPSK over AWGN at Eb/N0
     snrs_db[i].  Frame f draws its message, then its unit-variance noise,
     then the seed a stochastic decoder uses for it from its own substream
-    derive_rng(seed, *tags, f): its values depend neither on its block nor
-    on whether the seed is used."""
+    derive_rng(seed, *tags, f), a tag array naming one value per frame:
+    its values depend neither on its block nor on whether the seed is used."""
     if len(snrs_db) != len(frames):
         raise ShapeError("need one Eb/N0 per frame")
     sigma2 = np.array([_noise_variance(s, spec.rate) for s in snrs_db])[:, None]
