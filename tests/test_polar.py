@@ -490,8 +490,8 @@ class TestBerExperiment:
     @pytest.mark.parametrize("points,frames", [(3, 171), (1, 1), (2, 700)])
     def test_rows_independent_of_workers_and_shards(self, decoder, points, frames):
         """Totals that divide neither by the shard count nor by FRAME_BLOCK
-        give the same rows at 1, 2 and 3 workers as point-by-point,
-        frame-by-frame decoding."""
+        give the same rows at 1, 2 and 3 workers as decoding each point's
+        frames in one block."""
         spec = construct_frozen_set(8, 4)
         rng = derive_rng(3, "shards")
         model = NetworkModel(layers=[Layer(rng.standard_normal((4, 8)),
