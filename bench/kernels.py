@@ -204,7 +204,8 @@ KERNELS.update({f"network.forward 8-32-4 B={b}": (
 KERNELS["rngtools.derive_rng per frame"] = ("derivations/s", derive_per_frame)
 KERNELS["cli sc-arith-bench L=1e6 V=3"] = ("stream-bits/s", sc_arith_bench)
 KERNELS["cli device-sweep 5x500"] = ("sweeps/s", device_sweep)
-KERNELS["cli ber (128,64) 3x400 workers=2"] = ("frames/s", ber_cli)
+KERNELS.update({f"cli ber (128,64) 3x400 workers={w}": (
+    "frames/s", partial(ber_cli, w)) for w in (1, 2)})
 
 
 def child(kernel):

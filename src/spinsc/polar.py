@@ -157,17 +157,28 @@ def generate_frames(spec: PolarCodeSpec, seed: int, tags, frames, snrs_db):
     snrs_db[i].  Frame f draws its message, then its unit-variance noise,
     then the seed a stochastic decoder uses for it from its own substream
     derive_rng(seed, *tags, f), a tag array naming one value per frame:
-    its values depend neither on its block nor on whether the seed is used."""
+    its values depend neither on its block nor on whether the seed is used.
+
+    The message and seed are rng.integers(0, 2, K) and
+    rng.integers(0, 2**63), read straight from PCG64's 64-bit words: message
+    bits 2i and 2i + 1 are bits 31 and 63 of word i (integers takes a
+    32-bit value per bit, low half first, and keeps its top bit), and the
+    seed is a word shifted right by one.  numpy's bounded (Lemire) draw
+    keeps the high bits of value * range and never rejects at these two
+    ranges, so the values are the same; for odd K, integers leaves the last
+    word's high half buffered, which no later 64-bit draw reads."""
     if len(snrs_db) != len(frames):
         raise ShapeError("need one Eb/N0 per frame")
     sigma2 = np.array([_noise_variance(s, spec.rate) for s in snrs_db])[:, None]
-    messages = np.empty((len(frames), spec.K), dtype=np.uint8)
+    words = np.empty((len(frames), -(-spec.K // 2)), dtype=np.uint64)
     noise = np.empty((len(frames), spec.N))
     frame_seeds = np.empty(len(frames), dtype=np.int64)
     for j, rng in enumerate(derive_rngs(seed, *tags, frames)):
-        messages[j] = rng.integers(0, 2, size=spec.K)
-        noise[j] = rng.standard_normal(spec.N)
-        frame_seeds[j] = rng.integers(0, 2 ** 63)
+        words[j] = rng.bit_generator.random_raw(words.shape[1])
+        rng.standard_normal(out=noise[j])
+        frame_seeds[j] = rng.bit_generator.random_raw() >> 1
+    bits = (words[:, :, None] >> np.array([31, 63], dtype=np.uint64)) & np.uint64(1)
+    messages = bits.reshape(len(frames), -1)[:, :spec.K].astype(np.uint8)
     llrs = 2.0 * (1.0 - 2.0 * encode(messages, spec).astype(float)
                   + np.sqrt(sigma2) * noise) / sigma2
     return messages, llrs, frame_seeds

@@ -1,4 +1,4 @@
-"""Seed derivation helpers.
+"""Seed derivation helpers, and the worker map that runs seeded jobs.
 
 All randomness in the package flows through named substreams derived from a
 single master seed, so independent workloads (trials, sweep points, frames)
@@ -16,6 +16,12 @@ for bit.  The block pass has a fixed cost of a few dozen numpy calls, so
 one item stays on SeedSequence: on a 2-vCPU x86-64 VM with numpy 2.4,
 derive_rng took about 27 us, a one-entry block about 280 us, and a block
 of 512 entries 2-4 us per entry.
+
+`parallel_map` shares jobs out over worker processes.  The calling
+process is one of the workers: it runs the first job while a pool of the
+others runs the rest, so n workers start n - 1 processes.  On a 2-vCPU
+x86-64 VM, starting and stopping a pool cost about 4.7 ms with one
+process and 11.3 ms with two.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -170,10 +176,15 @@ def worker_count(workers: int) -> int:
 
 
 def parallel_map(fn, jobs, workers: int = 1) -> list:
-    """[fn(job) for job in jobs], on a pool of min(worker_count(workers),
-    len(jobs)) processes when that exceeds 1; results come back in job order."""
+    """[fn(job) for job in jobs] on n = min(worker_count(workers), len(jobs))
+    workers, the calling process being one of them: when n > 1, jobs[1:] go
+    to a pool of n - 1 processes while jobs[0] runs here.  Results come back
+    in job order; the first job's exception is raised after the pool is shut
+    down, else a pool job's, in job order."""
     workers = min(worker_count(workers), len(jobs))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, jobs))
-    return [fn(job) for job in jobs]
+    if workers < 2:
+        return [fn(job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+        rest = pool.map(fn, jobs[1:])
+        first = fn(jobs[0])
+        return [first, *rest]

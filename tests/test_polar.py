@@ -343,20 +343,24 @@ class TestScDecode:
 
 class TestGenerateFrames:
     def test_matches_per_frame_formulas(self):
-        spec = construct_frozen_set(16, 8)
+        """Against rng.integers on the installed numpy, odd K and K = N
+        included: generate_frames reads the message and seed as raw PCG64
+        words, so this pins that mapping."""
         snrs = [1.0, 2.5, 4.0]
-        messages, llrs, seeds = generate_frames(spec, 7, ("ber", 1),
-                                                range(5, 8), snrs)
-        for j, frame in enumerate(range(5, 8)):
-            rng = derive_rng(7, "ber", 1, frame)
-            msg = rng.integers(0, 2, size=spec.K).astype(np.uint8)
-            cw = encode(msg, spec)
-            sigma2 = 1.0 / (2.0 * spec.rate * 10.0 ** (snrs[j] / 10.0))
-            y = (1.0 - 2.0 * cw.astype(float)
-                 + math.sqrt(sigma2) * rng.standard_normal(spec.N))
-            assert np.array_equal(messages[j], msg)
-            assert np.array_equal(llrs[j], 2.0 * y / sigma2)
-            assert int(seeds[j]) == int(rng.integers(0, 2 ** 63))
+        for N, K in [(16, 8), (2, 1), (8, 3), (16, 7), (16, 16)]:
+            spec = construct_frozen_set(N, K)
+            messages, llrs, seeds = generate_frames(spec, 7, ("ber", 1),
+                                                    range(5, 8), snrs)
+            for j, frame in enumerate(range(5, 8)):
+                rng = derive_rng(7, "ber", 1, frame)
+                msg = rng.integers(0, 2, size=spec.K).astype(np.uint8)
+                cw = encode(msg, spec)
+                sigma2 = 1.0 / (2.0 * spec.rate * 10.0 ** (snrs[j] / 10.0))
+                y = (1.0 - 2.0 * cw.astype(float)
+                     + math.sqrt(sigma2) * rng.standard_normal(spec.N))
+                assert np.array_equal(messages[j], msg)
+                assert np.array_equal(llrs[j], 2.0 * y / sigma2)
+                assert int(seeds[j]) == int(rng.integers(0, 2 ** 63))
 
     def test_independent_of_blocking(self):
         spec = construct_frozen_set(8, 4)

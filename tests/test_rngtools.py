@@ -71,8 +71,8 @@ def test_block_arrays_need_one_length():
 
 
 class FakePool:
-    """Stands in for ProcessPoolExecutor: records max_workers and the number
-    of jobs mapped, maps in process."""
+    """Stands in for ProcessPoolExecutor: records max_workers and the jobs
+    mapped, maps in process."""
     sizes = []
     jobs = []
 
@@ -86,23 +86,25 @@ class FakePool:
         return False
 
     def map(self, fn, jobs):
-        FakePool.jobs.append(len(jobs))
+        FakePool.jobs.append(list(jobs))
         return map(fn, jobs)
 
 
 @pytest.mark.parametrize("jobs, workers, pools", [
-    ([-1], 4, []), ([-1, 2], 4, [2]), ([-1, 2, -3], 2, [2]),
+    ([-1], 4, []), ([-1, 2], 4, [1]), ([-1, 2, -3], 2, [1]),
     ([-1, 2, -3], 1, []), ([], 3, [])])
 def test_parallel_map_starts_no_idle_workers(monkeypatch, jobs, workers, pools):
+    """n workers are the caller and a pool of n - 1, which maps jobs[1:]."""
     monkeypatch.setattr(rngtools, "ProcessPoolExecutor", FakePool)
-    FakePool.sizes = []
+    FakePool.sizes, FakePool.jobs = [], []
     assert rngtools.parallel_map(abs, jobs, workers) == [abs(j) for j in jobs]
     assert FakePool.sizes == pools
+    assert FakePool.jobs == [jobs[1:]] * len(pools)
 
 
 def test_workers_capped_at_cpu_count(monkeypatch):
     """100,000 workers on 2 CPUs: the sweep cuts 2 slabs, not one per
-    trial, and maps them on a pool of 2; an unknown CPU count means 1."""
+    trial, and maps the second on a pool of 1; an unknown CPU count means 1."""
     monkeypatch.setattr(rngtools, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     FakePool.sizes, FakePool.jobs = [], []
@@ -111,8 +113,30 @@ def test_workers_capped_at_cpu_count(monkeypatch):
     curve = mtj.sweep_switching_curve([1e-5, 2e-5, 3e-5, 4e-5, 5e-5], 5e-11,
                                       3, params, 2, workers=100_000)
     assert curve.p_hat.tolist() == [0.0] * 5
-    assert FakePool.sizes == [2] and FakePool.jobs == [2]
+    assert FakePool.sizes == [1] and [len(j) for j in FakePool.jobs] == [1]
     assert rngtools.parallel_map(abs, [-1, 2, -3], 100_000) == [1, 2, 3]
-    assert FakePool.sizes == [2, 2]
+    assert FakePool.sizes == [1, 1] and FakePool.jobs[1] == [2, -3]
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert rngtools.worker_count(4) == 1
+
+
+def _pid_or_raise(job):
+    """(job, this process's id); a negative job raises DomainError."""
+    if job < 0:
+        raise DomainError(f"job {job}")
+    return job, os.getpid()
+
+
+def test_parallel_map_on_two_processes(monkeypatch):
+    """A real pool: jobs[0] runs in the caller, the rest in one other
+    process, results in job order; a DomainError from either side is
+    re-raised in the caller."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    results = rngtools.parallel_map(_pid_or_raise, [3, 1, 4, 2], 2)
+    assert [job for job, _ in results] == [3, 1, 4, 2]
+    pids = [pid for _, pid in results]
+    assert pids[0] == os.getpid() and len(set(pids[1:])) == 1 and pids[1] != pids[0]
+    with pytest.raises(DomainError, match="job -1"):
+        rngtools.parallel_map(_pid_or_raise, [-1, 2, 3], 2)
+    with pytest.raises(DomainError, match="job -3"):
+        rngtools.parallel_map(_pid_or_raise, [1, 2, -3], 2)
