@@ -153,7 +153,7 @@ def sc_arith_bench(L=10 ** 6):
         return repeat_for_1s(27 * L, run)
 
 
-def ber_cli(workers=2):
+def ber_cli(workers):
     """Frames/s of `spinsc ber` run through `cli.main` on a temporary config
     of perfbench's `ber` inputs: classical SC on the (128,64) code at 2, 3
     and 4 dB, 400 frames per point, on `workers` workers."""

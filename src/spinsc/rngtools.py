@@ -20,8 +20,8 @@ of 512 entries 2-4 us per entry.
 `parallel_map` shares jobs out over worker processes.  The calling
 process is one of the workers: it runs the first job while a pool of the
 others runs the rest, so n workers start n - 1 processes.  On a 2-vCPU
-x86-64 VM, starting and stopping a pool cost about 4.7 ms with one
-process and 11.3 ms with two.
+x86-64 VM, starting, using and stopping a pool took about 7 ms with one
+process and 9-11 ms with two.
 """
 
 from concurrent.futures import ProcessPoolExecutor
