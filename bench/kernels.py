@@ -170,19 +170,20 @@ def ber_cli(workers):
         return repeat_for_1s(3 * 400, run)
 
 
-def device_sweep():
+def device_sweep(trials=500, workers=1):
     """Sweeps/s of `spinsc device-sweep` run through `cli.main` on the
     config of perfbench's `sweep` workload at seed 1 (its unread resistance
-    keys left out): 5 currents from 1.15 to 2.05 mA x 500 trials, a 0.5 ns
-    pulse, 1 worker, the device's default dt and windows."""
+    keys left out): 5 currents from 1.15 to 2.05 mA x `trials` trials, a
+    0.5 ns pulse, `workers` workers, the device's default dt and windows."""
     from spinsc import cli
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "device_sweep.cfg")
         with open(cfg, "w") as fh:
-            fh.write("[run]\nseed = 332743518\nworkers = 1\n[device]\n"
+            fh.write(f"[run]\nseed = 332743518\nworkers = {workers}\n[device]\n"
                      "temperature_k = 300\ntheta_sh = 0.3\n[sweep]\n"
                      "current_start_a = 1.15e-3\ncurrent_stop_a = 2.05e-3\n"
-                     "points = 5\npulse_width_s = 5e-10\ntrials_per_point = 500\n")
+                     "points = 5\npulse_width_s = 5e-10\n"
+                     f"trials_per_point = {trials}\n")
 
         def run():
             assert cli.main(["device-sweep", "--config", cfg, "--out-dir", tmp]) == 0
@@ -206,6 +207,8 @@ KERNELS["cli sc-arith-bench L=1e6 V=3"] = ("stream-bits/s", sc_arith_bench)
 KERNELS["cli device-sweep 5x500"] = ("sweeps/s", device_sweep)
 KERNELS.update({f"cli ber (128,64) 3x400 workers={w}": (
     "frames/s", partial(ber_cli, w)) for w in (1, 2)})
+KERNELS["cli device-sweep 5x1000 workers=2"] = ("sweeps/s",
+                                                partial(device_sweep, 1000, 2))
 
 
 def child(kernel):

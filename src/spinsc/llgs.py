@@ -9,11 +9,11 @@ thermal field
 
     H_th = sqrt( alpha/(1+alpha^2) * 2 kB T / (gamma mu0 Ms V dt) ) * G,
 
-G a vector of independent standard normals resampled once per step
-(`sample_thermal_field`).  The implicit damping term is removed by the
-usual algebraic rearrangement (dm/dt = (A + alpha m x A)/(1+alpha^2) with
-A collecting the explicit torques), and each step is advanced with the
-stochastic Heun scheme, the noise held fixed within the step.  The state
+G a vector of independent standard normals resampled once per step.
+The implicit damping term is removed by the usual algebraic
+rearrangement (dm/dt = (A + alpha m x A)/(1+alpha^2) with A collecting
+the explicit torques), and each step is advanced with the stochastic
+Heun scheme, the noise held fixed within the step.  The state
 is renormalized to unit length after every step.  Each trial may have
 its own spin current.  The integrator has two widths, picked from the
 batch size: a single trial (`simulate_pulse`) steps Python floats, a
@@ -24,9 +24,8 @@ of any size (tests/test_llgs.py: TestHeunStepOracle, TestIntegratorWidths).
 
 The effective field is the minimal bistable composition: uniaxial
 anisotropy Hk along +z (easy axis) and a single demagnetization penalty
-Hd along the hard axis y.  `effective_field` gives it with an optional
-applied field; each width of the integrator writes the formula out
-itself, with the step's thermal field in the place of the applied one.
+Hd along the hard axis y, plus the step's thermal field; each width of
+the integrator writes the formula out itself.
 """
 
 from dataclasses import dataclass
@@ -38,22 +37,9 @@ from .errors import DomainError, StepFaultError
 from .formats import write_csv
 from .rngtools import derive_rng
 
-__all__ = [
-    "K_B",
-    "MU_0",
-    "MU_B",
-    "HBAR",
-    "Q_E",
-    "GAMMA",
-    "DeviceParams",
-    "SpinCurrentPulse",
-    "Trajectory",
-    "default_device_params",
-    "thermal_prefactor",
-    "sample_thermal_field",
-    "effective_field",
-    "simulate_pulse",
-]
+__all__ = ["K_B", "MU_0", "MU_B", "HBAR", "Q_E", "GAMMA", "DeviceParams",
+           "SpinCurrentPulse", "Trajectory", "default_device_params",
+           "thermal_prefactor", "simulate_pulse"]
 
 # SI constants (CODATA 2018)
 K_B = 1.380649e-23        # J/K
@@ -157,30 +143,6 @@ def thermal_prefactor(params: DeviceParams) -> float:
     return math.sqrt(a / (1.0 + a * a) * num / den)
 
 
-def sample_thermal_field(params: DeviceParams, rng: np.random.Generator,
-                         size: int | None = None) -> np.ndarray:
-    """Draw the per-step thermal field; (3,) or (size, 3) in A/m.
-
-    Each field sample consumes exactly 3 standard-normal draws.
-    """
-    pref = thermal_prefactor(params)
-    if size is None:
-        return pref * rng.standard_normal(3)
-    return pref * rng.standard_normal((int(size), 3))
-
-
-def effective_field(m, params: DeviceParams, applied=None) -> np.ndarray:
-    """Anisotropy + hard-axis + applied field at magnetization m (A/m): the
-    applied field b plus Hk mz along z and -Hd my along y.
-
-    Each width of `_integrate` writes this formula out itself, with the
-    step's thermal field in the place of `applied`."""
-    m = np.asarray(m, dtype=float)
-    b = np.zeros(3) if applied is None else np.asarray(applied, dtype=float)
-    return np.stack(np.broadcast_arrays(b[..., 0], b[..., 1] - params.Hd * m[..., 1],
-                                        b[..., 2] + params.Hk * m[..., 2]), axis=-1)
-
-
 def _cross_into(a, b, out, tmp):
     """out = a x b on (x, y, z) triples of (B,) rows, each component
     (ay bz - az by, az bx - ax bz, ax by - ay bx) as the float width of
@@ -198,8 +160,9 @@ def _cross_into(a, b, out, tmp):
 
 
 def _field_into(m, n, Hk, Hd, h):
-    """`effective_field` of the (3, B) state m and base field n, its y and
-    z rows written into h's; returns the three field rows."""
+    """The effective field n + (0, -Hd my, Hk mz) of the (3, B) state m and
+    base field n, its y and z rows written into h's; returns the three
+    field rows."""
     hy, hz = h[1], h[2]
     np.multiply(Hd, m[1], out=hy)
     np.subtract(n[1], hy, out=hy)

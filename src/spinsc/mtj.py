@@ -7,7 +7,7 @@ then see the current pulse and a field-only relax window; a trial has
 switched when its final mz sign differs from its initial sign.
 A sweep steps all its points' trials as one batch, each trial with its
 point's current and its own substream, cut into slabs of at most
-_BATCH_TRIALS for the worker processes.
+_BATCH_TRIALS, equal to within a trial and as many for each worker.
 """
 
 from dataclasses import asdict, dataclass
@@ -122,8 +122,8 @@ def sweep_switching_curve(currents, pulse_width: float, trials_per_point: int,
                           workers: int = 1) -> SwitchingCurve:
     """Fraction of seeded trials that switch at each current, with 95% CI
     halfwidths.  Point i's trials run on the seed derive_rng(seed,
-    "sweep-point", i) draws, all points' trials stepped as equal slabs of
-    one flat batch."""
+    "sweep-point", i) draws, all points' trials stepped as slabs of one
+    flat batch, as many per worker, equal to within a trial."""
     currents, n = np.asarray(currents, dtype=float), trials_per_point
     if len(currents) < 5:
         raise DomainError("need at least 5 sweep currents")
@@ -139,11 +139,12 @@ def sweep_switching_curve(currents, pulse_width: float, trials_per_point: int,
              for rng in derive_rngs(seed, "sweep-point", np.arange(len(currents)))]
     keys = np.column_stack([np.repeat(seeds, n), np.tile(np.arange(n), len(seeds))])
     flat = np.repeat(currents, n)
-    workers = worker_count(workers)
-    slab = -(-len(keys) // max(workers, -(-len(keys) // _BATCH_TRIALS)))
+    workers = min(worker_count(workers), len(keys))
+    slabs = workers * -(-len(keys) // (workers * _BATCH_TRIALS))
+    cuts = [len(keys) * s // slabs for s in range(slabs + 1)]
     switched = np.concatenate(parallel_map(_switched, [
-        (flat[a:a + slab], keys[a:a + slab], pulse_width, params)
-        for a in range(0, len(keys), slab)], workers))
+        (flat[a:b], keys[a:b], pulse_width, params)
+        for a, b in zip(cuts, cuts[1:])], workers))
     p_hat = np.count_nonzero(switched.reshape(-1, n), axis=1) / n
     ci = [1.96 * math.sqrt(p * (1.0 - p) / n) for p in p_hat.tolist()]
     return SwitchingCurve(currents=currents, p_hat=p_hat,

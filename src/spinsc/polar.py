@@ -24,19 +24,10 @@ from .rngtools import derive_rng, derive_rngs, parallel_map, worker_count
 
 FRAME_BLOCK = 512    # frames per ber_experiment block; bounds its memory
 
-__all__ = [
-    "PolarCodeSpec",
-    "construct_frozen_set",
-    "polar_transform",
-    "encode",
-    "generate_frames",
-    "sc_decode",
-    "llr_features",
-    "neural_sc_decode",
-    "ber_experiment",
-    "write_ber_csv",
-    "write_timing_csv",
-]
+__all__ = ["PolarCodeSpec", "construct_frozen_set", "polar_transform",
+           "encode", "generate_frames", "sc_decode", "llr_features",
+           "neural_sc_decode", "ber_experiment", "write_ber_csv",
+           "write_timing_csv"]
 
 
 @dataclass(frozen=True)

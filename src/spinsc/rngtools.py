@@ -17,15 +17,15 @@ one item stays on SeedSequence: on a 2-vCPU x86-64 VM with numpy 2.4,
 derive_rng took about 27 us, a one-entry block about 280 us, and a block
 of 512 entries 2-4 us per entry.
 
-`parallel_map` shares jobs out over worker processes.  The calling
-process is one of the workers: it runs the first job while a pool of the
-others runs the rest, so n workers start n - 1 processes.  On a 2-vCPU
-x86-64 VM, starting, using and stopping a pool took about 7 ms with one
-process and 9-11 ms with two.
+`parallel_map` gives each worker one contiguous group of jobs and its own
+CPU.  The caller runs group 0 and forks a `multiprocessing` process, which
+inherits its jobs unpickled, for each other group.  Left alone, a 2-vCPU
+x86-64 VM kept a forked child on its parent's CPU, where both ran at half
+speed.  There a no-op 2-job map takes about 5 ms.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 import hashlib
+import multiprocessing
 import os
 
 import numpy as np
@@ -171,20 +171,59 @@ def derive_rngs(master_seeds, *tags):
 
 
 def worker_count(workers: int) -> int:
-    """Processes worth starting for `workers` requested: at most the CPU count."""
-    return min(workers, os.cpu_count() or 1)
+    """Processes worth starting for `workers` requested: at most the number
+    of CPUs this process may run on."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
+    return min(workers, cpus or 1)
+
+
+def _run_group(fn, group, cpus, k, conn=None):
+    """(True, [fn(job) for job in group]) or (False, the exception raised),
+    after a move onto CPU k of the sorted allowed set `cpus` (None: no
+    move) and back to the whole set; sent on `conn` if one is given."""
+    try:
+        if cpus is not None:
+            os.sched_setaffinity(0, [sorted(cpus)[k]])
+            os.sched_setaffinity(0, cpus)
+        reply = True, [fn(job) for job in group]
+    except BaseException as exc:
+        reply = False, exc
+    return reply if conn is None else conn.send(reply)
 
 
 def parallel_map(fn, jobs, workers: int = 1) -> list:
     """[fn(job) for job in jobs] on n = min(worker_count(workers), len(jobs))
-    workers, the calling process being one of them: when n > 1, jobs[1:] go
-    to a pool of n - 1 processes while jobs[0] runs here.  Results come back
-    in job order; the first job's exception is raised after the pool is shut
-    down, else a pool job's, in job order."""
-    workers = min(worker_count(workers), len(jobs))
-    if workers < 2:
+    workers, each running one of n contiguous groups of jobs whose sizes
+    differ by at most 1.  Results come back in job order.  Every child is
+    joined before the first failure in job order is raised; one that dies
+    without replying raises ChildProcessError."""
+    n = min(worker_count(workers), len(jobs))
+    if n < 2:
         return [fn(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers - 1) as pool:
-        rest = pool.map(fn, jobs[1:])
-        first = fn(jobs[0])
-        return [first, *rest]
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else None
+    cuts = [len(jobs) * k // n for k in range(n + 1)]
+    fork, children, replies = multiprocessing.get_context("fork"), [], []
+    try:
+        for k in range(1, n):
+            recv, send = fork.Pipe(duplex=False)
+            child = fork.Process(target=_run_group, args=(
+                fn, jobs[cuts[k]:cuts[k + 1]], cpus, k, send))
+            child.start()
+            send.close()        # so recv sees EOF if the child dies
+            children.append((child, recv))
+        replies.append(_run_group(fn, jobs[:cuts[1]], cpus, 0))
+    finally:
+        for child, recv in children:
+            with recv:
+                try:
+                    replies.append(recv.recv())
+                except EOFError:
+                    child.join()
+                    replies.append((False, ChildProcessError(
+                        f"worker exited with code {child.exitcode} unreplied")))
+            child.join()
+    for ok, value in replies:
+        if not ok:
+            raise value
+    return [result for _, group in replies for result in group]

@@ -17,9 +17,7 @@ import numpy as np
 
 from spinsc import bitstream
 from spinsc.cli import main as cli_main
-from spinsc.llgs import (GAMMA, Q_E, SpinCurrentPulse,
-                         default_device_params, sample_thermal_field,
-                         simulate_pulse)
+from spinsc.llgs import GAMMA, Q_E, SpinCurrentPulse, default_device_params, simulate_pulse
 from spinsc.mtj import default_mtj_params, fit_stochastic_sigmoid, sweep_switching_curve
 from spinsc.network import STOCHASTIC, NetworkModel, load_model
 from spinsc.polar import (PolarCodeSpec, construct_frozen_set, encode,
@@ -29,6 +27,8 @@ from spinsc.training import (SQUARED_ERROR, LossSpec, OptimizerConfig,
                              backprop_gradient, init_model, mean_loss,
                              minibatch_step, train)
 from spinsc.rngtools import derive_rng
+
+from llgs_oracles import sample_thermal_field
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 

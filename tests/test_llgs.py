@@ -8,9 +8,11 @@ import pytest
 from spinsc import llgs
 from spinsc.errors import DomainError, StepFaultError
 from spinsc.llgs import (GAMMA, MU_B, Q_E, DeviceParams, SpinCurrentPulse,
-                         _integrate, default_device_params, effective_field,
-                         sample_thermal_field, simulate_pulse, thermal_prefactor)
+                         _integrate, default_device_params, simulate_pulse,
+                         thermal_prefactor)
 from spinsc.rngtools import derive_rng
+
+from llgs_oracles import effective_field, sample_thermal_field
 
 # independent constants for the oracle below (CODATA values retyped, not
 # imported from the module under test)

@@ -10,7 +10,7 @@ from spinsc.errors import DomainError, FitDomainError
 from spinsc.llgs import default_device_params
 from spinsc.mtj import (MtjParams, SigmoidFit, SwitchingCurve, default_mtj_params,
                         fit_stochastic_sigmoid, sweep_switching_curve)
-from spinsc.rngtools import derive_rng
+from spinsc.rngtools import derive_rng, parallel_map, worker_count
 
 
 def critical_spin_current(dev):
@@ -145,6 +145,27 @@ class TestSweep:
                                       workers=workers)
         assert list(zip(curve.p_hat, curve.ci_halfwidth)) == expected
         assert 0.0 < curve.p_hat.mean() < 1.0
+
+    def test_workers_get_equal_trials(self, monkeypatch):
+        """On 100,000 workers, a sweep of 75 trials in slabs of at most 12
+        cuts as many slabs for each of the worker_count workers (not one
+        per trial), holding the same trials per worker to within one, and
+        gives the 1-worker curve."""
+        monkeypatch.setattr(mtj, "_BATCH_TRIALS", 12)
+        one = sweep_switching_curve(self.CURRENTS, 1e-10, 15, self.SHORT, 11)
+        slabs = []
+
+        def recording(fn, jobs, workers):
+            slabs.append([len(job[1]) for job in jobs])
+            return parallel_map(fn, jobs, workers)
+        monkeypatch.setattr(mtj, "parallel_map", recording)
+        curve = sweep_switching_curve(self.CURRENTS, 1e-10, 15, self.SHORT, 11,
+                                      workers=100_000)
+        n, (sizes,) = worker_count(100_000), slabs
+        assert len(sizes) == n * math.ceil(75 / (n * 12)) and max(sizes) <= 12
+        per_worker = np.reshape(sizes, (n, -1)).sum(axis=1)
+        assert per_worker.max() - per_worker.min() <= 1
+        assert np.array_equal(curve.p_hat, one.p_hat)
 
     @pytest.mark.parametrize("currents", [[1e-3, 2e-3, 3e-3, 4e-3, np.inf],
                                           [-np.inf, 2e-3, 3e-3, 4e-3, 5e-3]])

@@ -1,3 +1,5 @@
+import itertools
+import multiprocessing
 import os
 
 from hypothesis import given, settings
@@ -5,9 +7,8 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from spinsc import mtj, rngtools
+from spinsc import rngtools
 from spinsc.errors import DomainError, ShapeError
-from spinsc.llgs import default_device_params
 from spinsc.rngtools import derive_rng, derive_rngs
 
 # integers at SeedSequence's word boundaries, and beyond 64 bits
@@ -70,73 +71,106 @@ def test_block_arrays_need_one_length():
         derive_rngs(np.zeros((2, 2), dtype=int))
 
 
-class FakePool:
-    """Stands in for ProcessPoolExecutor: records max_workers and the jobs
-    mapped, maps in process."""
-    sizes = []
-    jobs = []
+def _allowed():
+    """The CPUs this process may run on, or None where the OS cannot say."""
+    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
 
-    def __init__(self, max_workers):
-        FakePool.sizes.append(max_workers)
 
-    def __enter__(self):
-        return self
+CALLER = os.getpid()
 
-    def __exit__(self, *exc):
-        return False
 
-    def map(self, fn, jobs):
-        FakePool.jobs.append(list(jobs))
-        return map(fn, jobs)
+def _placed(job):
+    """(job, this process's id, the CPU it runs on: field 39 of
+    /proc/self/stat, None without one); a negative job raises DomainError,
+    job 99 ends a forked worker with os._exit(3)."""
+    if job < 0:
+        raise DomainError(f"job {job}")
+    if job == 99 and os.getpid() != CALLER:
+        os._exit(3)
+    try:
+        with open("/proc/self/stat") as fh:
+            cpu = int(fh.read().rsplit(")", 1)[1].split()[36])
+    except OSError:
+        cpu = None
+    return job, os.getpid(), cpu
+
+
+
+def _groups(jobs, workers):
+    """parallel_map of _placed over jobs, checked for what every call keeps;
+    returns the groups of results, one per process, in job order."""
+    allowed = _allowed()
+    results = rngtools.parallel_map(_placed, jobs, workers)
+    assert [job for job, _, _ in results] == jobs
+    groups = [list(g) for _, g in itertools.groupby(results, lambda r: r[1])]
+    # each process runs one contiguous group, and the caller runs group 0
+    assert len({pid for _, pid, _ in results}) == len(groups) == min(
+        rngtools.worker_count(workers), len(jobs))
+    assert not groups or groups[0][0][1] == os.getpid()
+    sizes = [len(g) for g in groups]
+    assert max(sizes, default=0) - min(sizes, default=0) <= 1
+    assert _allowed() == allowed
+    assert multiprocessing.active_children() == []
+    return groups
 
 
 @pytest.mark.parametrize("jobs, workers, pools", [
-    ([-1], 4, []), ([-1, 2], 4, [1]), ([-1, 2, -3], 2, [1]),
-    ([-1, 2, -3], 1, []), ([], 3, [])])
-def test_parallel_map_starts_no_idle_workers(monkeypatch, jobs, workers, pools):
-    """n workers are the caller and a pool of n - 1, which maps jobs[1:]."""
-    monkeypatch.setattr(rngtools, "ProcessPoolExecutor", FakePool)
-    FakePool.sizes, FakePool.jobs = [], []
-    assert rngtools.parallel_map(abs, jobs, workers) == [abs(j) for j in jobs]
-    assert FakePool.sizes == pools
-    assert FakePool.jobs == [jobs[1:]] * len(pools)
+    ([1], 4, []), ([1, 2], 4, [1]), ([1, 2, 3], 2, [2]),
+    ([1, 2, 3], 1, []), ([], 3, []), (list(range(11)), 2, [6])])
+def test_parallel_map_starts_no_idle_workers(jobs, workers, pools):
+    """n = min(worker_count, len(jobs)) processes, the caller one of them:
+    `pools` lists the sizes of the forked workers' groups on 2 or more
+    CPUs; on one CPU nothing forks."""
+    groups = _groups(jobs, workers)
+    forked = pools if rngtools.worker_count(2) == 2 else []
+    assert [len(g) for g in groups[1:]] == forked
+
+
+def test_parallel_map_places_groups_on_distinct_cpus():
+    """Each group starts on its own CPU of the allowed set."""
+    allowed = _allowed()
+    if allowed is None or len(allowed) < 2 or _placed(0)[2] is None:
+        pytest.skip("needs 2 allowed CPUs and /proc/self/stat")
+    for jobs in ([1, 2], list(range(7)), list(range(2 * len(allowed) + 1))):
+        groups = _groups(jobs, len(allowed))
+        starts = [g[0][2] for g in groups]
+        assert len(set(starts)) == len(groups) and set(starts) <= allowed
 
 
 def test_workers_capped_at_cpu_count(monkeypatch):
-    """100,000 workers on 2 CPUs: the sweep cuts 2 slabs, not one per
-    trial, and maps the second on a pool of 1; an unknown CPU count means 1."""
-    monkeypatch.setattr(rngtools, "ProcessPoolExecutor", FakePool)
+    """worker_count caps at the CPUs this process may run on: on one (as
+    under `taskset -c 0`) 2 workers fork nothing.  Without the affinity
+    calls the CPU count caps it, an unknown CPU count means 1, and
+    parallel_map runs its groups without moving them."""
+    if _allowed() is not None:
+        one = {min(_allowed())}
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: one)
+        assert rngtools.worker_count(2) == 1
+        assert len(_groups([1, 2, 3], 2)) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(5)))
+        assert rngtools.worker_count(100_000) == 5
+        assert rngtools.worker_count(3) == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert rngtools.worker_count(100_000) == 3
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    FakePool.sizes, FakePool.jobs = [], []
-    assert rngtools.worker_count(100_000) == 2
-    params = mtj.MtjParams(device=default_device_params(T=0.0), equil_steps=0)
-    curve = mtj.sweep_switching_curve([1e-5, 2e-5, 3e-5, 4e-5, 5e-5], 5e-11,
-                                      3, params, 2, workers=100_000)
-    assert curve.p_hat.tolist() == [0.0] * 5
-    assert FakePool.sizes == [1] and [len(j) for j in FakePool.jobs] == [1]
-    assert rngtools.parallel_map(abs, [-1, 2, -3], 100_000) == [1, 2, 3]
-    assert FakePool.sizes == [1, 1] and FakePool.jobs[1] == [2, -3]
+    assert len(_groups([1, 2, 3], 2)) == 2
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert rngtools.worker_count(4) == 1
 
 
-def _pid_or_raise(job):
-    """(job, this process's id); a negative job raises DomainError."""
-    if job < 0:
-        raise DomainError(f"job {job}")
-    return job, os.getpid()
-
-
-def test_parallel_map_on_two_processes(monkeypatch):
-    """A real pool: jobs[0] runs in the caller, the rest in one other
-    process, results in job order; a DomainError from either side is
-    re-raised in the caller."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    results = rngtools.parallel_map(_pid_or_raise, [3, 1, 4, 2], 2)
-    assert [job for job, _ in results] == [3, 1, 4, 2]
-    pids = [pid for _, pid in results]
-    assert pids[0] == os.getpid() and len(set(pids[1:])) == 1 and pids[1] != pids[0]
-    with pytest.raises(DomainError, match="job -1"):
-        rngtools.parallel_map(_pid_or_raise, [-1, 2, 3], 2)
-    with pytest.raises(DomainError, match="job -3"):
-        rngtools.parallel_map(_pid_or_raise, [1, 2, -3], 2)
+def test_parallel_map_on_two_processes():
+    """A DomainError from either side is re-raised in the caller after every
+    worker is joined; a worker that dies without replying raises
+    ChildProcessError, not a hang."""
+    if rngtools.worker_count(2) < 2:
+        pytest.skip("needs 2 allowed CPUs")
+    for jobs, match in [([-1, 2, 3], "job -1"), ([1, 2, -3], "job -3"),
+                        ([-1, 2, -3], "job -1")]:
+        with pytest.raises(DomainError, match=match):
+            rngtools.parallel_map(_placed, jobs, 2)
+        assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError, match="code 3"):
+        rngtools.parallel_map(_placed, [1, 99], 2)
+    assert multiprocessing.active_children() == []
