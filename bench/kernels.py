@@ -1,6 +1,7 @@
 """Kernel throughput of two git revisions, measured side by side.
 
-    python3 bench/kernels.py --base REV [--head REV] [--repeats 5] [--out FILE]
+    python3 bench/kernels.py --base REV [--head REV] [--repeats 5]
+                             [--only REGEX] [--out FILE]
 
 Each revision's committed tree is unpacked with `git archive`, and every
 (kernel, revision, repeat) is timed in a fresh interpreter with that
@@ -12,7 +13,9 @@ the medians and each repeat's head/base ratio of the two runs timed next
 to each other, with their median, min and max; plus each tree's
 `src/spinsc` line count and an `env` record of the machine, its CPU model
 and numpy's SIMD extensions included.  Compare base and head within one
-file, not across files.
+file, not across files.  `--only` times just the kernels whose names
+match a regular expression (re.search), so the ones a change touches can
+get more repeats in the same time.
 
 Each kernel is a `name: (unit, function)` entry in KERNELS; a function
 runs in the child, returns its throughput and must work in both trees.
@@ -26,6 +29,7 @@ import json
 import math
 import os
 import platform
+import re
 import resource
 import statistics
 import subprocess
@@ -266,6 +270,8 @@ def main(argv=None):
     ap.add_argument("--base", help="revision to compare against (required)")
     ap.add_argument("--head", default="HEAD", help="revision under test")
     ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--only", default="", metavar="REGEX",
+                    help="time only the kernels whose names match REGEX")
     ap.add_argument("--out", default=None, help="JSON file (default: stdout)")
     ap.add_argument("--child", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
@@ -273,18 +279,21 @@ def main(argv=None):
         return child(args.child)
     if not args.base or args.repeats < 5:
         ap.error("--base is required and --repeats must be at least 5")
+    chosen = {k: v for k, v in KERNELS.items() if re.search(args.only, k)}
+    if not chosen:
+        ap.error(f"--only {args.only!r} matches no kernel")
     sides = ("base", "head")
     with tempfile.TemporaryDirectory() as tmp:
         trees = {s: os.path.join(tmp, s) for s in sides}
         revs = {s: {"rev": unpack(getattr(args, s), trees[s]),
                     "src_loc": src_loc(trees[s])} for s in sides}
-        runs = {k: {s: [] for s in sides} for k in KERNELS}
+        runs = {k: {s: [] for s in sides} for k in chosen}
         for rep in range(args.repeats):
-            for kernel in KERNELS:
+            for kernel in chosen:
                 for s in (sides if rep % 2 == 0 else sides[::-1]):
                     runs[kernel][s].append(measure(trees[s], kernel))
     kernels = {}
-    for k, (unit, _) in KERNELS.items():
+    for k, (unit, _) in chosen.items():
         kernels[k] = {"unit": unit}
         for s in sides:
             values = [r["value"] for r in runs[k][s]]
@@ -303,7 +312,8 @@ def main(argv=None):
            "python": platform.python_version(), "numpy": numpy.__version__,
            "platform": platform.platform(), "cpu_model": cpu_model(),
            "numpy_simd": numpy_simd(), "cpu_count": os.cpu_count(),
-           "loadavg_at_end": os.getloadavg(), "repeats": args.repeats}
+           "loadavg_at_end": os.getloadavg(), "repeats": args.repeats,
+           "only": args.only}
     text = json.dumps({"env": env, "revisions": revs, "kernels": kernels},
                       indent=2) + "\n"
     if args.out:

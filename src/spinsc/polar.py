@@ -2,11 +2,13 @@
 
 Index convention: natural order throughout (no bit-reversal).  The
 encoder applies the [[1,0],[1,1]] kernel by in-place butterflies; the SC
-decoder uses the exact check-node rule in its numerically safe log form
-and skips rate-0 (all-frozen) subtrees bit-exactly.  Ties decode to bit 0.
-Encoders take one word (N,) or a block (..., N); generate_frames returns
-a block of channel LLRs (positive favours bit 0), and both decoders take
-LLR arrays (..., N) and return the decoded message bits (..., K).
+decoder uses the exact check-node rule in its numerically safe log form,
+skips rate-0 (all-frozen) subtrees bit-exactly and holds a block of frames
+position-major, (N, frames), as batched software decoders do (Le Gal et
+al., IEEE TSP 2015).  Ties decode to bit 0.  Encoders take one word (N,)
+or a block (..., N); generate_frames returns a block of channel LLRs
+(positive favours bit 0), and both decoders take LLR arrays (..., N) and
+return the decoded message bits (..., K).
 """
 
 from dataclasses import dataclass
@@ -22,7 +24,8 @@ from .network import DETERMINISTIC, NetworkModel, forward, forward_rate
 # derive_rng is unused here but stays bound: perfbench traces it per module
 from .rngtools import derive_rng, derive_rngs, parallel_map, worker_count
 
-FRAME_BLOCK = 512    # frames per ber_experiment block; bounds its memory
+FRAME_BLOCK = 512    # ber_experiment frames that earn a worker process
+_MAX_BLOCK = 1024    # frames in one ber_experiment block; bounds its memory
 
 __all__ = ["PolarCodeSpec", "construct_frozen_set", "polar_transform",
            "encode", "generate_frames", "sc_decode", "llr_features",
@@ -160,7 +163,8 @@ def generate_frames(spec: PolarCodeSpec, seed: int, tags, frames, snrs_db):
     word's high half buffered, which no later 64-bit draw reads."""
     if len(snrs_db) != len(frames):
         raise ShapeError("need one Eb/N0 per frame")
-    sigma2 = np.array([_noise_variance(s, spec.rate) for s in snrs_db])[:, None]
+    variance = {s: _noise_variance(s, spec.rate) for s in dict.fromkeys(snrs_db)}
+    sigma2 = np.array([variance[s] for s in snrs_db])[:, None]
     words = np.empty((len(frames), -(-spec.K // 2)), dtype=np.uint64)
     noise = np.empty((len(frames), spec.N))
     frame_seeds = np.empty(len(frames), dtype=np.int64)
@@ -170,17 +174,18 @@ def generate_frames(spec: PolarCodeSpec, seed: int, tags, frames, snrs_db):
         frame_seeds[j] = rng.bit_generator.random_raw() >> 1
     bits = (words[:, :, None] >> np.array([31, 63], dtype=np.uint64)) & np.uint64(1)
     messages = bits.reshape(len(frames), -1)[:, :spec.K].astype(np.uint8)
+    del words, bits      # freed before the LLR arrays: lowers the memory peak
     llrs = 2.0 * (1.0 - 2.0 * encode(messages, spec).astype(float)
                   + np.sqrt(sigma2) * noise) / sigma2
     return messages, llrs, frame_seeds
 
 
 def _sc_recurse(llr, info, lo=0):
-    """SC over (frames, n) LLRs of u positions lo..lo+n-1, info[i] counting
-    the information positions below i; returns (u, x), both (frames, n).  A
-    rate-0 (all-frozen) node gives zeros without reading the LLRs it gets,
-    so they are not computed: after a rate-0 left half, g = b + a."""
-    n = llr.shape[1]
+    """SC over position-major (n, frames) LLRs of u positions lo..lo+n-1,
+    info[i] counting the information positions below i; returns (u, x),
+    both (n, frames).  A rate-0 (all-frozen) node gives zeros, so the LLRs
+    it would get are not computed: after a rate-0 left half, g = b + a."""
+    n = llr.shape[0]
     if info[lo] == info[lo + n]:
         u = np.zeros(llr.shape, dtype=np.uint8)
         return u, u
@@ -188,15 +193,15 @@ def _sc_recurse(llr, info, lo=0):
         u = np.logical_not(llr >= 0.0).astype(np.uint8)
         return u, u
     h = n // 2
-    a, b = llr[:, :h], llr[:, h:]
+    a, b = llr[:h], llr[h:]
     zero_left, zero_right = info[lo] == info[lo + h], info[lo + h] == info[lo + n]
     u_left, x_left = _sc_recurse(
         a if zero_left else np.logaddexp(0.0, a + b) - np.logaddexp(a, b), info, lo)
     g = (b if zero_right else b + a if zero_left
          else b + (1.0 - 2.0 * x_left.astype(float)) * a)
     u_right, x_right = _sc_recurse(g, info, lo + h)
-    return (np.concatenate([u_left, u_right], axis=1),
-            np.concatenate([x_left ^ x_right, x_right], axis=1))
+    return (np.concatenate([u_left, u_right]),
+            np.concatenate([x_left ^ x_right, x_right]))
 
 
 def _llr_block(llrs, spec: PolarCodeSpec) -> np.ndarray:
@@ -214,8 +219,8 @@ def sc_decode(llrs, spec: PolarCodeSpec) -> np.ndarray:
     a block of frames at once, LLRs (..., N), to message bits (..., K)."""
     llr = _llr_block(llrs, spec)
     info = [0] + np.cumsum(~spec.frozen).tolist()
-    u_hat, _ = _sc_recurse(llr.reshape(-1, spec.N), info)
-    return u_hat[:, ~spec.frozen].reshape(llr.shape[:-1] + (spec.K,))
+    u_hat, _ = _sc_recurse(llr.reshape(-1, spec.N).T.copy(), info)
+    return u_hat[~spec.frozen].T.copy().reshape(llr.shape[:-1] + (spec.K,))
 
 
 def llr_features(llrs) -> np.ndarray:
@@ -240,23 +245,21 @@ def neural_sc_decode(llrs, model: NetworkModel, spec: PolarCodeSpec,
 
 def _ber_shard(args):
     """Bit errors, frame errors and decode seconds (3, models, points) of
-    flat frames start..stop-1, in blocks of at most FRAME_BLOCK frames each
-    generated once; a block's decode time is split by its points' frames."""
+    flat frames start..stop-1, generated once as one block that every model
+    decodes; the block's decode time is split by its points' frames."""
     spec, snrs, min_frames, seed, models, window, start, stop = args
+    points, frames = np.divmod(np.arange(start, stop), min_frames)
+    messages, llrs, frame_seeds = generate_frames(
+        spec, seed, ("ber", points), frames, [snrs[p] for p in points])
+    share = np.bincount(points, minlength=len(snrs)) / len(points)
     totals = np.zeros((3, len(models), len(snrs)))
-    for lo in range(start, stop, FRAME_BLOCK):
-        points, frames = np.divmod(np.arange(lo, min(lo + FRAME_BLOCK, stop)),
-                                   min_frames)
-        messages, llrs, frame_seeds = generate_frames(
-            spec, seed, ("ber", points), frames, [snrs[p] for p in points])
-        share = np.bincount(points, minlength=len(snrs)) / len(points)
-        for m, model in enumerate(models):
-            t0 = time.perf_counter()
-            decoded = (sc_decode(llrs, spec) if model is None else
-                       neural_sc_decode(llrs, model, spec, window, frame_seeds))
-            totals[2, m] += (time.perf_counter() - t0) * share
-            errs = np.count_nonzero(decoded != messages, axis=1)
-            totals[:2, m] += [np.bincount(points, e, len(snrs)) for e in (errs, errs > 0)]
+    for m, model in enumerate(models):
+        t0 = time.perf_counter()
+        decoded = (sc_decode(llrs, spec) if model is None else
+                   neural_sc_decode(llrs, model, spec, window, frame_seeds))
+        totals[2, m] = (time.perf_counter() - t0) * share
+        errs = np.count_nonzero(decoded != messages, axis=1)
+        totals[:2, m] = [np.bincount(points, e, len(snrs)) for e in (errs, errs > 0)]
     return totals
 
 
@@ -268,15 +271,17 @@ def ber_experiment(spec: PolarCodeSpec, snr_list, min_frames: int, seed: int,
     draws its message and noise from a substream of (seed, point index,
     frame index), so results do not depend on worker count, scheduling or
     block size.  Flat frame j is frame j % min_frames of point
-    j // min_frames; that axis is cut into equal contiguous shards, at most
-    one per worker and per FRAME_BLOCK frames."""
+    j // min_frames; w workers, at most one per FRAME_BLOCK frames, each
+    take as many of its equal contiguous blocks of at most _MAX_BLOCK."""
     if min_frames < 1:
         raise DomainError("min_frames must be >= 1")
     total = len(snr_list) * min_frames
-    shards = max(1, min(worker_count(workers), -(-total // FRAME_BLOCK)))
+    workers = max(1, min(worker_count(workers), -(-total // FRAME_BLOCK)))
+    blocks = workers * -(-total // (workers * _MAX_BLOCK))
     jobs = [(spec, list(snr_list), min_frames, seed, models, window,
-             total * s // shards, total * (s + 1) // shards) for s in range(shards)]
-    totals = sum(parallel_map(_ber_shard, jobs, workers))
+             total * s // blocks, total * (s + 1) // blocks) for s in range(blocks)]
+    totals = sum(parallel_map(_ber_shard, jobs, workers),
+                 np.zeros((3, len(models), len(snr_list))))
     per_model = zip(*totals[:2].astype(np.int64).tolist(), totals[2].tolist())
     return [[{"snr_db": snr, "frames": min_frames, "bit_errors": b,
               "frame_errors": f, "ber": b / (min_frames * spec.K),

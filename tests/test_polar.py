@@ -19,7 +19,7 @@ from spinsc.network import (DETERMINISTIC, STOCHASTIC, Layer, NetworkModel,
 from spinsc.polar import (PolarCodeSpec, construct_frozen_set, encode, generate_frames,
                           neural_sc_decode, ber_experiment, polar_transform,
                           sc_decode)
-from spinsc.rngtools import derive_rng
+from spinsc.rngtools import derive_rng, worker_count
 from test_acceptance import REPRO_CONFIGS
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -333,6 +333,29 @@ class TestScDecode:
                 assert np.array_equal(decoded, u[:, ~frozen])
                 assert np.array_equal(encode(decoded, spec), x)
 
+    def test_shape_contract(self):
+        """A block (..., N) of any leading shape and memory layout decodes
+        to C-ordered uint8 bits (..., K), equal to decoding row by row."""
+        spec = construct_frozen_set(16, 8)
+        llrs = 3.0 * derive_rng(16, "shapes").standard_normal((2, 3, 16))
+        flat = llrs.reshape(6, 16)
+        rows = np.array([sc_decode(row, spec) for row in flat])
+        assert rows.shape == (6, 8) and rows.dtype == np.uint8
+        padded = np.zeros((16, 12))
+        padded[:, ::2] = flat.T
+        cases = [(np.zeros((0, 16)), np.zeros((0, 8), np.uint8)),
+                 (llrs, rows.reshape(2, 3, 8)),
+                 (np.asfortranarray(flat), rows),
+                 (padded[:, ::2].T, rows),                # strided both ways
+                 (np.repeat(flat, 2, axis=0)[1::2], rows)]
+        assert not cases[2][0].flags.c_contiguous
+        assert not cases[3][0].flags.c_contiguous
+        assert not cases[4][0].flags.c_contiguous
+        for block, want in cases:
+            got = sc_decode(block, spec)
+            assert got.dtype == np.uint8 and got.flags.c_contiguous
+            assert got.shape == want.shape and np.array_equal(got, want)
+
     def test_wrong_length_rejected(self):
         spec = construct_frozen_set(8, 4)
         with pytest.raises(ShapeError):
@@ -369,6 +392,27 @@ class TestGenerateFrames:
                  for r in (range(0, 4), range(4, 10))]
         for a, b in zip(whole, zip(*parts)):
             assert np.array_equal(a, np.concatenate(b))
+
+    def test_noise_variance_once_per_snr(self, monkeypatch):
+        """One _noise_variance call per distinct Eb/N0, in order of first
+        appearance, so the first bad value is the one reported."""
+        spec = construct_frozen_set(8, 4)
+        snrs = [2.0, 3.0, 2.0, 3.0, 4.0, 2.0]
+        want = generate_frames(spec, 6, ("x",), range(6), snrs)
+        calls = []
+
+        def counting(snr_db, rate):
+            calls.append(snr_db)
+            return noise_variance(snr_db, rate)
+        noise_variance = polar._noise_variance
+        monkeypatch.setattr(polar, "_noise_variance", counting)
+        got = generate_frames(spec, 6, ("x",), range(6), snrs)
+        assert calls == [2.0, 3.0, 4.0]
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        with pytest.raises(DomainError, match="Eb/N0 inf"):
+            generate_frames(spec, 0, ("x",), range(4), [2.0, math.inf, math.nan,
+                                                        math.inf])
 
     def test_rejects_bad_input(self):
         spec = construct_frozen_set(8, 4)
@@ -430,6 +474,10 @@ class TestBerExperiment:
         rows, = ber_experiment(spec, [100.0], 20, 4)
         assert rows[0]["ber"] == 0.0 and rows[0]["fer"] == 0.0
 
+    def test_no_points_give_no_rows(self):
+        spec = construct_frozen_set(8, 4)
+        assert ber_experiment(spec, [], 10, 1, models=[None, None]) == [[], []]
+
     def test_rate_one_n1_matches_uncoded_bpsk(self):
         spec = PolarCodeSpec(N=1, K=1, frozen=np.zeros(1, bool))
         snr_db = 2.0
@@ -461,7 +509,7 @@ class TestBerExperiment:
     def test_models_decode_the_same_frames(self, monkeypatch):
         # two models in one run give the rows of one run per model, and
         # each block is generated once: 2 points x 700 frames on one flat
-        # axis are ceil(1400 / FRAME_BLOCK) = 3 blocks, not one per model
+        # axis are ceil(1400 / 1024) = 2 blocks of 700, not one per model
         spec = construct_frozen_set(8, 4)
         model = NetworkModel(layers=[Layer(np.zeros((4, 8)), np.zeros(4))])
         singles = [ber_experiment(spec, [1.0, 3.0], 700, 5, models=[m])[0]
@@ -473,7 +521,7 @@ class TestBerExperiment:
             return generate_frames(*args, **kwargs)
         monkeypatch.setattr(polar, "generate_frames", counting)
         paired = ber_experiment(spec, [1.0, 3.0], 700, 5, models=[None, model])
-        assert [len(frames) for frames in calls] == [512, 512, 376]
+        assert [len(frames) for frames in calls] == [700, 700]
         for got, want in zip(paired, singles):
             for row, ref in zip(got, want):
                 del row["mean_decode_us"], ref["mean_decode_us"]
@@ -481,19 +529,69 @@ class TestBerExperiment:
 
     def test_block_decode_time_split_by_frames(self, monkeypatch):
         # a clock that ticks once per read times every block decode at 1 s:
-        # 3 points x 171 frames are a block of 171/171/170 frames and one
-        # of point 2's last frame
+        # 3 points x 351 frames are a block of 351 + 175 frames and one of
+        # 176 + 351, so point 1 spans both
         clock = itertools.count()
         monkeypatch.setattr(polar, "time",
                             SimpleNamespace(perf_counter=lambda: float(next(clock))))
-        rows, = ber_experiment(construct_frozen_set(8, 4), [1.0, 2.0, 3.0], 171, 2)
-        seconds = [row["mean_decode_us"] * 171 / 1e6 for row in rows]
-        assert seconds == pytest.approx([171 / 512, 171 / 512, 170 / 512 + 1.0])
+        rows, = ber_experiment(construct_frozen_set(8, 4), [1.0, 2.0, 3.0], 351, 2)
+        seconds = [row["mean_decode_us"] * 351 / 1e6 for row in rows]
+        assert seconds == pytest.approx([351 / 526, 175 / 526 + 176 / 527, 351 / 527])
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    @pytest.mark.parametrize("points,frames", [(1, 1), (1, 512), (1, 513), (3, 171),
+                                               (3, 400), (2, 700), (5, 1000),
+                                               (7, 1171)])
+    def test_blocks_equal_and_bounded(self, cpus, points, frames, monkeypatch):
+        """On `cpus` CPUs the flat axis runs on one worker per 512 frames at
+        most, cut into as many blocks per worker, each one job of at most
+        1,024 frames; the blocks cover the axis in order and their sizes
+        differ by at most one frame."""
+        seen = []
+
+        def recording(fn, jobs, workers):
+            seen.append((workers, [job[-2:] for job in jobs]))
+            return [np.zeros((3, 1, points)) for _ in jobs]
+        monkeypatch.setattr(polar, "worker_count", lambda w: min(w, cpus))
+        monkeypatch.setattr(polar, "parallel_map", recording)
+        ber_experiment(construct_frozen_set(8, 4), [2.0] * points, frames, 1,
+                       workers=cpus)
+        (workers, blocks), = seen
+        total = points * frames
+        assert workers == min(cpus, math.ceil(total / 512))
+        assert len(blocks) == workers * math.ceil(total / (workers * 1024))
+        assert [a for a, _ in blocks] == [0] + [b for _, b in blocks[:-1]]
+        assert blocks[-1][1] == total
+        sizes = [b - a for a, b in blocks]
+        assert max(sizes) <= 1024 and max(sizes) - min(sizes) <= 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_benchmark_inputs_one_block_per_worker(self, workers, tmp_path,
+                                                   monkeypatch):
+        """3 points x 400 frames of the (128,64) code: on 2 workers each
+        process generates one 600-frame block, on 1 the caller two (and so
+        on 2 workers where only one CPU is allowed)."""
+        log = tmp_path / "calls"
+
+        def counting(*args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {len(args[3])}\n")
+            return generate_frames(*args, **kwargs)
+        monkeypatch.setattr(polar, "generate_frames", counting)
+        ber_experiment(construct_frozen_set(128, 64), [2.0, 3.0, 4.0], 400, 1,
+                       workers=workers)
+        per_process = {}
+        for line in log.read_text().splitlines():
+            pid, size = map(int, line.split())
+            per_process.setdefault(pid, []).append(size)
+        want = {1: [[600, 600]], 2: [[600], [600]]}[worker_count(workers)]
+        assert sorted(per_process.values()) == want
+        assert os.getpid() in per_process
 
     @pytest.mark.parametrize("decoder", ["classical", "neural", "paired"])
     @pytest.mark.parametrize("points,frames", [(3, 171), (1, 1), (2, 700)])
     def test_rows_independent_of_workers_and_shards(self, decoder, points, frames):
-        """Totals that divide neither by the shard count nor by FRAME_BLOCK
+        """Totals that divide neither by the block count nor by 512
         give the same rows at 1, 2 and 3 workers as decoding each point's
         frames in one block."""
         spec = construct_frozen_set(8, 4)
@@ -531,7 +629,7 @@ with open(os.path.join(ROOT, "tests", "golden.json")) as _fh:
 
 # Neural `ber` golden entries decode with the model trained from
 # REPRO_CONFIGS["train-decoder"], its model.json fields updated as named by
-# the entry's "model"; more frames than one FRAME_BLOCK, at 1 and 2 workers.
+# the entry's "model"; more frames than one block, at 1 and 2 workers.
 # `save_model` entries pin the bytes of that relabelled model file.
 NEURAL_MODELS = {
     "deterministic": {},
