@@ -6,8 +6,8 @@ fixed tilt, equilibrate thermally for 10 ps (40 steps at the default dt),
 then see the current pulse and a field-only relax window; a trial has
 switched when its final mz sign differs from its initial sign.
 A sweep steps all its points' trials as one batch, each trial with its
-point's current and its own substream, cut into slabs of at most
-_BATCH_TRIALS, equal to within a trial and as many for each worker.
+point's current and its own substream, cut by rngtools.parallel_map into
+slabs of at most _BATCH_TRIALS.
 """
 
 from dataclasses import asdict, dataclass
@@ -19,7 +19,7 @@ from .errors import ConvergenceError, DomainError, FitDomainError
 from .formats import write_csv, write_json
 from .llgs import DeviceParams, _integrate, _pulse_phases, default_device_params
 # derive_rng is unused here but stays bound: perfbench traces it per module
-from .rngtools import derive_rng, derive_rngs, parallel_map, worker_count
+from .rngtools import derive_rng, derive_rngs, parallel_map
 
 __all__ = [
     "MtjParams",
@@ -122,8 +122,8 @@ def sweep_switching_curve(currents, pulse_width: float, trials_per_point: int,
                           workers: int = 1) -> SwitchingCurve:
     """Fraction of seeded trials that switch at each current, with 95% CI
     halfwidths.  Point i's trials run on the seed derive_rng(seed,
-    "sweep-point", i) draws, all points' trials stepped as slabs of one
-    flat batch, as many per worker, equal to within a trial."""
+    "sweep-point", i) draws, all points' trials stepped as the
+    parallel_map slabs of one flat batch."""
     currents, n = np.asarray(currents, dtype=float), trials_per_point
     if len(currents) < 5:
         raise DomainError("need at least 5 sweep currents")
@@ -139,12 +139,9 @@ def sweep_switching_curve(currents, pulse_width: float, trials_per_point: int,
              for rng in derive_rngs(seed, "sweep-point", np.arange(len(currents)))]
     keys = np.column_stack([np.repeat(seeds, n), np.tile(np.arange(n), len(seeds))])
     flat = np.repeat(currents, n)
-    workers = min(worker_count(workers), len(keys))
-    slabs = workers * -(-len(keys) // (workers * _BATCH_TRIALS))
-    cuts = [len(keys) * s // slabs for s in range(slabs + 1)]
-    switched = np.concatenate(parallel_map(_switched, [
-        (flat[a:b], keys[a:b], pulse_width, params)
-        for a, b in zip(cuts, cuts[1:])], workers))
+    switched = np.concatenate(parallel_map(
+        lambda a, b: _switched((flat[a:b], keys[a:b], pulse_width, params)),
+        len(keys), _BATCH_TRIALS, workers))
     p_hat = np.count_nonzero(switched.reshape(-1, n), axis=1) / n
     ci = [1.96 * math.sqrt(p * (1.0 - p) / n) for p in p_hat.tolist()]
     return SwitchingCurve(currents=currents, p_hat=p_hat,

@@ -12,6 +12,7 @@ return the decoded message bits (..., K).
 """
 
 from dataclasses import dataclass
+from functools import partial
 import json
 import math
 import time
@@ -22,7 +23,7 @@ from .errors import DomainError, ShapeError, malformed_as_format_error
 from .formats import write_csv, write_json
 from .network import DETERMINISTIC, NetworkModel, forward, forward_rate
 # derive_rng is unused here but stays bound: perfbench traces it per module
-from .rngtools import derive_rng, derive_rngs, parallel_map, worker_count
+from .rngtools import derive_rng, derive_rngs, parallel_map
 
 FRAME_BLOCK = 512    # ber_experiment frames that earn a worker process
 _MAX_BLOCK = 1024    # frames in one ber_experiment block; bounds its memory
@@ -173,7 +174,8 @@ def generate_frames(spec: PolarCodeSpec, seed: int, tags, frames, snrs_db):
         rng.standard_normal(out=noise[j])
         frame_seeds[j] = rng.bit_generator.random_raw() >> 1
     bits = (words[:, :, None] >> np.array([31, 63], dtype=np.uint64)) & np.uint64(1)
-    messages = bits.reshape(len(frames), -1)[:, :spec.K].astype(np.uint8)
+    messages = bits.reshape(len(frames), 2 * words.shape[1])[:, :spec.K]
+    messages = messages.astype(np.uint8)
     del words, bits      # freed before the LLR arrays: lowers the memory peak
     llrs = 2.0 * (1.0 - 2.0 * encode(messages, spec).astype(float)
                   + np.sqrt(sigma2) * noise) / sigma2
@@ -243,11 +245,10 @@ def neural_sc_decode(llrs, model: NetworkModel, spec: PolarCodeSpec,
     return (y > 0.5).astype(np.uint8)
 
 
-def _ber_shard(args):
+def _ber_shard(spec, snrs, min_frames, seed, models, window, start, stop):
     """Bit errors, frame errors and decode seconds (3, models, points) of
     flat frames start..stop-1, generated once as one block that every model
     decodes; the block's decode time is split by its points' frames."""
-    spec, snrs, min_frames, seed, models, window, start, stop = args
     points, frames = np.divmod(np.arange(start, stop), min_frames)
     messages, llrs, frame_seeds = generate_frames(
         spec, seed, ("ber", points), frames, [snrs[p] for p in points])
@@ -271,16 +272,14 @@ def ber_experiment(spec: PolarCodeSpec, snr_list, min_frames: int, seed: int,
     draws its message and noise from a substream of (seed, point index,
     frame index), so results do not depend on worker count, scheduling or
     block size.  Flat frame j is frame j % min_frames of point
-    j // min_frames; w workers, at most one per FRAME_BLOCK frames, each
-    take as many of its equal contiguous blocks of at most _MAX_BLOCK."""
+    j // min_frames; the flat axis runs as parallel_map blocks of at most
+    _MAX_BLOCK frames, on at most one worker per FRAME_BLOCK frames."""
     if min_frames < 1:
         raise DomainError("min_frames must be >= 1")
     total = len(snr_list) * min_frames
-    workers = max(1, min(worker_count(workers), -(-total // FRAME_BLOCK)))
-    blocks = workers * -(-total // (workers * _MAX_BLOCK))
-    jobs = [(spec, list(snr_list), min_frames, seed, models, window,
-             total * s // blocks, total * (s + 1) // blocks) for s in range(blocks)]
-    totals = sum(parallel_map(_ber_shard, jobs, workers),
+    shard = partial(_ber_shard, spec, list(snr_list), min_frames, seed, models, window)
+    totals = sum(parallel_map(shard, total, _MAX_BLOCK,
+                              min(workers, -(-total // FRAME_BLOCK))),
                  np.zeros((3, len(models), len(snr_list))))
     per_model = zip(*totals[:2].astype(np.int64).tolist(), totals[2].tolist())
     return [[{"snr_db": snr, "frames": min_frames, "bit_errors": b,

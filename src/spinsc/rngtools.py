@@ -17,9 +17,8 @@ one item stays on SeedSequence: on a 2-vCPU x86-64 VM with numpy 2.4,
 derive_rng took about 27 us, a one-entry block about 280 us, and a block
 of 512 entries 2-4 us per entry.
 
-`parallel_map` gives each worker one contiguous group of jobs and its own
-CPU.  The caller runs group 0 and forks a `multiprocessing` process, which
-inherits its jobs unpickled, for each other group.  Left alone, a 2-vCPU
+`parallel_map` holds the package's one work-split rule, stated in its
+docstring, and places each worker on its own CPU.  Left alone, a 2-vCPU
 x86-64 VM kept a forked child on its parent's CPU, where both ran at half
 speed.  There a no-op 2-job map takes about 5 ms.
 """
@@ -179,40 +178,44 @@ def worker_count(workers: int) -> int:
 
 
 def _run_group(fn, group, cpus, k, conn=None):
-    """(True, [fn(job) for job in group]) or (False, the exception raised),
+    """(True, [fn(a, b) for a, b in group]) or (False, the exception raised),
     after a move onto CPU k of the sorted allowed set `cpus` (None: no
     move) and back to the whole set; sent on `conn` if one is given."""
     try:
         if cpus is not None:
             os.sched_setaffinity(0, [sorted(cpus)[k]])
             os.sched_setaffinity(0, cpus)
-        reply = True, [fn(job) for job in group]
+        reply = True, [fn(a, b) for a, b in group]
     except BaseException as exc:
         reply = False, exc
     return reply if conn is None else conn.send(reply)
 
 
-def parallel_map(fn, jobs, workers: int = 1) -> list:
-    """[fn(job) for job in jobs] on n = min(worker_count(workers), len(jobs))
-    workers, each running one of n contiguous groups of jobs whose sizes
-    differ by at most 1.  Results come back in job order.  Every child is
-    joined before the first failure in job order is raised; one that dies
-    without replying raises ChildProcessError."""
-    n = min(worker_count(workers), len(jobs))
-    if n < 2:
-        return [fn(job) for job in jobs]
+def parallel_map(fn, total: int, cap: int, workers: int = 1) -> list:
+    """[fn(a, b) for each block a..b-1] of range(total), in block order:
+    w = max(1, min(worker_count(workers), total)) workers each run
+    ceil(total / (w * cap)) consecutive blocks on their own CPU, the caller
+    the first group and a forked child each other; the blocks are
+    contiguous, of at most `cap` items each and their sizes within 1.  Every
+    child is joined before the first failure in block order is raised; one
+    that dies without replying raises ChildProcessError."""
+    w = max(1, min(worker_count(workers), total))
+    per = -(-total // (w * cap))                # blocks per worker
+    blocks = [(total * s // (w * per), total * (s + 1) // (w * per))
+              for s in range(w * per)]
+    if w < 2:
+        return [fn(a, b) for a, b in blocks]
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else None
-    cuts = [len(jobs) * k // n for k in range(n + 1)]
     fork, children, replies = multiprocessing.get_context("fork"), [], []
     try:
-        for k in range(1, n):
+        for k in range(1, w):
             recv, send = fork.Pipe(duplex=False)
             child = fork.Process(target=_run_group, args=(
-                fn, jobs[cuts[k]:cuts[k + 1]], cpus, k, send))
+                fn, blocks[k * per:(k + 1) * per], cpus, k, send))
             child.start()
             send.close()        # so recv sees EOF if the child dies
             children.append((child, recv))
-        replies.append(_run_group(fn, jobs[:cuts[1]], cpus, 0))
+        replies.append(_run_group(fn, blocks[:per], cpus, 0))
     finally:
         for child, recv in children:
             with recv:

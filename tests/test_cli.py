@@ -600,6 +600,15 @@ trials_per_point = 2
             capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("frames", [0, -3])
+    def test_no_dataset_frames(self, tmp_path, capsys, frames):
+        cfg = write_cfg(tmp_path / "t.cfg",
+                        TRAIN_CFG.replace("frames = 32", f"frames = {frames}"))
+        out = tmp_path / "out"
+        assert run("train-decoder", cfg, out) == 2
+        assert "error: need at least one example" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_empty_ber_snrs(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "b.cfg",
                         BER_CFG.replace("snrs_db = 1.0, 3.0", "snrs_db ="))

@@ -10,7 +10,7 @@ from spinsc.errors import DomainError, FitDomainError
 from spinsc.llgs import default_device_params
 from spinsc.mtj import (MtjParams, SigmoidFit, SwitchingCurve, default_mtj_params,
                         fit_stochastic_sigmoid, sweep_switching_curve)
-from spinsc.rngtools import derive_rng, parallel_map, worker_count
+from spinsc.rngtools import derive_rng, parallel_map
 
 
 def critical_spin_current(dev):
@@ -124,13 +124,16 @@ class TestSweep:
                       relax_time=2e-11)
     CURRENTS = [6.8e-3, 7.2e-3, 7.5e-3, 7.8e-3, 8.2e-3]
 
-    @pytest.mark.parametrize("workers, batch", [(1, None), (2, None), (1, 12)],
-                             ids=["1-worker", "2-workers", "12-trial-slabs"])
+    @pytest.mark.parametrize("workers, batch", [(1, None), (2, None), (1, 12),
+                                                (0, None), (-1, None)],
+                             ids=["1-worker", "2-workers", "12-trial-slabs",
+                                  "0-workers", "-1-workers"])
     def test_points_equal_single_point_estimates(self, workers, batch,
                                                  monkeypatch):
         """Point idx of a sweep is an `mtj._switched` run of its 16 trials on
         the seed derive_rng(seed, "sweep-point", idx) draws (T = 300 K,
-        500 steps), also when slabs of 12 trials cut across the points."""
+        500 steps), also when slabs of 12 trials cut across the points, and
+        on fewer than one worker asked for, which runs on one."""
         expected = []
         for idx, current in enumerate(self.CURRENTS):
             point_seed = int(derive_rng(11, "sweep-point", idx).integers(0, 2**63))
@@ -147,24 +150,20 @@ class TestSweep:
         assert 0.0 < curve.p_hat.mean() < 1.0
 
     def test_workers_get_equal_trials(self, monkeypatch):
-        """On 100,000 workers, a sweep of 75 trials in slabs of at most 12
-        cuts as many slabs for each of the worker_count workers (not one
-        per trial), holding the same trials per worker to within one, and
-        gives the 1-worker curve."""
+        """A sweep of 75 trials hands parallel_map (which splits them; see
+        test_rngtools) its flat trial axis, _BATCH_TRIALS as the slab cap and
+        the 100,000 workers asked for, and gives the 1-worker curve."""
         monkeypatch.setattr(mtj, "_BATCH_TRIALS", 12)
         one = sweep_switching_curve(self.CURRENTS, 1e-10, 15, self.SHORT, 11)
-        slabs = []
+        calls = []
 
-        def recording(fn, jobs, workers):
-            slabs.append([len(job[1]) for job in jobs])
-            return parallel_map(fn, jobs, workers)
+        def recording(fn, total, cap, workers):
+            calls.append((total, cap, workers))
+            return parallel_map(fn, total, cap, workers)
         monkeypatch.setattr(mtj, "parallel_map", recording)
         curve = sweep_switching_curve(self.CURRENTS, 1e-10, 15, self.SHORT, 11,
                                       workers=100_000)
-        n, (sizes,) = worker_count(100_000), slabs
-        assert len(sizes) == n * math.ceil(75 / (n * 12)) and max(sizes) <= 12
-        per_worker = np.reshape(sizes, (n, -1)).sum(axis=1)
-        assert per_worker.max() - per_worker.min() <= 1
+        assert calls == [(75, 12, 100_000)]
         assert np.array_equal(curve.p_hat, one.p_hat)
 
     @pytest.mark.parametrize("currents", [[1e-3, 2e-3, 3e-3, 4e-3, np.inf],

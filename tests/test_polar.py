@@ -414,6 +414,13 @@ class TestGenerateFrames:
             generate_frames(spec, 0, ("x",), range(4), [2.0, math.inf, math.nan,
                                                         math.inf])
 
+    @pytest.mark.parametrize("N, K", [(8, 4), (8, 3)])
+    def test_empty_frame_range(self, N, K):
+        """No frames give (0, K) messages, (0, N) LLRs and (0,) seeds."""
+        messages, llrs, seeds = generate_frames(construct_frozen_set(N, K), 1,
+                                                ("x",), range(0), [])
+        assert (messages.shape, llrs.shape, seeds.shape) == ((0, K), (0, N), (0,))
+
     def test_rejects_bad_input(self):
         spec = construct_frozen_set(8, 4)
         with pytest.raises(ShapeError):
@@ -538,32 +545,24 @@ class TestBerExperiment:
         seconds = [row["mean_decode_us"] * 351 / 1e6 for row in rows]
         assert seconds == pytest.approx([351 / 526, 175 / 526 + 176 / 527, 351 / 527])
 
-    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     @pytest.mark.parametrize("points,frames", [(1, 1), (1, 512), (1, 513), (3, 171),
                                                (3, 400), (2, 700), (5, 1000),
                                                (7, 1171)])
-    def test_blocks_equal_and_bounded(self, cpus, points, frames, monkeypatch):
-        """On `cpus` CPUs the flat axis runs on one worker per 512 frames at
-        most, cut into as many blocks per worker, each one job of at most
-        1,024 frames; the blocks cover the axis in order and their sizes
-        differ by at most one frame."""
+    def test_blocks_equal_and_bounded(self, workers, points, frames, monkeypatch):
+        """The flat axis goes to parallel_map (which splits it; see
+        test_rngtools) in blocks of at most 1,024 frames, on the workers
+        asked for but at most one per 512 frames."""
         seen = []
 
-        def recording(fn, jobs, workers):
-            seen.append((workers, [job[-2:] for job in jobs]))
-            return [np.zeros((3, 1, points)) for _ in jobs]
-        monkeypatch.setattr(polar, "worker_count", lambda w: min(w, cpus))
+        def recording(fn, total, cap, workers):
+            seen.append((total, cap, workers))
+            return [np.zeros((3, 1, points))]
         monkeypatch.setattr(polar, "parallel_map", recording)
         ber_experiment(construct_frozen_set(8, 4), [2.0] * points, frames, 1,
-                       workers=cpus)
-        (workers, blocks), = seen
+                       workers=workers)
         total = points * frames
-        assert workers == min(cpus, math.ceil(total / 512))
-        assert len(blocks) == workers * math.ceil(total / (workers * 1024))
-        assert [a for a, _ in blocks] == [0] + [b for _, b in blocks[:-1]]
-        assert blocks[-1][1] == total
-        sizes = [b - a for a, b in blocks]
-        assert max(sizes) <= 1024 and max(sizes) - min(sizes) <= 1
+        assert seen == [(total, 1024, min(workers, math.ceil(total / 512)))]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_benchmark_inputs_one_block_per_worker(self, workers, tmp_path,

@@ -1,8 +1,9 @@
 import itertools
+import math
 import multiprocessing
 import os
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import numpy as np
 import pytest
@@ -95,12 +96,18 @@ def _placed(job):
     return job, os.getpid(), cpu
 
 
+def _map(jobs, workers):
+    """_placed over jobs by parallel_map, in blocks of at most one job."""
+    blocks = rngtools.parallel_map(lambda a, b: [_placed(j) for j in jobs[a:b]],
+                                   len(jobs), 1, workers)
+    return [result for block in blocks for result in block]
+
 
 def _groups(jobs, workers):
-    """parallel_map of _placed over jobs, checked for what every call keeps;
-    returns the groups of results, one per process, in job order."""
+    """_map of jobs, checked for what every call keeps; returns the groups
+    of results, one per process, in job order."""
     allowed = _allowed()
-    results = rngtools.parallel_map(_placed, jobs, workers)
+    results = _map(jobs, workers)
     assert [job for job, _, _ in results] == jobs
     groups = [list(g) for _, g in itertools.groupby(results, lambda r: r[1])]
     # each process runs one contiguous group, and the caller runs group 0
@@ -112,6 +119,35 @@ def _groups(jobs, workers):
     assert _allowed() == allowed
     assert multiprocessing.active_children() == []
     return groups
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 5000), st.integers(1, 1100), st.integers(1, 8),
+       st.integers(1, 8))
+@example(0, 1, 8, 8).via("no items")
+@example(3, 1, 2, 2).via("an empty first block")
+@example(5000, 1100, 8, 8).via("the largest case")
+def test_parallel_map_blocks_capped_and_equal(total, cap, cpus, workers):
+    """The one split rule, on `cpus` CPUs: w = max(1, min(cpus, workers,
+    total)) processes, the caller first, each run ceil(total / (w * cap))
+    consecutive blocks; the blocks cover range(total) in order, each of at
+    most `cap` items and their sizes within 1."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rngtools, "worker_count", lambda n: min(n, cpus))
+        mp.delattr(os, "sched_setaffinity", raising=False)   # no CPU k >= 2 here
+        blocks = rngtools.parallel_map(lambda a, b: (a, b, os.getpid()),
+                                       total, cap, workers)
+    w = max(1, min(cpus, workers, total))
+    assert len(blocks) == w * math.ceil(total / (w * cap))
+    cuts = [0] + [b for _, b, _ in blocks]
+    assert [a for a, _, _ in blocks] == cuts[:-1] and cuts[-1] == total
+    sizes = [b - a for a, b, _ in blocks]
+    assert max(sizes, default=0) <= cap
+    assert max(sizes, default=0) - min(sizes, default=0) <= 1
+    groups = [len(list(g)) for _, g in itertools.groupby(blocks, lambda r: r[2])]
+    assert groups == ([len(blocks) // w] * w if blocks else [])
+    assert len({pid for _, _, pid in blocks}) == len(groups)
+    assert not blocks or blocks[0][2] == os.getpid()
 
 
 @pytest.mark.parametrize("jobs, workers, pools", [
@@ -169,8 +205,8 @@ def test_parallel_map_on_two_processes():
     for jobs, match in [([-1, 2, 3], "job -1"), ([1, 2, -3], "job -3"),
                         ([-1, 2, -3], "job -1")]:
         with pytest.raises(DomainError, match=match):
-            rngtools.parallel_map(_placed, jobs, 2)
+            _map(jobs, 2)
         assert multiprocessing.active_children() == []
     with pytest.raises(ChildProcessError, match="code 3"):
-        rngtools.parallel_map(_placed, [1, 99], 2)
+        _map([1, 99], 2)
     assert multiprocessing.active_children() == []
