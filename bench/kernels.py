@@ -117,27 +117,27 @@ def forward_block(rows=512):
                          training.init_model([8, 32, 4], 1), X)
 
 
-def derive_per_frame(frames=512):
-    """Derivations/s of `rngtools.derive_rng(seed, "ber", 0, f)`, one call
-    per frame f, as `ber` derives each frame's substream."""
-    from spinsc.rngtools import derive_rng
+def derive_block(frames=512):
+    """Derivations/s of `rngtools.derive_rngs` on one block of `frames`
+    frames f at point 0, tags ("ber", 0, f) under master seed 1, each
+    generator built, as `generate_frames` derives a `ber` block."""
+    import numpy as np
+    from spinsc.rngtools import derive_rngs
 
     def block():
-        for f in range(frames):
-            derive_rng(1, "ber", 0, f)
+        for _ in derive_rngs(1, "ber", np.zeros(frames, dtype=np.int64),
+                             np.arange(frames)):
+            pass
     return repeat_for_1s(frames, block)
 
 
-def bitstream_cell(L=10 ** 6):
-    """Stream bits/s of one `sc-arith-bench` cell on L-bit streams: encode
-    a, b and a select stream, AND-multiply and MUX-add them, decode both."""
-    from spinsc import bitstream as bs
-
-    def cell():
-        a, b = bs.encode(0.3, L, 1), bs.encode(0.7, L, 2)
-        bs.decode(bs.multiply_and(a, b))
-        bs.decode(bs.scaled_add_mux(a, b, bs.encode(0.5, L, 3)))
-    return repeat_for_1s(L, cell)
+def and_mux_table(L=10 ** 6):
+    """Stream bits/s of `bitstream.and_mux_table` on the values 0.1, 0.5, 0.9
+    and L-bit streams, as `sc-arith-bench` runs one seed: 27 L-bit streams
+    per call, counted as the CLI kernel counts them."""
+    from spinsc import bitstream
+    return repeat_for_1s(27 * L, bitstream.and_mux_table, [0.1, 0.5, 0.9], L,
+                         1, 2, 3)
 
 
 def sc_arith_bench(L=10 ** 6):
@@ -202,11 +202,11 @@ KERNELS.update({f"polar.generate_frames N={n}": (
     "frames/s", partial(polar_block, "generate_frames", n)) for n in (8, 128)})
 KERNELS["polar.neural_sc_decode stochastic (8,4) window=64"] = (
     "frames/s", stochastic_decode)
-KERNELS["bitstream cell L=1e6"] = ("bits/s", bitstream_cell)
+KERNELS["bitstream.and_mux_table L=1e6 V=3"] = ("stream-bits/s", and_mux_table)
 KERNELS["training.minibatch_step 8-32-4 B=32"] = ("examples/s", minibatch_step)
 KERNELS.update({f"network.forward 8-32-4 B={b}": (
     "examples/s", partial(forward_block, b)) for b in (512, 65536)})
-KERNELS["rngtools.derive_rng per frame"] = ("derivations/s", derive_per_frame)
+KERNELS["rngtools.derive_rngs B=512"] = ("derivations/s", derive_block)
 KERNELS["cli sc-arith-bench L=1e6 V=3"] = ("stream-bits/s", sc_arith_bench)
 KERNELS["cli device-sweep 5x500"] = ("sweeps/s", device_sweep)
 KERNELS.update({f"cli ber (128,64) 3x400 workers={w}": (

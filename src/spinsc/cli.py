@@ -1,14 +1,16 @@
 """Command-line harness tying the modules into reproducible experiments.
 
 Every run resolves its configuration (file + environment overrides),
-derives all randomness from one master seed, writes its data files
-atomically, and emits a manifest from which the run can be repeated
-bit-exactly with `spinsc rerun <manifest>` (wall-clock duration aside).
+derives all randomness from one master seed, computes all of its data,
+then writes each data file atomically and a manifest from which the run
+can be repeated bit-exactly with `spinsc rerun <manifest>` (wall-clock
+duration aside).
 """
 
 import argparse
 from contextlib import contextmanager
 from dataclasses import replace
+from functools import partial
 import json
 import math
 import os
@@ -49,19 +51,6 @@ def _write(out_dir, name, writer):
     return name
 
 
-def _write_manifest(out_dir, command, seed, workers, cfg, outputs, duration):
-    doc = {
-        "command": command,
-        "artifact_version": __version__,
-        "master_seed": seed,
-        "workers": workers,
-        "config": cfg,
-        "outputs": outputs,
-        "duration_s": duration,
-    }
-    _write(out_dir, MANIFEST_NAME, lambda p: write_json(p, doc))
-
-
 # each [device] key and the DeviceParams field it sets
 _DEVICE_KEYS = {"temperature_k": "T", "alpha": "alpha", "ms_a_per_m": "Ms",
                 "volume_m3": "V", "dt_s": "dt", "hk_a_per_m": "Hk",
@@ -87,7 +76,7 @@ def _code_from_config(v: ConfigView) -> polar.PolarCodeSpec:
         v.get_float("code", "design_snr_db", 0.0))
 
 
-def cmd_device_sweep(v, seed, workers, out_dir):
+def cmd_device_sweep(v, seed, workers):
     params = _mtj_from_config(v)
     currents = v.get_float_list("sweep", "currents_a", None)
     if currents is None:
@@ -101,20 +90,19 @@ def cmd_device_sweep(v, seed, workers, out_dir):
         v.get_float("sweep", "pulse_width_s"),
         v.get_int("sweep", "trials_per_point"),
         params, seed, workers=workers)
-    # fit before writing, so a fit that raises (exit 2) leaves no output
     try:
         fit = mtj.fit_stochastic_sigmoid(curve)
     except FitDomainError as exc:
         print(f"sigmoid fit failed: {exc}", file=sys.stderr)
         print(f"curve p_hat: {curve.p_hat.tolist()}", file=sys.stderr)
         fit = None
-    outputs = [_write(out_dir, "switching_curve.csv", curve.to_csv)]
+    files = [("switching_curve.csv", curve.to_csv)]
     if fit is None:
-        return outputs, False
-    return outputs + [_write(out_dir, "sigmoid_fit.json", fit.to_json)], True
+        return files, False
+    return files + [("sigmoid_fit.json", fit.to_json)], True
 
 
-def cmd_sc_arith_bench(v, seed, workers, out_dir):
+def cmd_sc_arith_bench(v, seed, workers):
     L = v.get_int("scarith", "length", 4096)
     n_seeds = v.get_int("scarith", "seeds", 100)
     values = v.get_float_list("scarith", "values", [0.1, 0.5, 0.9])
@@ -141,8 +129,7 @@ def cmd_sc_arith_bench(v, seed, workers, out_dir):
                 passes = int(np.count_nonzero(np.abs(x - target) <= bound))
                 rows.append((op, p, q, L, n_seeds, passes, bound))
     header = ("op", "p", "q", "length", "seeds", "passes", "bound")
-    return [_write(out_dir, "sc_arith.csv",
-                   lambda path: write_csv(path, header, rows))], True
+    return [("sc_arith.csv", partial(write_csv, header=header, rows=rows))], True
 
 
 def _build_decoder_dataset(spec, frames, snrs_db, seed):
@@ -152,7 +139,7 @@ def _build_decoder_dataset(spec, frames, snrs_db, seed):
     return polar.llr_features(llrs), messages.astype(float)
 
 
-def cmd_train_decoder(v, seed, workers, out_dir):
+def cmd_train_decoder(v, seed, workers):
     spec = _code_from_config(v)
     frames = v.get_int("dataset", "frames")
     snrs = v.get_float_list("dataset", "snrs_db")
@@ -172,13 +159,12 @@ def cmd_train_decoder(v, seed, workers, out_dir):
     hidden = v.get_int_list("network", "hidden", [16])
     model = training.init_model([spec.N] + hidden + [spec.K], seed)
     model, history = training.train(model, X, Y, cfg, loss)
-    return [_write(out_dir, "code_spec.json", spec.to_json),
-            _write(out_dir, "model.json", lambda p: save_model(model, p)),
-            _write(out_dir, "history.csv",
-                   lambda p: training.write_history_csv(history, p))], True
+    return [("code_spec.json", spec.to_json),
+            ("model.json", partial(save_model, model)),
+            ("history.csv", partial(training.write_history_csv, history))], True
 
 
-def cmd_ber(v, seed, workers, out_dir):
+def cmd_ber(v, seed, workers):
     spec = _code_from_config(v)
     decoder = v.get_str("ber", "decoder", "classical")
     if decoder not in ("classical", "neural", "paired"):
@@ -198,19 +184,16 @@ def cmd_ber(v, seed, workers, out_dir):
                 f"neural decoding needs a trained model; expected file at "
                 f"{model_path} (run train-decoder first)")
         models[-1] = load_model(model_path)
-    # every decoder runs before any file is written: an error writes nothing
     results = polar.ber_experiment(spec, snrs, min_frames, seed, models,
                                    window, workers)
-    outputs = []
+    files = []
     for name, rows in zip(which, results):
-        outputs.append(_write(out_dir, f"ber_{name}.csv",
-                              lambda p: polar.write_ber_csv(rows, p)))
-        outputs.append(_write(out_dir, f"timing_{name}.csv",
-                              lambda p: polar.write_timing_csv(rows, p)))
-    return outputs, True
+        files.append((f"ber_{name}.csv", partial(polar.write_ber_csv, rows)))
+        files.append((f"timing_{name}.csv", partial(polar.write_timing_csv, rows)))
+    return files, True
 
 
-def cmd_gradcheck(v, seed, workers, out_dir):
+def cmd_gradcheck(v, seed, workers):
     n_nets = v.get_int("gradcheck", "networks", 100)
     max_layers = v.get_int_list("gradcheck", "max_sizes", [4, 8, 4])
     if len(max_layers) < 2 or min(max_layers) < 1:
@@ -238,12 +221,12 @@ def cmd_gradcheck(v, seed, workers, out_dir):
         worst = max(worst, err)
         rows.append((i, "x".join(map(str, sizes)), err))
     header = ("net", "sizes", "max_rel_error")
-    outputs = [_write(out_dir, "gradcheck.csv",
-                      lambda path: write_csv(path, header, rows))]
     print(f"gradcheck: {n_nets} networks, max relative error {worst:.3e}")
-    return outputs, worst <= 1e-5
+    files = [("gradcheck.csv", partial(write_csv, header=header, rows=rows))]
+    return files, worst <= 1e-5
 
 
+# each computes only, returning ([(file name, writer(path))], ok) for _run
 _COMMANDS = {
     "device-sweep": cmd_device_sweep,
     "sc-arith-bench": cmd_sc_arith_bench,
@@ -287,9 +270,22 @@ def _run(command, cfg_dict, seed, workers, out_dir):
     view = ConfigView(cfg_dict)
     view.read |= {("run", "seed"), ("run", "workers")}  # main resolved these
     t0 = time.perf_counter()
-    outputs, ok = _COMMANDS[command](view, seed, workers, out_dir)
-    duration = time.perf_counter() - t0
-    _write_manifest(out_dir, command, seed, workers, cfg_dict, outputs, duration)
+    files, ok = _COMMANDS[command](view, seed, workers)
+    try:
+        outputs = [_write(out_dir, name, writer) for name, writer in files]
+        doc = {
+            "command": command,
+            "artifact_version": __version__,
+            "master_seed": seed,
+            "workers": workers,
+            "config": cfg_dict,
+            "outputs": outputs,
+            "duration_s": time.perf_counter() - t0,
+        }
+        _write(out_dir, MANIFEST_NAME, partial(write_json, doc=doc))
+    except OSError as exc:
+        print(f"error: cannot write to {out_dir}: {exc}", file=sys.stderr)
+        return 3
     unread = [(s, k) for s in cfg_dict for k in cfg_dict[s] if (s, k) not in view.read]
     for section, key in unread:
         print(f"warning: unused config key [{section}] {key}", file=sys.stderr)

@@ -691,6 +691,24 @@ trials_per_point = 2
         assert "error: cannot create out-dir" in capsys.readouterr().err
         assert out.read_text() == "not a directory"
 
+    @pytest.mark.parametrize("command,blocked", [
+        ("ber", "timing_classical.csv"), ("train-decoder", "history.csv")])
+    def test_unwritable_output_exits_3_without_manifest(self, tmp_path, capsys,
+                                                       command, blocked):
+        """An output that cannot be written (a directory holds its name)
+        ends the run with exit 3 and one error line: no traceback, no
+        manifest and no temp file."""
+        cfg = write_cfg(tmp_path / "c.cfg",
+                        BER_CFG if command == "ber" else TRAIN_CFG)
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        assert run(command, cfg, out) == 3
+        err = capsys.readouterr().err
+        assert f"error: cannot write to {out}:" in err
+        assert "Traceback" not in err
+        assert not (out / "manifest.json").exists()
+        assert list(out.glob("*.tmp")) == []
+
     @pytest.mark.parametrize("command", ["ber", "train-decoder"])
     @pytest.mark.parametrize("code,message", [
         ("n = 3", "N must be a power of 2, got 3"),
