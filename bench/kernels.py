@@ -57,6 +57,19 @@ def switched_slab(batch):
     return batch * steps / (time.perf_counter() - t0)
 
 
+def sigmoid_fit():
+    """Fits/s of `mtj.fit_stochastic_sigmoid` on one fixed 15-point curve:
+    currents from 1.15 to 2.05 mA, 2,000 trials a point, switch counts
+    drawn at seed 1 from the logistic with a = 9e3 /A and b = 1.48 mA."""
+    import numpy as np
+    from spinsc import mtj
+    I, n = np.linspace(1.15e-3, 2.05e-3, 15), np.full(15, 2000)
+    p = 1.0 / (1.0 + np.exp(-9e3 * (I - 1.48e-3)))
+    p_hat = np.random.default_rng(1).binomial(n, p) / n
+    curve = mtj.SwitchingCurve(I, p_hat, n, 1.96 * np.sqrt(p_hat * (1 - p_hat) / n))
+    return repeat_for_1s(1, mtj.fit_stochastic_sigmoid, curve)
+
+
 def repeat_for_1s(units, fn, *args):
     """Units/s of fn(*args), each call doing `units`, called for at least 1 s."""
     calls, t0 = 0, time.perf_counter()
@@ -207,6 +220,7 @@ KERNELS["training.minibatch_step 8-32-4 B=32"] = ("examples/s", minibatch_step)
 KERNELS.update({f"network.forward 8-32-4 B={b}": (
     "examples/s", partial(forward_block, b)) for b in (512, 65536)})
 KERNELS["rngtools.derive_rngs B=512"] = ("derivations/s", derive_block)
+KERNELS["mtj.fit_stochastic_sigmoid 15x2000"] = ("fits/s", sigmoid_fit)
 KERNELS["cli sc-arith-bench L=1e6 V=3"] = ("stream-bits/s", sc_arith_bench)
 KERNELS["cli device-sweep 5x500"] = ("sweeps/s", device_sweep)
 KERNELS.update({f"cli ber (128,64) 3x400 workers={w}": (

@@ -1,5 +1,5 @@
-"""MTJ device layer: Monte Carlo switching probability and the logistic
-fit of the stochastic-sigmoid curve.
+"""MTJ device layer: Monte Carlo switching probability and the binomial
+maximum-likelihood logistic fit of the stochastic-sigmoid curve.
 
 Switching trials start from the antiparallel state (-z) with a small
 fixed tilt, equilibrate thermally for 10 ps (40 steps at the default dt),
@@ -149,64 +149,43 @@ def sweep_switching_curve(currents, pulse_width: float, trials_per_point: int,
 
 
 def fit_stochastic_sigmoid(curve: SwitchingCurve) -> SigmoidFit:
-    """Least-squares logistic fit in (a, b) by at most 200 steps of
-    damped Gauss-Newton."""
+    """Binomial maximum-likelihood logistic fit in (a, b) to the switch
+    counts trials * p_hat: at most 100 Fisher-scoring (IRLS) steps on the
+    standardised current from (0, 1), each halved until the negative
+    log-likelihood does not rise.  r_squared is 1 - SSE/SST of p_hat."""
     I = np.asarray(curve.currents, dtype=float)
     p = np.asarray(curve.p_hat, dtype=float)
     if len(I) < 5 or p.min() >= 0.2 or p.max() <= 0.8:
         raise FitDomainError(
             "curve must have >= 5 points spanning p < 0.2 and p > 0.8")
+    n = np.asarray(curve.trials, dtype=float)
+    m, s = I.mean(), I.std()
+    X = np.column_stack([np.ones_like(I), (I - m) / s])
 
-    # initial guess from a logit regression on the interior points
-    interior = (p > 0.02) & (p < 0.98)
-    if np.count_nonzero(interior) >= 2:
-        logit = np.log(p[interior] / (1.0 - p[interior]))
-        a0, c0 = np.polyfit(I[interior], logit, 1)
-        if a0 <= 0:
-            a0 = 1.0 / max(np.ptp(I), 1e-30)
-        b0 = -c0 / a0
+    def nll(beta):
+        eta = X @ beta
+        return float(n * p @ np.logaddexp(0.0, -eta)
+                     + n * (1.0 - p) @ np.logaddexp(0.0, eta))
+
+    beta = np.array([0.0, 1.0])
+    cost = nll(beta)
+    for _ in range(100):
+        mu = sigmoid(X @ beta)
+        # lstsq, as separated data make this system singular to rounding
+        step = np.linalg.lstsq(X.T @ (X * (n * mu * (1.0 - mu))[:, None]),
+                               X.T @ (n * (p - mu)), rcond=None)[0]
+        while (new := nll(beta + step)) > cost:
+            step /= 2.0
+        # the likelihood's relative change is 1 - exp(new - cost)
+        beta, cost, gain = beta + step, new, cost - new
+        if gain < 1e-12:
+            break
     else:
-        b0 = float(np.interp(0.5, p, I))
-        a0 = 4.0 / max(np.ptp(I) / len(I), 1e-30)
-
-    a, b = float(a0), float(b0)
-    lam = 1e-3
-
-    def jacobian(a, b):         # of the logistic wrt (a, b)
-        s = sigmoid(a * (I - b))
-        w = s * (1.0 - s)
-        return np.column_stack([w * (I - b), -a * w])
-
-    r = sigmoid(a * (I - b)) - p
-    cost = float(r @ r)
-    converged = False
-    for _ in range(200):
-        J = jacobian(a, b)
-        g = J.T @ r
-        H = J.T @ J
-        step = np.linalg.solve(H + lam * np.diag(np.diag(H) + 1e-300), -g)
-        a_new, b_new = a + step[0], b + step[1]
-        r_new = sigmoid(a_new * (I - b_new)) - p
-        cost_new = float(r_new @ r_new)
-        if cost_new <= cost:
-            rel = abs(cost - cost_new) / max(cost, 1e-300)
-            a, b, r, cost = a_new, b_new, r_new, cost_new
-            lam = max(lam * 0.3, 1e-12)
-            if rel < 1e-14 or float(np.abs(step).max()) < 1e-14 * max(abs(a), abs(b)):
-                converged = True
-                break
-        else:
-            lam *= 10.0
-            if lam > 1e12:
-                break
-    else:
-        converged = cost <= 1e-20 or float(np.abs(g).max()) < 1e-12
-    if not converged and cost > 1e-20:
-        # accept if the gradient is numerically flat, else report failure
-        if float(np.abs(jacobian(a, b).T @ r).max()) > 1e-9:
-            raise ConvergenceError("logistic fit did not converge")
+        raise ConvergenceError("logistic fit did not converge in 100 steps")
+    a, b = beta[1] / s, m - beta[0] * s / beta[1]
     if a <= 0:
         raise ConvergenceError("logistic fit produced a non-positive slope")
+    r = sigmoid(a * (I - b)) - p
     ss_tot = float(np.sum((p - p.mean()) ** 2))
-    r2 = 1.0 - cost / ss_tot if ss_tot > 0 else 1.0
-    return SigmoidFit(a=a, b=b, r_squared=r2)
+    r2 = 1.0 - float(r @ r) / ss_tot if ss_tot > 0 else 1.0
+    return SigmoidFit(a=float(a), b=float(b), r_squared=r2)

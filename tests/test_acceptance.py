@@ -98,7 +98,7 @@ def test_criterion_02_llgs_sanity():
 # the reference device-sweep's switching_curve.csv and sigmoid_fit.json
 REFERENCE_SWEEP_SHA256 = (
     "71d59e3564a2a384716d4c5258bb8b04710868d3cb67541a8de9aba4973b8815",
-    "cc5b41d686d4c9d625cc7d4d4f6491f9a5a216b4354d5f45c0ccd4cdf6e312b4")
+    "e4ce65e37541c4d0ceec0119b837c754ce5345f77126409761b26fb6e15a3b38")
 
 
 def test_criterion_03_stochastic_sigmoid_sweep(tmp_path):

@@ -272,6 +272,19 @@ class TestSigmoidFit:
         ci_at_b = 1.96 * math.sqrt(0.25 / trials)
         assert abs(fit.b - b0) <= 3 * ci_at_b / slope
 
+    def test_score_vanishes_with_unequal_trials(self):
+        # the binomial likelihood's score, weighted by each point's trials,
+        # is zero at the fit; a least-squares fit on p_hat leaves it nonzero
+        rng = np.random.default_rng(2024)
+        I = np.linspace(1.1e-3, 2.1e-3, 15)
+        trials = rng.integers(200, 3001, 15)
+        p_hat = rng.binomial(trials, 1.0 / (1.0 + np.exp(-1.2e4 * (I - 1.6e-3)))) / trials
+        fit = fit_stochastic_sigmoid(SwitchingCurve(I, p_hat, trials, np.zeros(15)))
+        x = (I - I.mean()) / I.std()
+        residual = trials * (p_hat - fit.predict(I))
+        for score in (residual.sum(), residual @ x):
+            assert abs(score) / trials.sum() < 1e-9
+
     def test_non_spanning_curve_rejected(self):
         n = 8
         curve = SwitchingCurve(np.arange(float(n)), np.zeros(n),
@@ -280,13 +293,25 @@ class TestSigmoidFit:
             fit_stochastic_sigmoid(curve)
 
     def test_step_curve_uses_fallback_guess(self):
-        # no interior points: the initial guess comes from the fallback
-        # branch, which must run on numpy 2 (no ndarray.ptp)
+        # perfectly separated data: the likelihood has no maximum, so the
+        # slope grows each step until the likelihood stops changing, with
+        # the offset between the last 0 and the first 1
         I = np.linspace(1.0e-3, 2.0e-3, 6)
         curve = SwitchingCurve(I, np.array([0.0, 0, 0, 1, 1, 1]),
                                np.full(6, 100), np.zeros(6))
         fit = fit_stochastic_sigmoid(curve)
         assert I[2] < fit.b < I[3]
+        assert fit.a > 0 and fit.r_squared > 0.999
+
+    @pytest.mark.parametrize("trials", [10**5, 10**6])
+    def test_separated_curve_with_many_trials(self, trials):
+        # the points far from the step carry weights below 1e-16 of the
+        # nearest one's, so the scoring matrix is singular to rounding
+        I = np.linspace(1.0e-3, 2.0e-3, 5)
+        curve = SwitchingCurve(I, np.array([0.0, 0, 1, 1, 1]),
+                               np.full(5, trials), np.zeros(5))
+        fit = fit_stochastic_sigmoid(curve)
+        assert I[1] < fit.b < I[2]
         assert fit.a > 0 and fit.r_squared > 0.999
 
     @pytest.mark.parametrize("field", ["a", "b", "r_squared"])
