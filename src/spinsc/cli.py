@@ -14,6 +14,7 @@ from functools import partial
 import json
 import math
 import os
+import platform
 import sys
 import time
 
@@ -28,6 +29,8 @@ from .network import save_model, load_model
 from .rngtools import derive_rng
 
 MANIFEST_NAME = "manifest.json"
+_MAX_SEEDS = 10 ** 6      # most [scarith] seeds: 2 len(values)^2 floats each
+_MAX_WIDTH = 2 ** 16      # widest [network] hidden layer
 
 
 @contextmanager
@@ -111,6 +114,8 @@ def cmd_sc_arith_bench(v, seed, workers):
                           f"got length {L}, values {values}")
     if n_seeds < 1:
         raise ConfigError(f"[scarith] seeds must be >= 1, got {n_seeds}")
+    if n_seeds > _MAX_SEEDS:
+        raise ConfigError(f"[scarith] seeds must be at most {_MAX_SEEDS}, got {n_seeds}")
     est = np.empty((len(values), len(values), 2, n_seeds))   # AND, MUX values
     for i in range(n_seeds):
         root = derive_rng(seed, "sc-bench", i)
@@ -157,6 +162,9 @@ def cmd_train_decoder(v, seed, workers):
         "training", "loss", training.CROSS_ENTROPY))
     X, Y = _build_decoder_dataset(spec, frames, snrs, seed)
     hidden = v.get_int_list("network", "hidden", [16])
+    if max(hidden, default=0) > _MAX_WIDTH:
+        raise ConfigError(f"[network] hidden widths must be at most {_MAX_WIDTH}, "
+                          f"got {hidden}")
     model = training.init_model([spec.N] + hidden + [spec.K], seed)
     model, history = training.train(model, X, Y, cfg, loss)
     return [("code_spec.json", spec.to_json),
@@ -257,6 +265,18 @@ def _load_manifest(path):
     return doc["command"], cfg, seed, workers
 
 
+def _environment():
+    """The versions and numpy SIMD dispatch a run's bits may depend on: its
+    vectorised exp and log1p (mtj.sigmoid, SC's check node) round by the
+    extension they dispatch to.  A rerun does not read it."""
+    from numpy._core import _multiarray_umath as umath
+    return {"spinsc": __version__, "python": platform.python_version(),
+            "numpy": np.__version__,
+            "numpy_simd": {"baseline": list(umath.__cpu_baseline__),
+                           "found": [f for f in umath.__cpu_dispatch__
+                                     if umath.__cpu_features__[f]]}}
+
+
 def _run(command, cfg_dict, seed, workers, out_dir):
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError(f"master seed must be a non-negative integer, "
@@ -276,6 +296,7 @@ def _run(command, cfg_dict, seed, workers, out_dir):
         doc = {
             "command": command,
             "artifact_version": __version__,
+            "env": _environment(),
             "master_seed": seed,
             "workers": workers,
             "config": cfg_dict,

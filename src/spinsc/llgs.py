@@ -376,7 +376,11 @@ def _pulse_phases(width, isz, relax_time, dt):
     """The (n_steps, Is) phases of a pulse of z spin current isz lasting
     `width` (at least one step), then field-only relaxation for relax_time
     (a phase of no steps when that rounds to 0)."""
-    return [(max(1, int(round(width / dt))), isz), (int(round(relax_time / dt)), 0.0)]
+    steps = width / dt, relax_time / dt
+    if not all(map(math.isfinite, steps)):      # round(inf) raises OverflowError
+        raise DomainError(f"a pulse of {width} s and a relax time of {relax_time} s "
+                          f"need a finite number of {dt} s steps")
+    return [(max(1, round(steps[0])), isz), (round(steps[1]), 0.0)]
 
 
 def simulate_pulse(m0, pulse: SpinCurrentPulse, params: DeviceParams,

@@ -67,6 +67,13 @@ class SwitchingCurve:
     trials: np.ndarray          # trials per point
     ci_halfwidth: np.ndarray    # 95% normal-approximation halfwidths
 
+    def __post_init__(self):
+        p = np.asarray(self.p_hat, dtype=float)
+        if not (np.all(np.isfinite(self.currents)) and np.all((p >= 0.0) & (p <= 1.0))
+                and np.all(np.asarray(self.trials) > 0)):
+            raise FitDomainError(f"a switching curve needs finite currents, p_hat "
+                                 f"in [0, 1] and positive trials, got {self}")
+
     def to_csv(self, path):
         write_csv(path, ("current_A", "p_hat", "trials", "ci_halfwidth"),
                   [(float(i), float(p), int(n), float(ci)) for i, p, n, ci

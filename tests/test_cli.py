@@ -1,6 +1,8 @@
 import json
 import os
+import platform
 
+import numpy as np
 import pytest
 
 from spinsc import __version__, bitstream, cli, mtj
@@ -136,6 +138,29 @@ class TestGradcheck:
         assert (a / "gradcheck.csv").read_bytes() == \
                (c / "gradcheck.csv").read_bytes()
         assert read_manifest(c)["outputs"] == manifest["outputs"]
+
+    def test_manifest_records_environment_rerun_ignores_it(self, tmp_path, capsys):
+        """The manifest's env block names the versions and numpy's SIMD
+        dispatch; a rerun of a manifest whose env differs writes the same
+        bytes, silently."""
+        cfg = write_cfg(tmp_path / "g.cfg", GRADCHECK_CFG)
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run("gradcheck", cfg, a) == 0
+        manifest = read_manifest(a)
+        env = manifest["env"]
+        assert env["spinsc"] == __version__ and env["numpy"] == np.__version__
+        assert env["python"] == platform.python_version()
+        assert set(env["numpy_simd"]) == {"baseline", "found"}
+        assert all(isinstance(f, str) for fs in env["numpy_simd"].values() for f in fs)
+        manifest["env"] = {"spinsc": __version__, "python": "2.7.18", "numpy": "1.0",
+                           "numpy_simd": {"baseline": [], "found": ["NEON"]}}
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["rerun", str(other), "--out-dir", str(b)]) == 0
+        assert capsys.readouterr().err == ""
+        assert (a / "gradcheck.csv").read_bytes() == (b / "gradcheck.csv").read_bytes()
+        assert read_manifest(b)["env"] == env
 
 
 class TestScArithBench:
@@ -388,6 +413,8 @@ class TestDeviceSweep:
         ("SWEEP__PULSE_WIDTH_S", "nan", "pulse_width must be finite"),
         ("SWEEP__PULSE_WIDTH_S", "inf", "pulse_width must be finite"),
         ("DEVICE__RELAX_TIME_S", "nan", "relax_time"),
+        ("DEVICE__RELAX_TIME_S", "1e308", "a pulse of"),
+        ("SWEEP__PULSE_WIDTH_S", "1e308", "a pulse of"),
         ("DEVICE__TEMPERATURE_K", "nan", "device parameters must be finite"),
         ("DEVICE__HK_A_PER_M", "nan", "device parameters must be finite"),
         ("DEVICE__HD_A_PER_M", "inf", "device parameters must be finite"),
@@ -548,6 +575,22 @@ class TestErrors:
         assert run("sc-arith-bench", cfg, out) == 2
         assert "error: [scarith] seeds must be >= 1, got -2" in \
             capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("cmd, text, old, new, message", [
+        ("sc-arith-bench", SC_ARITH_CFG, "seeds = 5", "seeds = 99999999999999999999",
+         "[scarith] seeds must be at most 1000000"),
+        ("train-decoder", TRAIN_CFG, "hidden = 4", "hidden = 4, 99999999999999999999",
+         "[network] hidden widths must be at most 65536")],
+        ids=["scarith-seeds", "network-hidden"])
+    def test_huge_count_writes_nothing(self, tmp_path, capsys, cmd, text, old, new,
+                                       message):
+        """A count too large to allocate for exits 2 where it is read, not
+        with numpy's 'Maximum allowed dimension exceeded' traceback."""
+        cfg = write_cfg(tmp_path / "c.cfg", text.replace(old, new))
+        out = tmp_path / "out"
+        assert run(cmd, cfg, out) == 2
+        assert f"error: {message}" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("points", [-1, 4])

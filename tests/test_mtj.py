@@ -292,6 +292,24 @@ class TestSigmoidFit:
         with pytest.raises(FitDomainError):
             fit_stochastic_sigmoid(curve)
 
+    @pytest.mark.parametrize("field, value", [
+        ("p_hat", [0.0, np.nan, 0.0, 1.0, 1.0, 1.0]),
+        ("p_hat", [0.0, 0.0, -0.1, 1.0, 1.0, 1.0]),
+        ("p_hat", [0.0, 0.0, 0.0, 1.0, 1.5, 1.0]),
+        ("trials", [100, 100, 0, 100, 100, 100]),
+        ("trials", [100, 100, 100, -5, 100, 100]),
+        ("currents", [1e-3, 1.2e-3, np.nan, 1.6e-3, 1.8e-3, 2e-3])],
+        ids=["nan-p", "negative-p", "p-above-1", "zero-trials", "negative-trials",
+             "nan-current"])
+    def test_invalid_curve_rejected(self, field, value):
+        """Before the fit, whose least squares raised LinAlgError on a NaN
+        p_hat (and fitted r_squared = 1 to it before that)."""
+        curve = {"currents": np.linspace(1.0e-3, 2.0e-3, 6),
+                 "p_hat": np.array([0.0, 0, 0, 1, 1, 1]),
+                 "trials": np.full(6, 100), "ci_halfwidth": np.zeros(6)}
+        with pytest.raises(FitDomainError, match="switching curve needs"):
+            SwitchingCurve(**dict(curve, **{field: np.array(value)}))
+
     def test_step_curve_uses_fallback_guess(self):
         # perfectly separated data: the likelihood has no maximum, so the
         # slope grows each step until the likelihood stops changing, with

@@ -241,19 +241,86 @@ class TestChannel:
                 neural_sc_decode(llrs, model, spec)
 
 
-def unpruned_sc(llr, frozen):
-    """Oracle: SC over a (frames, n) LLR block with the check-node rule at
-    every node, frozen subtrees included; returns (u, x), both (frames, n)."""
+SPECIALS = [0.0, -0.0, 1e-300, -1e-300, 1e308, -1e308, math.inf, -math.inf,
+            math.nan, 1.0, -2.5]
+
+
+class TestCheckNodeLogaddexp:
+    """polar._logaddexp, the check node's logaddexp, against np.logaddexp."""
+
+    @staticmethod
+    def pairs():
+        x, y = np.array(list(itertools.product(SPECIALS, repeat=2))).T
+        return [(x, y), (0.0, y)]             # the check node's two calls
+
+    def test_specials_bit_for_bit(self):
+        """Every pair of specials, equal arguments, infinities and NaN
+        included, gives np.logaddexp's bits (any NaN for NaN)."""
+        for x, y in self.pairs():
+            with np.errstate(all="ignore"):
+                got, want = polar._logaddexp(x, y), np.logaddexp(x, y)
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan)
+            assert np.array_equal(got[~nan].view(np.uint64),
+                                  want[~nan].view(np.uint64))
+
+    def test_no_new_floating_point_warning(self):
+        """Under sc_decode's errstate, each pair raises no floating-point
+        error that np.logaddexp does not raise on it."""
+        x, y = self.pairs()[0]
+        for pair in zip(x[:, None], y[:, None]):
+            raised = []
+            for fn, invalid in ((np.logaddexp, "call"), (polar._logaddexp, "ignore")):
+                kinds = set()
+                with np.errstate(over="call", divide="call", invalid=invalid,
+                                 call=lambda kind, flag: kinds.add(kind)):
+                    fn(*pair)
+                raised.append(kinds)
+            assert raised[1] <= raised[0], pair
+
+    def test_random_pairs_within_two_ulps(self):
+        """Random pairs over twelve decades agree with np.logaddexp within 2
+        ulps of max(|x|, |y|, log 2)."""
+        rng = derive_rng(0, "logaddexp")
+        x, y = rng.standard_normal((2, 100_000)) * 10.0 ** rng.uniform(-6, 6, (2, 100_000))
+        for x in (x, 0.0):
+            ulp = np.spacing(np.maximum(np.maximum(np.abs(x), np.abs(y)), math.log(2.0)))
+            err = np.abs(polar._logaddexp(x, y) - np.logaddexp(x, y))
+            assert np.all(err <= 2.0 * ulp)
+
+    def test_sc_decode_on_extreme_llrs_warns_only_of_overflow(self, recwarn):
+        """LLRs of 1e308, whose sums overflow to inf, give sc_decode the
+        overflow warnings the np.logaddexp recursion gives too, and no
+        invalid inf - inf."""
+        spec = construct_frozen_set(16, 8)
+        llrs = derive_rng(16, "extreme").choice([1e308, -1e308, 1.0], (8, 16))
+        sc_decode(llrs, spec)
+        assert {str(w.message).split()[0] for w in recwarn} == {"overflow"}
+
+
+def written_out_logaddexp(x, y):
+    """Oracle: the check node's logaddexp as polar states it, x + log 2 for
+    equal arguments, else max(x, y) + log1p(exp(-|x - y|)), on the same
+    numpy exp and log1p."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        t = np.log1p(np.exp(-np.abs(x - y)))
+        return np.where(x == y, x + math.log(2.0), np.maximum(x, y) + t)
+
+
+def unpruned_sc(llr, frozen, logaddexp=written_out_logaddexp):
+    """Oracle: SC over a (frames, n) LLR block with the check-node rule
+    logaddexp(0, a + b) - logaddexp(a, b) at every node, frozen subtrees
+    included; returns (u, x), both (frames, n)."""
     n = llr.shape[1]
     if n == 1:
         u = np.logical_not(frozen[0] | (llr >= 0.0)).astype(np.uint8)
         return u, u.copy()
     h = n // 2
     a, b = llr[:, :h], llr[:, h:]
-    check = np.logaddexp(0.0, a + b) - np.logaddexp(a, b)
-    u_left, x_left = unpruned_sc(check, frozen[:h])
+    check = logaddexp(0.0, a + b) - logaddexp(a, b)
+    u_left, x_left = unpruned_sc(check, frozen[:h], logaddexp)
     g = b + (1.0 - 2.0 * x_left.astype(float)) * a
-    u_right, x_right = unpruned_sc(g, frozen[h:])
+    u_right, x_right = unpruned_sc(g, frozen[h:], logaddexp)
     return (np.concatenate([u_left, u_right], axis=1),
             np.concatenate([x_left ^ x_right, x_right], axis=1))
 
@@ -316,7 +383,8 @@ class TestScDecode:
     def test_pruning_matches_unpruned_recursion(self, N):
         """Skipping rate-0 subtrees changes no u or x bit, on Gaussian LLRs
         and on tie-heavy ones, for random, all-frozen, no-frozen and
-        designed masks."""
+        designed masks.  The oracle writes the check node's logaddexp out
+        itself: on these masks np.logaddexp's ulps differ at near-ties."""
         rng = derive_rng(N, "pruning")
         ties = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 1.0, -1.0,
                 1e308, -1e308]                   # 1e308 overflows: NaN leaves
@@ -332,6 +400,18 @@ class TestScDecode:
                 assert not u[:, frozen].any()
                 assert np.array_equal(decoded, u[:, ~frozen])
                 assert np.array_equal(encode(decoded, spec), x)
+
+    @pytest.mark.parametrize("N", [128, 1024])
+    def test_designed_code_matches_logaddexp_recursion(self, N):
+        """On the designed rate-1/2 code, 4,096 generate_frames frames at
+        1-4 dB decode as the unpruned recursion on np.logaddexp does: the
+        check node's ulps reach no decision there."""
+        spec = construct_frozen_set(N, N // 2)
+        for snr in (1.0, 2.0, 3.0, 4.0):
+            _, llrs, _ = generate_frames(spec, N, ("logaddexp", int(snr)),
+                                         range(1024), [snr] * 1024)
+            u, _ = unpruned_sc(llrs, spec.frozen, np.logaddexp)
+            assert np.array_equal(sc_decode(llrs, spec), u[:, ~spec.frozen])
 
     def test_shape_contract(self):
         """A block (..., N) of any leading shape and memory layout decodes
