@@ -266,9 +266,8 @@ def _load_manifest(path):
 
 
 def _environment():
-    """The versions and numpy SIMD dispatch a run's bits may depend on: its
-    vectorised exp and log1p (mtj.sigmoid, SC's check node) round by the
-    extension they dispatch to.  A rerun does not read it."""
+    """Versions and numpy's SIMD dispatch, by which mtj.sigmoid's and SC's
+    vectorised exp and log1p round; rerun does not read it."""
     from numpy._core import _multiarray_umath as umath
     return {"spinsc": __version__, "python": platform.python_version(),
             "numpy": np.__version__,

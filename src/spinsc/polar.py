@@ -4,11 +4,11 @@ Index convention: natural order throughout (no bit-reversal).  The
 encoder applies the [[1,0],[1,1]] kernel by in-place butterflies; the SC
 decoder uses the exact check-node rule in its numerically safe log form,
 skips rate-0 (all-frozen) subtrees bit-exactly and holds a block of frames
-position-major, (N, frames), on numpy's vectorised exp and log1p, as
-batched software decoders do (Le Gal et al., IEEE TSP 2015).  Ties decode
-to bit 0.  Its check-node LLRs follow numpy's SIMD dispatch and may differ
-by an ulp from np.logaddexp's; that reaches a decision only at a near-tie
-of rounding size, seen on random and rate-1 masks, never on designed ones.  Encoders take one word (N,)
+position-major, (N, frames), as batched software decoders do (Le Gal et
+al., IEEE TSP 2015).  Its check node runs on numpy's vectorised exp and
+log1p, so an LLR may differ from np.logaddexp's by an ulp, which decides a
+bit only at a near-tie of rounding size (seen on random and rate-1 masks,
+not on designed ones).  Ties decode to bit 0.  Encoders take one word (N,)
 or a block (..., N); generate_frames returns a block of channel LLRs
 (positive favours bit 0), and both decoders take LLR arrays (..., N) and
 return the decoded message bits (..., K).
@@ -186,20 +186,15 @@ def generate_frames(spec: PolarCodeSpec, seed: int, tags, frames, snrs_db):
 
 
 def _logaddexp(x, y):
-    """np.logaddexp(x, y) as max(x, y) + log1p(exp(min(x, y) - max(x, y)))
-    on numpy's vectorised exp and log1p, not np.logaddexp's scalar loop.
-    Equal arguments, infinities included, give max + log 2 and NaN
-    propagates, as in np.logaddexp; other values may differ from its by
-    about an ulp, as numpy's SIMD exp and log1p round unlike libm's.  x = y
-    = ±inf makes min - max an invalid inf - inf, which sc_decode's errstate
-    silences."""
+    """np.logaddexp(x, y) as max(x, y) + log1p(exp(min(x, y) - max(x, y))),
+    on numpy's vectorised exp and log1p, not np.logaddexp's scalar loop: its
+    special cases keep np.logaddexp's bits, other values may differ by an
+    ulp.  x = y = ±inf makes an invalid inf - inf, silenced in sc_decode."""
     m = np.maximum(x, y)
     t = np.minimum(x, y)
-    np.subtract(t, m, out=t)        # -|x - y|; NaN for x = y = ±inf, there
-    np.fmin(t, 0.0, out=t)          # read as 0, so that m + log 2 = m
-    np.exp(t, out=t)
-    np.log1p(t, out=t)
-    return np.add(m, t, out=t)
+    # -|x - y|, whose NaN for x = y = ±inf is read as 0, so that m + log 2 = m
+    t = np.fmin(np.subtract(t, m, out=t), 0.0, out=t)
+    return np.add(m, np.log1p(np.exp(t, out=t), out=t), out=t)
 
 
 def _sc_recurse(llr, info, lo=0):
@@ -218,8 +213,7 @@ def _sc_recurse(llr, info, lo=0):
     a, b = llr[:h], llr[h:]
     zero_left, zero_right = info[lo] == info[lo + h], info[lo + h] == info[lo + n]
     u_left, x_left = _sc_recurse(
-        a if zero_left else _logaddexp(0.0, a + b) - _logaddexp(a, b),
-        info, lo)
+        a if zero_left else _logaddexp(0.0, a + b) - _logaddexp(a, b), info, lo)
     g = (b if zero_right else b + a if zero_left
          else b + (1.0 - 2.0 * x_left.astype(float)) * a)
     u_right, x_right = _sc_recurse(g, info, lo + h)
