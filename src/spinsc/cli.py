@@ -29,8 +29,6 @@ from .network import save_model, load_model
 from .rngtools import derive_rng
 
 MANIFEST_NAME = "manifest.json"
-_MAX_SEEDS = 10 ** 6      # most [scarith] seeds: 2 len(values)^2 floats each
-_MAX_WIDTH = 2 ** 16      # widest [network] hidden layer
 
 
 @contextmanager
@@ -45,6 +43,17 @@ def atomic_path(final_path):
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def _allocate(what, alloc, *args):
+    """alloc(*args), whose arrays `what` sizes: numpy's ValueError beyond its
+    largest array and MemoryError beyond this machine's become ConfigError."""
+    try:
+        return alloc(*args)
+    except SpinscError:
+        raise
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"{what} cannot be allocated: {exc}") from None
 
 
 def _write(out_dir, name, writer):
@@ -114,9 +123,8 @@ def cmd_sc_arith_bench(v, seed, workers):
                           f"got length {L}, values {values}")
     if n_seeds < 1:
         raise ConfigError(f"[scarith] seeds must be >= 1, got {n_seeds}")
-    if n_seeds > _MAX_SEEDS:
-        raise ConfigError(f"[scarith] seeds must be at most {_MAX_SEEDS}, got {n_seeds}")
-    est = np.empty((len(values), len(values), 2, n_seeds))   # AND, MUX values
+    est = _allocate(f"[scarith] seeds = {n_seeds}", np.empty,
+                    (len(values), len(values), 2, n_seeds))   # AND, MUX values
     for i in range(n_seeds):
         root = derive_rng(seed, "sc-bench", i)
         sa, sb, ss = (int(root.integers(0, 2 ** 63)) for _ in range(3))
@@ -162,10 +170,8 @@ def cmd_train_decoder(v, seed, workers):
         "training", "loss", training.CROSS_ENTROPY))
     X, Y = _build_decoder_dataset(spec, frames, snrs, seed)
     hidden = v.get_int_list("network", "hidden", [16])
-    if max(hidden, default=0) > _MAX_WIDTH:
-        raise ConfigError(f"[network] hidden widths must be at most {_MAX_WIDTH}, "
-                          f"got {hidden}")
-    model = training.init_model([spec.N] + hidden + [spec.K], seed)
+    model = _allocate(f"[network] hidden = {hidden}", training.init_model,
+                      [spec.N] + hidden + [spec.K], seed)
     model, history = training.train(model, X, Y, cfg, loss)
     return [("code_spec.json", spec.to_json),
             ("model.json", partial(save_model, model)),
@@ -267,13 +273,19 @@ def _load_manifest(path):
 
 def _environment():
     """Versions and numpy's SIMD dispatch, by which mtj.sigmoid's and SC's
-    vectorised exp and log1p round; rerun does not read it."""
-    from numpy._core import _multiarray_umath as umath
+    vectorised exp and log1p round; rerun does not read it.  numpy 2 keeps
+    its extension module in numpy._core, numpy 1 in numpy.core; the dispatch
+    is None if neither is loaded."""
+    simd = None
+    for name in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        umath = sys.modules.get(name)
+        if hasattr(umath, "__cpu_features__"):
+            simd = {"baseline": list(umath.__cpu_baseline__),
+                    "found": [f for f in umath.__cpu_dispatch__
+                              if umath.__cpu_features__[f]]}
+            break
     return {"spinsc": __version__, "python": platform.python_version(),
-            "numpy": np.__version__,
-            "numpy_simd": {"baseline": list(umath.__cpu_baseline__),
-                           "found": [f for f in umath.__cpu_dispatch__
-                                     if umath.__cpu_features__[f]]}}
+            "numpy": np.__version__, "numpy_simd": simd}
 
 
 def _run(command, cfg_dict, seed, workers, out_dir):
@@ -288,6 +300,7 @@ def _run(command, cfg_dict, seed, workers, out_dir):
         raise ConfigError(f"cannot create out-dir {out_dir}: {exc}") from None
     view = ConfigView(cfg_dict)
     view.read |= {("run", "seed"), ("run", "workers")}  # main resolved these
+    env = _environment()
     t0 = time.perf_counter()
     files, ok = _COMMANDS[command](view, seed, workers)
     try:
@@ -295,7 +308,7 @@ def _run(command, cfg_dict, seed, workers, out_dir):
         doc = {
             "command": command,
             "artifact_version": __version__,
-            "env": _environment(),
+            "env": env,
             "master_seed": seed,
             "workers": workers,
             "config": cfg_dict,

@@ -7,8 +7,9 @@ skips rate-0 (all-frozen) subtrees bit-exactly and holds a block of frames
 position-major, (N, frames), as batched software decoders do (Le Gal et
 al., IEEE TSP 2015).  Its check node runs on numpy's vectorised exp and
 log1p, so an LLR may differ from np.logaddexp's by an ulp, which decides a
-bit only at a near-tie of rounding size (seen on random and rate-1 masks,
-not on designed ones).  Ties decode to bit 0.  Encoders take one word (N,)
+bit only at a near-tie of rounding size (with numpy 2.4's AVX-512 loops:
+seen on random and rate-1 masks, not on designed ones; other dispatches
+are unmeasured).  Ties decode to bit 0.  Encoders take one word (N,)
 or a block (..., N); generate_frames returns a block of channel LLRs
 (positive favours bit 0), and both decoders take LLR arrays (..., N) and
 return the decoded message bits (..., K).
@@ -188,12 +189,14 @@ def generate_frames(spec: PolarCodeSpec, seed: int, tags, frames, snrs_db):
 def _logaddexp(x, y):
     """np.logaddexp(x, y) as max(x, y) + log1p(exp(min(x, y) - max(x, y))),
     on numpy's vectorised exp and log1p, not np.logaddexp's scalar loop: its
-    special cases keep np.logaddexp's bits, other values may differ by an
-    ulp.  x = y = ±inf makes an invalid inf - inf, silenced in sc_decode."""
+    special cases keep np.logaddexp's bits and floating-point warnings, other
+    values may differ by an ulp."""
     m = np.maximum(x, y)
     t = np.minimum(x, y)
+    with np.errstate(invalid="ignore"):         # x = y = ±inf: inf - inf
+        np.subtract(t, m, out=t)
     # -|x - y|, whose NaN for x = y = ±inf is read as 0, so that m + log 2 = m
-    t = np.fmin(np.subtract(t, m, out=t), 0.0, out=t)
+    t = np.fmin(t, 0.0, out=t)
     return np.add(m, np.log1p(np.exp(t, out=t), out=t), out=t)
 
 
@@ -236,8 +239,7 @@ def sc_decode(llrs, spec: PolarCodeSpec) -> np.ndarray:
     a block of frames at once, LLRs (..., N), to message bits (..., K)."""
     llr = _llr_block(llrs, spec)
     info = [0] + np.cumsum(~spec.frozen).tolist()
-    with np.errstate(invalid="ignore"):
-        u_hat, _ = _sc_recurse(llr.reshape(-1, spec.N).T.copy(), info)
+    u_hat, _ = _sc_recurse(llr.reshape(-1, spec.N).T.copy(), info)
     return u_hat[~spec.frozen].T.copy().reshape(llr.shape[:-1] + (spec.K,))
 
 

@@ -1,6 +1,8 @@
 import json
 import os
 import platform
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -161,6 +163,20 @@ class TestGradcheck:
         assert capsys.readouterr().err == ""
         assert (a / "gradcheck.csv").read_bytes() == (b / "gradcheck.csv").read_bytes()
         assert read_manifest(b)["env"] == env
+
+    def test_environment_reads_numpy1_layout(self, monkeypatch):
+        """numpy 1 keeps its extension module in numpy.core, not numpy._core;
+        with neither loaded the dispatch is None and the manifest still
+        writes."""
+        fake = SimpleNamespace(__cpu_baseline__=["SSE2"],
+                               __cpu_dispatch__=["AVX2", "AVX512F"],
+                               __cpu_features__={"AVX2": True, "AVX512F": False})
+        monkeypatch.setitem(sys.modules, "numpy._core._multiarray_umath", None)
+        monkeypatch.setitem(sys.modules, "numpy.core._multiarray_umath", fake)
+        assert cli._environment()["numpy_simd"] == {"baseline": ["SSE2"],
+                                                    "found": ["AVX2"]}
+        monkeypatch.setitem(sys.modules, "numpy.core._multiarray_umath", None)
+        assert cli._environment()["numpy_simd"] is None
 
 
 class TestScArithBench:
@@ -579,14 +595,21 @@ class TestErrors:
 
     @pytest.mark.parametrize("cmd, text, old, new, message", [
         ("sc-arith-bench", SC_ARITH_CFG, "seeds = 5", "seeds = 99999999999999999999",
-         "[scarith] seeds must be at most 1000000"),
+         "[scarith] seeds = 99999999999999999999 cannot be allocated"),
+        ("sc-arith-bench", SC_ARITH_CFG, "seeds = 5", "seeds = 10000000000000000",
+         "[scarith] seeds = 10000000000000000 cannot be allocated"),
         ("train-decoder", TRAIN_CFG, "hidden = 4", "hidden = 4, 99999999999999999999",
-         "[network] hidden widths must be at most 65536")],
-        ids=["scarith-seeds", "network-hidden"])
+         "[network] hidden = [4, 99999999999999999999] cannot be allocated"),
+        ("train-decoder", TRAIN_CFG, "hidden = 4", "hidden = 4, 10000000000000000",
+         "[network] hidden = [4, 10000000000000000] cannot be allocated")],
+        ids=["scarith-seeds-dimension", "scarith-seeds-memory",
+             "network-hidden-dimension", "network-hidden-memory"])
     def test_huge_count_writes_nothing(self, tmp_path, capsys, cmd, text, old, new,
                                        message):
-        """A count too large to allocate for exits 2 where it is read, not
-        with numpy's 'Maximum allowed dimension exceeded' traceback."""
+        """A count whose array numpy cannot allocate exits 2 where it is
+        read, not with a traceback: beyond numpy's largest array
+        ('Maximum allowed dimension exceeded') and beyond any machine's
+        address space (MemoryError, 1e16 x 8 bytes and more)."""
         cfg = write_cfg(tmp_path / "c.cfg", text.replace(old, new))
         out = tmp_path / "out"
         assert run(cmd, cfg, out) == 2

@@ -4,6 +4,7 @@ import json
 import math
 import os
 from types import SimpleNamespace
+import warnings
 
 import numpy as np
 import pytest
@@ -265,14 +266,14 @@ class TestCheckNodeLogaddexp:
                                   want[~nan].view(np.uint64))
 
     def test_no_new_floating_point_warning(self):
-        """Under sc_decode's errstate, each pair raises no floating-point
-        error that np.logaddexp does not raise on it."""
+        """Each pair raises no floating-point error that np.logaddexp does
+        not raise on it: x = y = ±inf's inf - inf stays silent."""
         x, y = self.pairs()[0]
         for pair in zip(x[:, None], y[:, None]):
             raised = []
-            for fn, invalid in ((np.logaddexp, "call"), (polar._logaddexp, "ignore")):
+            for fn in (np.logaddexp, polar._logaddexp):
                 kinds = set()
-                with np.errstate(over="call", divide="call", invalid=invalid,
+                with np.errstate(over="call", divide="call", invalid="call",
                                  call=lambda kind, flag: kinds.add(kind)):
                     fn(*pair)
                 raised.append(kinds)
@@ -280,7 +281,8 @@ class TestCheckNodeLogaddexp:
 
     def test_random_pairs_within_two_ulps(self):
         """Random pairs over twelve decades agree with np.logaddexp within 2
-        ulps of max(|x|, |y|, log 2)."""
+        ulps of max(|x|, |y|, log 2).  Measured with numpy 2.4's AVX-512
+        exp and log1p only; other SIMD dispatches are unmeasured."""
         rng = derive_rng(0, "logaddexp")
         x, y = rng.standard_normal((2, 100_000)) * 10.0 ** rng.uniform(-6, 6, (2, 100_000))
         for x in (x, 0.0):
@@ -288,14 +290,21 @@ class TestCheckNodeLogaddexp:
             err = np.abs(polar._logaddexp(x, y) - np.logaddexp(x, y))
             assert np.all(err <= 2.0 * ulp)
 
-    def test_sc_decode_on_extreme_llrs_warns_only_of_overflow(self, recwarn):
-        """LLRs of 1e308, whose sums overflow to inf, give sc_decode the
-        overflow warnings the np.logaddexp recursion gives too, and no
-        invalid inf - inf."""
-        spec = construct_frozen_set(16, 8)
+    @pytest.mark.parametrize("K", [16, 8])
+    def test_sc_decode_on_extreme_llrs_warns_as_logaddexp(self, K):
+        """LLRs of ±1e308, whose sums overflow to ±inf and then to NaN, give
+        sc_decode the kinds of floating-point warning that the recursion on
+        np.logaddexp gives: overflow and invalid, none hidden."""
+        spec = construct_frozen_set(16, K)
         llrs = derive_rng(16, "extreme").choice([1e308, -1e308, 1.0], (8, 16))
-        sc_decode(llrs, spec)
-        assert {str(w.message).split()[0] for w in recwarn} == {"overflow"}
+        kinds = []
+        for decode in (lambda: sc_decode(llrs, spec),
+                       lambda: unpruned_sc(llrs, spec.frozen, np.logaddexp)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                decode()
+            kinds.append({str(w.message).split()[0] for w in caught})
+        assert kinds[0] == kinds[1] == {"overflow", "invalid"}
 
 
 def written_out_logaddexp(x, y):
@@ -405,7 +414,9 @@ class TestScDecode:
     def test_designed_code_matches_logaddexp_recursion(self, N):
         """On the designed rate-1/2 code, 4,096 generate_frames frames at
         1-4 dB decode as the unpruned recursion on np.logaddexp does: the
-        check node's ulps reach no decision there."""
+        check node's ulps reach no decision there.  Measured with numpy
+        2.4's AVX-512 exp and log1p only; other SIMD dispatches may round
+        a near-tie differently."""
         spec = construct_frozen_set(N, N // 2)
         for snr in (1.0, 2.0, 3.0, 4.0):
             _, llrs, _ = generate_frames(spec, N, ("logaddexp", int(snr)),
