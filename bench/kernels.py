@@ -153,21 +153,22 @@ def and_mux_table(L=10 ** 6):
                          1, 2, 3)
 
 
-def sc_arith_bench(L=10 ** 6):
+def sc_arith_bench(L=10 ** 6, seeds=1, workers=1):
     """Stream bits/s of `spinsc sc-arith-bench` run through `cli.main` on a
-    temporary config of 1 seed, L-bit streams and the values 0.1, 0.5, 0.9:
-    27 L-bit streams per run, an a, b and select stream for each of the 9
-    (p, q) cells."""
+    temporary config of `seeds` seeds, L-bit streams, the values 0.1, 0.5,
+    0.9 and `workers` workers (a tree whose command ignores workers runs
+    them serially): 27 L-bit streams per seed, an a, b and select stream
+    for each of the 9 (p, q) cells."""
     from spinsc import cli
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "sc_arith.cfg")
         with open(cfg, "w") as fh:
-            fh.write(f"[run]\nseed = 1\n[scarith]\nlength = {L}\nseeds = 1\n"
-                     f"values = 0.1, 0.5, 0.9\n")
+            fh.write(f"[run]\nseed = 1\nworkers = {workers}\n[scarith]\n"
+                     f"length = {L}\nseeds = {seeds}\nvalues = 0.1, 0.5, 0.9\n")
 
         def run():
             assert cli.main(["sc-arith-bench", "--config", cfg, "--out-dir", tmp]) == 0
-        return repeat_for_1s(27 * L, run)
+        return repeat_for_1s(27 * L * seeds, run)
 
 
 def ber_cli(workers):
@@ -222,6 +223,8 @@ KERNELS.update({f"network.forward 8-32-4 B={b}": (
 KERNELS["rngtools.derive_rngs B=512"] = ("derivations/s", derive_block)
 KERNELS["mtj.fit_stochastic_sigmoid 15x2000"] = ("fits/s", sigmoid_fit)
 KERNELS["cli sc-arith-bench L=1e6 V=3"] = ("stream-bits/s", sc_arith_bench)
+KERNELS["cli sc-arith-bench L=1e6 V=3 seeds=8 workers=2"] = (
+    "stream-bits/s", partial(sc_arith_bench, seeds=8, workers=2))
 KERNELS["cli device-sweep 5x500"] = ("sweeps/s", device_sweep)
 KERNELS.update({f"cli ber (128,64) 3x400 workers={w}": (
     "frames/s", partial(ber_cli, w)) for w in (1, 2)})

@@ -6,7 +6,9 @@ of 0/1 of shape (..., L), one stream per leading index, and every op
 broadcasts over the leading axes.  Multiplication is a bitwise AND;
 scaled addition selects between operands with a 0.5-probability MUX
 stream.  Streams are built from counter-based (Philox) substreams so
-operands stay independent by construction.
+operands stay independent by construction.  `and_mux_table` gives the
+decoded AND and MUX of every pair of values without building a stream: it
+counts ones exactly, as an accumulative parallel counter does in hardware.
 """
 
 import numpy as np
@@ -22,7 +24,9 @@ __all__ = [
     "and_mux_table",
 ]
 
-_CHUNK = 1 << 16    # uniforms and_mux_table draws per stream at a time; bounds memory
+# uniforms and_mux_table draws per stream at a time; bounds memory.  With a
+# 2 MB L2, 16,384 ran as fast as 32,768 and about 20% faster than 65,536.
+_CHUNK = 1 << 14
 
 
 def encode(p, L: int, seed: int) -> np.ndarray:
@@ -75,17 +79,26 @@ def and_mux_table(values, L: int, seed_a: int, seed_b: int,
     b_k = encode(values[k], L, seed_b), sel = encode(0.5, L, seed_sel).  All
     a_j threshold one draw (likewise b_k), so cumulative sums of one joint
     histogram of (rank of the a and b draws among the distinct values, sel
-    bit) count every cell's ones; the draws go _CHUNK at a time."""
+    bit) count every cell's ones.  The draws go _CHUNK at a time; each
+    draw's histogram code (rank_a * m + rank_b) * 2 + sel, below 2 m**2 for
+    m = distinct values + 1, is summed in place from the comparisons' bytes
+    in the narrowest unsigned type that holds it."""
     if L < 1 or not all(0.0 <= p <= 1.0 for p in values):
         raise DomainError(f"need L >= 1 and values in [0, 1], got {L}, {values}")
     distinct, pos = np.unique(values, return_inverse=True)
     m = distinct.size + 1
+    code_type = np.min_scalar_type(2 * m * m - 1)
     rngs = [derive_philox(s, "bitstream") for s in (seed_a, seed_b, seed_sel)]
     hist = np.zeros(2 * m * m, dtype=np.int64)
     for start in range(0, L, _CHUNK):
         u_a, u_b, u_s = (g.random(min(_CHUNK, L - start)) for g in rngs)
-        rank_a, rank_b = (sum(u >= v for v in distinct) for u in (u_a, u_b))
-        hist += np.bincount((rank_a * m + rank_b) * 2 + (u_s < 0.5), minlength=hist.size)
+        code = np.zeros(u_a.size, dtype=code_type)
+        for u, scale in ((u_a, m), (u_b, 2)):
+            for v in distinct:      # rank: how many distinct values are <= u
+                code += (u >= v).view(np.uint8)
+            code *= scale
+        code += (u_s < 0.5).view(np.uint8)
+        hist += np.bincount(code, minlength=hist.size)
     C = hist.reshape(m, m, 2).cumsum(0).cumsum(1)
     ones = np.stack([C[:-1, :-1].sum(-1), C[:-1, -1:, 1] + C[-1:, :-1, 0]], -1)
     return ones[pos][:, pos] / L    # [..., 0]: a & b; [..., 1]: a & sel, plus b & ~sel

@@ -26,7 +26,7 @@ from .config import ConfigView, load_config
 from .errors import ConfigError, FitDomainError, SpinscError
 from .formats import write_csv, write_json
 from .network import save_model, load_model
-from .rngtools import derive_rng
+from .rngtools import derive_rng, parallel_map, worker_count
 
 MANIFEST_NAME = "manifest.json"
 
@@ -114,6 +114,17 @@ def cmd_device_sweep(v, seed, workers):
     return files + [("sigmoid_fit.json", fit.to_json)], True
 
 
+def _sc_arith_block(values, L, seed, a, b):
+    """and_mux_table of seeds a..b-1 along a last axis; seed i's three
+    stream seeds come from its own substream, so no block split moves a bit."""
+    est = np.empty((len(values), len(values), 2, b - a))
+    for i in range(a, b):
+        root = derive_rng(seed, "sc-bench", i)
+        sa, sb, ss = (int(root.integers(0, 2 ** 63)) for _ in range(3))
+        est[..., i - a] = bitstream.and_mux_table(values, L, sa, sb, ss)
+    return est
+
+
 def cmd_sc_arith_bench(v, seed, workers):
     L = v.get_int("scarith", "length", 4096)
     n_seeds = v.get_int("scarith", "seeds", 100)
@@ -125,10 +136,8 @@ def cmd_sc_arith_bench(v, seed, workers):
         raise ConfigError(f"[scarith] seeds must be >= 1, got {n_seeds}")
     est = _allocate(f"[scarith] seeds = {n_seeds}", np.empty,
                     (len(values), len(values), 2, n_seeds))   # AND, MUX values
-    for i in range(n_seeds):
-        root = derive_rng(seed, "sc-bench", i)
-        sa, sb, ss = (int(root.integers(0, 2 ** 63)) for _ in range(3))
-        est[..., i] = bitstream.and_mux_table(values, L, sa, sb, ss)
+    np.concatenate(parallel_map(partial(_sc_arith_block, values, L, seed),
+                                n_seeds, n_seeds, workers), axis=-1, out=est)
     rows = []
     for j, p in enumerate(values):
         for k, q in enumerate(values):
@@ -272,10 +281,11 @@ def _load_manifest(path):
 
 
 def _environment():
-    """Versions and numpy's SIMD dispatch, by which mtj.sigmoid's and SC's
-    vectorised exp and log1p round; rerun does not read it.  numpy 2 keeps
-    its extension module in numpy._core, numpy 1 in numpy.core; the dispatch
-    is None if neither is loaded."""
+    """Versions, the platform, the CPU count worker_count caps workers at and
+    numpy's SIMD dispatch, by which mtj.sigmoid's and SC's vectorised exp and
+    log1p round; rerun does not read it.  numpy 2 keeps its extension module in
+    numpy._core, numpy 1 in numpy.core; the dispatch is None if neither is
+    loaded."""
     simd = None
     for name in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
         umath = sys.modules.get(name)
@@ -285,7 +295,8 @@ def _environment():
                               if umath.__cpu_features__[f]]}
             break
     return {"spinsc": __version__, "python": platform.python_version(),
-            "numpy": np.__version__, "numpy_simd": simd}
+            "numpy": np.__version__, "numpy_simd": simd,
+            "platform": platform.platform(), "allowed_cpus": worker_count(sys.maxsize)}
 
 
 def _run(command, cfg_dict, seed, workers, out_dir):
@@ -303,8 +314,10 @@ def _run(command, cfg_dict, seed, workers, out_dir):
     env = _environment()
     t0 = time.perf_counter()
     files, ok = _COMMANDS[command](view, seed, workers)
+    t1 = time.perf_counter()
     try:
         outputs = [_write(out_dir, name, writer) for name, writer in files]
+        t2 = time.perf_counter()
         doc = {
             "command": command,
             "artifact_version": __version__,
@@ -313,7 +326,8 @@ def _run(command, cfg_dict, seed, workers, out_dir):
             "workers": workers,
             "config": cfg_dict,
             "outputs": outputs,
-            "duration_s": time.perf_counter() - t0,
+            "duration_s": t2 - t0,
+            "stages": {"compute_s": t1 - t0, "write_s": t2 - t1},
         }
         _write(out_dir, MANIFEST_NAME, partial(write_json, doc=doc))
     except OSError as exc:

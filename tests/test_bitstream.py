@@ -150,8 +150,12 @@ class TestAndMuxTable:
         ([0.0, 1.0, 0.5], 777, 100),               # the degenerate values
         ([0.42], 5000, 1 << 16),                   # a single value
         ([0.2, 0.8], 1, 1 << 16),                  # L = 1
-        ([0.6, 0.2, 0.6], 1 << 17, 1 << 16),       # whole chunks, default size
-        ([0.1, 0.5, 0.9], 200_003, 1 << 16),       # default size, not dividing L
+        ([0.6, 0.2, 0.6], 1 << 17, 1 << 16),       # whole chunks, larger size
+        ([0.1, 0.5, 0.9], 200_003, 1 << 16),       # larger size, not dividing L
+        ([0.6, 0.2, 0.6], 1 << 15, 1 << 14),       # whole chunks, default size
+        ([0.1, 0.5, 0.9], 200_003, 1 << 14),       # default size, not dividing L
+        (list(np.linspace(0.0, 1.0, 12)), 5000, 1 << 14),   # codes past uint8
+        (list(np.linspace(0.0, 1.0, 200)), 300, 128),        # codes past uint16
     ])
     def test_equals_decoded_streams(self, values, L, chunk, monkeypatch):
         monkeypatch.setattr(bitstream, "_CHUNK", chunk)
@@ -159,11 +163,14 @@ class TestAndMuxTable:
         assert got.shape == (len(values), len(values), 2)
         assert np.array_equal(got, stream_table(values, L, 11, 12, 13))
 
-    @given(st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.7, 1.0]), min_size=1,
-                    max_size=4),
+    @given(st.integers(1, 24).flatmap(lambda n: st.lists(
+               st.sampled_from(np.round(np.linspace(0.0, 1.0, 21), 2).tolist()),
+               min_size=n, max_size=n)),
            st.integers(1, 300), st.integers(1, 64), st.integers(0, 2 ** 32))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=40, deadline=None)
     def test_equals_decoded_streams_random(self, values, L, chunk, seed):
+        """1 to 24 values from a pool of 21: a quarter or more of the
+        examples hold over the 10 distinct values whose codes fit uint8."""
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bitstream, "_CHUNK", chunk)
             got = and_mux_table(values, L, seed, seed + 1, seed + 2)

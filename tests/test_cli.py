@@ -2,12 +2,16 @@ import json
 import os
 import platform
 import sys
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from spinsc import __version__, bitstream, cli, mtj
+from spinsc import __version__, bitstream, cli, mtj, rngtools
 from spinsc.cli import atomic_path, main
 from spinsc.errors import ConfigError, ConvergenceError
 from spinsc.config import ConfigView, load_config
@@ -142,9 +146,10 @@ class TestGradcheck:
         assert read_manifest(c)["outputs"] == manifest["outputs"]
 
     def test_manifest_records_environment_rerun_ignores_it(self, tmp_path, capsys):
-        """The manifest's env block names the versions and numpy's SIMD
-        dispatch; a rerun of a manifest whose env differs writes the same
-        bytes, silently."""
+        """The manifest's env block names the versions, the platform, the
+        CPUs worker_count may use and numpy's SIMD dispatch, and its stages
+        split duration_s into compute and write; a rerun of a manifest whose
+        env and stages differ writes the same bytes, silently."""
         cfg = write_cfg(tmp_path / "g.cfg", GRADCHECK_CFG)
         a, b = tmp_path / "a", tmp_path / "b"
         assert run("gradcheck", cfg, a) == 0
@@ -152,10 +157,19 @@ class TestGradcheck:
         env = manifest["env"]
         assert env["spinsc"] == __version__ and env["numpy"] == np.__version__
         assert env["python"] == platform.python_version()
+        assert env["platform"] == platform.platform()
+        assert env["allowed_cpus"] == rngtools.worker_count(10 ** 6) >= 1
         assert set(env["numpy_simd"]) == {"baseline", "found"}
         assert all(isinstance(f, str) for fs in env["numpy_simd"].values() for f in fs)
+        stages = manifest["stages"]
+        assert set(stages) == {"compute_s", "write_s"}
+        assert all(t >= 0.0 for t in stages.values())
+        assert stages["compute_s"] + stages["write_s"] == \
+            pytest.approx(manifest["duration_s"], abs=1e-9)
         manifest["env"] = {"spinsc": __version__, "python": "2.7.18", "numpy": "1.0",
-                           "numpy_simd": {"baseline": [], "found": ["NEON"]}}
+                           "numpy_simd": {"baseline": [], "found": ["NEON"]},
+                           "platform": "Darwin-19.6.0-arm64", "allowed_cpus": 64}
+        manifest["stages"] = {"compute_s": -1.0}
         other = tmp_path / "other.json"
         other.write_text(json.dumps(manifest))
         capsys.readouterr()
@@ -227,6 +241,27 @@ class TestScArithBench:
         assert all(line.split(",")[4] == "2" for line in lines[1:])
         # the resolved override is frozen into the manifest
         assert read_manifest(tmp_path)["config"]["scarith"]["seeds"] == "2"
+
+    def test_identical_across_workers(self, tmp_path):
+        """Seed blocks split over 1, 2 or 3 workers write the same bytes; so
+        does a single seed on 2 workers, and a rerun on 1 worker of a
+        manifest written on 2."""
+        cfg = write_cfg(tmp_path / "s.cfg", SC_ARITH_CFG.replace("seeds = 5", "seeds = 7"))
+        outs = {w: tmp_path / f"w{w}" for w in (1, 2, 3)}
+        for w, out in outs.items():
+            assert run("sc-arith-bench", cfg, out, "--workers", str(w)) == 0
+            assert read_manifest(out)["workers"] == w
+        want = (outs[1] / "sc_arith.csv").read_bytes()
+        assert all((out / "sc_arith.csv").read_bytes() == want for out in outs.values())
+        again = tmp_path / "rerun"
+        assert main(["rerun", str(outs[2] / "manifest.json"), "--workers", "1",
+                     "--out-dir", str(again)]) == 0
+        assert (again / "sc_arith.csv").read_bytes() == want
+        one = write_cfg(tmp_path / "one.cfg", SC_ARITH_CFG.replace("seeds = 5", "seeds = 1"))
+        for w in (1, 2):
+            assert run("sc-arith-bench", one, tmp_path / f"one{w}", "--workers", str(w)) == 0
+        assert (tmp_path / "one1" / "sc_arith.csv").read_bytes() == \
+               (tmp_path / "one2" / "sc_arith.csv").read_bytes()
 
     def test_rerun_ignores_missing_env(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path / "s.cfg", SC_ARITH_CFG)
@@ -819,6 +854,60 @@ trials_per_point = 2
                                               "networks = many"))
         with pytest.raises(ConfigError, match=r"\[gradcheck\] networks"):
             ConfigView(load_config(cfg)).get_int("gradcheck", "networks")
+
+
+# ROADMAP item 15's adversarial pool of raw config values
+ADVERSARIAL = ["", "nan", "inf", "-inf", "-1", "0", "1", "0x10", "1e308", "1e-320",
+               "99999999999999999999", "10000000000000000", "abc", "1,,2", "0.5, 2"]
+
+
+def _small_or_invalid(raw, most=64):
+    """raw, unless it is an integer above `most`: a valid huge length asks
+    for that many bits of work, which runs but does not end in a test."""
+    try:
+        return int(raw, 0) <= most
+    except ValueError:
+        return True
+
+
+class TestExitCodeContract:
+    SC_ARITH_KEYS = {
+        ("scarith", "length"): [r for r in ADVERSARIAL if _small_or_invalid(r)],
+        ("scarith", "seeds"): ADVERSARIAL,  # huge counts exit 2 at allocation
+        ("scarith", "values"): ADVERSARIAL + ["0, 1e-320, 1", "0.3, 0.7, 0.3"],
+        ("run", "seed"): ADVERSARIAL,
+        ("run", "workers"): ADVERSARIAL,
+    }
+
+    @given(st.lists(st.sampled_from(sorted(SC_ARITH_KEYS)), min_size=1, max_size=2,
+                    unique=True).flatmap(lambda keys: st.tuples(*[
+                        st.tuples(st.just(k), st.sampled_from(
+                            TestExitCodeContract.SC_ARITH_KEYS[k])) for k in keys])))
+    @settings(max_examples=300, deadline=None,   # 300 reach every single entry
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_sc_arith_bench(self, capfd, entries):
+        """sc-arith-bench with one or two of its keys set from the pool
+        exits 0, 2 or 3 with no traceback, and writes nothing on exit 2.
+        Work is bounded by construction: 64-bit streams, 2 seeds, and the
+        pool's lengths of at most 64."""
+        cfg = {"run": {"seed": "3", "workers": "1"},
+               "scarith": {"length": "64", "seeds": "2", "values": "0.3, 0.7"}}
+        for (section, key), raw in entries:
+            cfg[section][key] = raw
+        text = "".join(f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
+                       for s, kv in cfg.items())
+        capfd.readouterr()
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "out")
+            code = run("sc-arith-bench", write_cfg(Path(tmp) / "c.cfg", text), out)
+            written = os.listdir(out) if os.path.isdir(out) else []
+        err = capfd.readouterr().err
+        assert code in (0, 2, 3), (text, err)
+        assert "Traceback" not in err, (text, err)
+        if code == 2:
+            assert written == [], (text, written)
+        else:
+            assert "sc_arith.csv" in written, (text, err)
 
 
 class TestUnusedKeys:
