@@ -294,9 +294,11 @@ def _environment():
                     "found": [f for f in umath.__cpu_dispatch__
                               if umath.__cpu_features__[f]]}
             break
+    uname = platform.uname()    # not platform.platform(): it spawns `uname -p`
     return {"spinsc": __version__, "python": platform.python_version(),
             "numpy": np.__version__, "numpy_simd": simd,
-            "platform": platform.platform(), "allowed_cpus": worker_count(sys.maxsize)}
+            "platform": f"{uname.system}-{uname.release}-{uname.machine}",
+            "allowed_cpus": worker_count(sys.maxsize)}
 
 
 def _run(command, cfg_dict, seed, workers, out_dir):

@@ -157,7 +157,8 @@ class TestGradcheck:
         env = manifest["env"]
         assert env["spinsc"] == __version__ and env["numpy"] == np.__version__
         assert env["python"] == platform.python_version()
-        assert env["platform"] == platform.platform()
+        uname = platform.uname()
+        assert env["platform"] == f"{uname.system}-{uname.release}-{uname.machine}"
         assert env["allowed_cpus"] == rngtools.worker_count(10 ** 6) >= 1
         assert set(env["numpy_simd"]) == {"baseline", "found"}
         assert all(isinstance(f, str) for fs in env["numpy_simd"].values() for f in fs)
