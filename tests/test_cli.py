@@ -863,28 +863,30 @@ ADVERSARIAL = ["", "nan", "inf", "-inf", "-1", "0", "1", "0x10", "1e308", "1e-32
 
 
 def _small_or_invalid(raw, most=64):
-    """raw, unless it is an integer above `most`: a valid huge length asks
-    for that many bits of work, which runs but does not end in a test."""
+    """False only for an integer above `most`: a valid huge length asks for
+    that many bits of work, which runs but does not end in a test."""
     try:
         return int(raw, 0) <= most
     except ValueError:
         return True
 
 
-class TestExitCodeContract:
-    SC_ARITH_KEYS = {
-        ("scarith", "length"): [r for r in ADVERSARIAL if _small_or_invalid(r)],
-        ("scarith", "seeds"): ADVERSARIAL,  # huge counts exit 2 at allocation
-        ("scarith", "values"): ADVERSARIAL + ["0, 1e-320, 1", "0.3, 0.7, 0.3"],
-        ("run", "seed"): ADVERSARIAL,
-        ("run", "workers"): ADVERSARIAL,
-    }
+# the keys sc-arith-bench reads, and the raw values each may take
+SC_ARITH_POOL = {
+    ("scarith", "length"): [r for r in ADVERSARIAL if _small_or_invalid(r)],
+    ("scarith", "seeds"): ADVERSARIAL,      # huge counts exit 2 at allocation
+    ("scarith", "values"): ADVERSARIAL + ["0, 1e-320, 1", "0.3, 0.7, 0.3"],
+    ("run", "seed"): ADVERSARIAL,
+    ("run", "workers"): ADVERSARIAL,
+}
 
-    @given(st.lists(st.sampled_from(sorted(SC_ARITH_KEYS)), min_size=1, max_size=2,
+
+class TestExitCodeContract:
+    @given(st.lists(st.sampled_from(sorted(SC_ARITH_POOL)), min_size=1, max_size=2,
                     unique=True).flatmap(lambda keys: st.tuples(*[
-                        st.tuples(st.just(k), st.sampled_from(
-                            TestExitCodeContract.SC_ARITH_KEYS[k])) for k in keys])))
-    @settings(max_examples=300, deadline=None,   # 300 reach every single entry
+                        st.tuples(st.just(k), st.sampled_from(SC_ARITH_POOL[k]))
+                        for k in keys])))
+    @settings(max_examples=300, deadline=None,   # in trials, 300 drew every entry
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_sc_arith_bench(self, capfd, entries):
         """sc-arith-bench with one or two of its keys set from the pool
