@@ -26,7 +26,7 @@ from .config import ConfigView, load_config
 from .errors import ConfigError, FitDomainError, SpinscError
 from .formats import write_csv, write_json
 from .network import save_model, load_model
-from .rngtools import derive_rng, parallel_map, worker_count
+from .rngtools import _allowed_cpus, derive_rng, parallel_map
 
 MANIFEST_NAME = "manifest.json"
 
@@ -283,7 +283,9 @@ def _load_manifest(path):
 def _environment():
     """Versions, the platform, the CPU count worker_count caps workers at and
     numpy's SIMD dispatch, by which mtj.sigmoid's and SC's vectorised exp and
-    log1p round; rerun does not read it.  numpy 2 keeps its extension module in
+    log1p round; rerun does not read it.  It calls no public rngtools
+    function, so perfbench's set-up probe, which stops at the first layer
+    call, still times the command's own set-up.  numpy 2 keeps its extension module in
     numpy._core, numpy 1 in numpy.core; the dispatch is None if neither is
     loaded."""
     simd = None
@@ -298,7 +300,7 @@ def _environment():
     return {"spinsc": __version__, "python": platform.python_version(),
             "numpy": np.__version__, "numpy_simd": simd,
             "platform": f"{uname.system}-{uname.release}-{uname.machine}",
-            "allowed_cpus": worker_count(sys.maxsize)}
+            "allowed_cpus": _allowed_cpus()}
 
 
 def _run(command, cfg_dict, seed, workers, out_dir):

@@ -169,12 +169,17 @@ def derive_rngs(master_seeds, *tags):
     return (np.random.Generator(np.random.PCG64(_StateWords(row))) for row in state)
 
 
+def _allowed_cpus() -> int:
+    """The number of CPUs this process may run on, at least 1."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
+    return cpus or 1
+
+
 def worker_count(workers: int) -> int:
     """Processes worth starting for `workers` requested: at most the number
     of CPUs this process may run on."""
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count())
-    return min(workers, cpus or 1)
+    return min(workers, _allowed_cpus())
 
 
 def _run_group(fn, group, cpus, k, conn=None):
