@@ -42,18 +42,25 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def switched_slab(batch):
-    """LLGS trial-steps/s of one `mtj._switched` slab at T = 300 K: `batch`
-    trials from 2 degrees off -z under a 4.5e-4 A spin current along +z,
-    with no equilibration or relaxation steps; the time includes deriving
-    each trial's substream."""
+    """LLGS trial-steps/s of one `mtj._switched` slab at T = 300 K, run
+    through the calls the kernel makes (`rngtools.derive_rngs`,
+    `llgs._pulse_phases`, `llgs._integrate`), so that trees whose
+    `_switched` signatures differ time the same work: `batch` trials of one
+    point seeded 1, from 2 degrees off -z under a 4.5e-4 A spin current
+    along +z, with no equilibration or relaxation steps; the time includes
+    deriving each trial's substream."""
     import numpy as np
-    from spinsc import mtj
-    params = mtj.MtjParams(mtj.default_mtj_params().device, theta_sh=1.0,
-                           equil_steps=0, relax_time=0.0)
+    from spinsc import llgs, mtj
+    from spinsc.rngtools import derive_rngs
+    dev = mtj.default_mtj_params().device
     steps = max(2100, 400_000 // batch)
-    keys = [(1, i) for i in range(batch)]
+    tilt = math.radians(2.0)
     t0 = time.perf_counter()
-    mtj._switched((np.full(batch, 4.5e-4), keys, steps * params.device.dt, params))
+    m0 = np.tile([math.sin(tilt), 0.0, -math.cos(tilt)], (batch, 1))
+    rngs = list(derive_rngs(1, "switch-trial", np.arange(batch)))
+    phases = [(0, 0.0)] + llgs._pulse_phases(steps * dev.dt, np.full(batch, 4.5e-4),
+                                             0.0, dev.dt)
+    llgs._integrate(m0, phases, dev, rngs)
     return batch * steps / (time.perf_counter() - t0)
 
 

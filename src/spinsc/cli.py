@@ -95,8 +95,9 @@ def cmd_device_sweep(v, seed, workers):
         points = v.get_int("sweep", "points")
         if points < 5:      # the sweep needs 5; np.linspace raises below 0
             raise ConfigError(f"[sweep] points must be >= 5, got {points}")
-        currents = np.linspace(v.get_float("sweep", "current_start_a"),
-                               v.get_float("sweep", "current_stop_a"), points).tolist()
+        currents = _allocate(f"[sweep] points = {points}", np.linspace,
+                             v.get_float("sweep", "current_start_a"),
+                             v.get_float("sweep", "current_stop_a"), points).tolist()
     curve = mtj.sweep_switching_curve(
         currents,
         v.get_float("sweep", "pulse_width_s"),
@@ -219,9 +220,9 @@ def cmd_ber(v, seed, workers):
 def cmd_gradcheck(v, seed, workers):
     n_nets = v.get_int("gradcheck", "networks", 100)
     max_layers = v.get_int_list("gradcheck", "max_sizes", [4, 8, 4])
-    if len(max_layers) < 2 or min(max_layers) < 1:
+    if len(max_layers) < 2 or not all(1 <= m < 2 ** 63 for m in max_layers):
         raise ConfigError(f"[gradcheck] max_sizes needs at least two layer "
-                          f"sizes, each >= 1, got {max_layers}")
+                          f"sizes, each in [1, 2**63), got {max_layers}")
     if n_nets < 1:
         raise ConfigError(f"[gradcheck] networks must be >= 1, got {n_nets}")
     loss = training.LossSpec(kind=v.get_str(
@@ -231,7 +232,8 @@ def cmd_gradcheck(v, seed, workers):
     worst = 0.0
     for i in range(n_nets):
         sizes = [int(rng.integers(1, m + 1)) for m in max_layers]
-        model = training.init_model(sizes, int(rng.integers(0, 2 ** 63)))
+        model = _allocate(f"[gradcheck] max_sizes = {max_layers}", training.init_model,
+                          sizes, int(rng.integers(0, 2 ** 63)))
         x = rng.standard_normal(sizes[0])
         y = rng.uniform(0.1, 0.9, sizes[-1])
         bp = training.backprop_gradient(model, [x], [y], loss)

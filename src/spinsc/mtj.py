@@ -5,12 +5,13 @@ Switching trials start from the antiparallel state (-z) with a small
 fixed tilt, equilibrate thermally for 10 ps (40 steps at the default dt),
 then see the current pulse and a field-only relax window; a trial has
 switched when its final mz sign differs from its initial sign.
-A sweep steps all its points' trials as one batch, each trial with its
-point's current and its own substream, cut by rngtools.parallel_map into
-slabs of at most _BATCH_TRIALS.
+A sweep's points x trials form one flat axis that rngtools.parallel_map
+cuts into slabs of at most _BATCH_TRIALS as it reaches them; a slab finds
+each trial's point, current and substream from its flat index.
 """
 
 from dataclasses import asdict, dataclass
+from functools import partial
 import math
 
 import numpy as np
@@ -112,15 +113,15 @@ class SigmoidFit:
         write_json(path, asdict(self))
 
 
-def _switched(job):
-    """Switched flags of one slab: trial i of the point seeded s, at the
-    charge current in the same place, for each (s, i) in keys."""
-    currents, keys, pulse_width, params = job
-    m0 = np.tile([math.sin(_START_TILT), 0.0, -math.cos(_START_TILT)], (len(keys), 1))
-    seeds, trials = np.asarray(keys).T
-    rngs = list(derive_rngs(seeds, "switch-trial", trials))
+def _switched(currents, seeds, n, pulse_width, params, start, stop):
+    """Switched flags of flat trials start..stop-1, trial j % n of point
+    j // n each, at currents[point] on a substream of seeds[point]."""
+    points, trials = np.divmod(np.arange(start, stop), n)
+    m0 = np.tile([math.sin(_START_TILT), 0.0, -math.cos(_START_TILT)], (len(points), 1))
+    rngs = list(derive_rngs(seeds[points], "switch-trial", trials))
     phases = [(params.equil_steps, 0.0)] + _pulse_phases(
-        pulse_width, params.theta_sh * currents, params.relax_time, params.device.dt)
+        pulse_width, params.theta_sh * currents[points], params.relax_time,
+        params.device.dt)
     return _integrate(m0, phases, params.device, rngs)[0][:, 2] > 0.0
 
 
@@ -129,8 +130,8 @@ def sweep_switching_curve(currents, pulse_width: float, trials_per_point: int,
                           workers: int = 1) -> SwitchingCurve:
     """Fraction of seeded trials that switch at each current, with 95% CI
     halfwidths.  Point i's trials run on the seed derive_rng(seed,
-    "sweep-point", i) draws, all points' trials stepped as the
-    parallel_map slabs of one flat batch."""
+    "sweep-point", i) draws; the points x trials, at most 2**63 - 1, run
+    as the parallel_map slabs of one flat axis."""
     currents, n = np.asarray(currents, dtype=float), trials_per_point
     if len(currents) < 5:
         raise DomainError("need at least 5 sweep currents")
@@ -142,17 +143,14 @@ def sweep_switching_curve(currents, pulse_width: float, trials_per_point: int,
         raise DomainError("trials must be >= 1")
     if not params.device.dt <= pulse_width < math.inf:
         raise DomainError("pulse_width must be finite and at least one time-step")
-    seeds = [rng.integers(0, 2**63)
-             for rng in derive_rngs(seed, "sweep-point", np.arange(len(currents)))]
-    keys = np.column_stack([np.repeat(seeds, n), np.tile(np.arange(n), len(seeds))])
-    flat = np.repeat(currents, n)
+    seeds = np.array([rng.integers(0, 2**63) for rng in
+                      derive_rngs(seed, "sweep-point", np.arange(len(currents)))])
     switched = np.concatenate(parallel_map(
-        lambda a, b: _switched((flat[a:b], keys[a:b], pulse_width, params)),
-        len(keys), _BATCH_TRIALS, workers))
+        partial(_switched, currents, seeds, n, pulse_width, params),
+        len(currents) * n, _BATCH_TRIALS, workers))
     p_hat = np.count_nonzero(switched.reshape(-1, n), axis=1) / n
-    ci = [1.96 * math.sqrt(p * (1.0 - p) / n) for p in p_hat.tolist()]
-    return SwitchingCurve(currents=currents, p_hat=p_hat,
-                          trials=np.full(len(currents), n), ci_halfwidth=np.array(ci))
+    return SwitchingCurve(currents, p_hat, np.full(len(currents), n),
+                          1.96 * np.sqrt(p_hat * (1 - p_hat) / n))
 
 
 def fit_stochastic_sigmoid(curve: SwitchingCurve) -> SigmoidFit:

@@ -201,26 +201,32 @@ def parallel_map(fn, total: int, cap: int, workers: int = 1) -> list:
     w = max(1, min(worker_count(workers), total)) workers each run
     ceil(total / (w * cap)) consecutive blocks on their own CPU, the caller
     the first group and a forked child each other; the blocks are
-    contiguous, of at most `cap` items each and their sizes within 1.  Every
-    child is joined before the first failure in block order is raised; one
-    that dies without replying raises ChildProcessError."""
+    contiguous, cut as they are reached, of at most `cap` items each and
+    their sizes within 1.  Every child is joined before the first failure
+    in block order is raised; one that dies without replying raises
+    ChildProcessError.  A total past the kernels' int64 flat index
+    np.arange(a, b) raises DomainError."""
+    if total > np.iinfo(np.int64).max:
+        raise DomainError(f"{total} items overflow a kernel's int64 flat index")
     w = max(1, min(worker_count(workers), total))
     per = -(-total // (w * cap))                # blocks per worker
-    blocks = [(total * s // (w * per), total * (s + 1) // (w * per))
-              for s in range(w * per)]
+
+    def group(k):                               # worker k's blocks
+        return ((total * s // (w * per), total * (s + 1) // (w * per))
+                for s in range(k * per, (k + 1) * per))
     if w < 2:
-        return [fn(a, b) for a, b in blocks]
+        return [fn(a, b) for a, b in group(0)]
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else None
     fork, children, replies = multiprocessing.get_context("fork"), [], []
     try:
         for k in range(1, w):
             recv, send = fork.Pipe(duplex=False)
-            child = fork.Process(target=_run_group, args=(
-                fn, blocks[k * per:(k + 1) * per], cpus, k, send))
+            child = fork.Process(target=_run_group,
+                                 args=(fn, group(k), cpus, k, send))
             child.start()
             send.close()        # so recv sees EOF if the child dies
             children.append((child, recv))
-        replies.append(_run_group(fn, blocks[:per], cpus, 0))
+        replies.append(_run_group(fn, group(0), cpus, 0))
     finally:
         for child, recv in children:
             with recv:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import platform
@@ -15,6 +16,7 @@ from spinsc import __version__, bitstream, cli, mtj, rngtools
 from spinsc.cli import atomic_path, main
 from spinsc.errors import ConfigError, ConvergenceError
 from spinsc.config import ConfigView, load_config
+from test_acceptance import REPRO_CONFIGS
 
 
 def write_cfg(path, text):
@@ -80,6 +82,15 @@ temperature_k = 0.0
 currents_a = 1e-5, 2e-5, 3e-5, 4e-5, 5e-5
 pulse_width_s = 5e-11
 trials_per_point = 3
+"""
+
+SWEEP_RANGE_CFG = """
+[sweep]
+current_start_a = 1e-3
+current_stop_a = 2e-3
+points = 5
+pulse_width_s = 5e-10
+trials_per_point = 2
 """
 
 SWEEP_THERMAL_CFG = """
@@ -263,6 +274,26 @@ class TestScArithBench:
             assert run("sc-arith-bench", one, tmp_path / f"one{w}", "--workers", str(w)) == 0
         assert (tmp_path / "one1" / "sc_arith.csv").read_bytes() == \
                (tmp_path / "one2" / "sc_arith.csv").read_bytes()
+
+    # sha256 of the little-endian float64 estimates (values, values, AND/MUX,
+    # seeds) of REPRO_CONFIGS["sc-arith-bench"]
+    ESTIMATES_SHA256 = "d9ee7451c4649fb1f0be33e2b46a44792c556e691f512a3a656ddb4bdca01604"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_estimates_pinned(self, tmp_path, monkeypatch, workers):
+        """The seeds' AND and MUX estimates keep their bits, whose pass
+        counts alone sc_arith.csv and its golden hash hold."""
+        blocks = []
+
+        def recording(*args):
+            blocks.extend(rngtools.parallel_map(*args))
+            return blocks
+        monkeypatch.setattr(cli, "parallel_map", recording)
+        cfg = write_cfg(tmp_path / "s.cfg", REPRO_CONFIGS["sc-arith-bench"])
+        assert run("sc-arith-bench", cfg, tmp_path, "--workers", str(workers)) == 0
+        est = np.concatenate(blocks, axis=-1).astype("<f8")
+        assert est.shape == (2, 2, 2, 5)
+        assert hashlib.sha256(est.tobytes()).hexdigest() == self.ESTIMATES_SHA256
 
     def test_rerun_ignores_missing_env(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path / "s.cfg", SC_ARITH_CFG)
@@ -637,15 +668,27 @@ class TestErrors:
         ("train-decoder", TRAIN_CFG, "hidden = 4", "hidden = 4, 99999999999999999999",
          "[network] hidden = [4, 99999999999999999999] cannot be allocated"),
         ("train-decoder", TRAIN_CFG, "hidden = 4", "hidden = 4, 10000000000000000",
-         "[network] hidden = [4, 10000000000000000] cannot be allocated")],
+         "[network] hidden = [4, 10000000000000000] cannot be allocated"),
+        ("device-sweep", SWEEP_RANGE_CFG, "points = 5", "points = 99999999999999999999",
+         "[sweep] points = 99999999999999999999 cannot be allocated"),
+        ("device-sweep", SWEEP_THERMAL_CFG, "trials_per_point = 40",
+         "trials_per_point = 99999999999999999999",
+         "499999999999999999995 items overflow a kernel's int64 flat index"),
+        ("gradcheck", GRADCHECK_CFG, "max_sizes = 3, 5, 3",
+         "max_sizes = 10000000000000000, 10000000000000000",
+         "[gradcheck] max_sizes = [10000000000000000, 10000000000000000] cannot be "
+         "allocated")],
         ids=["scarith-seeds-dimension", "scarith-seeds-memory",
-             "network-hidden-dimension", "network-hidden-memory"])
+             "network-hidden-dimension", "network-hidden-memory",
+             "sweep-points-dimension", "sweep-trials-int64", "gradcheck-sizes-too-big"])
     def test_huge_count_writes_nothing(self, tmp_path, capsys, cmd, text, old, new,
                                        message):
         """A count whose array numpy cannot allocate exits 2 where it is
         read, not with a traceback: beyond numpy's largest array
-        ('Maximum allowed dimension exceeded') and beyond any machine's
-        address space (MemoryError, 1e16 x 8 bytes and more)."""
+        ('Maximum allowed dimension exceeded', or a drawn 2-D shape whose
+        bytes overflow it) and beyond any machine's address space
+        (MemoryError, 1e16 x 8 bytes and more).  So does a sweep whose
+        points x trials overflow the int64 flat trial index."""
         cfg = write_cfg(tmp_path / "c.cfg", text.replace(old, new))
         out = tmp_path / "out"
         assert run(cmd, cfg, out) == 2
@@ -655,14 +698,8 @@ class TestErrors:
     @pytest.mark.parametrize("points", [-1, 4])
     def test_too_few_sweep_points(self, tmp_path, capsys, points):
         """Checked before np.linspace, which raises ValueError below 0."""
-        cfg = write_cfg(tmp_path / "d.cfg", f"""
-[sweep]
-current_start_a = 1e-3
-current_stop_a = 2e-3
-points = {points}
-pulse_width_s = 5e-10
-trials_per_point = 2
-""")
+        cfg = write_cfg(tmp_path / "d.cfg",
+                        SWEEP_RANGE_CFG.replace("points = 5", f"points = {points}"))
         out = tmp_path / "out"
         assert run("device-sweep", cfg, out) == 2
         assert f"error: [sweep] points must be >= 5, got {points}" in \
@@ -720,7 +757,8 @@ trials_per_point = 2
             capsys.readouterr().err
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("sizes", ["3, 0, 3", ""], ids=["zero", "empty"])
+    @pytest.mark.parametrize("sizes", ["3, 0, 3", "", "3, 99999999999999999999"],
+                             ids=["zero", "empty", "beyond-int64"])
     def test_bad_gradcheck_max_sizes(self, tmp_path, capsys, sizes):
         cfg = write_cfg(tmp_path / "g.cfg", GRADCHECK_CFG.replace(
             "max_sizes = 3, 5, 3", f"max_sizes = {sizes}"))
@@ -880,12 +918,51 @@ SC_ARITH_POOL = {
     ("run", "workers"): ADVERSARIAL,
 }
 
+# the keys gradcheck reads, and the raw values each may take: valid counts
+# and widths of at most 64, and only widths whose draw or array numpy
+# refuses before allocating (every first draw of the pool's seeds from
+# 1e16 gives a weight array of more than 2**63 bytes)
+GRADCHECK_POOL = {
+    ("gradcheck", "networks"): [r for r in ADVERSARIAL if _small_or_invalid(r)] + ["64"],
+    ("gradcheck", "max_sizes"): [r for r in ADVERSARIAL if _small_or_invalid(r)] + [
+        "1, 1", "64, 64", "3, -1", "99999999999999999999, 2", "2, 99999999999999999999",
+        "10000000000000000, 10000000000000000"],
+    ("gradcheck", "loss"): ADVERSARIAL + ["binary-cross-entropy"],
+    ("run", "seed"): ADVERSARIAL,
+    ("run", "workers"): ADVERSARIAL,
+}
+
+
+def _entries(pool):
+    """One or two distinct keys of `pool`, each with a raw value from its list."""
+    return st.lists(st.sampled_from(sorted(pool)), min_size=1, max_size=2,
+                    unique=True).flatmap(lambda keys: st.tuples(*[
+                        st.tuples(st.just(k), st.sampled_from(pool[k])) for k in keys]))
+
+
+def _assert_exit_contract(capfd, command, cfg, entries, output):
+    """`command` on the config sections `cfg` with `entries` set exits 0, 2
+    or 3 with no traceback, writes nothing on exit 2 and `output` else."""
+    for (section, key), raw in entries:
+        cfg[section][key] = raw
+    text = "".join(f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
+                   for s, kv in cfg.items())
+    capfd.readouterr()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        code = run(command, write_cfg(Path(tmp) / "c.cfg", text), out)
+        written = os.listdir(out) if os.path.isdir(out) else []
+    err = capfd.readouterr().err
+    assert code in (0, 2, 3), (text, err)
+    assert "Traceback" not in err, (text, err)
+    if code == 2:
+        assert written == [], (text, written)
+    else:
+        assert output in written, (text, err)
+
 
 class TestExitCodeContract:
-    @given(st.lists(st.sampled_from(sorted(SC_ARITH_POOL)), min_size=1, max_size=2,
-                    unique=True).flatmap(lambda keys: st.tuples(*[
-                        st.tuples(st.just(k), st.sampled_from(SC_ARITH_POOL[k]))
-                        for k in keys])))
+    @given(_entries(SC_ARITH_POOL))
     @settings(max_examples=300, deadline=None,   # in trials, 300 drew every entry
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_sc_arith_bench(self, capfd, entries):
@@ -893,24 +970,24 @@ class TestExitCodeContract:
         exits 0, 2 or 3 with no traceback, and writes nothing on exit 2.
         Work is bounded by construction: 64-bit streams, 2 seeds, and the
         pool's lengths of at most 64."""
-        cfg = {"run": {"seed": "3", "workers": "1"},
-               "scarith": {"length": "64", "seeds": "2", "values": "0.3, 0.7"}}
-        for (section, key), raw in entries:
-            cfg[section][key] = raw
-        text = "".join(f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
-                       for s, kv in cfg.items())
-        capfd.readouterr()
-        with tempfile.TemporaryDirectory() as tmp:
-            out = os.path.join(tmp, "out")
-            code = run("sc-arith-bench", write_cfg(Path(tmp) / "c.cfg", text), out)
-            written = os.listdir(out) if os.path.isdir(out) else []
-        err = capfd.readouterr().err
-        assert code in (0, 2, 3), (text, err)
-        assert "Traceback" not in err, (text, err)
-        if code == 2:
-            assert written == [], (text, written)
-        else:
-            assert "sc_arith.csv" in written, (text, err)
+        _assert_exit_contract(capfd, "sc-arith-bench", {
+            "run": {"seed": "3", "workers": "1"},
+            "scarith": {"length": "64", "seeds": "2", "values": "0.3, 0.7"}},
+            entries, "sc_arith.csv")
+
+    @given(_entries(GRADCHECK_POOL))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_gradcheck(self, capfd, entries):
+        """gradcheck with one or two of its keys set from the pool exits 0, 2
+        or 3 with no traceback, and writes nothing on exit 2.  Work is
+        bounded by construction: 2 networks of at most 3-4-2, and the
+        pool's counts and widths of at most 64."""
+        _assert_exit_contract(capfd, "gradcheck", {
+            "run": {"seed": "3", "workers": "1"},
+            "gradcheck": {"networks": "2", "max_sizes": "3, 4, 2",
+                          "loss": "squared-error"}},
+            entries, "gradcheck.csv")
 
 
 class TestUnusedKeys:

@@ -58,9 +58,9 @@ class TestEstimate:
         assert np.array_equal(a.ci_halfwidth, b.ci_halfwidth)
 
     def test_single_trial_runs_float_width_and_matches_batch_row(self, monkeypatch):
-        """One key integrates on Python floats (math.sqrt once per step) and
-        ends where the same key, first of three, ends in a 3-trial batch,
-        bit for bit."""
+        """One trial integrates on Python floats (math.sqrt once per step)
+        and ends where the same trial, first of three, ends in a 3-trial
+        batch, bit for bit."""
         ends, roots = [], []
 
         def spy(*args, **kwargs):
@@ -79,10 +79,11 @@ class TestEstimate:
         params = default_mtj_params()
         steps = (params.equil_steps + round(5e-11 / params.device.dt)
                  + round(params.relax_time / params.device.dt))
-        keys = [(3, 0), (3, 1), (3, 2)]
-        single = mtj._switched((np.full(1, 1.6e-3), keys[:1], 5e-11, params))
+        # trials 0, 1, 2 of one point seeded 3
+        point = (np.full(1, 1.6e-3), np.array([3]), 3, 5e-11, params)
+        single = mtj._switched(*point, 0, 1)
         single_roots = len(roots)
-        mtj._switched((np.full(3, 1.6e-3), keys, 5e-11, params))
+        mtj._switched(*point, 0, 3)
         assert single_roots >= steps
         # the batch takes np.sqrt; math.sqrt gives only its noise prefactors
         assert len(roots) - single_roots < steps // 100
@@ -137,9 +138,8 @@ class TestSweep:
         expected = []
         for idx, current in enumerate(self.CURRENTS):
             point_seed = int(derive_rng(11, "sweep-point", idx).integers(0, 2**63))
-            switched = mtj._switched((np.full(16, current),
-                                      [(point_seed, i) for i in range(16)],
-                                      1e-10, self.SHORT))
+            switched = mtj._switched(np.array([current]), np.array([point_seed]),
+                                     16, 1e-10, self.SHORT, 0, 16)
             p = np.count_nonzero(switched) / 16
             expected.append((p, 1.96 * math.sqrt(p * (1 - p) / 16)))
         if batch is not None:
@@ -165,6 +165,12 @@ class TestSweep:
                                       workers=100_000)
         assert calls == [(75, 12, 100_000)]
         assert np.array_equal(curve.p_hat, one.p_hat)
+
+    def test_trials_beyond_int64_rejected(self):
+        """Points x trials beyond the int64 flat trial index raise
+        DomainError before any trial runs, not an error from numpy."""
+        with pytest.raises(DomainError, match="int64"):
+            sweep_switching_curve(self.CURRENTS, 1e-10, 2**62, self.SHORT, 1)
 
     @pytest.mark.parametrize("currents", [[1e-3, 2e-3, 3e-3, 4e-3, np.inf],
                                           [-np.inf, 2e-3, 3e-3, 4e-3, 5e-3]])

@@ -2,6 +2,7 @@ import itertools
 import math
 import multiprocessing
 import os
+import tracemalloc
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -149,6 +150,37 @@ def test_parallel_map_blocks_capped_and_equal(total, cap, cpus, workers):
     assert groups == ([len(blocks) // w] * w if blocks else [])
     assert len({pid for _, _, pid in blocks}) == len(groups)
     assert not blocks or blocks[0][2] == os.getpid()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_parallel_map_cuts_blocks_as_reached(workers):
+    """No list of blocks is built before the work: a million one-item
+    blocks, each worker's first failing, peak under 1 MB in the caller,
+    where the bounds of every block would take about 100 MB."""
+    def fail(a, b):
+        raise DomainError(f"block {a}..{b}")
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=r"block 0\.\.1$"):
+            rngtools.parallel_map(fail, 10**6, 1, workers)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert multiprocessing.active_children() == []
+
+
+def test_parallel_map_total_fits_int64():
+    """A total beyond int64 raises DomainError before any block runs; the
+    largest int64 total cuts blocks whose bounds np.arange takes."""
+    calls = []
+    with pytest.raises(DomainError, match="int64"):
+        rngtools.parallel_map(lambda a, b: calls.append((a, b)), 2**63, 2**62)
+    assert calls == []
+    top = 2**63 - 1
+    assert rngtools.parallel_map(lambda a, b: (a, b, np.arange(b - 1, b).tolist()),
+                                 top, 2**62) == [(0, top // 2, [top // 2 - 1]),
+                                                 (top // 2, top, [top - 1])]
 
 
 @pytest.mark.parametrize("jobs, workers, pools", [
