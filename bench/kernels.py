@@ -160,6 +160,13 @@ def and_mux_table(L=10 ** 6):
                          1, 2, 3)
 
 
+def encode(L=10 ** 6):
+    """Stream bits/s of `bitstream.encode` on one L-bit stream at p = 0.3,
+    seed 1."""
+    from spinsc import bitstream
+    return repeat_for_1s(L, bitstream.encode, 0.3, L, 1)
+
+
 def sc_arith_bench(L=10 ** 6, seeds=1, workers=1):
     """Stream bits/s of `spinsc sc-arith-bench` run through `cli.main` on a
     temporary config of `seeds` seeds, L-bit streams, the values 0.1, 0.5,
@@ -224,6 +231,7 @@ KERNELS.update({f"polar.generate_frames N={n}": (
 KERNELS["polar.neural_sc_decode stochastic (8,4) window=64"] = (
     "frames/s", stochastic_decode)
 KERNELS["bitstream.and_mux_table L=1e6 V=3"] = ("stream-bits/s", and_mux_table)
+KERNELS["bitstream.encode L=1e6"] = ("bits/s", encode)
 KERNELS["training.minibatch_step 8-32-4 B=32"] = ("examples/s", minibatch_step)
 KERNELS.update({f"network.forward 8-32-4 B={b}": (
     "examples/s", partial(forward_block, b)) for b in (512, 65536)})

@@ -6,9 +6,11 @@ of 0/1 of shape (..., L), one stream per leading index, and every op
 broadcasts over the leading axes.  Multiplication is a bitwise AND;
 scaled addition selects between operands with a 0.5-probability MUX
 stream.  Streams are built from counter-based (Philox) substreams so
-operands stay independent by construction.  `and_mux_table` gives the
-decoded AND and MUX of every pair of values without building a stream: it
-counts ones exactly, as an accumulative parallel counter does in hardware.
+operands stay independent by construction; a bit compares a raw Philox
+word with an integer threshold, as exact as comparing its random() double.
+`and_mux_table` gives the decoded AND and MUX of every pair of values
+without building a stream: it counts ones exactly, as an accumulative
+parallel counter does in hardware.
 """
 
 import numpy as np
@@ -24,19 +26,27 @@ __all__ = [
     "and_mux_table",
 ]
 
-# uniforms and_mux_table draws per stream at a time; bounds memory.  With a
+# words and_mux_table draws per stream at a time; bounds memory.  With a
 # 2 MB L2, 16,384 ran as fast as 32,768 and about 20% faster than 65,536.
 _CHUNK = 1 << 14
 
 
+def _threshold(p) -> np.ndarray:
+    """ceil(p * 2**53) as uint64: a Philox word's random() double (raw >> 11)
+    * 2**-53 is below p in [0, 1] exactly when raw >> 11 is below this."""
+    return np.ceil(np.asarray(p, dtype=np.float64) * 2.0 ** 53).astype(np.uint64)
+
+
 def encode(p, L: int, seed: int) -> np.ndarray:
     """(..., L) bits for probabilities p of shape (...): bit i of each stream
-    is 1 when the i-th uniform of the seed's Philox substream is below its p,
-    so the streams of one call share one draw."""
+    is 1 when the i-th word of the seed's Philox substream, shifted right by
+    11, is below _threshold(p), so the streams of one call share one draw."""
     p = np.asarray(p, dtype=np.float64)
     if L < 1 or not np.all((p >= 0.0) & (p <= 1.0)):     # NaN fails both
         raise DomainError(f"need L >= 1 and probabilities in [0, 1], got {L}, {p}")
-    return (derive_philox(seed, "bitstream").random(L) < p[..., None]).view(np.uint8)
+    words = derive_philox(seed, "bitstream").bit_generator.random_raw(L)
+    words >>= np.uint64(11)
+    return (words < _threshold(p)[..., None]).view(np.uint8)
 
 
 def decode(bits) -> np.ndarray:
@@ -77,10 +87,10 @@ def and_mux_table(values, L: int, seed_a: int, seed_b: int,
     """(V, V, 2) array of decode(multiply_and(a_j, b_k)) and decode(
     scaled_add_mux(a_j, b_k, sel)) for a_j = encode(values[j], L, seed_a),
     b_k = encode(values[k], L, seed_b), sel = encode(0.5, L, seed_sel).  All
-    a_j threshold one draw (likewise b_k), so cumulative sums of one joint
-    histogram of (rank of the a and b draws among the distinct values, sel
-    bit) count every cell's ones.  The draws go _CHUNK at a time; each
-    draw's histogram code (rank_a * m + rank_b) * 2 + sel, below 2 m**2 for
+    a_j threshold one draw of words (likewise b_k), so cumulative sums of one
+    joint histogram of (rank of the a and b words among the distinct values'
+    thresholds, sel bit) count every cell's ones.  The words go _CHUNK at a
+    time; each word's code (rank_a * m + rank_b) * 2 + sel, below 2 m**2 for
     m = distinct values + 1, is summed in place from the comparisons' bytes
     in the narrowest unsigned type that holds it."""
     if L < 1 or not all(0.0 <= p <= 1.0 for p in values):
@@ -88,16 +98,19 @@ def and_mux_table(values, L: int, seed_a: int, seed_b: int,
     distinct, pos = np.unique(values, return_inverse=True)
     m = distinct.size + 1
     code_type = np.min_scalar_type(2 * m * m - 1)
-    rngs = [derive_philox(s, "bitstream") for s in (seed_a, seed_b, seed_sel)]
+    thresholds = _threshold(distinct)
+    half = _threshold(0.5) << np.uint64(11)     # 2**63: raw < half is u < 0.5
+    gens = [derive_philox(s, "bitstream").bit_generator for s in (seed_a, seed_b, seed_sel)]
     hist = np.zeros(2 * m * m, dtype=np.int64)
     for start in range(0, L, _CHUNK):
-        u_a, u_b, u_s = (g.random(min(_CHUNK, L - start)) for g in rngs)
-        code = np.zeros(u_a.size, dtype=code_type)
-        for u, scale in ((u_a, m), (u_b, 2)):
-            for v in distinct:      # rank: how many distinct values are <= u
-                code += (u >= v).view(np.uint8)
+        w_a, w_b, w_s = (g.random_raw(min(_CHUNK, L - start)) for g in gens)
+        code = np.zeros(w_a.size, dtype=code_type)
+        for w, scale in ((w_a, m), (w_b, 2)):
+            w >>= np.uint64(11)
+            for t in thresholds:    # rank: distinct values at or below the double
+                code += (w >= t).view(np.uint8)
             code *= scale
-        code += (u_s < 0.5).view(np.uint8)
+        code += (w_s < half).view(np.uint8)
         hist += np.bincount(code, minlength=hist.size)
     C = hist.reshape(m, m, 2).cumsum(0).cumsum(1)
     ones = np.stack([C[:-1, :-1].sum(-1), C[:-1, -1:, 1] + C[-1:, :-1, 0]], -1)

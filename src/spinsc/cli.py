@@ -56,6 +56,14 @@ def _allocate(what, alloc, *args):
         raise ConfigError(f"{what} cannot be allocated: {exc}") from None
 
 
+def _check_flat(keys, *counts):
+    """ConfigError naming `keys` when counts' product overflows int64, the
+    flat index of the kernels that parallel_map runs."""
+    if (total := math.prod(counts)) > np.iinfo(np.int64).max:
+        raise ConfigError(f"{keys} = {' x '.join(map(str, counts))} = {total} "
+                          f"items overflow a kernel's int64 flat index")
+
+
 def _write(out_dir, name, writer):
     """Have writer(path) write out_dir/name atomically; returns name."""
     with atomic_path(os.path.join(out_dir, name)) as tmp:
@@ -98,11 +106,11 @@ def cmd_device_sweep(v, seed, workers):
         currents = _allocate(f"[sweep] points = {points}", np.linspace,
                              v.get_float("sweep", "current_start_a"),
                              v.get_float("sweep", "current_stop_a"), points).tolist()
+    trials = v.get_int("sweep", "trials_per_point")
+    _check_flat("[sweep] points x trials_per_point", len(currents), trials)
     curve = mtj.sweep_switching_curve(
-        currents,
-        v.get_float("sweep", "pulse_width_s"),
-        v.get_int("sweep", "trials_per_point"),
-        params, seed, workers=workers)
+        currents, v.get_float("sweep", "pulse_width_s"), trials, params, seed,
+        workers=workers)
     try:
         fit = mtj.fit_stochastic_sigmoid(curve)
     except FitDomainError as exc:
@@ -198,6 +206,7 @@ def cmd_ber(v, seed, workers):
     if not snrs:
         raise ConfigError("[ber] snrs_db needs at least one SNR")
     min_frames = v.get_int("ber", "min_frames")
+    _check_flat("[ber] snrs_db x min_frames", len(snrs), min_frames)
     window = v.get_int("ber", "window", 64)
     which = ["classical", "neural"] if decoder == "paired" else [decoder]
     models = [None] * len(which)

@@ -183,6 +183,86 @@ class TestAndMuxTable:
             and_mux_table(values, L, 1, 2, 3)
 
 
+def uniforms(seed, L):
+    """The seed's "bitstream" substream as random() doubles, (raw >> 11) * 2**-53."""
+    return derive_philox(seed, "bitstream").random(L)
+
+
+def float_table(values, L, sa, sb, ss):
+    """and_mux_table's float oracle: a_j is u_a < values[j] on the doubles of
+    seed sa, b_k likewise on seed sb's, sel is u_s < 0.5 on seed ss's, and
+    each cell counts its AND and MUX ones."""
+    v = np.asarray(values)[:, None]
+    a, b = (uniforms(sa, L) < v)[:, None], (uniforms(sb, L) < v)[None]
+    sel = uniforms(ss, L) < 0.5
+    return np.stack([np.count_nonzero(a & b, -1),
+                     np.count_nonzero((a & sel) | (b & ~sel), -1)], -1) / L
+
+
+# probabilities where a threshold's rounding could slip: the ends, multiples
+# of 2**-53 (every double random() returns is one), their neighbours, and
+# subnormals, whose thresholds are 1
+EDGES = [0.0, 1.0, 2.0 ** -53, 3 * 2.0 ** -53, 1 - 2.0 ** -53, np.nextafter(1 - 2.0 ** -53, 0),
+         0.5, np.nextafter(0.5, 0), np.nextafter(0.5, 1), 0.1, np.nextafter(0.1, 1),
+         5e-324, 1e-320, np.nextafter(2.0 ** -1022, 0), 2.0 ** -1022]
+# a value is an edge, a multiple k * 2**-53, or ("drawn", stream, index,
+# ulps): the index-th double of stream 0 or 1 of the test's seeds, or its
+# neighbour one ulp down or up, so a word's comparison meets a threshold
+# equal to it or one step away
+VALUE = st.one_of(st.sampled_from(EDGES),
+                  st.integers(0, 2 ** 53).map(lambda k: k * 2.0 ** -53),
+                  st.tuples(st.just("drawn"), st.integers(0, 1), st.integers(0, 2 ** 20),
+                            st.sampled_from([-1, 0, 1])))
+# short streams, and lengths on either side of whole chunks
+LENGTH = st.one_of(st.integers(1, 64), st.sampled_from(
+    [bitstream._CHUNK - 1, bitstream._CHUNK, bitstream._CHUNK + 1, 2 * bitstream._CHUNK + 7]))
+
+
+def resolve(specs, repeats, seeds, L):
+    """The probabilities `specs` name, drawn ones read from the seeds'
+    doubles, then the first `repeats` of them again."""
+    drawn = [uniforms(s, L) for s in seeds]
+    values = []
+    for spec in specs:
+        if isinstance(spec, tuple):
+            _, stream, index, ulps = spec
+            x = drawn[stream][index % L]
+            spec = {-1: np.nextafter(x, 0.0), 0: x, 1: np.nextafter(x, 1.0)}[ulps]
+        values.append(float(spec))
+    return values + values[:repeats]
+
+
+class TestRawWordThreshold:
+    """The integer thresholds on raw Philox words give the bits of the float
+    rule, random() < p, at the edges of the rounding."""
+
+    def test_thresholds(self):
+        """ceil(p * 2**53) at the ends, one step in, a subnormal and the
+        select's 0.5, whose threshold shifted left by 11 is 2**63."""
+        p = [0.0, 2.0 ** -53, 5e-324, 0.5, 1 - 2.0 ** -53, 1.0]
+        want = [0, 1, 1, 2 ** 52, 2 ** 53 - 1, 2 ** 53]
+        assert bitstream._threshold(p).tolist() == want
+        assert int(bitstream._threshold(0.5) << np.uint64(11)) == 2 ** 63
+
+    @given(st.lists(VALUE, min_size=1, max_size=6), st.integers(0, 2), LENGTH,
+           st.integers(0, 2 ** 32))
+    @settings(max_examples=60, deadline=None)
+    def test_and_mux_table_equals_float_rule(self, specs, repeats, L, seed):
+        seeds = (seed, seed + 1, seed + 2)
+        values = resolve(specs, repeats, seeds[:2], L)
+        assert np.array_equal(and_mux_table(values, L, *seeds),
+                              float_table(values, L, *seeds))
+
+    @given(st.lists(VALUE, min_size=1, max_size=6), st.integers(0, 2), LENGTH,
+           st.integers(0, 2 ** 32))
+    @settings(max_examples=60, deadline=None)
+    def test_encode_equals_float_rule(self, specs, repeats, L, seed):
+        p = np.array(resolve(specs, repeats, (seed, seed), L))
+        want = (uniforms(seed, L) < p[:, None]).view(np.uint8)
+        assert np.array_equal(encode(p, L, seed), want)
+        assert np.array_equal(encode(p[0], L, seed), want[0])
+
+
 def device_stream(fit, bias_current, L, seed):
     """A device-biased stream: bits 1 with the fitted switching probability
     at the bias current."""

@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from spinsc import __version__, bitstream, cli, mtj, rngtools
-from spinsc.cli import atomic_path, main
+from spinsc import __version__, bitstream, cli, mtj, rngtools, training
+from spinsc.cli import MANIFEST_NAME, atomic_path, main
 from spinsc.errors import ConfigError, ConvergenceError
 from spinsc.config import ConfigView, load_config
+from spinsc.network import STOCHASTIC, NetworkModel, save_model
 from test_acceptance import REPRO_CONFIGS
 
 
@@ -217,18 +218,20 @@ class TestScArithBench:
             assert passes >= 4  # 3-sigma bound: at most rare misses
 
     def test_draws_three_philox_streams_per_seed(self, tmp_path, monkeypatch):
-        # 5 seeds x (a, b, sel) streams, each drawing L = 4096 doubles in all
+        # 5 seeds x (a, b, sel) streams, each drawing L = 4096 raw words in
+        # all; a Counting stream has no other draw, so any other raises
         streams = []
         derive_philox = bitstream.derive_philox
 
         class Counting:
             def __init__(self, *args):
                 self.rng, self.tags, self.drawn = derive_philox(*args), args[1:], 0
+                self.bit_generator = self
                 streams.append(self)
 
-            def random(self, n):
+            def random_raw(self, n):
                 self.drawn += n
-                return self.rng.random(n)
+                return self.rng.bit_generator.random_raw(n)
         monkeypatch.setattr(bitstream, "derive_philox", Counting)
         cfg = write_cfg(tmp_path / "s.cfg", SC_ARITH_CFG)
         assert run("sc-arith-bench", cfg, tmp_path) == 0
@@ -673,14 +676,19 @@ class TestErrors:
          "[sweep] points = 99999999999999999999 cannot be allocated"),
         ("device-sweep", SWEEP_THERMAL_CFG, "trials_per_point = 40",
          "trials_per_point = 99999999999999999999",
+         "[sweep] points x trials_per_point = 5 x 99999999999999999999 = "
          "499999999999999999995 items overflow a kernel's int64 flat index"),
+        ("ber", BER_CFG, "min_frames = 20", "min_frames = 99999999999999999999",
+         "[ber] snrs_db x min_frames = 2 x 99999999999999999999 = "
+         "199999999999999999998 items overflow a kernel's int64 flat index"),
         ("gradcheck", GRADCHECK_CFG, "max_sizes = 3, 5, 3",
          "max_sizes = 10000000000000000, 10000000000000000",
          "[gradcheck] max_sizes = [10000000000000000, 10000000000000000] cannot be "
          "allocated")],
         ids=["scarith-seeds-dimension", "scarith-seeds-memory",
              "network-hidden-dimension", "network-hidden-memory",
-             "sweep-points-dimension", "sweep-trials-int64", "gradcheck-sizes-too-big"])
+             "sweep-points-dimension", "sweep-trials-int64", "ber-frames-int64",
+             "gradcheck-sizes-too-big"])
     def test_huge_count_writes_nothing(self, tmp_path, capsys, cmd, text, old, new,
                                        message):
         """A count whose array numpy cannot allocate exits 2 where it is
@@ -688,7 +696,8 @@ class TestErrors:
         ('Maximum allowed dimension exceeded', or a drawn 2-D shape whose
         bytes overflow it) and beyond any machine's address space
         (MemoryError, 1e16 x 8 bytes and more).  So does a sweep whose
-        points x trials overflow the int64 flat trial index."""
+        points x trials, or a ber run whose points x frames, overflow the
+        int64 flat index, naming the keys that multiply."""
         cfg = write_cfg(tmp_path / "c.cfg", text.replace(old, new))
         out = tmp_path / "out"
         assert run(cmd, cfg, out) == 2
@@ -933,6 +942,44 @@ GRADCHECK_POOL = {
 }
 
 
+# the keys ber reads, and the raw values each may take: valid code lengths,
+# frame counts and windows of at most 64, and a frame count whose points x
+# frames overflow int64, which exits 2 before any work.  A model path is a
+# raw value or one of the files `ber_models` writes, named by its key.
+BER_POOL = {
+    ("code", "n"): [r for r in ADVERSARIAL if _small_or_invalid(r)] + ["4", "64"],
+    ("code", "k"): [r for r in ADVERSARIAL if _small_or_invalid(r)] + ["2", "8"],
+    ("code", "design_snr_db"): ADVERSARIAL + ["3000", "-3000"],
+    ("ber", "decoder"): ADVERSARIAL + ["classical", "neural", "paired"],
+    ("ber", "snrs_db"): ADVERSARIAL + ["1, 1", "-300, 300", "1e-320, 2"],
+    ("ber", "min_frames"): [r for r in ADVERSARIAL if _small_or_invalid(r)] + [
+        "64", "99999999999999999999"],
+    ("ber", "window"): [r for r in ADVERSARIAL if _small_or_invalid(r)] + ["64"],
+    ("ber", "model_path"): ADVERSARIAL + ["deterministic", "wrong_shape", "not_json",
+                                          "directory", "wrong_version"],
+    ("run", "seed"): ADVERSARIAL,
+    ("run", "workers"): ADVERSARIAL,
+}
+
+
+@pytest.fixture(scope="module")
+def ber_models(tmp_path_factory):
+    """Model paths by name: stochastic-firing and deterministic 8-4-4 models
+    for the (8,4) code, one whose shape fits no code of the pool's, and three
+    files that are no model."""
+    root = tmp_path_factory.mktemp("models")
+    paths = {name: str(root / name) for name in
+             ("model", "deterministic", "wrong_shape", "not_json", "wrong_version")}
+    model = training.init_model([8, 4, 4], 1)
+    save_model(NetworkModel(model.layers, activation_mode=STOCHASTIC), paths["model"])
+    save_model(model, paths["deterministic"])
+    save_model(training.init_model([3, 5, 7], 1), paths["wrong_shape"])
+    Path(paths["not_json"]).write_text("{")
+    doc = json.loads(Path(paths["model"]).read_text())
+    Path(paths["wrong_version"]).write_text(json.dumps(dict(doc, version=-1)))
+    return dict(paths, directory=str(root))
+
+
 def _entries(pool):
     """One or two distinct keys of `pool`, each with a raw value from its list."""
     return st.lists(st.sampled_from(sorted(pool)), min_size=1, max_size=2,
@@ -988,6 +1035,24 @@ class TestExitCodeContract:
             "gradcheck": {"networks": "2", "max_sizes": "3, 4, 2",
                           "loss": "squared-error"}},
             entries, "gradcheck.csv")
+
+
+    @given(_entries(BER_POOL))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_ber(self, capfd, ber_models, entries):
+        """ber with one or two of its keys set from the pool exits 0, 2 or 3
+        with no traceback, and writes nothing on exit 2.  Work is bounded by
+        construction: paired decoding of 2 x 16 frames of the (8,4) code,
+        the neural decoder stochastic over an 8-pass window, and the pool's lengths, frame counts and windows
+        of at most 64."""
+        entries = [(key, ber_models.get(raw, raw)) for key, raw in entries]
+        _assert_exit_contract(capfd, "ber", {
+            "run": {"seed": "5", "workers": "1"},
+            "code": {"n": "8", "k": "4"},
+            "ber": {"decoder": "paired", "snrs_db": "1.0, 3.0", "min_frames": "16",
+                    "window": "8", "model_path": ber_models["model"]}},
+            entries, MANIFEST_NAME)
 
 
 class TestUnusedKeys:
