@@ -202,9 +202,10 @@ def float_table(values, L, sa, sb, ss):
 # probabilities where a threshold's rounding could slip: the ends, multiples
 # of 2**-53 (every double random() returns is one), their neighbours, and
 # subnormals, whose thresholds are 1
-EDGES = [0.0, 1.0, 2.0 ** -53, 3 * 2.0 ** -53, 1 - 2.0 ** -53, np.nextafter(1 - 2.0 ** -53, 0),
-         0.5, np.nextafter(0.5, 0), np.nextafter(0.5, 1), 0.1, np.nextafter(0.1, 1),
-         5e-324, 1e-320, np.nextafter(2.0 ** -1022, 0), 2.0 ** -1022]
+EDGES = [0.0, 1.0, 2.0 ** -53, 3 * 2.0 ** -53, 1 - 2.0 ** -53,
+         np.nextafter(1 - 2.0 ** -53, 0), 0.5, np.nextafter(0.5, 0), np.nextafter(0.5, 1),
+         0.1, np.nextafter(0.1, 1), 5e-324, 1e-320, np.nextafter(2.0 ** -1022, 0),
+         2.0 ** -1022]
 # a value is an edge, a multiple k * 2**-53, or ("drawn", stream, index,
 # ulps): the index-th double of stream 0 or 1 of the test's seeds, or its
 # neighbour one ulp down or up, so a word's comparison meets a threshold
@@ -214,8 +215,8 @@ VALUE = st.one_of(st.sampled_from(EDGES),
                   st.tuples(st.just("drawn"), st.integers(0, 1), st.integers(0, 2 ** 20),
                             st.sampled_from([-1, 0, 1])))
 # short streams, and lengths on either side of whole chunks
-LENGTH = st.one_of(st.integers(1, 64), st.sampled_from(
-    [bitstream._CHUNK - 1, bitstream._CHUNK, bitstream._CHUNK + 1, 2 * bitstream._CHUNK + 7]))
+_C = bitstream._CHUNK
+LENGTH = st.one_of(st.integers(1, 64), st.sampled_from([_C - 1, _C, _C + 1, 2 * _C + 7]))
 
 
 def resolve(specs, repeats, seeds, L):

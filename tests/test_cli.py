@@ -1036,7 +1036,6 @@ class TestExitCodeContract:
                           "loss": "squared-error"}},
             entries, "gradcheck.csv")
 
-
     @given(_entries(BER_POOL))
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -1044,8 +1043,8 @@ class TestExitCodeContract:
         """ber with one or two of its keys set from the pool exits 0, 2 or 3
         with no traceback, and writes nothing on exit 2.  Work is bounded by
         construction: paired decoding of 2 x 16 frames of the (8,4) code,
-        the neural decoder stochastic over an 8-pass window, and the pool's lengths, frame counts and windows
-        of at most 64."""
+        the neural decoder stochastic over an 8-pass window, and the pool's
+        lengths, frame counts and windows of at most 64."""
         entries = [(key, ber_models.get(raw, raw)) for key, raw in entries]
         _assert_exit_contract(capfd, "ber", {
             "run": {"seed": "5", "workers": "1"},
