@@ -151,6 +151,19 @@ def derive_block(frames=512):
     return repeat_for_1s(frames, block)
 
 
+def trajectory_csv():
+    """Rows/s of `llgs.Trajectory.to_csv` on the 4,001 recorded rows of
+    perfbench's seed-1 `trajectory` operation (1 ns of 0.5 mA spin current
+    from 178 degrees off +z, seed 2187454767), written to a temporary file."""
+    from spinsc import llgs
+    tilt = math.radians(178.0)
+    tr = llgs.simulate_pulse([math.sin(tilt), 0.0, math.cos(tilt)],
+                             llgs.SpinCurrentPulse(5e-4, 1e-9),
+                             llgs.default_device_params(), 0.0, seed=2187454767)
+    with tempfile.TemporaryDirectory() as tmp:
+        return repeat_for_1s(len(tr.times), tr.to_csv, os.path.join(tmp, "t.csv"))
+
+
 def and_mux_table(L=10 ** 6):
     """Stream bits/s of `bitstream.and_mux_table` on the values 0.1, 0.5, 0.9
     and L-bit streams, as `sc-arith-bench` runs one seed: 27 L-bit streams
@@ -230,6 +243,7 @@ KERNELS.update({f"polar.generate_frames N={n}": (
     "frames/s", partial(polar_block, "generate_frames", n)) for n in (8, 128)})
 KERNELS["polar.neural_sc_decode stochastic (8,4) window=64"] = (
     "frames/s", stochastic_decode)
+KERNELS["llgs.Trajectory.to_csv 4,001 rows"] = ("rows/s", trajectory_csv)
 KERNELS["bitstream.and_mux_table L=1e6 V=3"] = ("stream-bits/s", and_mux_table)
 KERNELS["bitstream.encode L=1e6"] = ("bits/s", encode)
 KERNELS["training.minibatch_step 8-32-4 B=32"] = ("examples/s", minibatch_step)

@@ -5,17 +5,31 @@ Python scalars written with %s, so a float appears as its round-trip
 repr and a string as itself.  JSON: indent 2, ending in a newline.
 """
 
+from itertools import chain, islice
 import json
 
 __all__ = ["write_csv", "write_json"]
 
+_CSV_BLOCK = 1024       # rows write_csv formats with one % and one write
+
 
 def write_csv(path, header, rows):
-    """Write the header names, then one line per row of len(header) fields."""
-    line = ",".join(["%s"] * len(header)) + "\n"
+    """Write the header names, then one line per row of len(header) fields.
+
+    Rows are formatted _CSV_BLOCK at a time, with one % over the block's
+    fields, after checking each row's length so that no field can shift
+    into the next line; a row of another length raises ValueError.
+    """
+    width = len(header)
+    line = ",".join(["%s"] * width) + "\n"
+    rows = iter(rows)
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(line % tuple(row) for row in rows)
+        while block := list(islice(rows, _CSV_BLOCK)):
+            if set(map(len, block)) != {width}:
+                raise ValueError(f"a CSV row of {width} fields has "
+                                 f"{next(len(r) for r in block if len(r) != width)}")
+            fh.write(line * len(block) % tuple(chain.from_iterable(block)))
 
 
 def write_json(path, doc):

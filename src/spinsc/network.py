@@ -119,7 +119,9 @@ def weighted_sum(x, weights, bias) -> np.ndarray:
     ascending input index, so every row of a batch gets the same bits as
     that row on its own: ordered_sum adds an (n_in + 1, n_out, rows) block
     of the bias and one multiply's products, at most _TERMS_BYTES of rows
-    at a time, not a gemm or .sum(), which add in another order.
+    at a time, not a gemm or .sum(), which add in another order.  Each
+    block's inputs are first copied into one contiguous (n_in, rows) array,
+    which the multiply reads faster than a strided view of x.
     """
     x = np.asarray(x, dtype=float)
     weights = np.asarray(weights, dtype=float)
@@ -133,7 +135,7 @@ def weighted_sum(x, weights, bias) -> np.ndarray:
     out = np.empty((n_out, cols.shape[1]))
     step = max(1, _TERMS_BYTES // (8 * (n_in + 1) * n_out))
     for lo in range(0, cols.shape[1], step):
-        terms = cols[:, None, lo:lo + step]
+        terms = np.ascontiguousarray(cols[:, lo:lo + step])[:, None]
         block = np.empty((n_in + 1, n_out, terms.shape[-1]))
         block[0] = bias[:, None]
         np.multiply(terms, weights.T[:, :, None], out=block[1:])

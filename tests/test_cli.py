@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import platform
 import sys
@@ -962,6 +963,73 @@ BER_POOL = {
 }
 
 
+def _outside(raw, lo, hi):
+    """False only for a finite number strictly between lo and hi: a time
+    step that small, or a pulse or relax time that long, is many steps of
+    work, which runs but does not end in a test."""
+    try:
+        value = float(raw)
+    except ValueError:
+        return True
+    return not (math.isfinite(value) and lo < value < hi)
+
+
+# the keys device-sweep reads, and the raw values each may take: 5-8
+# points, at most 4 trials, at most 8 equilibration steps, no time step
+# below the default 2.5e-13 s and no pulse or relax time above 2e-12 s,
+# so a trial is a few steps; plus a time step whose GAMMA*MU_0*Ms*V*dt
+# underflows, times of no finite step count, a points count numpy cannot
+# allocate and a trial count whose points x trials overflow int64, each
+# of which exits 2 before any work.
+SWEEP_POOL = {
+    **{("device", key): ADVERSARIAL for key in (
+        "temperature_k", "alpha", "ms_a_per_m", "volume_m3", "hk_a_per_m",
+        "hd_a_per_m", "theta_sh")},
+    ("device", "dt_s"): [r for r in ADVERSARIAL if _outside(r, 0.0, 2.5e-13)] + [
+        "5e-13", "1e-320"],
+    ("device", "equil_steps"): [r for r in ADVERSARIAL if _small_or_invalid(r, 8)],
+    ("device", "relax_time_s"): [r for r in ADVERSARIAL if _outside(r, 2e-12, math.inf)] + [
+        "2e-12", "1e308"],
+    ("sweep", "currents_a"): ADVERSARIAL + [
+        "1e-3, 1.2e-3, 1.4e-3, 1.6e-3, 1.8e-3", "-2, -1, 0, 1, 2, 3, 4, 5",
+        "1e-3, 1e-3, 2e-3, 3e-3, 4e-3", "5e-3, 4e-3, 3e-3, 2e-3, 1e-3",
+        "1e-320, 2e-320, 3e-320, 4e-320, 5e-320", "1, 2, 3, 4, 1e308"],
+    ("sweep", "points"): [r for r in ADVERSARIAL if _small_or_invalid(r, 8)] + [
+        "5", "8", "99999999999999999999"],
+    ("sweep", "current_start_a"): ADVERSARIAL + ["2e-3"],
+    ("sweep", "current_stop_a"): ADVERSARIAL + ["1e-3"],
+    ("sweep", "pulse_width_s"): [r for r in ADVERSARIAL if _outside(r, 2e-12, math.inf)] + [
+        "2.5e-13", "2e-12", "1e308"],
+    ("sweep", "trials_per_point"): [r for r in ADVERSARIAL if _small_or_invalid(r, 4)] + [
+        "4", "99999999999999999999"],
+    ("run", "seed"): ADVERSARIAL,
+    ("run", "workers"): ADVERSARIAL,
+}
+
+# the keys train-decoder reads, and the raw values each may take: code
+# lengths, frame counts and epochs of at most 64, and only hidden widths
+# whose array numpy refuses before allocating; any batch size above the
+# frame count exits 2.
+TRAIN_POOL = {
+    ("code", "n"): [r for r in ADVERSARIAL if _small_or_invalid(r)] + ["2", "8", "64"],
+    ("code", "k"): [r for r in ADVERSARIAL if _small_or_invalid(r)] + ["2", "4"],
+    ("code", "design_snr_db"): ADVERSARIAL + ["3000", "-3000"],
+    ("dataset", "frames"): [r for r in ADVERSARIAL if _small_or_invalid(r)] + ["64"],
+    ("dataset", "snrs_db"): ADVERSARIAL + ["1, 1", "-300, 300", "1e-320, 2"],
+    ("network", "hidden"): [r for r in ADVERSARIAL if _small_or_invalid(r)] + [
+        "1, 1", "64, 64", "3, -1", "99999999999999999999",
+        "10000000000000000, 10000000000000000"],
+    ("training", "kind"): ADVERSARIAL + ["gd", "sgd", "minibatch"],
+    ("training", "learning_rate"): ADVERSARIAL,
+    ("training", "epochs"): [r for r in ADVERSARIAL if _small_or_invalid(r)] + ["64"],
+    ("training", "batch_size"): ADVERSARIAL + ["16"],
+    ("training", "lr_decay"): ADVERSARIAL,
+    ("training", "loss"): ADVERSARIAL + ["squared-error", "binary-cross-entropy"],
+    ("run", "seed"): ADVERSARIAL,
+    ("run", "workers"): ADVERSARIAL,
+}
+
+
 @pytest.fixture(scope="module")
 def ber_models(tmp_path_factory):
     """Model paths by name: stochastic-firing and deterministic 8-4-4 models
@@ -1052,6 +1120,39 @@ class TestExitCodeContract:
             "ber": {"decoder": "paired", "snrs_db": "1.0, 3.0", "min_frames": "16",
                     "window": "8", "model_path": ber_models["model"]}},
             entries, MANIFEST_NAME)
+
+    @given(_entries(SWEEP_POOL))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_device_sweep(self, capfd, entries):
+        """device-sweep with one or two of its keys set from the pool exits
+        0, 2 or 3 with no traceback, and writes nothing on exit 2.  Work is
+        bounded by construction: 5 points of 2 trials, each 2 equilibration,
+        4 pulse and 2 relax steps, and the pool's bounds."""
+        _assert_exit_contract(capfd, "device-sweep", {
+            "run": {"seed": "3", "workers": "1"},
+            "device": {"equil_steps": "2", "relax_time_s": "5e-13"},
+            "sweep": {"points": "5", "current_start_a": "1e-3", "current_stop_a": "2e-3",
+                      "pulse_width_s": "1e-12", "trials_per_point": "2"}},
+            entries, "switching_curve.csv")
+
+    @given(_entries(TRAIN_POOL))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_train_decoder(self, capfd, entries):
+        """train-decoder with one or two of its keys set from the pool exits
+        0, 2 or 3 with no traceback, and writes nothing on exit 2.  Work is
+        bounded by construction: 16 frames of the (4,2) code, a 4-4-2 net
+        trained for 2 epochs, and the pool's bounds."""
+        _assert_exit_contract(capfd, "train-decoder", {
+            "run": {"seed": "7", "workers": "1"},
+            "code": {"n": "4", "k": "2"},
+            "dataset": {"frames": "16", "snrs_db": "2.0"},
+            "network": {"hidden": "4"},
+            "training": {"kind": "minibatch", "batch_size": "8", "epochs": "2",
+                         "learning_rate": "0.5", "lr_decay": "0.0",
+                         "loss": "binary-cross-entropy"}},
+            entries, "history.csv")
 
 
 class TestUnusedKeys:

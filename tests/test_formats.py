@@ -1,8 +1,10 @@
 import ast
+import math
 import os
 
 import pytest
 
+from spinsc import formats
 from spinsc.formats import write_csv
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "spinsc")
@@ -59,3 +61,28 @@ def test_csv_floats_round_trip(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[1:] == [repr(v) for v in values]
     assert [float(s) for s in lines[1:]] == values
+
+
+def test_csv_blocks_match_per_row_format(tmp_path):
+    """Two full blocks and a short third give the bytes of one %s line per
+    row, special floats, ints and strings included."""
+    specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1 + 0.2, 7, "x"]
+    rows = [(i, specials[i % 9], -i / 3, specials[(i * 5) % 9])
+            for i in range(2 * formats._CSV_BLOCK + 5)]
+    path = tmp_path / "t.csv"
+    write_csv(path, ("i", "a", "b", "c"), rows)
+    assert path.read_text() == "i,a,b,c\n" + "".join(
+        "%s,%s,%s,%s\n" % row for row in rows)
+
+
+@pytest.mark.parametrize("bad", [(1.0, 2.0), (1.0, 2.0, 3.0, 4.0), ()])
+@pytest.mark.parametrize("at", [0, 1023, 1024, 2050])
+def test_csv_row_of_wrong_length_raises(tmp_path, bad, at):
+    """A row with too few or too many fields raises, in any block, even when
+    its neighbours would make up the block's field count."""
+    rows = [(1.0, 2.0, 3.0)] * 2051
+    rows[at] = bad
+    if at + 1 < len(rows):      # a partner that restores the total
+        rows[at + 1] = (1.0,) * (6 - len(bad))
+    with pytest.raises(ValueError, match="row of 3 fields has"):
+        write_csv(tmp_path / "t.csv", ("a", "b", "c"), rows)
