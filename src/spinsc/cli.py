@@ -164,9 +164,11 @@ def cmd_sc_arith_bench(v, seed, workers):
 
 
 def _build_decoder_dataset(spec, frames, snrs_db, seed):
-    snrs = [snrs_db[i % len(snrs_db)] for i in range(frames)]
-    messages, llrs, _ = polar.generate_frames(spec, seed, ("dataset",),
-                                              range(frames), snrs)
+    """Inputs and targets of frames 0..frames-1, frame i at Eb/N0
+    snrs_db[i % len(snrs_db)]; a count numpy cannot allocate exits 2."""
+    index = _allocate(f"[dataset] frames = {frames}", np.arange, frames)
+    messages, llrs, _ = polar.generate_frames(spec, seed, ("dataset",), index,
+                                              np.take(snrs_db, index, mode="wrap"))
     return polar.llr_features(llrs), messages.astype(float)
 
 

@@ -26,9 +26,8 @@ def write_csv(path, header, rows):
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         while block := list(islice(rows, _CSV_BLOCK)):
-            if set(map(len, block)) != {width}:
-                raise ValueError(f"a CSV row of {width} fields has "
-                                 f"{next(len(r) for r in block if len(r) != width)}")
+            if (lengths := set(map(len, block))) != {width}:
+                raise ValueError(f"CSV rows need {width} fields, got {sorted(lengths)}")
             fh.write(line * len(block) % tuple(chain.from_iterable(block)))
 
 

@@ -673,6 +673,10 @@ class TestErrors:
          "[network] hidden = [4, 99999999999999999999] cannot be allocated"),
         ("train-decoder", TRAIN_CFG, "hidden = 4", "hidden = 4, 10000000000000000",
          "[network] hidden = [4, 10000000000000000] cannot be allocated"),
+        ("train-decoder", TRAIN_CFG, "frames = 32", "frames = 99999999999999999999",
+         "[dataset] frames = 99999999999999999999 cannot be allocated"),
+        ("train-decoder", TRAIN_CFG, "frames = 32", "frames = 10000000000000000",
+         "[dataset] frames = 10000000000000000 cannot be allocated"),
         ("device-sweep", SWEEP_RANGE_CFG, "points = 5", "points = 99999999999999999999",
          "[sweep] points = 99999999999999999999 cannot be allocated"),
         ("device-sweep", SWEEP_THERMAL_CFG, "trials_per_point = 40",
@@ -688,6 +692,7 @@ class TestErrors:
          "allocated")],
         ids=["scarith-seeds-dimension", "scarith-seeds-memory",
              "network-hidden-dimension", "network-hidden-memory",
+             "dataset-frames-dimension", "dataset-frames-memory",
              "sweep-points-dimension", "sweep-trials-int64", "ber-frames-int64",
              "gradcheck-sizes-too-big"])
     def test_huge_count_writes_nothing(self, tmp_path, capsys, cmd, text, old, new,
@@ -1007,14 +1012,15 @@ SWEEP_POOL = {
 }
 
 # the keys train-decoder reads, and the raw values each may take: code
-# lengths, frame counts and epochs of at most 64, and only hidden widths
-# whose array numpy refuses before allocating; any batch size above the
-# frame count exits 2.
+# lengths, frame counts and epochs of at most 64, and only frame counts and
+# hidden widths whose array numpy refuses before allocating; any batch size
+# above the frame count exits 2.
 TRAIN_POOL = {
     ("code", "n"): [r for r in ADVERSARIAL if _small_or_invalid(r)] + ["2", "8", "64"],
     ("code", "k"): [r for r in ADVERSARIAL if _small_or_invalid(r)] + ["2", "4"],
     ("code", "design_snr_db"): ADVERSARIAL + ["3000", "-3000"],
-    ("dataset", "frames"): [r for r in ADVERSARIAL if _small_or_invalid(r)] + ["64"],
+    ("dataset", "frames"): [r for r in ADVERSARIAL if _small_or_invalid(r)] + [
+        "64", "99999999999999999999"],
     ("dataset", "snrs_db"): ADVERSARIAL + ["1, 1", "-300, 300", "1e-320, 2"],
     ("network", "hidden"): [r for r in ADVERSARIAL if _small_or_invalid(r)] + [
         "1, 1", "64, 64", "3, -1", "99999999999999999999",
