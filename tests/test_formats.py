@@ -76,11 +76,12 @@ def test_csv_blocks_match_per_row_format(tmp_path):
 
 
 @pytest.mark.parametrize("bad", [(1.0, 2.0), (1.0, 2.0, 3.0, 4.0), ()])
-@pytest.mark.parametrize("at", [0, 1023, 1024, 2050])
+@pytest.mark.parametrize("at", [0, formats._CSV_BLOCK - 1, formats._CSV_BLOCK,
+                                2 * formats._CSV_BLOCK + 2])
 def test_csv_row_of_wrong_length_raises(tmp_path, bad, at):
     """A row with too few or too many fields raises, in any block, even when
     its neighbours would make up the block's field count."""
-    rows = [(1.0, 2.0, 3.0)] * 2051
+    rows = [(1.0, 2.0, 3.0)] * (2 * formats._CSV_BLOCK + 3)
     rows[at] = bad
     if at + 1 < len(rows):      # a partner that restores the total
         rows[at + 1] = (1.0,) * (6 - len(bad))
