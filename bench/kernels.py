@@ -297,11 +297,13 @@ def cpu_model():
 
 
 def numpy_simd():
-    """numpy's SIMD baseline and the dispatched extensions this CPU has, as
-    `numpy.show_runtime` reports them: the store width a kernel gets."""
-    from numpy._core import _multiarray_umath as umath
-    return {"baseline": list(umath.__cpu_baseline__),
-            "found": [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__[f]]}
+    """numpy's SIMD baseline and the dispatched extensions this CPU has, from
+    numpy's own record, as the manifest's env block reads them: the store
+    width a kernel gets.  numpy leaves an empty entry out, so each defaults
+    to []."""
+    import numpy as np
+    simd = np.show_config(mode="dicts")["SIMD Extensions"]
+    return {key: list(simd.get(key, [])) for key in ("baseline", "found")}
 
 
 def measure(tree, kernel):

@@ -279,7 +279,7 @@ def _load_manifest(path):
             doc = json.load(fh)
         _COMMANDS[doc["command"]]       # KeyError for an unknown command
         cfg, seed, workers = doc["config"], doc["master_seed"], doc["workers"]
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ConfigError(f"manifest {path} is unreadable or lacks an "
                           f"entry: {exc!r}") from None
     if (isinstance(workers, bool) or not isinstance(workers, int)
@@ -295,20 +295,13 @@ def _load_manifest(path):
 
 def _environment():
     """Versions, the platform, the CPU count worker_count caps workers at and
-    numpy's SIMD dispatch, by which mtj.sigmoid's and SC's vectorised exp and
-    log1p round; rerun does not read it.  It calls no public rngtools
-    function, so perfbench's set-up probe, which stops at the first layer
-    call, still times the command's own set-up.  numpy 2 keeps its extension module in
-    numpy._core, numpy 1 in numpy.core; the dispatch is None if neither is
-    loaded."""
-    simd = None
-    for name in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
-        umath = sys.modules.get(name)
-        if hasattr(umath, "__cpu_features__"):
-            simd = {"baseline": list(umath.__cpu_baseline__),
-                    "found": [f for f in umath.__cpu_dispatch__
-                              if umath.__cpu_features__[f]]}
-            break
+    numpy's SIMD baseline and found extensions, by which mtj.sigmoid's and
+    SC's vectorised exp and log1p round; rerun does not read it.  It calls
+    no public rngtools function, so perfbench's set-up probe, which stops at
+    the first layer call, still times the command's own set-up.  numpy
+    leaves an empty entry out of its record, so each defaults to []."""
+    simd = np.show_config(mode="dicts")["SIMD Extensions"]
+    simd = {key: list(simd.get(key, [])) for key in ("baseline", "found")}
     uname = platform.uname()    # not platform.platform(): it spawns `uname -p`
     return {"spinsc": __version__, "python": platform.python_version(),
             "numpy": np.__version__, "numpy_simd": simd,

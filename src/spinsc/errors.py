@@ -41,10 +41,12 @@ class FormatError(SpinscError, ValueError):
 
 @contextmanager
 def malformed_as_format_error(what):
-    """FormatError for a document that fails to parse or lacks an entry."""
+    """FormatError for a document that fails to parse, nests deeper than the
+    parser recurses, lacks an entry or holds an integer no float can hold."""
     try:
         yield
     except SpinscError:
         raise
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError,
+            RecursionError) as exc:
         raise FormatError(f"{what} is malformed: {exc!r}") from None

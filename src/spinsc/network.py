@@ -81,7 +81,7 @@ class NetworkModel:
         for prev, nxt in zip(self.layers, self.layers[1:]):
             if nxt.weights.shape[1] != prev.weights.shape[0]:
                 raise ShapeError("adjacent layer dimensions are incompatible")
-        if not 0.0 <= self.unit_current < math.inf:
+        if not (math.isfinite(self.unit_current) and self.unit_current >= 0.0):
             raise DomainError(f"unit_current must be finite and non-negative, "
                               f"got {self.unit_current}")
         if self.unit_current > 0.0 and self.neuron_fit is None:

@@ -1,21 +1,22 @@
+from functools import reduce
 import hashlib
 import json
 import math
+import operator
 import os
 import platform
 import sys
 import tempfile
 from pathlib import Path
-from types import SimpleNamespace
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 import numpy as np
 import pytest
 
-from spinsc import __version__, bitstream, cli, mtj, rngtools, training
+from spinsc import __version__, bitstream, cli, mtj, network, polar, rngtools, training
 from spinsc.cli import MANIFEST_NAME, atomic_path, main
-from spinsc.errors import ConfigError, ConvergenceError
+from spinsc.errors import ConfigError, ConvergenceError, SpinscError
 from spinsc.config import ConfigView, load_config
 from spinsc.network import STOCHASTIC, NetworkModel, save_model
 from test_acceptance import REPRO_CONFIGS
@@ -158,11 +159,13 @@ class TestGradcheck:
                (c / "gradcheck.csv").read_bytes()
         assert read_manifest(c)["outputs"] == manifest["outputs"]
 
-    def test_manifest_records_environment_rerun_ignores_it(self, tmp_path, capsys):
+    def test_manifest_records_environment_rerun_ignores_it(self, tmp_path, capsys,
+                                                           monkeypatch):
         """The manifest's env block names the versions, the platform, the
-        CPUs worker_count may use and numpy's SIMD dispatch, and its stages
-        split duration_s into compute and write; a rerun of a manifest whose
-        env and stages differ writes the same bytes, silently."""
+        CPUs worker_count may use and numpy's SIMD baseline and found
+        extensions, as numpy's own record gives them, and its stages split
+        duration_s into compute and write; a rerun of a manifest whose env
+        and stages differ writes the same bytes, silently."""
         cfg = write_cfg(tmp_path / "g.cfg", GRADCHECK_CFG)
         a, b = tmp_path / "a", tmp_path / "b"
         assert run("gradcheck", cfg, a) == 0
@@ -173,7 +176,8 @@ class TestGradcheck:
         uname = platform.uname()
         assert env["platform"] == f"{uname.system}-{uname.release}-{uname.machine}"
         assert env["allowed_cpus"] == rngtools.worker_count(10 ** 6) >= 1
-        assert set(env["numpy_simd"]) == {"baseline", "found"}
+        simd = np.show_config(mode="dicts")["SIMD Extensions"]
+        assert env["numpy_simd"] == {key: simd.get(key, []) for key in ("baseline", "found")}
         assert all(isinstance(f, str) for fs in env["numpy_simd"].values() for f in fs)
         stages = manifest["stages"]
         assert set(stages) == {"compute_s", "write_s"}
@@ -191,20 +195,10 @@ class TestGradcheck:
         assert capsys.readouterr().err == ""
         assert (a / "gradcheck.csv").read_bytes() == (b / "gradcheck.csv").read_bytes()
         assert read_manifest(b)["env"] == env
-
-    def test_environment_reads_numpy1_layout(self, monkeypatch):
-        """numpy 1 keeps its extension module in numpy.core, not numpy._core;
-        with neither loaded the dispatch is None and the manifest still
-        writes."""
-        fake = SimpleNamespace(__cpu_baseline__=["SSE2"],
-                               __cpu_dispatch__=["AVX2", "AVX512F"],
-                               __cpu_features__={"AVX2": True, "AVX512F": False})
-        monkeypatch.setitem(sys.modules, "numpy._core._multiarray_umath", None)
-        monkeypatch.setitem(sys.modules, "numpy.core._multiarray_umath", fake)
-        assert cli._environment()["numpy_simd"] == {"baseline": ["SSE2"],
-                                                    "found": ["AVX2"]}
-        monkeypatch.setitem(sys.modules, "numpy.core._multiarray_umath", None)
-        assert cli._environment()["numpy_simd"] is None
+        # numpy leaves an empty entry out of its record
+        monkeypatch.setattr(np, "show_config", lambda mode: {
+            "SIMD Extensions": {"baseline": ["NEON"]}})
+        assert cli._environment()["numpy_simd"] == {"baseline": ["NEON"], "found": []}
 
 
 class TestScArithBench:
@@ -838,6 +832,23 @@ class TestErrors:
                 capsys.readouterr().err
             assert not out.exists()
 
+    def test_deeply_nested_json_writes_nothing(self, tmp_path, capsys):
+        """A model file or manifest nested deeper than the JSON parser
+        recurses is malformed: ber and rerun exit 2 with one error line,
+        no traceback, and write nothing."""
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000)
+        cfg = write_cfg(tmp_path / "b.cfg", BER_CFG.replace(
+            "decoder = classical", "decoder = neural\nmodel_path = %s" % deep))
+        for argv, message in [(["ber", "--config", cfg], f"error: model file {deep}"),
+                              (["rerun", str(deep)], f"error: manifest {deep}")]:
+            out = tmp_path / argv[0]
+            assert main(argv + ["--out-dir", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(message) and "RecursionError" in err
+            assert len(err.splitlines()) == 1 and "Traceback" not in err
+            assert not out.exists() or list(out.iterdir()) == []
+
     def test_out_dir_is_a_file(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "g.cfg", GRADCHECK_CFG)
         out = tmp_path / "taken"
@@ -1061,25 +1072,112 @@ def _entries(pool):
                         st.tuples(st.just(k), st.sampled_from(pool[k])) for k in keys]))
 
 
+def _cfg_text(cfg):
+    return "".join(f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
+                   for s, kv in cfg.items())
+
+
+def _assert_exits_cleanly(capfd, argv, output, shown):
+    """main(argv) into a new out-dir exits 0, 2 or 3 with no traceback, and
+    writes nothing on exit 2 and `output` else; `shown` names the input."""
+    capfd.readouterr()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        code = main([*argv, "--out-dir", out])
+        written = os.listdir(out) if os.path.isdir(out) else []
+    err = capfd.readouterr().err
+    assert code in (0, 2, 3), (shown, err)
+    assert "Traceback" not in err, (shown, err)
+    if code == 2:
+        assert written == [], (shown, written)
+    else:
+        assert output in written, (shown, err)
+
+
 def _assert_exit_contract(capfd, command, cfg, entries, output):
     """`command` on the config sections `cfg` with `entries` set exits 0, 2
     or 3 with no traceback, writes nothing on exit 2 and `output` else."""
     for (section, key), raw in entries:
         cfg[section][key] = raw
-    text = "".join(f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items())
-                   for s, kv in cfg.items())
-    capfd.readouterr()
+    text = _cfg_text(cfg)
     with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "out")
-        code = run(command, write_cfg(Path(tmp) / "c.cfg", text), out)
-        written = os.listdir(out) if os.path.isdir(out) else []
-    err = capfd.readouterr().err
-    assert code in (0, 2, 3), (text, err)
-    assert "Traceback" not in err, (text, err)
-    if code == 2:
-        assert written == [], (text, written)
-    else:
-        assert output in written, (text, err)
+        _assert_exits_cleanly(capfd, [command, "--config",
+                                      write_cfg(Path(tmp) / "c.cfg", text)],
+                              output, text)
+
+
+def _ber_cfg(model_path):
+    """ber's sections in its contract tests: paired decoding of 2 x 16
+    frames of the (8,4) code, the neural decoder stochastic over an 8-pass
+    window."""
+    return {"run": {"seed": "5", "workers": "1"},
+            "code": {"n": "8", "k": "4"},
+            "ber": {"decoder": "paired", "snrs_db": "1.0, 3.0", "min_frames": "16",
+                    "window": "8", "model_path": model_path}}
+
+
+# the values an entry of a loaded JSON document may be swapped for: every
+# JSON type, the non-finite floats Python writes and an integer no float holds
+JSON_VALUES = [None, True, 0, -1, 0.5, 1e308, math.nan, math.inf, 10 ** 400,
+               "", "abc", [], [0], {}, {"a": 0}]
+
+
+def _json_paths(doc, path=()):
+    """The path of every entry of a JSON document, the root's () first; a
+    list is entered through its first item only."""
+    yield path
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _json_paths(value, path + (key,))
+    elif isinstance(doc, list) and doc:
+        yield from _json_paths(doc[0], path + (0,))
+
+
+def _mutated(data, doc, bounded=()):
+    """The bytes of the JSON document `doc` with one mutation drawn from
+    `data`: an entry dropped, swapped for one of JSON_VALUES or nested in
+    lists 64, 1,000 or 200,000 deep, or the bytes cut short.  An entry under
+    a top-level key in `bounded` takes no integer above 64: as a count it
+    asks for that much work, which runs but does not end in a test."""
+    text = json.dumps(doc)
+    kind = data.draw(st.sampled_from(["drop", "swap", "nest", "truncate"]))
+    if kind == "truncate":
+        return text[:data.draw(st.integers(0, len(text) - 1))].encode()
+    paths = list(_json_paths(doc))
+    path = data.draw(st.sampled_from(paths[1:] if kind == "drop" else paths))
+    box = [json.loads(text)]                    # the root is box[0]
+    *above, key = (0,) + path
+    parent = reduce(operator.getitem, above, box)
+    if kind == "drop":
+        del parent[key]
+    elif kind == "swap":
+        parent[key] = data.draw(st.sampled_from(
+            [v for v in JSON_VALUES if not (path and path[0] in bounded)
+             or _small_or_invalid(str(v))]))
+    else:   # spliced into the text: json.dumps would recurse as deep
+        depth = data.draw(st.sampled_from([64, 1_000, 200_000]))
+        inner, parent[key] = json.dumps(parent[key]), "\0nested"
+        return json.dumps(box[0]).replace(
+            json.dumps("\0nested"), "[" * depth + inner + "]" * depth).encode()
+    return json.dumps(box[0]).encode()
+
+
+@pytest.fixture(scope="module")
+def loader_docs(tmp_path_factory):
+    """A valid document of each loader: a device-mode stochastic-firing
+    8-4-4 model, the (8,4) code's spec and the manifest of a ber run that
+    decodes with that model."""
+    root = tmp_path_factory.mktemp("loaders")
+    model = training.init_model([8, 4, 4], 1)
+    save_model(NetworkModel(model.layers, activation_mode=STOCHASTIC,
+                            neuron_fit=mtj.SigmoidFit(a=1.2e3, b=1e-4, r_squared=0.99),
+                            unit_current=1e-3), root / "model.json")
+    polar.construct_frozen_set(8, 4).to_json(root / "spec.json")
+    cfg = write_cfg(root / "b.cfg", _cfg_text(_ber_cfg(root / "model.json")))
+    assert run("ber", cfg, root / "run") == 0
+    return {name: json.loads(path.read_text()) for name, path in [
+        ("model", root / "model.json"), ("spec", root / "spec.json"),
+        ("manifest", root / "run" / MANIFEST_NAME)]}
 
 
 class TestExitCodeContract:
@@ -1120,12 +1218,8 @@ class TestExitCodeContract:
         the neural decoder stochastic over an 8-pass window, and the pool's
         lengths, frame counts and windows of at most 64."""
         entries = [(key, ber_models.get(raw, raw)) for key, raw in entries]
-        _assert_exit_contract(capfd, "ber", {
-            "run": {"seed": "5", "workers": "1"},
-            "code": {"n": "8", "k": "4"},
-            "ber": {"decoder": "paired", "snrs_db": "1.0, 3.0", "min_frames": "16",
-                    "window": "8", "model_path": ber_models["model"]}},
-            entries, MANIFEST_NAME)
+        _assert_exit_contract(capfd, "ber", _ber_cfg(ber_models["model"]), entries,
+                              MANIFEST_NAME)
 
     @given(_entries(SWEEP_POOL))
     @settings(max_examples=300, deadline=None,
@@ -1159,6 +1253,52 @@ class TestExitCodeContract:
                          "learning_rate": "0.5", "lr_decay": "0.0",
                          "loss": "binary-cross-entropy"}},
             entries, "history.csv")
+
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_model_file(self, capfd, loader_docs, data):
+        """A save_model document with one mutation (an entry dropped,
+        swapped for another JSON value or nested deeply, or the bytes cut
+        short) loads or raises a SpinscError, and ber decoding with it
+        exits 0, 2 or 3 with no traceback, and writes nothing on exit 2."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            path.write_bytes(_mutated(data, loader_docs["model"]))
+            try:
+                network.load_model(path)
+            except SpinscError:
+                pass
+            _assert_exit_contract(capfd, "ber", _ber_cfg(path), [], MANIFEST_NAME)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_code_spec(self, loader_docs, data):
+        """A PolarCodeSpec.to_json document with one mutation loads or
+        raises a SpinscError."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "spec.json"
+            path.write_bytes(_mutated(data, loader_docs["spec"]))
+            try:
+                polar.PolarCodeSpec.from_json(path)
+            except SpinscError:
+                pass
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_rerun_manifest(self, capfd, loader_docs, data):
+        """rerun of a ber manifest with one mutation exits 0, 2 or 3 with no
+        traceback, and writes nothing on exit 2.  Work is bounded by
+        construction: the manifest's run is test_ber's, and no config entry
+        takes an integer above 64."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / MANIFEST_NAME
+            text = _mutated(data, loader_docs["manifest"], bounded=("config",))
+            path.write_bytes(text)
+            _assert_exits_cleanly(capfd, ["rerun", str(path)], MANIFEST_NAME, text)
 
 
 class TestUnusedKeys:
