@@ -302,8 +302,8 @@ def numpy_simd():
     width a kernel gets.  numpy leaves an empty entry out, so each defaults
     to []."""
     import numpy as np
-    simd = np.show_config(mode="dicts")["SIMD Extensions"]
-    return {key: list(simd.get(key, [])) for key in ("baseline", "found")}
+    record = np.show_config(mode="dicts")["SIMD Extensions"]
+    return {key: list(record.get(key, [])) for key in ("baseline", "found")}
 
 
 def measure(tree, kernel):

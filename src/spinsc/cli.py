@@ -300,8 +300,8 @@ def _environment():
     no public rngtools function, so perfbench's set-up probe, which stops at
     the first layer call, still times the command's own set-up.  numpy
     leaves an empty entry out of its record, so each defaults to []."""
-    simd = np.show_config(mode="dicts")["SIMD Extensions"]
-    simd = {key: list(simd.get(key, [])) for key in ("baseline", "found")}
+    record = np.show_config(mode="dicts")["SIMD Extensions"]
+    simd = {key: list(record.get(key, [])) for key in ("baseline", "found")}
     uname = platform.uname()    # not platform.platform(): it spawns `uname -p`
     return {"spinsc": __version__, "python": platform.python_version(),
             "numpy": np.__version__, "numpy_simd": simd,

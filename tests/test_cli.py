@@ -5,7 +5,6 @@ import math
 import operator
 import os
 import platform
-import sys
 import tempfile
 from pathlib import Path
 
