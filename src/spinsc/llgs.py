@@ -252,6 +252,11 @@ def _integrate(m0, phases, params, rngs, record=False):
     Bp = -(-B // 8) * 8     # B padded to whole 64-byte rows of floats
     cl = min(_CHUNK_STEPS, max(1, _CHUNK_BYTES // (24 * Bp)))
     group = max(1, min(B, _STAGE_BYTES // (24 * cl)))
+    # the noise block is allocated first, so that a call reuses the block the
+    # previous call freed; after the smaller buffers it may not fit in what
+    # they leave of that space, and the heap grows by a second block
+    # (mtj._switched makes one call per 128 steps)
+    noise = _aligned((cl if pref else 1, 3, Bp)) if B > 1 else None
     stage = np.empty((group, cl, 3))    # one group's draws, reused by every chunk
     if B == 1:
         (mx, my, mz), = np.asarray(m0, dtype=float).tolist()
@@ -267,7 +272,6 @@ def _integrate(m0, phases, params, rngs, record=False):
         mx, my, mz = m[:, :B]   # the trials' rows of m, updated in place
         s, max_pre, max_post = _aligned((3, Bp))    # per-trial running maxima
         w, cur = _aligned((7, Bp)), _aligned((Bp,))
-        noise = _aligned((cl if pref else 1, 3, Bp))
         zero = noise[0]
     try:
         for n_steps, isz in phases:

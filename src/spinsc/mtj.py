@@ -8,6 +8,29 @@ switched when its final mz sign differs from its initial sign.
 A sweep's points x trials form one flat axis that rngtools.parallel_map
 cuts into slabs of at most _BATCH_TRIALS as it reaches them; a slab finds
 each trial's point, current and substream from its flat index.
+
+Settled trials leave a slab early.  The pulse and the relax window run as
+`_integrate` calls of _SETTLE_STEPS steps; after each, a trial with
+mz >= z* in the pulse, or |mz| >= z* from the pulse's end on, stops with
+the flag mz > 0.  z* = 0.5 where `_settle_margin` finds a bound of at most
+1e-12 on the chance that such a trial would end on the other side of the
+equator, else every trial runs to the end.  The bound is Brown's
+Fokker-Planck model of mz (W. F. Brown, Phys. Rev. 130, 1677, 1963) with
+Hd = 0: mz has the Ito drift 2h' [Delta (1 - z^2)(z + i) - z] and the
+diffusion 2h' (1 - z^2) <= 2h', where h' = gamma alpha kT / ((1 + alpha^2)
+mu0 Ms V), Delta = mu0 Ms V Hk / (2 kT) and i >= 0 is the spin current
+over its critical value (0 after the pulse, so that -mz obeys the same).
+With Delta (1 - z*^2) >= 1 the drift is non-negative on [0, z*], so mz
+falls from z* to 0 no sooner than a driftless walk of diffusion 2h' would,
+and by the reflection principle it does so within T with probability at
+most 2 Phi(-z* / sqrt(2 h' T)) = erfc(z* / (2 sqrt(h' T))), T the pulse
+width plus the relax time.  llgs's thermal field, weaker than Brown's by
+(1 + alpha^2), shrinks both the diffusion and the -2h'z drift, so the bound
+holds for it too.  On the default device at 300 K the bound is 6.3e-14
+over 0.8 ns; at 600 K it is 1.1e-7, and no trial stops.  Each trial keeps
+its own substream, and `_integrate`'s bits depend on neither batch size
+nor chunk length, so every trial that runs on ends bit for bit as it does
+in one call.
 """
 
 from dataclasses import asdict, dataclass
@@ -18,7 +41,8 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, FitDomainError
 from .formats import write_csv, write_json
-from .llgs import DeviceParams, _integrate, _pulse_phases, default_device_params
+from .llgs import (GAMMA, K_B, MU_0, DeviceParams, _integrate, _pulse_phases,
+                   default_device_params)
 # derive_rng is unused here but stays bound: perfbench traces it per module
 from .rngtools import derive_rng, derive_rngs, parallel_map
 
@@ -34,6 +58,9 @@ __all__ = [
 
 _BATCH_TRIALS = 4096      # most trials stepped together in one LLGS batch
 _START_TILT = math.radians(2.0)   # tilt of every trial's start state from -z
+_SETTLE_STEPS = 128       # steps between the checks that drop settled trials
+_SETTLE_Z = 0.5           # |mz| from which a trial may count as settled
+_SETTLE_BOUND = 1e-12     # largest crossing probability a settled trial may keep
 
 
 @dataclass(frozen=True)
@@ -113,16 +140,63 @@ class SigmoidFit:
         write_json(path, asdict(self))
 
 
+def _crossing_bound(device, duration, z=_SETTLE_Z):
+    """Brown's bound erfc(z / (2 sqrt(h' T))) = 2 Phi(-z / sqrt(2 h' T)) on
+    the probability that mz falls from z to 0 within T = duration, where
+    the drift is non-negative on [0, z]; 0 without noise."""
+    a = device.alpha
+    ht = (GAMMA * a * K_B * device.T / ((1.0 + a * a) * MU_0 * device.Ms * device.V)
+          * duration)
+    return 0.0 if ht == 0.0 else math.erfc(z / (2.0 * math.sqrt(ht)))
+
+
+def _settle_margin(device, spin_currents, duration):
+    """_SETTLE_Z when a trial that reaches it within `duration` of the end
+    is settled: Hd = 0, no negative spin current, Delta (1 - z*^2) >= 1 and
+    a crossing bound of at most _SETTLE_BOUND; else None."""
+    z = _SETTLE_Z
+    if (device.Hd == 0.0 and np.all(spin_currents >= 0.0)
+            # Delta (1 - z*^2) >= 1, times 2 kT so that T = 0 divides by nothing
+            and MU_0 * device.Ms * device.V * device.Hk * (1.0 - z * z)
+            >= 2.0 * K_B * device.T
+            and _crossing_bound(device, duration) <= _SETTLE_BOUND):
+        return z
+    return None
+
+
 def _switched(currents, seeds, n, pulse_width, params, start, stop):
     """Switched flags of flat trials start..stop-1, trial j % n of point
-    j // n each, at currents[point] on a substream of seeds[point]."""
+    j // n each, at currents[point] on a substream of seeds[point].  After
+    the equilibration, the pulse and the relax window run _SETTLE_STEPS
+    steps a call; under a settle margin z* a check after each call drops
+    the trials with mz >= z* in the pulse (switched) and, from the pulse's
+    end on, those with |mz| >= z* (switched if mz > 0)."""
     points, trials = np.divmod(np.arange(start, stop), n)
     m0 = np.tile([math.sin(_START_TILT), 0.0, -math.cos(_START_TILT)], (len(points), 1))
     rngs = list(derive_rngs(seeds[points], "switch-trial", trials))
-    phases = [(params.equil_steps, 0.0)] + _pulse_phases(
-        pulse_width, params.theta_sh * currents[points], params.relax_time,
-        params.device.dt)
-    return _integrate(m0, phases, params.device, rngs)[0][:, 2] > 0.0
+    dev = params.device
+    phases = _pulse_phases(pulse_width, params.theta_sh * currents[points],
+                           params.relax_time, dev.dt)
+    z = _settle_margin(dev, params.theta_sh * currents,
+                       sum(steps for steps, _ in phases) * dev.dt)
+    m = _integrate(m0, [(params.equil_steps, 0.0)], dev, rngs)[0]
+    live = np.arange(len(points))       # the trials not yet settled, in order
+    switched = np.zeros(len(points), dtype=bool)
+    for k, (steps, isz) in enumerate(phases):
+        for done in range(0, steps, _SETTLE_STEPS):
+            if not len(live):
+                break
+            run = min(_SETTLE_STEPS, steps - done)
+            cur = isz[live] if k == 0 else isz     # the relax window's is 0.0
+            m = _integrate(m, [(run, cur)], dev, [rngs[i] for i in live])[0]
+            if z is not None:
+                mz = m[:, 2]
+                in_pulse = k == 0 and done + _SETTLE_STEPS < steps
+                settled = mz >= z if in_pulse else np.abs(mz) >= z
+                switched[live[settled]] = mz[settled] > 0.0
+                live, m = live[~settled], m[~settled]
+    switched[live] = m[:, 2] > 0.0
+    return switched
 
 
 def sweep_switching_curve(currents, pulse_width: float, trials_per_point: int,
@@ -165,6 +239,9 @@ def fit_stochastic_sigmoid(curve: SwitchingCurve) -> SigmoidFit:
             "curve must have >= 5 points spanning p < 0.2 and p > 0.8")
     n = np.asarray(curve.trials, dtype=float)
     m, s = I.mean(), I.std()
+    if not 0.0 < s < math.inf:      # subnormal currents' variance underflows
+        raise FitDomainError(f"curve currents must have a finite, non-zero "
+                             f"spread, got standard deviation {s}")
     X = np.column_stack([np.ones_like(I), (I - m) / s])
 
     def nll(beta):

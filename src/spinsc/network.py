@@ -244,11 +244,19 @@ def load_model(path) -> NetworkModel:
         if doc.get("output_activation", "sigmoid") != "sigmoid":
             raise FormatError(f"model file {path} needs output_activation "
                               f"\"sigmoid\", got {doc['output_activation']!r}")
-        layers = [
-            Layer(np.asarray(l["weights"], dtype=float).reshape(l["n_out"], l["n_in"]),
-                  np.asarray(l["bias"], dtype=float))
-            for l in doc["layers"]
-        ]
+        layers = []
+        for l in doc["layers"]:
+            n_out, n_in, weights, bias = l["n_out"], l["n_in"], l["weights"], l["bias"]
+            # bool is an int subclass, and no JSON number
+            if not (type(n_out) is type(n_in) is int and n_out > 0 and n_in > 0
+                    and type(weights) is type(bias) is list
+                    and len(weights) == n_out * n_in
+                    and all(type(x) in (int, float) for x in weights + bias)):
+                raise FormatError(f"model file {path} needs each layer's n_out and "
+                                  f"n_in positive integers and its n_out * n_in "
+                                  f"weights and its biases numbers")
+            layers.append(Layer(np.asarray(weights, dtype=float).reshape(n_out, n_in),
+                                np.asarray(bias, dtype=float)))
         fit = doc.get("neuron_fit")
         return NetworkModel(
             layers=layers,

@@ -23,7 +23,7 @@ import time
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, malformed_as_format_error
+from .errors import DomainError, FormatError, ShapeError, malformed_as_format_error
 from .formats import write_csv, write_json
 from .network import DETERMINISTIC, NetworkModel, forward, forward_rate
 # derive_rng is unused here but stays bound: perfbench traces it per module
@@ -71,9 +71,14 @@ class PolarCodeSpec:
         with malformed_as_format_error(f"code spec {path}"):
             with open(path) as fh:
                 doc = json.load(fh)
-            return cls(N=doc["N"], K=doc["K"],
-                       frozen=np.asarray(doc["frozen_mask"], dtype=bool),
-                       design_snr_db=doc.get("design_snr_db", 0.0))
+            N, K, snr = doc["N"], doc["K"], doc.get("design_snr_db", 0.0)
+            # bool is an int subclass, and no JSON number
+            if not (type(N) is type(K) is int and type(snr) in (int, float)
+                    and math.isfinite(snr)):
+                raise FormatError(f"code spec {path} needs integer N and K and a "
+                                  f"finite number as design_snr_db")
+            return cls(N=N, K=K, frozen=np.asarray(doc["frozen_mask"], dtype=bool),
+                       design_snr_db=snr)
 
 
 def construct_frozen_set(N: int, K: int, design_snr_db: float = 0.0) -> PolarCodeSpec:

@@ -1132,9 +1132,9 @@ def _json_paths(doc, path=()):
         yield from _json_paths(doc[0], path + (0,))
 
 
-def _mutated(data, doc, bounded=()):
+def _mutated(data, doc, bounded=(), values=JSON_VALUES):
     """The bytes of the JSON document `doc` with one mutation drawn from
-    `data`: an entry dropped, swapped for one of JSON_VALUES or nested in
+    `data`: an entry dropped, swapped for one of `values` or nested in
     lists 64, 1,000 or 200,000 deep, or the bytes cut short.  An entry under
     a top-level key in `bounded` takes no integer above 64: as a count it
     asks for that much work, which runs but does not end in a test."""
@@ -1151,7 +1151,7 @@ def _mutated(data, doc, bounded=()):
         del parent[key]
     elif kind == "swap":
         parent[key] = data.draw(st.sampled_from(
-            [v for v in JSON_VALUES if not (path and path[0] in bounded)
+            [v for v in values if not (path and path[0] in bounded)
              or _small_or_invalid(str(v))]))
     else:   # spliced into the text: json.dumps would recurse as deep
         depth = data.draw(st.sampled_from([64, 1_000, 200_000]))
@@ -1275,15 +1275,20 @@ class TestExitCodeContract:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_code_spec(self, loader_docs, data):
-        """A PolarCodeSpec.to_json document with one mutation loads or
-        raises a SpinscError."""
+        """A PolarCodeSpec.to_json document with one mutation, a float K
+        and a list among the values swapped in, raises a SpinscError or
+        loads integer N and K and a finite real design_snr_db."""
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "spec.json"
-            path.write_bytes(_mutated(data, loader_docs["spec"]))
+            path.write_bytes(_mutated(data, loader_docs["spec"],
+                                      values=JSON_VALUES + [4.0, [1, 2]]))
             try:
-                polar.PolarCodeSpec.from_json(path)
+                spec = polar.PolarCodeSpec.from_json(path)
             except SpinscError:
-                pass
+                return
+            assert type(spec.N) is type(spec.K) is int
+            assert type(spec.design_snr_db) in (int, float)
+            assert math.isfinite(spec.design_snr_db)
 
     @given(st.data())
     @settings(max_examples=300, deadline=None,

@@ -10,7 +10,7 @@ from spinsc.errors import DomainError, FitDomainError
 from spinsc.llgs import default_device_params
 from spinsc.mtj import (MtjParams, SigmoidFit, SwitchingCurve, default_mtj_params,
                         fit_stochastic_sigmoid, sweep_switching_curve)
-from spinsc.rngtools import derive_rng, parallel_map
+from spinsc.rngtools import derive_rng, derive_rngs, parallel_map
 
 
 def critical_spin_current(dev):
@@ -58,14 +58,18 @@ class TestEstimate:
         assert np.array_equal(a.ci_halfwidth, b.ci_halfwidth)
 
     def test_single_trial_runs_float_width_and_matches_batch_row(self, monkeypatch):
-        """One trial integrates on Python floats (math.sqrt once per step)
-        and ends where the same trial, first of three, ends in a 3-trial
-        batch, bit for bit."""
-        ends, roots = [], []
+        """One trial integrates on Python floats (math.sqrt once per step,
+        and once for the noise prefactor) in each of `_switched`'s calls, and
+        ends each call where the same trial, first of three, ends it in the
+        3-trial batch, bit for bit; a call of more than one trial takes
+        math.sqrt for its noise prefactor only."""
+        calls, roots = [], []
 
-        def spy(*args, **kwargs):
-            out = llgs._integrate(*args, **kwargs)
-            ends.append(out[0])
+        def spy(m0, phases, device, rngs, record=False):
+            before = len(roots)
+            out = llgs._integrate(m0, phases, device, rngs, record)
+            calls.append((len(rngs), sum(steps for steps, _ in phases),
+                          len(roots) - before, out[0]))
             return out
 
         def counted_sqrt(x):
@@ -77,19 +81,139 @@ class TestEstimate:
         monkeypatch.setattr(llgs, "math", SimpleNamespace(**{**vars(math),
                                                              "sqrt": counted_sqrt}))
         params = default_mtj_params()
-        steps = (params.equil_steps + round(5e-11 / params.device.dt)
-                 + round(params.relax_time / params.device.dt))
         # trials 0, 1, 2 of one point seeded 3
         point = (np.full(1, 1.6e-3), np.array([3]), 3, 5e-11, params)
         single = mtj._switched(*point, 0, 1)
-        single_roots = len(roots)
-        mtj._switched(*point, 0, 3)
-        assert single_roots >= steps
+        ones = calls[:]
+        del calls[:]
+        batch = mtj._switched(*point, 0, 3)
+        assert all(n == 1 for n, _, _, _ in ones) and calls[0][0] == 3
         # the batch takes np.sqrt; math.sqrt gives only its noise prefactors
-        assert len(roots) - single_roots < steps // 100
-        assert ends[0].shape == (1, 3) and ends[1].shape == (3, 3)
-        assert ends[0][0].tobytes() == ends[1][0].tobytes()
-        assert single.tolist() == [bool(ends[1][0, 2] > 0.0)]
+        assert all(r == (steps if n == 1 else 0) + 1 for n, steps, r, _ in ones + calls)
+        assert len(calls) >= len(ones)
+        for (_, steps, _, end), (_, batch_steps, _, batch_end) in zip(ones, calls):
+            assert steps == batch_steps and end.shape == (1, 3)
+            assert end[0].tobytes() == batch_end[0].tobytes()
+        assert single.tolist() == [bool(ones[-1][3][0, 2] > 0.0)] == batch[:1].tolist()
+
+
+class TestSettle:
+    """`_switched` drops settled trials between calls of _SETTLE_STEPS steps
+    under `_settle_margin`'s closed-form crossing bound."""
+
+    CURRENTS = np.linspace(1.15e-3, 2.05e-3, 5)
+
+    @staticmethod
+    def unsegmented(currents, seeds, n, pulse_width, params, start, stop):
+        """The switched flags of one `_integrate` call over every phase."""
+        points, trials = np.divmod(np.arange(start, stop), n)
+        tilt = mtj._START_TILT
+        m0 = np.tile([math.sin(tilt), 0.0, -math.cos(tilt)], (len(points), 1))
+        rngs = list(derive_rngs(seeds[points], "switch-trial", trials))
+        phases = [(params.equil_steps, 0.0)] + llgs._pulse_phases(
+            pulse_width, params.theta_sh * currents[points], params.relax_time,
+            params.device.dt)
+        return llgs._integrate(m0, phases, params.device, rngs)[0][:, 2] > 0.0
+
+    @staticmethod
+    def checks(*args):
+        """The flags of `_switched(*args)` with no trial dropped, each trial's
+        mz at every check, and the pulse and relax steps run by each check."""
+        states = []
+
+        def spy(m0, phases, device, rngs, record=False):
+            out = llgs._integrate(m0, phases, device, rngs, record)
+            states.append((sum(steps for steps, _ in phases), out[0][:, 2]))
+            return out
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mtj, "_integrate", spy)
+            mp.setattr(mtj, "_settle_margin", lambda *a: None)
+            flags = mtj._switched(*args)
+        steps, mz = zip(*states[1:])        # the first call equilibrates
+        return flags, np.column_stack(mz), np.cumsum(steps)
+
+    @staticmethod
+    def first_settled(mz, done, pulse_steps, z=mtj._SETTLE_Z):
+        """Each trial's first check at which it is settled, or -1."""
+        settled = np.where(done < pulse_steps, mz >= z, np.abs(mz) >= z)
+        return np.where(settled.any(axis=1), settled.argmax(axis=1), -1)
+
+    @staticmethod
+    def seeds(seed):
+        return np.array([rng.integers(0, 2**63) for rng in derive_rngs(
+            seed, "sweep-point", np.arange(5))])
+
+    def test_margin_on_reference_device(self):
+        dev = default_mtj_params().device
+        assert 6.2e-14 < mtj._crossing_bound(dev, 8e-10) < 6.4e-14
+        assert mtj._settle_margin(dev, np.array([0.0, 6e-4]), 8e-10) == 0.5
+
+    def test_margin_at_zero_kelvin(self):
+        """No noise: a bound of 0 and no division by zero."""
+        dev = default_mtj_params(T=0.0).device
+        assert mtj._crossing_bound(dev, 8e-10) == 0.0
+        assert mtj._settle_margin(dev, np.array([6e-4]), 8e-10) == 0.5
+
+    def test_no_margin_where_the_bound_fails(self):
+        dev = default_mtj_params().device
+        hot = default_mtj_params(T=600.0).device
+        assert 1.0e-7 < mtj._crossing_bound(hot, 8e-10) < 1.2e-7
+        assert mtj._settle_margin(hot, np.array([6e-4]), 8e-10) is None
+        assert mtj._settle_margin(replace(dev, Hd=1.0), np.array([6e-4]), 8e-10) is None
+        assert mtj._settle_margin(dev, np.array([-1e-12, 6e-4]), 8e-10) is None
+
+    def test_bound_holds_where_loose(self):
+        """At 3,000 K (Delta = 3, bound about 0.018, so no margin) every trial
+        runs every segment.  Of the trials settled at some check, the share
+        that ends on the other side of the equator stays within the bound
+        plus 3 binomial standard errors."""
+        params = default_mtj_params(T=3000.0)
+        dev = params.device
+        _, mz, done = self.checks(self.CURRENTS, self.seeds(4), 200, 5e-10, params,
+                                  0, 1000)
+        pulse = round(5e-10 / dev.dt)
+        bound = mtj._crossing_bound(dev, done[-1] * dev.dt)
+        assert 0.017 < bound < 0.019
+        first = self.first_settled(mz, done, pulse)
+        rows = np.flatnonzero(first >= 0)
+        crossed = np.sign(mz[rows, first[rows]]) != np.sign(mz[rows, -1])
+        assert len(rows) > 500
+        assert crossed.mean() <= bound + 3 * math.sqrt(bound * (1 - bound) / len(rows))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_flags_match_unsegmented_run(self, seed):
+        """A 5-point sweep over 1.15-2.05 mA: the same flags as one
+        unsegmented `_integrate` call of every trial."""
+        args = (self.CURRENTS, self.seeds(seed), 40, 5e-10, default_mtj_params(), 0, 200)
+        assert mtj._switched(*args).tolist() == self.unsegmented(*args).tolist()
+
+    def test_settled_trial_draws_no_more_normals(self, monkeypatch):
+        """Each trial draws 3 normals a step up to the first check at which
+        it is settled, none after, and the flag it has there; with no margin
+        every trial runs every step, to the same flags."""
+        streams = []
+
+        class Counting:
+            def __init__(self, rng):
+                self.rng, self.drawn = rng, 0
+                streams.append(self)
+
+            def standard_normal(self, out):
+                self.drawn += out.size
+                return self.rng.standard_normal(out=out)
+
+        params = default_mtj_params()
+        args = (self.CURRENTS, self.seeds(7), 20, 5e-10, params, 0, 100)
+        flags, mz, done = self.checks(*args)
+        derive = mtj.derive_rngs
+        monkeypatch.setattr(mtj, "derive_rngs", lambda *a: map(Counting, derive(*a)))
+        assert mtj._switched(*args).tolist() == flags.tolist()
+        first = self.first_settled(mz, done, round(5e-10 / params.device.dt))
+        steps = np.where(first >= 0, done[first], done[-1])
+        assert [s.drawn for s in streams] == (3 * (params.equil_steps + steps)).tolist()
+        rows = np.flatnonzero(first >= 0)
+        assert len(rows) >= 25
+        assert flags[rows].tolist() == (mz[rows, first[rows]] > 0).tolist()
 
 
 class TestSweep:

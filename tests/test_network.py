@@ -467,3 +467,21 @@ class TestSerialization:
         path.write_text(text)
         with pytest.raises(FormatError):
             load_model(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_out", -1), ("n_out", 0), ("n_in", 0), ("n_in", 2.0), ("n_out", True),
+        ("n_in", 3), ("weights", "0.5"), ("weights", ["0.5", 0.1, 0.2, 0.3]),
+        ("weights", [True, 0.1, 0.2, 0.3]), ("bias", [None, 0.0])],
+        ids=lambda v: json.dumps(v))
+    def test_mistyped_layer_rejected(self, tmp_path, key, value):
+        """A layer's n_out and n_in must be positive JSON integers whose
+        product counts its weights, and every weight and bias a JSON
+        number: reshape would infer n_out = -1, and numpy parses "0.5"."""
+        path = tmp_path / "model.json"
+        save_model(two_layer_model(), path)
+        doc = json.loads(path.read_text())
+        assert (doc["layers"][0]["n_out"], doc["layers"][0]["n_in"]) == (2, 2)
+        doc["layers"][0][key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="n_out"):
+            load_model(path)

@@ -162,6 +162,21 @@ class TestConstruction:
         with pytest.raises(FormatError):
             PolarCodeSpec.from_json(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("design_snr_db", "abc"), ("design_snr_db", None), ("design_snr_db", [1, 2]),
+        ("design_snr_db", True), ("design_snr_db", math.inf), ("K", 4.0),
+        ("K", True), ("N", 8.0), ("N", "8")])
+    def test_mistyped_spec_field_rejected(self, tmp_path, key, value):
+        """N and K must be JSON integers and design_snr_db a finite JSON
+        number (bool is neither)."""
+        path = tmp_path / "spec.json"
+        construct_frozen_set(8, 4).to_json(path)
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="integer N and K"):
+            PolarCodeSpec.from_json(path)
+
 
 class TestEncode:
     def test_all_zero_message(self):
