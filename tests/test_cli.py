@@ -1116,9 +1116,10 @@ def _ber_cfg(model_path):
 
 
 # the values an entry of a loaded JSON document may be swapped for: every
-# JSON type, the non-finite floats Python writes and an integer no float holds
-JSON_VALUES = [None, True, 0, -1, 0.5, 1e308, math.nan, math.inf, 10 ** 400,
-               "", "abc", [], [0], {}, {"a": 0}]
+# JSON type, an integral float, the non-finite floats Python writes and an
+# integer no float holds
+JSON_VALUES = [None, True, 0, -1, 0.5, 4.0, 1e308, math.nan, math.inf, 10 ** 400,
+               "", "abc", [], [0], [1, 2], {}, {"a": 0}]
 
 
 def _json_paths(doc, path=()):
@@ -1132,9 +1133,9 @@ def _json_paths(doc, path=()):
         yield from _json_paths(doc[0], path + (0,))
 
 
-def _mutated(data, doc, bounded=(), values=JSON_VALUES):
+def _mutated(data, doc, bounded=()):
     """The bytes of the JSON document `doc` with one mutation drawn from
-    `data`: an entry dropped, swapped for one of `values` or nested in
+    `data`: an entry dropped, swapped for one of JSON_VALUES or nested in
     lists 64, 1,000 or 200,000 deep, or the bytes cut short.  An entry under
     a top-level key in `bounded` takes no integer above 64: as a count it
     asks for that much work, which runs but does not end in a test."""
@@ -1151,7 +1152,7 @@ def _mutated(data, doc, bounded=(), values=JSON_VALUES):
         del parent[key]
     elif kind == "swap":
         parent[key] = data.draw(st.sampled_from(
-            [v for v in values if not (path and path[0] in bounded)
+            [v for v in JSON_VALUES if not (path and path[0] in bounded)
              or _small_or_invalid(str(v))]))
     else:   # spliced into the text: json.dumps would recurse as deep
         depth = data.draw(st.sampled_from([64, 1_000, 200_000]))
@@ -1275,13 +1276,12 @@ class TestExitCodeContract:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_code_spec(self, loader_docs, data):
-        """A PolarCodeSpec.to_json document with one mutation, a float K
-        and a list among the values swapped in, raises a SpinscError or
-        loads integer N and K and a finite real design_snr_db."""
+        """A PolarCodeSpec.to_json document with one mutation raises a
+        SpinscError or loads integer N and K and a finite real
+        design_snr_db."""
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "spec.json"
-            path.write_bytes(_mutated(data, loader_docs["spec"],
-                                      values=JSON_VALUES + [4.0, [1, 2]]))
+            path.write_bytes(_mutated(data, loader_docs["spec"]))
             try:
                 spec = polar.PolarCodeSpec.from_json(path)
             except SpinscError:

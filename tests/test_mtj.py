@@ -422,6 +422,15 @@ class TestSigmoidFit:
         with pytest.raises(FitDomainError):
             fit_stochastic_sigmoid(curve)
 
+    def test_currents_without_a_spread_rejected(self):
+        """Subnormal currents, whose standard deviation underflows to 0,
+        raise FitDomainError, not LAPACK's LinAlgError on a NaN system."""
+        curve = SwitchingCurve(np.arange(1, 6) * 1e-320,
+                               np.array([0.0, 0.0, 0.5, 1.0, 1.0]), np.full(5, 10),
+                               np.zeros(5))
+        with pytest.raises(FitDomainError, match="spread"):
+            fit_stochastic_sigmoid(curve)
+
     @pytest.mark.parametrize("field, value", [
         ("p_hat", [0.0, np.nan, 0.0, 1.0, 1.0, 1.0]),
         ("p_hat", [0.0, 0.0, -0.1, 1.0, 1.0, 1.0]),
