@@ -140,14 +140,14 @@ class SigmoidFit:
         write_json(path, asdict(self))
 
 
-def _crossing_bound(device, duration, z=_SETTLE_Z):
-    """Brown's bound erfc(z / (2 sqrt(h' T))) = 2 Phi(-z / sqrt(2 h' T)) on
-    the probability that mz falls from z to 0 within T = duration, where
-    the drift is non-negative on [0, z]; 0 without noise."""
+def _crossing_bound(device, duration):
+    """Brown's bound erfc(z*/(2 sqrt(h' T))) = 2 Phi(-z*/sqrt(2 h' T)) on the
+    chance that mz falls from z* = _SETTLE_Z to 0 within T = duration, the
+    drift being non-negative on [0, z*]; 0 without noise."""
     a = device.alpha
     ht = (GAMMA * a * K_B * device.T / ((1.0 + a * a) * MU_0 * device.Ms * device.V)
           * duration)
-    return 0.0 if ht == 0.0 else math.erfc(z / (2.0 * math.sqrt(ht)))
+    return 0.0 if ht == 0.0 else math.erfc(_SETTLE_Z / (2.0 * math.sqrt(ht)))
 
 
 def _settle_margin(device, spin_currents, duration):
